@@ -11,7 +11,6 @@ from .align_verify import (
     AlignmentReport,
     DistinctnessAudit,
     RankResult,
-    build_s_matrix,
     check_alignment,
     distinctness_audit,
     min_relative_gap,
@@ -85,7 +84,6 @@ __all__ = [
     "build_cascades",
     "build_effective",
     "build_precoders",
-    "build_s_matrix",
     "cascade_pairs",
     "check_alignment",
     "closed_form_dof",

@@ -156,17 +156,6 @@ def check_alignment(
     )
 
 
-def build_s_matrix(eff: EffectiveChannel, pre: PrecoderSet) -> np.ndarray:
-    """Receiver-1 signal space pulled through H_11: [V_1 | H_11^-1 H_12 V_2].
-
-    Its rank equals the rank of the receiver-1 composite because the two
-    differ by the invertible diagonal H_11.
-    """
-    _check_pair(eff, pre)
-    ratio = eff.diagonal(1, 2) / eff.diagonal(1, 1)
-    return np.hstack([pre.precoders[1], ratio[:, None] * pre.precoders[2]])
-
-
 def min_relative_gap(values: np.ndarray) -> float:
     """Smallest pairwise relative difference |a - b| / max(|a|, |b|)."""
     v = np.asarray(values).ravel()

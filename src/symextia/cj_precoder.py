@@ -7,11 +7,15 @@ all-ones vector (exponents up to n), user 3 on the same products with
 exponents up to n - 1 behind a fixed prefix, and every other user on a fixed
 diagonal rescaling of user 3's block. Per layer this yields
 D = (n+1)^N + n^N total streams across one signal space of dimension D.
+
+Every size follows from (K, n, layer) alone. The product columns are built
+as one row-wise Kronecker (face-splitting) product of per-generator power
+tables, and construction is refused up front when the complex128 precoders
+would exceed ``PRECODER_BYTE_BUDGET``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,30 +28,26 @@ SINGLE_LAYER = "single"
 DOUBLE_LAYER = "double"
 LAYERS = (SINGLE_LAYER, DOUBLE_LAYER)
 
-# Refuse to materialize exponent enumerations beyond this many tuples; the
-# closed-form accounting covers the asymptotic regime without them.
-TUPLE_GUARD = 1_000_000
-
-# An exponent tuple maps each cascade key pair (k, l) to its exponent.
-ExponentTuple = dict[tuple[int, int], int]
+# Refuse constructions whose complex128 precoders, D x ((n+1)^N + (K-1) n^N)
+# entries, would exceed this many bytes; the closed-form accounting covers
+# the asymptotic regime without them.
+PRECODER_BYTE_BUDGET = 2 * 1024**3
 
 
 @dataclass(frozen=True)
 class PrecoderConfig:
-    """Derived sizing for one alignment construction.
+    """Sizing for one alignment construction.
 
-    ``exponent_cap`` is the symmetric exponent bound n, ``cascade_order`` the
-    count N of cascade generators, ``effective_dim`` the per-layer dimension
+    ``exponent_cap`` is the symmetric exponent bound n. The derived sizes are
+    exact integer properties: ``cascade_order`` is the count N of cascade
+    generators, ``effective_dim`` the per-layer dimension
     D = (n+1)^N + n^N, and ``extension_length`` the raw slot count T (equal
     to D for a single layer, 2D for the double layer).
     """
 
     users: int
     exponent_cap: int
-    cascade_order: int
     layer: str
-    extension_length: int
-    effective_dim: int
 
     def __post_init__(self) -> None:
         if self.users < 3:
@@ -56,15 +56,18 @@ class PrecoderConfig:
             raise ParameterError(f"exponent cap must be >= 1, got {self.exponent_cap}")
         if self.layer not in LAYERS:
             raise ParameterError(f"unknown layer tag {self.layer!r}")
-        n_order = (self.users - 1) * (self.users - 2) - 1
-        if self.cascade_order != n_order:
-            raise ParameterError(f"cascade order {self.cascade_order} != {n_order}")
-        dim = (self.exponent_cap + 1) ** self.cascade_order + self.exponent_cap**self.cascade_order
-        if self.effective_dim != dim:
-            raise ParameterError(f"effective dim {self.effective_dim} != {dim}")
-        length = dim if self.layer == SINGLE_LAYER else 2 * dim
-        if self.extension_length != length:
-            raise ParameterError(f"extension length {self.extension_length} != {length}")
+
+    @property
+    def cascade_order(self) -> int:
+        return (self.users - 1) * (self.users - 2) - 1
+
+    @property
+    def effective_dim(self) -> int:
+        return (self.exponent_cap + 1) ** self.cascade_order + self.exponent_cap**self.cascade_order
+
+    @property
+    def extension_length(self) -> int:
+        return self.effective_dim if self.layer == SINGLE_LAYER else 2 * self.effective_dim
 
 
 def cascade_pairs(users: int) -> list[tuple[int, int]]:
@@ -88,49 +91,43 @@ def make_config(users: int, n: int, layer: str) -> PrecoderConfig:
 
     All arithmetic is exact integer arithmetic, so the huge dimensions of the
     asymptotic regime (for example users=5, n=82) are represented without
-    rounding; only explicit enumeration is capped elsewhere.
+    rounding; only explicit construction is capped, by the byte budget.
     """
-    if users < 3:
-        raise ParameterError(f"need at least 3 users, got {users}")
-    if n < 1:
-        raise ParameterError(f"exponent cap must be >= 1, got {n}")
-    if layer not in LAYERS:
-        raise ParameterError(f"unknown layer tag {layer!r}")
-    order = (users - 1) * (users - 2) - 1
-    dim = (n + 1) ** order + n**order
-    length = dim if layer == SINGLE_LAYER else 2 * dim
-    return PrecoderConfig(
-        users=users,
-        exponent_cap=n,
-        cascade_order=order,
-        layer=layer,
-        extension_length=length,
-        effective_dim=dim,
-    )
+    return PrecoderConfig(users=users, exponent_cap=n, layer=layer)
 
 
-def enumerate_tuples(config: PrecoderConfig, cap: int) -> list[ExponentTuple]:
-    """List every exponent tuple with entries in 0..cap, lexicographically.
+def _check_byte_budget(config: PrecoderConfig) -> None:
+    """Refuse a construction whose precoders would exceed ``PRECODER_BYTE_BUDGET``."""
+    n, order = config.exponent_cap, config.cascade_order
+    columns = (n + 1) ** order + (config.users - 1) * n**order
+    needed = 16 * config.effective_dim * columns
+    if needed > PRECODER_BYTE_BUDGET:
+        raise CapacityError(
+            f"precoders for {config.users} users at n={n} need {needed} bytes, over the "
+            f"{PRECODER_BYTE_BUDGET}-byte budget; use closed_form_dof for accounting at this size"
+        )
 
-    ``cap`` must be the configured exponent cap n (user 1's family) or n - 1
-    (user 3's family). The enumeration is refused above ``TUPLE_GUARD``
-    tuples rather than silently materializing an astronomical list.
+
+def enumerate_tuples(config: PrecoderConfig, cap: int) -> np.ndarray:
+    """Every exponent vector with entries in 0..cap, one per row, lexicographically.
+
+    Columns follow ``cascade_pairs(config.users)``. ``cap`` must be the
+    configured exponent cap n (user 1's family) or n - 1 (user 3's family).
+
+    Raises
+    ------
+    ParameterError
+        If ``cap`` is neither n nor n - 1.
+    CapacityError
+        If the configured precoders exceed ``PRECODER_BYTE_BUDGET``.
     """
     if cap not in (config.exponent_cap, config.exponent_cap - 1):
         raise ParameterError(
             f"cap {cap} is neither the exponent cap {config.exponent_cap} nor one below it"
         )
-    count = (cap + 1) ** config.cascade_order
-    if count > TUPLE_GUARD:
-        raise CapacityError(
-            f"{count} exponent tuples exceed the enumeration guard ({TUPLE_GUARD}); "
-            "use closed_form_dof for accounting at this size"
-        )
-    pairs = cascade_pairs(config.users)
-    return [
-        dict(zip(pairs, combo))
-        for combo in itertools.product(range(cap + 1), repeat=config.cascade_order)
-    ]
+    _check_byte_budget(config)
+    order = config.cascade_order
+    return np.indices((cap + 1,) * order).reshape(order, -1).T
 
 
 @dataclass(frozen=True)
@@ -177,19 +174,30 @@ class PrecoderSet:
     """Per-user precoder matrices over one effective signal space.
 
     ``precoders[k]`` is the D x d_k complex matrix for 1-based user k with
-    unit-norm columns; ``column_order[k]`` records the exponent vector behind
-    each column, aligned with ``pairs``. ``scalar_multiplies`` counts the
-    scalar multiply/divide operations spent building the set (vector passes
-    times their length), a hook for complexity regressions.
+    unit-norm columns, keyed in ascending user order; ``column_order[k]`` is
+    the d_k x N int array of exponent vectors behind those columns, one row
+    per column, with columns aligned to ``pairs``. Sizes are read off the
+    matrices.
     """
 
-    users: int
-    dim: int
     precoders: dict[int, np.ndarray]
-    stream_counts: dict[int, int]
-    pairs: tuple[tuple[int, int], ...]
-    column_order: dict[int, tuple[tuple[int, ...], ...]]
-    scalar_multiplies: int
+    column_order: dict[int, np.ndarray]
+
+    @property
+    def users(self) -> int:
+        return len(self.precoders)
+
+    @property
+    def dim(self) -> int:
+        return self.precoders[1].shape[0]
+
+    @property
+    def stream_counts(self) -> dict[int, int]:
+        return {user: mat.shape[1] for user, mat in self.precoders.items()}
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(cascade_pairs(self.users))
 
 
 def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSet:
@@ -198,9 +206,10 @@ def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSe
     User 1's columns are ``prod T_kl^{e_kl} @ ones`` over all exponent tuples
     with entries up to n; user 3's are the cap n - 1 tuples behind the prefix
     ``H_21 H_23^-1``; user i (i != 1, 3) rescales user 3's block by
-    ``H_1i^-1 H_13``. Columns are normalized to unit Euclidean norm, and all
-    cascade powers are cached so the scalar work stays linear in D for fixed
-    (users, n).
+    ``H_1i^-1 H_13``. Columns are normalized in place to unit Euclidean norm.
+    The powers T_kl^e are tabulated once, and each family of product columns
+    is one row-wise Kronecker product of those tables, so the work stays
+    linear in D times the column count for fixed (users, n).
 
     Parameters
     ----------
@@ -217,93 +226,59 @@ def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSe
     ParameterError
         On any dimension mismatch between ``eff`` and ``config``.
     CapacityError
-        If the exponent enumeration would exceed ``TUPLE_GUARD``.
+        If the precoders would exceed ``PRECODER_BYTE_BUDGET``; checked before
+        anything is allocated.
     DegenerateRealizationError
-        If a cascade or a column degenerates numerically.
+        If a cascade degenerates numerically, or a column norm overflows or
+        vanishes.
     """
     if eff.users != config.users:
         raise ParameterError(f"user count {eff.users} != configured {config.users}")
     if eff.dim != config.effective_dim:
         raise ParameterError(f"effective dim {eff.dim} != configured {config.effective_dim}")
+    cap = config.exponent_cap
+    order_full = enumerate_tuples(config, cap)
+    order_reduced = enumerate_tuples(config, cap - 1)
 
     dim = eff.dim
-    cap = config.exponent_cap
-    pairs = cascade_pairs(config.users)
     cascades = build_cascades(eff)
-    # build_cascades spends 3 vector ops on the shared prefix and kappa plus
-    # 3 per key pair, each over D entries; fold that into the op count.
-    ops = (3 + 3 * len(pairs)) * dim
-
-    # Cache T_kl^e for e = 0..cap once; every column is then a handful of
-    # cached-vector products instead of repeated exponentiation.
-    tables: dict[tuple[int, int], np.ndarray] = {}
-    for pair in pairs:
+    # T_kl^e for e = 0..cap, multiplied up one power at a time (a cumulative
+    # product rounds differently).
+    tables = []
+    for mat in cascades.matrices.values():
         table = np.empty((cap + 1, dim), dtype=complex)
         table[0] = 1.0
         for e in range(1, cap + 1):
-            table[e] = table[e - 1] * cascades.matrices[pair]
-            ops += dim
-        tables[pair] = table
+            table[e] = table[e - 1] * mat
+        tables.append(table)
 
-    def product_columns(tuples: list[ExponentTuple]) -> tuple[np.ndarray, int]:
-        cols = np.ones((dim, len(tuples)), dtype=complex)
-        spent = 0
-        for idx, tup in enumerate(tuples):
-            for pair in pairs:
-                e = tup[pair]
-                if e:
-                    cols[:, idx] *= tables[pair][e]
-                    spent += dim
-        return cols, spent
+    def power_products(top: int) -> np.ndarray:
+        # One column per row of enumerate_tuples(config, top). The output is
+        # forced to C order: the column norms below round differently when
+        # each column is contiguous.
+        out = np.ones((dim, 1), dtype=complex)
+        for table in tables:
+            out = np.multiply(out[:, :, None], table[: top + 1].T[:, None, :], order="C")
+            out = out.reshape(dim, -1)
+        return out
 
-    tuples_full = enumerate_tuples(config, cap)
-    tuples_reduced = enumerate_tuples(config, cap - 1)
-
-    raw: dict[int, np.ndarray] = {}
-    v1, spent = product_columns(tuples_full)
-    ops += spent
-    raw[1] = v1
-
-    base3, spent = product_columns(tuples_reduced)
-    ops += spent
     # the user-3 prefix H_21 H_23^-1 is not one of the cascades
     prefix = eff.diagonal(2, 1) / eff.diagonal(2, 3)
-    ops += dim
-    raw[3] = prefix[:, None] * base3
-    ops += dim * base3.shape[1]
-
+    raw = {1: power_products(cap), 3: prefix[:, None] * power_products(cap - 1)}
     for i in range(2, config.users + 1):
-        if i == 3:
-            continue
-        ratio = eff.diagonal(1, 3) / eff.diagonal(1, i)
-        ops += dim
-        raw[i] = ratio[:, None] * raw[3]
-        ops += dim * base3.shape[1]
+        if i != 3:
+            raw[i] = (eff.diagonal(1, 3) / eff.diagonal(1, i))[:, None] * raw[3]
 
-    precoders: dict[int, np.ndarray] = {}
-    for user, mat in sorted(raw.items()):
-        if not np.all(np.isfinite(mat)):
-            raise DegenerateRealizationError(f"precoder columns for user {user} overflowed")
+    precoders = dict(sorted(raw.items()))
+    for user, mat in precoders.items():
         norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=0))
-        ops += mat.size  # squared magnitudes
+        if not np.all(np.isfinite(norms)):
+            raise DegenerateRealizationError(f"precoder column norms for user {user} overflowed")
         if np.any(norms == 0):
             raise DegenerateRealizationError(f"precoder column for user {user} vanished")
-        precoders[user] = mat / norms[None, :]
-        ops += mat.size
-
-    order_full = tuple(tuple(t[p] for p in pairs) for t in tuples_full)
-    order_reduced = tuple(tuple(t[p] for p in pairs) for t in tuples_reduced)
+        mat /= norms
     column_order = {u: (order_full if u == 1 else order_reduced) for u in precoders}
-    stream_counts = {u: precoders[u].shape[1] for u in precoders}
-    return PrecoderSet(
-        users=config.users,
-        dim=dim,
-        precoders=precoders,
-        stream_counts=stream_counts,
-        pairs=tuple(pairs),
-        column_order=column_order,
-        scalar_multiplies=ops,
-    )
+    return PrecoderSet(precoders=precoders, column_order=column_order)
 
 
 @dataclass(frozen=True)

@@ -294,24 +294,21 @@ def simulate_link(
     per_user = {
         snr: tuple((user_acc[snr] / link.trials).tolist()) for snr in link.snr_points_db
     }
-    dof = _slope(sum_rate) if len(link.snr_points_db) >= 2 else float("nan")
+    dof = estimate_dof(sum_rate) if len(link.snr_points_db) >= 2 else float("nan")
     return LinkResult(sum_rate=sum_rate, per_user_rate=per_user, dof_estimate=dof, failures=failures)
 
 
-def _slope(sum_rate: dict[float, float]) -> float:
-    """Sum-rate slope against log2(linear SNR) between the two largest points."""
+def estimate_dof(sum_rate: dict[float, float]) -> float:
+    """High-SNR degrees-of-freedom estimate from sum rates keyed by SNR in dB.
+
+    This is the sum-rate slope against log2(linear SNR) between the two
+    largest SNR points.
+    """
     top = sorted(sum_rate)[-2:]
     if len(top) < 2:
         raise ParameterError("need at least two SNR points to estimate a slope")
     lo, hi = top
     return (sum_rate[hi] - sum_rate[lo]) / ((hi - lo) / 10.0 * np.log2(10.0))
-
-
-def estimate_dof(result: LinkResult) -> float:
-    """High-SNR degrees-of-freedom estimate from a finished simulation."""
-    if len(result.sum_rate) < 2:
-        raise ParameterError("need at least two SNR points to estimate a slope")
-    return _slope(result.sum_rate)
 
 
 def run_symbol_chain(

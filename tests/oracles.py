@@ -6,6 +6,8 @@ avoiding the package's numpy pipelines, so agreement is meaningful.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # factor list for the user-(3,2) cascade: (receiver, transmitter, exponent)
@@ -68,6 +70,42 @@ def brute_exponent_tuples(pairs: list[tuple[int, int]], cap: int) -> list[dict]:
             combo.update(tail)
             out.append(combo)
     return out
+
+
+def loop_precoders(eff, cascades, n: int) -> dict[int, np.ndarray]:
+    """Unit-norm precoders from an explicit loop over exponent tuples.
+
+    Each column starts as ones and is multiplied by the tabulated power
+    T_kl^e for every nonzero exponent e, in cascade pair order; user 3 adds
+    the H_21 H_23^-1 prefix, every other user i != 1 rescales user 3 by
+    H_1i^-1 H_13, and each column is divided by sqrt(sum |x|^2). Results are
+    keyed in ascending user order.
+    """
+    pairs = list(cascades.matrices)
+    tables = {}
+    for pair in pairs:
+        table = [np.ones(cascades.dim, dtype=complex)]
+        for _ in range(n):
+            table.append(table[-1] * cascades.matrices[pair])
+        tables[pair] = table
+
+    def columns(cap: int) -> np.ndarray:
+        combos = list(itertools.product(range(cap + 1), repeat=len(pairs)))
+        cols = np.ones((cascades.dim, len(combos)), dtype=complex)
+        for idx, combo in enumerate(combos):
+            for pair, e in zip(pairs, combo):
+                if e:
+                    cols[:, idx] *= tables[pair][e]
+        return cols
+
+    raw = {1: columns(n), 3: (eff.diagonal(2, 1) / eff.diagonal(2, 3))[:, None] * columns(n - 1)}
+    for i in range(2, eff.users + 1):
+        if i != 3:
+            raw[i] = (eff.diagonal(1, 3) / eff.diagonal(1, i))[:, None] * raw[3]
+    return {
+        user: mat / np.sqrt(np.sum(np.abs(mat) ** 2, axis=0))[None, :]
+        for user, mat in sorted(raw.items())
+    }
 
 
 def slope_between(rates: dict[float, float], lo: float, hi: float) -> float:

@@ -7,7 +7,6 @@ from symextia import (
     build_cascades,
     build_effective,
     build_precoders,
-    build_s_matrix,
     check_alignment,
     distinctness_audit,
     draw_realization,
@@ -96,13 +95,12 @@ class TestDoubleLayerAlignment:
         assert sum(key.startswith("contain") for key in report.residuals) == 6
         assert sum(key.startswith("equality") for key in report.residuals) == 2
 
-    def test_s_matrix_rank_matches_composite(self):
+    def test_receiver1_composite_is_square_full_rank(self):
         for seed in range(100):
             cfg, eff, pre = _double_setup(seed)
-            s = build_s_matrix(eff, pre)
             composite = receiver_composite(eff, pre, 1)
-            assert s.shape == composite.shape == (cfg.effective_dim, cfg.effective_dim)
-            assert numerical_rank(s)[0] == numerical_rank(composite)[0] == cfg.effective_dim
+            assert composite.shape == (cfg.effective_dim, cfg.effective_dim)
+            assert numerical_rank(composite)[0] == cfg.effective_dim
 
     def test_misaligned_precoders_leave_large_residuals(self):
         _, eff, pre = _double_setup(5)
@@ -113,16 +111,11 @@ class TestDoubleLayerAlignment:
             for user, mat in pre.precoders.items()
         }
         fake = PrecoderSet(
-            users=pre.users,
-            dim=pre.dim,
             precoders={
                 u: m / np.linalg.norm(m, axis=0, keepdims=True)
                 for u, m in random_cols.items()
             },
-            stream_counts=pre.stream_counts,
-            pairs=pre.pairs,
             column_order=pre.column_order,
-            scalar_multiplies=pre.scalar_multiplies,
         )
         report = check_alignment(eff, fake)
         assert report.verdict == "fail"
@@ -138,15 +131,7 @@ class TestDoubleLayerAlignment:
                 2j * np.pi * rng.uniform(size=mat.shape[1])
             )
             scaled[user] = mat * scales[None, :]
-        twin = PrecoderSet(
-            users=pre.users,
-            dim=pre.dim,
-            precoders=scaled,
-            stream_counts=pre.stream_counts,
-            pairs=pre.pairs,
-            column_order=pre.column_order,
-            scalar_multiplies=pre.scalar_multiplies,
-        )
+        twin = PrecoderSet(precoders=scaled, column_order=pre.column_order)
         base = check_alignment(eff, pre)
         rescaled = check_alignment(eff, twin)
         assert rescaled.verdict == base.verdict == "pass"

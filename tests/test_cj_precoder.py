@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,22 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_exponent_tuples, scalar_kappa, scalar_lambda_32
+from oracles import brute_exponent_tuples, loop_precoders, scalar_kappa, scalar_lambda_32
 from symextia import (
     CapacityError,
     ChannelSet,
+    DegenerateRealizationError,
     ParameterError,
     build_cascades,
     build_effective,
     build_precoders,
     cascade_pairs,
     closed_form_dof,
+    draw_realization,
     enumerate_tuples,
     generate_channels,
     generate_gains,
     make_config,
     subseed,
 )
+import symextia.cj_precoder as cj_precoder
 
 
 def _effective_from_scalars(values: dict[tuple[int, int], complex], dim: int = 4):
@@ -80,19 +84,18 @@ class TestMakeConfig:
 class TestEnumerateTuples:
     def test_three_user_lexicographic(self):
         cfg = make_config(3, 2, "single")
-        assert enumerate_tuples(cfg, 2) == [{(3, 2): 0}, {(3, 2): 1}, {(3, 2): 2}]
-        assert enumerate_tuples(cfg, 1) == [{(3, 2): 0}, {(3, 2): 1}]
+        assert np.array_equal(enumerate_tuples(cfg, 2), [[0], [1], [2]])
+        assert np.array_equal(enumerate_tuples(cfg, 1), [[0], [1]])
 
     def test_matches_brute_force_enumeration(self):
         cfg = make_config(4, 1, "double")
         pairs = cascade_pairs(4)
         got = enumerate_tuples(cfg, 1)
-        want = brute_exponent_tuples(pairs, 1)
-        assert len(got) == 2**5
-        assert sorted(map(repr, got)) == sorted(map(repr, want))
+        want = [[t[p] for p in pairs] for t in brute_exponent_tuples(pairs, 1)]
+        assert got.shape == (2**5, 5)
         # lexicographic over the sorted pair order
-        keys = [tuple(t[p] for p in pairs) for t in got]
-        assert keys == sorted(keys)
+        assert want == sorted(want)
+        assert np.array_equal(got, want)
 
     def test_rejects_foreign_cap(self):
         cfg = make_config(3, 2, "single")
@@ -100,9 +103,17 @@ class TestEnumerateTuples:
             enumerate_tuples(cfg, 3)
 
     def test_guard_refuses_astronomical_enumerations(self):
-        cfg = make_config(5, 82, "double")
         with pytest.raises(CapacityError):
-            enumerate_tuples(cfg, 82)
+            enumerate_tuples(make_config(5, 82, "double"), 82)
+        # K=5, n=2: 3^11 = 177,147 tuples, but the precoders need about 531 GB
+        cfg = make_config(5, 2, "single")
+        assert 16 * cfg.effective_dim * (3**11 + 4 * 2**11) > 5e11
+        with pytest.raises(CapacityError):
+            enumerate_tuples(cfg, 2)
+        # K=4, n=3: 1267 x 1753 precoder entries, about 34 MiB, stays buildable
+        cfg = make_config(4, 3, "single")
+        assert 16 * cfg.effective_dim * (4**5 + 3 * 3**5) < 35 * 2**20
+        assert enumerate_tuples(cfg, 3).shape == (4**5, 5)
 
 
 class TestBuildCascades:
@@ -152,16 +163,13 @@ class TestBuildPrecoders:
                 generate_channels(users, cfg.extension_length, "iid", 1), None, "plain"
             )
             pre = build_precoders(eff, cfg)
-            pairs = cascade_pairs(users)
             full = enumerate_tuples(cfg, n)
-            short = enumerate_tuples(cfg, n - 1) if n > 1 else [dict.fromkeys(pairs, 0)]
+            short = enumerate_tuples(cfg, n - 1)
             assert pre.stream_counts[1] == len(full) == pre.precoders[1].shape[1]
+            assert np.array_equal(pre.column_order[1], full)
             for user in range(2, users + 1):
                 assert pre.stream_counts[user] == len(short)
-            # column_order lists each tuple's exponents in enumeration order
-            assert [
-                tuple(t[pair] for pair in pairs) for t in full
-            ] == list(pre.column_order[1])
+                assert np.array_equal(pre.column_order[user], short)
 
     def test_user1_columns_are_cascade_powers(self):
         cfg = make_config(3, 2, "single")
@@ -203,20 +211,46 @@ class TestBuildPrecoders:
         with pytest.raises(ParameterError):
             build_precoders(eff, cfg)
 
-    def test_scalar_multiplies_scale_linearly(self):
-        budgets = {}
-        for n in (2, 20):
-            cfg = make_config(3, n, "single")
-            eff = build_effective(generate_channels(3, cfg.extension_length, "iid", 0), None, "plain")
-            pre = build_precoders(eff, cfg)
-            cols = sum(pre.stream_counts.values())
-            budget = (cfg.cascade_order + 8) * cfg.effective_dim * cols
-            assert pre.scalar_multiplies <= budget
-            budgets[n] = (pre.scalar_multiplies, cfg.effective_dim * cols)
-        ops_small, work_small = budgets[2]
-        ops_big, work_big = budgets[20]
-        # growth tracks D * columns, not a higher power of it
-        assert ops_big / ops_small <= 1.5 * work_big / work_small
+    def test_peak_memory_stays_within_twice_the_output(self):
+        # temporaries stay linear in D times the column count
+        for n in (2, 3):
+            cfg = make_config(4, n, "single")
+            eff = build_effective(generate_channels(4, cfg.extension_length, "iid", 0), None, "plain")
+            tracemalloc.start()
+            try:
+                pre = build_precoders(eff, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 16 * cfg.effective_dim * sum(pre.stream_counts.values())
+
+    def test_byte_budget_is_checked_exactly(self, monkeypatch):
+        cfg = make_config(3, 2, "single")
+        eff = build_effective(generate_channels(3, 5, "iid", 0), None, "plain")
+        needed = 16 * 5 * (3 + 2 * 2)
+        monkeypatch.setattr(cj_precoder, "PRECODER_BYTE_BUDGET", needed - 1)
+        with pytest.raises(CapacityError):
+            build_precoders(eff, cfg)
+        monkeypatch.setattr(cj_precoder, "PRECODER_BYTE_BUDGET", needed)
+        assert sum(build_precoders(eff, cfg).stream_counts.values()) == 7
+
+    def test_norm_overflow_raises(self):
+        # at n=60 some squared column norms overflow to inf
+        cfg = make_config(3, 60, "single")
+        eff = build_effective(generate_channels(3, 121, "iid", 2), None, "plain")
+        with pytest.raises(DegenerateRealizationError):
+            build_precoders(eff, cfg)
+
+    def test_matches_per_tuple_reference_bit_for_bit(self):
+        for users, n in ((3, 1), (3, 2), (3, 5), (4, 1), (4, 2)):
+            for coding, model in (("plain", "iid"), ("naive", "iid"), ("double", "constant")):
+                cfg = make_config(users, n, "double" if coding == "double" else "single")
+                ch = generate_channels(users, cfg.extension_length, model, subseed(n, 2))
+                _, eff, pre, _ = draw_realization(ch, coding, cfg, subseed(n, 3))
+                want = loop_precoders(eff, build_cascades(eff), n)
+                assert list(pre.precoders) == list(want)
+                for user, mat in want.items():
+                    assert np.array_equal(pre.precoders[user], mat), (users, n, coding, user)
 
 
 class TestClosedFormDof:

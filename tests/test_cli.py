@@ -1,9 +1,11 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import symextia
 from symextia import ParameterError
 from symextia.cli import ExperimentSpec, main, parse_args, run_experiment
 from symextia.extension_core import CONSTANT, DOUBLE, IID, NAIVE, PLAIN
@@ -248,16 +250,29 @@ class TestMain:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_precoder_overflow_exit_code(self, tmp_path, capsys):
+        # at n=100 the squared column norms overflow instead of writing nan rows
+        out = tmp_path / "verify_overflow.csv"
+        rc = main(
+            ["--experiment", "verify", "--users", "3", "--n", "100", "--coding", PLAIN,
+             "--channel", IID, "--trials", "2", "--out", str(out)]
+        )
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, capsys):
         rc = main(["--experiment", "figure1", "--coding", "naive"])
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
 
     def test_help_via_subprocess(self):
+        # run from the directory holding the imported package, so the child
+        # imports the same copy without relying on PYTHONPATH
         proc = subprocess.run(
             [sys.executable, "-m", "symextia.cli", "--help"],
             capture_output=True,
             text=True,
+            cwd=Path(symextia.__file__).parents[1],
         )
         assert proc.returncode == 0
         assert "--experiment" in proc.stdout

@@ -5,7 +5,6 @@ from oracles import slope_between
 from symextia import (
     GainPlan,
     LinkConfig,
-    LinkResult,
     ParameterError,
     SimulationError,
     build_effective,
@@ -110,38 +109,20 @@ class TestSimulateLink:
         result = simulate_link(ch, "double", cfg, LinkConfig(snr_points_db=(30.0,), trials=2))
         assert np.isnan(result.dof_estimate)
         with pytest.raises(ParameterError):
-            estimate_dof(result)
+            estimate_dof(result.sum_rate)
 
 
 class TestEstimateDof:
     def test_recovers_synthetic_slope(self):
         delta = 0.7 * np.log2(10.0)  # one decade at slope 0.7
-        result = LinkResult(
-            sum_rate={50.0: 4.0, 60.0: 4.0 + delta},
-            per_user_rate={},
-            dof_estimate=float("nan"),
-            failures=0,
-        )
-        assert estimate_dof(result) == pytest.approx(0.7)
+        assert estimate_dof({50.0: 4.0, 60.0: 4.0 + delta}) == pytest.approx(0.7)
 
     def test_uses_two_largest_points(self):
         delta = 0.5 * np.log2(10.0)
-        result = LinkResult(
-            sum_rate={10.0: 0.0, 50.0: 4.0, 60.0: 4.0 + delta},
-            per_user_rate={},
-            dof_estimate=float("nan"),
-            failures=0,
-        )
-        assert estimate_dof(result) == pytest.approx(0.5)
+        assert estimate_dof({10.0: 0.0, 50.0: 4.0, 60.0: 4.0 + delta}) == pytest.approx(0.5)
 
     def test_flat_rates_give_zero(self):
-        result = LinkResult(
-            sum_rate={40.0: 3.25, 50.0: 3.25, 60.0: 3.25},
-            per_user_rate={},
-            dof_estimate=float("nan"),
-            failures=0,
-        )
-        assert estimate_dof(result) == 0.0
+        assert estimate_dof({40.0: 3.25, 50.0: 3.25, 60.0: 3.25}) == 0.0
 
 
 class TestResampling:
