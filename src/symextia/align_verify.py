@@ -85,16 +85,11 @@ def receiver_composite(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) -
     At receiver 1 the interference from every other user sits on the user-2
     block, so the composite is [H_11 V_1 | H_12 V_2]; at receiver k != 1 all
     interference aligns inside the user-1 block, giving [H_kk V_k | H_k1 V_1].
-    Either way the matrix is square D x D.
+    Either way the matrix is square D x D; ``PrecoderSet.basis_user`` names
+    the interference block.
     """
-    if not 1 <= receiver <= eff.users:
-        raise ParameterError(f"receiver label {receiver} outside 1..{eff.users}")
     k = receiver
-    if k == 1:
-        blocks = [eff.diagonal(1, 1)[:, None] * pre.precoders[1], eff.diagonal(1, 2)[:, None] * pre.precoders[2]]
-    else:
-        blocks = [eff.diagonal(k, k)[:, None] * pre.precoders[k], eff.diagonal(k, 1)[:, None] * pre.precoders[1]]
-    return np.hstack(blocks)
+    return np.hstack([eff.diagonal(k, j)[:, None] * pre.precoders[j] for j in (k, pre.basis_user(k))])
 
 
 def signal_space_rank(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) -> RankResult:

@@ -199,6 +199,13 @@ class PrecoderSet:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(cascade_pairs(self.users))
 
+    def basis_user(self, receiver: int) -> int:
+        """User whose block spans the aligned interference at ``receiver``.
+
+        That is user 2 at receiver 1 and user 1 at every other receiver.
+        """
+        return 2 if receiver == 1 else 1
+
 
 def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSet:
     """Build the cascade-product precoders for every user.
@@ -270,13 +277,14 @@ def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSe
             raw[i] = (eff.diagonal(1, 3) / eff.diagonal(1, i))[:, None] * raw[3]
 
     precoders = dict(sorted(raw.items()))
-    for user, mat in precoders.items():
-        norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=0))
-        if not np.all(np.isfinite(norms)):
-            raise DegenerateRealizationError(f"precoder column norms for user {user} overflowed")
-        if np.any(norms == 0):
-            raise DegenerateRealizationError(f"precoder column for user {user} vanished")
-        mat /= norms
+    with np.errstate(over="ignore"):  # an overflowed norm is caught just below
+        for user, mat in precoders.items():
+            norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=0))
+            if not np.all(np.isfinite(norms)):
+                raise DegenerateRealizationError(f"precoder column norms for user {user} overflowed")
+            if np.any(norms == 0):
+                raise DegenerateRealizationError(f"precoder column for user {user} vanished")
+            mat /= norms
     column_order = {u: (order_full if u == 1 else order_reduced) for u in precoders}
     return PrecoderSet(precoders=precoders, column_order=column_order)
 

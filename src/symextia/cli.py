@@ -15,7 +15,10 @@ figure1
 All output is deterministic for the recorded seed: CSV files are UTF-8 with
 LF line endings, floats printed to 6 significant digits (exact-dof floats to
 6 decimal places), so reruns are byte-identical. Exit status is 0 on
-success, 2 on a flag parsing problem, and 1 when a module rejects the run.
+success, 2 on a flag parsing problem (including flags that would be ignored
+or could never run), and 1 when a module rejects the run. The CSV is written
+only after every row is computed, so a failed run leaves the output path as
+it was.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .align_verify import check_alignment, distinctness_audit
@@ -41,6 +45,7 @@ from .extension_core import (
     CONSTANT,
     DOUBLE,
     NAIVE,
+    SLOW_CHANGING,
     generate_channels,
     subseed,
 )
@@ -138,8 +143,10 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
     if args.experiment == "figure1":
         if args.coding is not None:
             raise ParameterError("figure1 always compares naive and double; drop --coding")
+        if args.layer == SINGLE_LAYER:
+            raise ParameterError("figure1 always runs double coding on the double layer; drop --layer")
         coding = "both"
-        layer = args.layer if args.layer is not None else DOUBLE_LAYER
+        layer = DOUBLE_LAYER
     else:
         coding = args.coding if args.coding is not None else DOUBLE
         derived_layer = DOUBLE_LAYER if coding == DOUBLE else SINGLE_LAYER
@@ -148,6 +155,15 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
         )
         if args.experiment in ("verify", "audit") and layer != derived_layer:
             raise ParameterError(f"--layer {layer} is inconsistent with --coding {coding}")
+    # figure1's naive leg always draws a single layer
+    single_layer_draw = args.experiment == "figure1" or (
+        args.experiment != "dof_table" and layer == SINGLE_LAYER
+    )
+    if args.channel == SLOW_CHANGING and single_layer_draw:
+        raise ParameterError(
+            "--channel slow_changing needs an even slot count, but a single layer has "
+            "D = (n+1)^N + n^N slots, which is always odd"
+        )
     if args.trials < 1:
         raise ParameterError(f"--trials must be >= 1, got {args.trials}")
     n_range = _parse_colon_ints(args.n_range, "--n-range") if args.n_range else (args.n, args.n)
@@ -166,20 +182,11 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
     )
 
 
-def _open_writer(path: str):
-    handle = open(path, "w", encoding="utf-8", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
-
-
-def _run_dof_table(spec: ExperimentSpec) -> None:
-    handle, writer = _open_writer(spec.output_path)
-    with handle:
-        writer.writerow(["users", "n", "layer", "dof_exact_num", "dof_exact_den", "dof_float"])
-        for n in range(spec.n_range[0], spec.n_range[1] + 1):
-            dof = closed_form_dof(spec.users, n, spec.layer)
-            writer.writerow(
-                [spec.users, n, spec.layer, dof.numerator, dof.denominator, f"{dof.value:.6f}"]
-            )
+def _run_dof_table(spec: ExperimentSpec) -> Iterator[list]:
+    yield ["users", "n", "layer", "dof_exact_num", "dof_exact_den", "dof_float"]
+    for n in range(spec.n_range[0], spec.n_range[1] + 1):
+        dof = closed_form_dof(spec.users, n, spec.layer)
+        yield [spec.users, n, spec.layer, dof.numerator, dof.denominator, f"{dof.value:.6f}"]
 
 
 def _row_realization(spec: ExperimentSpec, row: int):
@@ -194,75 +201,67 @@ def _row_realization(spec: ExperimentSpec, row: int):
     return eff, pre
 
 
-def _run_verify(spec: ExperimentSpec) -> None:
-    handle, writer = _open_writer(spec.output_path)
-    with handle:
-        writer.writerow(
-            ["row", "seed", "users", "n", "layer", "channel", "coding",
-             "max_residual", "min_rank", "required_rank", "min_margin", "verdict"]
+def _run_verify(spec: ExperimentSpec) -> Iterator[list]:
+    yield ["row", "seed", "users", "n", "layer", "channel", "coding",
+           "max_residual", "min_rank", "required_rank", "min_margin", "verdict"]
+    for row in range(spec.trials):
+        eff, pre = _row_realization(spec, row)
+        report = check_alignment(eff, pre)
+        ranks = report.rank_results.values()
+        yield [row, spec.seed, spec.users, spec.n, spec.layer, spec.channel_model, spec.coding,
+               _fmt(max(report.residuals.values())),
+               min(r.rank for r in ranks), eff.dim,
+               _fmt(min(r.margin for r in ranks)), report.verdict]
+
+
+def _run_audit(spec: ExperimentSpec) -> Iterator[list]:
+    yield ["row", "seed", "quantity", "min_relative_gap", "flagged"]
+    for row in range(spec.trials):
+        eff, _ = _row_realization(spec, row)
+        audit = distinctness_audit(build_cascades(eff))
+        for (k, l), gap in sorted(audit.lambda_gaps.items()):
+            name = f"T_{k}_{l}"
+            yield [row, spec.seed, name, _fmt(gap), str(name in audit.flagged).lower()]
+        yield [row, spec.seed, "kappa", _fmt(audit.kappa_gap), str("kappa" in audit.flagged).lower()]
+
+
+def _run_figure1(spec: ExperimentSpec) -> Iterator[list]:
+    yield ["snr_db", "coding", "sum_rate_bits_per_use", "dof_estimate", "trials", "seed"]
+    for idx, coding in enumerate((NAIVE, DOUBLE)):
+        layer = DOUBLE_LAYER if coding == DOUBLE else SINGLE_LAYER
+        config = make_config(spec.users, spec.n, layer)
+        # constant-model draws share the same base matrix across both
+        # extension lengths, so the two codings see one physical channel
+        channels = generate_channels(
+            spec.users, config.extension_length, spec.channel_model,
+            subseed(spec.seed, _NS_CHANNELS),
         )
-        for row in range(spec.trials):
-            eff, pre = _row_realization(spec, row)
-            report = check_alignment(eff, pre)
-            ranks = report.rank_results.values()
-            writer.writerow(
-                [row, spec.seed, spec.users, spec.n, spec.layer, spec.channel_model, spec.coding,
-                 _fmt(max(report.residuals.values())),
-                 min(r.rank for r in ranks), eff.dim,
-                 _fmt(min(r.margin for r in ranks)), report.verdict]
-            )
-
-
-def _run_audit(spec: ExperimentSpec) -> None:
-    handle, writer = _open_writer(spec.output_path)
-    with handle:
-        writer.writerow(["row", "seed", "quantity", "min_relative_gap", "flagged"])
-        for row in range(spec.trials):
-            eff, _ = _row_realization(spec, row)
-            audit = distinctness_audit(build_cascades(eff))
-            for (k, l), gap in sorted(audit.lambda_gaps.items()):
-                name = f"T_{k}_{l}"
-                writer.writerow([row, spec.seed, name, _fmt(gap), str(name in audit.flagged).lower()])
-            writer.writerow(
-                [row, spec.seed, "kappa", _fmt(audit.kappa_gap), str("kappa" in audit.flagged).lower()]
-            )
-
-
-def _run_figure1(spec: ExperimentSpec) -> None:
-    handle, writer = _open_writer(spec.output_path)
-    with handle:
-        writer.writerow(["snr_db", "coding", "sum_rate_bits_per_use", "dof_estimate", "trials", "seed"])
-        for idx, coding in enumerate((NAIVE, DOUBLE)):
-            layer = DOUBLE_LAYER if coding == DOUBLE else SINGLE_LAYER
-            config = make_config(spec.users, spec.n, layer)
-            # constant-model draws share the same base matrix across both
-            # extension lengths, so the two codings see one physical channel
-            channels = generate_channels(
-                spec.users, config.extension_length, spec.channel_model,
-                subseed(spec.seed, _NS_CHANNELS),
-            )
-            link = LinkConfig(
-                snr_points_db=spec.snr_db,
-                trials=spec.trials,
-                seed=subseed(spec.seed, _NS_LINK, idx),
-            )
-            result = simulate_link(channels, coding, config, link)
-            for snr in spec.snr_db:
-                writer.writerow(
-                    [_fmt(snr), coding, _fmt(result.sum_rate[snr]), _fmt(result.dof_estimate),
-                     spec.trials, spec.seed]
-                )
+        link = LinkConfig(
+            snr_points_db=spec.snr_db,
+            trials=spec.trials,
+            seed=subseed(spec.seed, _NS_LINK, idx),
+        )
+        result = simulate_link(channels, coding, config, link)
+        for snr in spec.snr_db:
+            yield [_fmt(snr), coding, _fmt(result.sum_rate[snr]), _fmt(result.dof_estimate),
+                   spec.trials, spec.seed]
 
 
 def run_experiment(spec: ExperimentSpec) -> str:
-    """Run one experiment and return the path of the CSV it wrote."""
+    """Run one experiment and return the path of the CSV it wrote.
+
+    The file is written only once every row is computed, so a run that
+    raises leaves any earlier file at the path untouched.
+    """
     runner = {
         "dof_table": _run_dof_table,
         "verify": _run_verify,
         "audit": _run_audit,
         "figure1": _run_figure1,
     }[spec.experiment]
-    runner(spec)
+    rows = list(runner(spec))  # every row before the file is opened
+    with open(spec.output_path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
     return spec.output_path
 
 

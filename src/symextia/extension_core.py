@@ -4,7 +4,8 @@ Raw per-slot channels for a K-user single-antenna interference channel are
 held as a dense complex tensor indexed ``[receiver, transmitter, slot]``.
 Artificial transmit/receive gain sequences turn those raw slots into the
 diagonal effective channels consumed by the precoder and verification
-layers. Three coding modes are supported:
+layers. The three coding modes differ only in how raw slots fold into
+effective entries:
 
 ``plain``
     No artificial gains; the effective diagonals are the raw slots.
@@ -14,6 +15,10 @@ layers. Three coding modes are supported:
     Paired slots collapse two gain-scaled taps into one effective entry,
     halving the dimension:
     ``beta[k, q] h[k, j, q] alpha[j, q] + beta[k, D+q] h[k, j, D+q] alpha[j, D+q]``.
+
+``EffectiveChannel`` owns that rule: its ``fold`` is the number of raw
+slots summed per entry, and ``tx_gains``/``rx_gains`` give the per-slot gains
+in folded layout.
 
 User labels are 1-based everywhere in the public API; array axes are the
 corresponding 0-based indices.
@@ -35,9 +40,9 @@ CHANNEL_MODELS = (CONSTANT, SLOW_CHANGING, IID)
 PLAIN = "plain"
 NAIVE = "naive"
 DOUBLE = "double"
-CODING_MODES = (PLAIN, NAIVE, DOUBLE)
-
-GAIN_DISTRIBUTION = "complex_normal_unit"
+# Raw slots summed into each effective entry, per coding mode.
+SLOT_FOLD = {PLAIN: 1, NAIVE: 1, DOUBLE: 2}
+CODING_MODES = tuple(SLOT_FOLD)
 
 # Raw draws below this magnitude are redrawn so downstream entrywise
 # inverses stay bounded.
@@ -70,39 +75,44 @@ def _sample_unit_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np
         out[small] = redraw
 
 
+def _check_sizes(users: int, slots: int, min_users: int, min_slots: int) -> None:
+    if users < min_users:
+        raise ParameterError(f"need at least {min_users} users, got {users}")
+    if slots < min_slots:
+        raise ParameterError(f"need at least {min_slots} slots, got {slots}")
+
+
+def _check_users(users: int, *labels: int) -> None:
+    for label in labels:
+        if not 1 <= label <= users:
+            raise ParameterError(f"user label {label} outside 1..{users}")
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     """Raw channel tensor for one realization of a K-user network.
 
     Attributes
     ----------
-    users : int
-        Number of transmit/receive pairs K, at least 3.
-    slots : int
-        Symbol-extension length T, at least 2.
     entries : numpy.ndarray
         Complex tensor of shape ``(users, users, slots)``;
         ``entries[k-1, j-1, t]`` is the tap from transmitter j to receiver k
-        in slot t. Treated as immutable once constructed.
+        in slot t. Treated as immutable once constructed. ``users`` (K, at
+        least 3) and ``slots`` (T, at least 2) are read off its shape.
     model_tag : str
         One of ``constant``, ``slow_changing``, ``iid``.
     """
 
-    users: int
-    slots: int
     entries: np.ndarray
     model_tag: str
 
     def __post_init__(self) -> None:
-        if self.users < 3:
-            raise ParameterError(f"need at least 3 users, got {self.users}")
-        if self.slots < 2:
-            raise ParameterError(f"need at least 2 slots, got {self.slots}")
+        shape = self.entries.shape
+        if self.entries.ndim != 3 or shape[0] != shape[1]:
+            raise ParameterError(f"entries shape {shape} is not (users, users, slots)")
+        _check_sizes(self.users, self.slots, 3, 2)
         if self.model_tag not in CHANNEL_MODELS:
             raise ParameterError(f"unknown channel model {self.model_tag!r}")
-        shape = (self.users, self.users, self.slots)
-        if self.entries.shape != shape:
-            raise ParameterError(f"entries shape {self.entries.shape} != {shape}")
         if not np.all(np.isfinite(self.entries)):
             raise ParameterError("channel entries must be finite")
         if np.any(self.entries == 0):
@@ -113,17 +123,17 @@ class ChannelSet:
         elif self.model_tag == SLOW_CHANGING:
             if self.slots % 2:
                 raise ParameterError("slow_changing model requires an even slot count")
-            half = self.slots // 2
-            first, second = self.entries[:, :, :half], self.entries[:, :, half:]
-            if np.any(first != first[:, :, :1]) or np.any(second != second[:, :, :1]):
+            halves = self.entries.reshape(self.users, self.users, 2, -1)
+            if np.any(halves != halves[..., :1]):
                 raise ParameterError("slow_changing model requires two constant halves")
 
-    def half_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return the per-link taps of the two T/2 halves (requires even T)."""
-        if self.slots % 2:
-            raise ParameterError("slot count is odd, no half split exists")
-        half = self.slots // 2
-        return self.entries[:, :, :half], self.entries[:, :, half:]
+    @property
+    def users(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def slots(self) -> int:
+        return self.entries.shape[2]
 
 
 @dataclass(frozen=True)
@@ -134,25 +144,39 @@ class GainPlan:
     transmitter j in slot t and ``beta[k-1, t]`` scales receiver k.
     """
 
-    users: int
-    slots: int
     alpha: np.ndarray
     beta: np.ndarray
-    distribution_tag: str = GAIN_DISTRIBUTION
 
     def __post_init__(self) -> None:
-        if self.users < 1:
-            raise ParameterError(f"need at least 1 user, got {self.users}")
-        if self.slots < 1:
-            raise ParameterError(f"need at least 1 slot, got {self.slots}")
-        shape = (self.users, self.slots)
+        if self.alpha.ndim != 2:
+            raise ParameterError(f"alpha shape {self.alpha.shape} is not (users, slots)")
+        _check_sizes(*self.alpha.shape, 1, 1)
         for name, arr in (("alpha", self.alpha), ("beta", self.beta)):
-            if arr.shape != shape:
-                raise ParameterError(f"{name} shape {arr.shape} != {shape}")
+            if arr.shape != self.alpha.shape:
+                raise ParameterError(f"{name} shape {arr.shape} != {self.alpha.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ParameterError(f"{name} must be finite")
             if np.any(arr == 0):
                 raise ParameterError(f"{name} must be nonzero")
+
+
+def _check_coding(coding: str, channels: ChannelSet, gains: GainPlan | None) -> int:
+    """Check that ``coding`` can fold ``channels`` with ``gains``; return its fold."""
+    if coding not in CODING_MODES:
+        raise ParameterError(f"unknown coding mode {coding!r}")
+    if coding == PLAIN:
+        if gains is not None:
+            raise ParameterError("plain coding takes no gain plan")
+    elif gains is None:
+        raise ParameterError(f"{coding} coding requires a gain plan")
+    elif gains.alpha.shape != (channels.users, channels.slots):
+        raise ParameterError(
+            f"gain plan shape {gains.alpha.shape} != channel shape ({channels.users}, {channels.slots})"
+        )
+    fold = SLOT_FOLD[coding]
+    if channels.slots % fold:
+        raise ParameterError(f"{coding} coding requires a slot count divisible by {fold}")
+    return fold
 
 
 @dataclass(frozen=True)
@@ -160,46 +184,63 @@ class EffectiveChannel:
     """Diagonal effective channels produced by one coding mode.
 
     ``diagonals[k-1, j-1]`` holds the length-``dim`` diagonal of the
-    effective channel from transmitter j to receiver k. For ``double``
-    coding ``dim`` is half the raw slot count; otherwise it equals it.
+    effective channel from transmitter j to receiver k. Each effective entry
+    q sums ``fold`` gain-weighted raw slots ``p*dim + q`` (p = 0..fold-1):
+    ``fold`` is 2 for ``double`` coding and 1 otherwise, and
+    ``dim = channels.slots // fold``. ``tx_gains`` and ``rx_gains`` hand
+    those per-slot gains to the transmit and receive chains, so this class
+    is the one place that knows how slots fold.
     """
 
-    users: int
-    dim: int
     diagonals: np.ndarray
     coding_tag: str
     channels: ChannelSet
     gains: GainPlan | None
 
     def __post_init__(self) -> None:
-        if self.coding_tag not in CODING_MODES:
-            raise ParameterError(f"unknown coding mode {self.coding_tag!r}")
-        expected_dim = self.channels.slots // 2 if self.coding_tag == DOUBLE else self.channels.slots
-        if self.coding_tag == DOUBLE and self.channels.slots % 2:
-            raise ParameterError("double coding requires an even slot count")
-        if self.dim != expected_dim:
-            raise ParameterError(f"dim {self.dim} != {expected_dim} implied by {self.coding_tag}")
+        _check_coding(self.coding_tag, self.channels, self.gains)
         shape = (self.users, self.users, self.dim)
         if self.diagonals.shape != shape:
             raise ParameterError(f"diagonals shape {self.diagonals.shape} != {shape}")
-        if self.users != self.channels.users:
-            raise ParameterError("user count disagrees with channel set")
-        if self.coding_tag == PLAIN:
-            if self.gains is not None:
-                raise ParameterError("plain coding takes no gain plan")
-        elif self.gains is None:
-            raise ParameterError(f"{self.coding_tag} coding requires a gain plan")
         if not np.all(np.isfinite(self.diagonals)):
             raise ParameterError("effective diagonals must be finite")
         if np.any(self.diagonals == 0):
             raise ParameterError("effective diagonals must be nonzero")
 
+    @property
+    def users(self) -> int:
+        return self.channels.users
+
+    @property
+    def fold(self) -> int:
+        return SLOT_FOLD[self.coding_tag]
+
+    @property
+    def dim(self) -> int:
+        return self.channels.slots // self.fold
+
     def diagonal(self, receiver: int, transmitter: int) -> np.ndarray:
         """Effective diagonal from 1-based ``transmitter`` to ``receiver``."""
-        for label in (receiver, transmitter):
-            if not 1 <= label <= self.users:
-                raise ParameterError(f"user label {label} outside 1..{self.users}")
+        _check_users(self.users, receiver, transmitter)
         return self.diagonals[receiver - 1, transmitter - 1]
+
+    def tx_gains(self, user: int) -> np.ndarray:
+        """Transmit gains of 1-based ``user`` as a ``(fold, dim)`` array.
+
+        Entry ``[p, q]`` scales raw slot ``p*dim + q``, which feeds effective
+        entry q. Plain coding has unit gains.
+        """
+        return self._slot_gains("alpha", user)
+
+    def rx_gains(self, user: int) -> np.ndarray:
+        """Receive gains of 1-based ``user``, laid out like ``tx_gains``."""
+        return self._slot_gains("beta", user)
+
+    def _slot_gains(self, name: str, user: int) -> np.ndarray:
+        _check_users(self.users, user)
+        if self.gains is None:
+            return np.ones((self.fold, self.dim))
+        return getattr(self.gains, name)[user - 1].reshape(self.fold, self.dim)
 
 
 def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelSet:
@@ -228,15 +269,7 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
     ParameterError
         For out-of-range sizes or an unknown model tag.
     """
-    if users < 3:
-        raise ParameterError(f"need at least 3 users, got {users}")
-    if slots < 2:
-        raise ParameterError(f"need at least 2 slots, got {slots}")
-    if model not in CHANNEL_MODELS:
-        raise ParameterError(f"unknown channel model {model!r}")
-    if model == SLOW_CHANGING and slots % 2:
-        raise ParameterError("slow_changing model requires an even slot count")
-
+    _check_sizes(users, slots, 3, 2)
     rng = np.random.default_rng(seed)
     if model == CONSTANT:
         base = _sample_unit_complex(rng, (users, users))
@@ -251,7 +284,7 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
         )
     else:
         entries = _sample_unit_complex(rng, (users, users, slots))
-    return ChannelSet(users=users, slots=slots, entries=entries, model_tag=model)
+    return ChannelSet(entries=entries, model_tag=model)
 
 
 def generate_gains(users: int, slots: int, seed: int) -> GainPlan:
@@ -262,14 +295,11 @@ def generate_gains(users: int, slots: int, seed: int) -> GainPlan:
     symmetric unit-variance complex normals with magnitudes kept above
     ``MIN_DRAW_MAGNITUDE``.
     """
-    if users < 1:
-        raise ParameterError(f"need at least 1 user, got {users}")
-    if slots < 1:
-        raise ParameterError(f"need at least 1 slot, got {slots}")
+    _check_sizes(users, slots, 1, 1)
     rng = np.random.default_rng(seed)
     alpha = _sample_unit_complex(rng, (users, slots))
     beta = _sample_unit_complex(rng, (users, slots))
-    return GainPlan(users=users, slots=slots, alpha=alpha, beta=beta)
+    return GainPlan(alpha=alpha, beta=beta)
 
 
 def build_effective(channels: ChannelSet, gains: GainPlan | None, coding: str) -> EffectiveChannel:
@@ -297,54 +327,23 @@ def build_effective(channels: ChannelSet, gains: GainPlan | None, coding: str) -
         A paired sum under ``double`` coding cancelled to below
         ``DEGENERATE_REL_TOL`` of its matrix mean magnitude.
     """
-    if coding not in CODING_MODES:
-        raise ParameterError(f"unknown coding mode {coding!r}")
     if coding == PLAIN:
-        return EffectiveChannel(
-            users=channels.users,
-            dim=channels.slots,
-            diagonals=channels.entries.copy(),
-            coding_tag=coding,
-            channels=channels,
-            gains=None,
-        )
-
-    if gains is None:
-        raise ParameterError(f"{coding} coding requires a gain plan")
-    if (gains.users, gains.slots) != (channels.users, channels.slots):
-        raise ParameterError(
-            f"gain plan shape ({gains.users}, {gains.slots}) != channel shape ({channels.users}, {channels.slots})"
-        )
-
-    scaled = gains.beta[:, None, :] * channels.entries * gains.alpha[None, :, :]
-    if coding == NAIVE:
-        return EffectiveChannel(
-            users=channels.users,
-            dim=channels.slots,
-            diagonals=scaled,
-            coding_tag=coding,
-            channels=channels,
-            gains=gains,
-        )
-
-    if channels.slots % 2:
-        raise ParameterError("double coding requires an even slot count")
-    half = channels.slots // 2
-    diagonals = scaled[:, :, :half] + scaled[:, :, half:]
-    mags = np.abs(diagonals)
-    mean_mag = mags.mean(axis=2, keepdims=True)
-    # <= so an all-zero link (mean 0) also counts as cancelled
-    cancelled = mags <= DEGENERATE_REL_TOL * mean_mag
-    if cancelled.any():
-        k, j, _ = np.unravel_index(int(np.argmax(cancelled)), cancelled.shape)
-        raise DegenerateRealizationError(
-            f"paired gains cancelled on link ({k + 1}, {j + 1}); redraw the gain plan"
-        )
-    return EffectiveChannel(
-        users=channels.users,
-        dim=half,
-        diagonals=diagonals,
-        coding_tag=coding,
-        channels=channels,
-        gains=gains,
-    )
+        gains = None
+    fold = _check_coding(coding, channels, gains)
+    scaled = channels.entries
+    if gains is not None:
+        scaled = gains.beta[:, None, :] * scaled * gains.alpha[None, :, :]
+    diagonals = scaled.reshape(*scaled.shape[:2], fold, -1).sum(axis=2)
+    # only a paired sum can cancel; checked before EffectiveChannel, which
+    # rejects zero entries as a ParameterError
+    if fold > 1:
+        mags = np.abs(diagonals)
+        mean_mag = mags.mean(axis=2, keepdims=True)
+        # <= so an all-zero link (mean 0) also counts as cancelled
+        cancelled = mags <= DEGENERATE_REL_TOL * mean_mag
+        if cancelled.any():
+            k, j, _ = np.unravel_index(int(np.argmax(cancelled)), cancelled.shape)
+            raise DegenerateRealizationError(
+                f"paired gains cancelled on link ({k + 1}, {j + 1}); redraw the gain plan"
+            )
+    return EffectiveChannel(diagonals=diagonals, coding_tag=coding, channels=channels, gains=gains)

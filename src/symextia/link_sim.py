@@ -1,15 +1,20 @@
 """Monte Carlo link-level simulation over the alignment constructions.
 
 The transmit chain is repetition-with-gains: each user beamforms its unit
-power symbol streams through its precoder, applies its per-slot transmit
-gains (for the gain-based coding modes the same beamformed entry rides every
-slot of its pair), and scales the block so the expected transmit power per
-raw slot equals the configured power. Receivers apply their receive gains,
-combine paired slots, pre-whiten the colored combined noise, and zero-force
-on the aligned composite (desired block next to the aligned-interference
-basis) via a pseudoinverse. Rates are analytic from per-stream SINR, so the
-Monte Carlo averaging is over gain realizations only and a fixed seed gives
-bit-for-bit reproducible results.
+power symbol streams through its precoder, places every beamformed entry on
+each raw slot that folds onto it times that slot's transmit gain, and scales
+the block so the expected transmit power per raw slot equals the configured
+power. Receivers apply their receive gains, fold the slots back down,
+pre-whiten the colored combined noise, and zero-force on the aligned
+composite (desired block next to the aligned-interference basis) via a
+pseudoinverse. How slots fold is read from ``EffectiveChannel`` (``fold``,
+``tx_gains``, ``rx_gains``), so nothing here branches on the coding mode.
+
+One zero-forcer serves both receivers: the analytic rates of
+``simulate_link`` and the sampled ``run_symbol_chain`` build the same
+whitened blocks and apply the same pseudoinverse rows. Rates are analytic
+from per-stream SINR, so the Monte Carlo averaging is over gain realizations
+only and a fixed seed gives bit-for-bit reproducible results.
 
 SNR is defined against unit-variance receiver noise, so the per-slot
 transmit power at a sweep point is ``power_per_user * 10**(snr_db / 10)``.
@@ -25,7 +30,6 @@ from .cj_precoder import DOUBLE_LAYER, PrecoderConfig, PrecoderSet, build_precod
 from .errors import DegenerateRealizationError, ParameterError, SimulationError
 from .extension_core import (
     DOUBLE,
-    NAIVE,
     PLAIN,
     CODING_MODES,
     ChannelSet,
@@ -135,53 +139,33 @@ def draw_realization(
 
 def effective_noise_std(eff: EffectiveChannel, receiver: int) -> np.ndarray:
     """Standard deviation of the combined unit-variance noise per effective slot."""
-    if not 1 <= receiver <= eff.users:
-        raise ParameterError(f"receiver label {receiver} outside 1..{eff.users}")
-    if eff.coding_tag == PLAIN:
-        return np.ones(eff.dim)
-    beta = eff.gains.beta[receiver - 1]
-    if eff.coding_tag == NAIVE:
-        return np.abs(beta)
-    half = eff.dim
-    return np.sqrt(np.abs(beta[:half]) ** 2 + np.abs(beta[half:]) ** 2)
+    # with one tap this is |b| exactly: binary64 sqrt of a rounded square
+    # returns the value unless the square under- or overflows
+    return np.sqrt(np.sum(np.abs(eff.rx_gains(receiver)) ** 2, axis=0))
 
 
 def combine_received(y: np.ndarray, eff: EffectiveChannel, receiver: int) -> np.ndarray:
-    """Apply receive gains and pair-combine a raw T-slot block down to D slots."""
-    if not 1 <= receiver <= eff.users:
-        raise ParameterError(f"receiver label {receiver} outside 1..{eff.users}")
+    """Apply receive gains and fold a raw T-slot block down to D effective slots."""
+    gains = eff.rx_gains(receiver)
     if y.shape[0] != eff.channels.slots:
         raise ParameterError(f"block has {y.shape[0]} slots, expected {eff.channels.slots}")
-    if eff.coding_tag == PLAIN:
-        return y.copy()
-    beta = eff.gains.beta[receiver - 1]
-    scaled = beta[:, None] * y if y.ndim == 2 else beta * y
-    if eff.coding_tag == NAIVE:
-        return scaled
-    half = eff.dim
-    return scaled[:half] + scaled[half:]
-
-
-def _expected_block_energy(pre: PrecoderSet, eff: EffectiveChannel, user: int) -> float:
-    """Expected energy of one unscaled T-slot transmit block for unit-power streams."""
-    row_power = np.sum(np.abs(pre.precoders[user]) ** 2, axis=1)
-    if eff.coding_tag == PLAIN:
-        return float(row_power.sum())
-    alpha = eff.gains.alpha[user - 1]
-    if eff.coding_tag == NAIVE:
-        return float(np.sum(np.abs(alpha) ** 2 * row_power))
-    half = eff.dim
-    weights = np.abs(alpha[:half]) ** 2 + np.abs(alpha[half:]) ** 2
-    return float(np.sum(weights * row_power))
+    folded = y.reshape(gains.shape + y.shape[1:])
+    return (gains.reshape(gains.shape + (1,) * (y.ndim - 1)) * folded).sum(axis=0)
 
 
 def _scale_hats(pre: PrecoderSet, eff: EffectiveChannel) -> dict[int, float]:
-    """Power-free part of the per-user block scale, sqrt(T / expected energy)."""
-    slots = eff.channels.slots
-    return {
-        user: float(np.sqrt(slots / _expected_block_energy(pre, eff, user)))
-        for user in pre.precoders
-    }
+    """Power-free part of the per-user block scale, sqrt(T / expected energy).
+
+    The expected energy of one unscaled T-slot block with unit-power streams
+    weights each precoder row's power by the squared transmit gains folded
+    onto that row.
+    """
+    hats = {}
+    for user, mat in pre.precoders.items():
+        weights = np.sum(np.abs(eff.tx_gains(user)) ** 2, axis=0)
+        energy = float(np.sum(weights * np.sum(np.abs(mat) ** 2, axis=1)))
+        hats[user] = float(np.sqrt(eff.channels.slots / energy))
+    return hats
 
 
 def transmit_blocks(
@@ -190,12 +174,12 @@ def transmit_blocks(
     """Beamform, gain-expand, and power-scale symbol blocks for every user.
 
     ``symbols[k]`` has shape (streams_k, blocks); the returned raw blocks have
-    shape (T, blocks) and expected per-slot power ``power``.
+    shape (T, blocks) and expected per-slot power ``power``. Each beamformed
+    entry q rides every raw slot folded onto it, times that slot's gain.
     """
     if not power > 0:
         raise ParameterError(f"power must be positive, got {power}")
     hats = _scale_hats(pre, eff)
-    half = eff.dim
     out: dict[int, np.ndarray] = {}
     for user, mat in pre.precoders.items():
         s = symbols[user]
@@ -204,22 +188,38 @@ def transmit_blocks(
                 f"user {user} symbols carry {s.shape[0]} streams, expected {mat.shape[1]}"
             )
         beamformed = mat @ s
-        if eff.coding_tag == PLAIN:
-            block = beamformed
-        else:
-            alpha = eff.gains.alpha[user - 1]
-            if eff.coding_tag == NAIVE:
-                block = alpha[:, None] * beamformed
-            else:
-                block = np.concatenate(
-                    [alpha[:half, None] * beamformed, alpha[half:, None] * beamformed]
-                )
+        block = (eff.tx_gains(user)[:, :, None] * beamformed).reshape(-1, s.shape[1])
         out[user] = np.sqrt(power) * hats[user] * block
     return out
 
 
+def _whitened_blocks(
+    eff: EffectiveChannel, pre: PrecoderSet, k: int, scales: dict[int, float]
+) -> dict[int, np.ndarray]:
+    """Per-transmitter blocks seen at receiver ``k`` after noise whitening.
+
+    Block j is ``scales[j] * H_kj V_j`` with each row divided by the combined
+    noise standard deviation of its effective slot.
+    """
+    wstd = effective_noise_std(eff, k)
+    return {
+        j: scales[j] * (eff.diagonal(k, j)[:, None] * pre.precoders[j]) / wstd[:, None]
+        for j in pre.precoders
+    }
+
+
+def _zero_forcer(pre: PrecoderSet, blocks: dict[int, np.ndarray], k: int) -> np.ndarray:
+    """Rows of the composite pseudoinverse that recover user ``k``'s streams.
+
+    The composite is the desired block next to the aligned-interference
+    basis block; both the analytic rates and the sampled chain use it.
+    """
+    composite = np.hstack([blocks[k], blocks[pre.basis_user(k)]])
+    return np.linalg.pinv(composite)[: pre.stream_counts[k]]
+
+
 def _receiver_terms(
-    eff: EffectiveChannel, pre: PrecoderSet, receiver: int
+    eff: EffectiveChannel, pre: PrecoderSet, receiver: int, hats: dict[int, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Power-independent SINR pieces at one receiver.
 
@@ -228,16 +228,8 @@ def _receiver_terms(
     stream SINR is signal / (cross + noise / P).
     """
     k = receiver
-    hats = _scale_hats(pre, eff)
-    wstd = effective_noise_std(eff, k)
-    blocks = {
-        j: hats[j] * (eff.diagonal(k, j)[:, None] * pre.precoders[j]) / wstd[:, None]
-        for j in pre.precoders
-    }
-    basis_user = 2 if k == 1 else 1
-    d_k = pre.stream_counts[k]
-    composite = np.hstack([blocks[k], blocks[basis_user]])
-    gains_zf = np.linalg.pinv(composite)[:d_k]
+    blocks = _whitened_blocks(eff, pre, k, hats)
+    gains_zf = _zero_forcer(pre, blocks, k)
 
     own = gains_zf @ blocks[k]
     signal = np.abs(np.diagonal(own)) ** 2
@@ -281,7 +273,8 @@ def simulate_link(
     for trial in range(link.trials):
         _, eff, pre, redraws = draw_realization(channels, coding, config, link.seed, trial)
         failures += redraws
-        terms = {k: _receiver_terms(eff, pre, k) for k in range(1, users + 1)}
+        hats = _scale_hats(pre, eff)
+        terms = {k: _receiver_terms(eff, pre, k, hats) for k in range(1, users + 1)}
         for snr in link.snr_points_db:
             power = link.power_per_user * 10.0 ** (snr / 10.0)
             for k, (signal, cross, noise) in terms.items():
@@ -326,8 +319,11 @@ def run_symbol_chain(
     ``simulate_link``: actual unit-power symbols are beamformed,
     gain-expanded, power-scaled, propagated through the raw per-slot
     channels, optionally hit with unit-variance noise, then gain-combined,
-    whitened, and zero-forced back to symbol estimates. Useful for testing
-    power accounting, combining statistics, and noise-free decodability.
+    whitened, and zero-forced back to symbol estimates with the same
+    pseudoinverse rows the analytic SINRs use (blocks scaled by the transmit
+    amplitude, so noise-free estimates equal the symbols up to the
+    composite's conditioning). Useful for testing power accounting,
+    combining statistics, and noise-free decodability.
     """
     _check_setup(channels, coding, config)
     if blocks < 1:
@@ -345,7 +341,7 @@ def run_symbol_chain(
     }
     tx = transmit_blocks(pre, eff, power, symbols)
 
-    hats = _scale_hats(pre, eff)
+    scales = {user: np.sqrt(power) * hat for user, hat in _scale_hats(pre, eff).items()}
     received: dict[int, np.ndarray] = {}
     decoded: dict[int, np.ndarray] = {}
     for k in range(1, channels.users + 1):
@@ -353,18 +349,8 @@ def run_symbol_chain(
         if inject_noise:
             y = y + (rng.standard_normal((slots, blocks)) + 1j * rng.standard_normal((slots, blocks))) / np.sqrt(2.0)
         received[k] = y
-        wstd = effective_noise_std(eff, k)
-        z = combine_received(y, eff, k) / wstd[:, None]
-        basis_user = 2 if k == 1 else 1
-        scale = np.sqrt(power)
-        columns = np.hstack(
-            [
-                scale * hats[j] * (eff.diagonal(k, j)[:, None] * pre.precoders[j]) / wstd[:, None]
-                for j in (k, basis_user)
-            ]
-        )
-        solution = np.linalg.lstsq(columns, z, rcond=None)[0]
-        decoded[k] = solution[: pre.stream_counts[k]]
+        z = combine_received(y, eff, k) / effective_noise_std(eff, k)[:, None]
+        decoded[k] = _zero_forcer(pre, _whitened_blocks(eff, pre, k, scales), k) @ z
     return ChainSample(
         channels=channels,
         gains=gains,

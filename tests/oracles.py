@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite.
 
 These recompute expected values with pure-Python scalar loops, deliberately
-avoiding the package's numpy pipelines, so agreement is meaningful.
+avoiding the package's numpy pipelines, so agreement is meaningful. The
+``per_mode_*`` references spell out each coding mode's slot rule in its own
+branch; the link layer's folded code must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -111,3 +113,60 @@ def loop_precoders(eff, cascades, n: int) -> dict[int, np.ndarray]:
 def slope_between(rates: dict[float, float], lo: float, hi: float) -> float:
     """Sum-rate slope against log2 of linear SNR between two dB points."""
     return (rates[hi] - rates[lo]) / ((hi - lo) / 10.0 * np.log2(10.0))
+
+
+def per_mode_noise_std(eff, receiver: int) -> np.ndarray:
+    """Combined noise standard deviation, one branch per coding mode."""
+    if eff.coding_tag == "plain":
+        return np.ones(eff.dim)
+    beta = eff.gains.beta[receiver - 1]
+    if eff.coding_tag == "naive":
+        return np.abs(beta)
+    half = eff.dim
+    return np.sqrt(np.abs(beta[:half]) ** 2 + np.abs(beta[half:]) ** 2)
+
+
+def per_mode_combine(y: np.ndarray, eff, receiver: int) -> np.ndarray:
+    """Receive gains and pair combining, one branch per coding mode."""
+    if eff.coding_tag == "plain":
+        return y.copy()
+    beta = eff.gains.beta[receiver - 1]
+    scaled = beta[:, None] * y if y.ndim == 2 else beta * y
+    if eff.coding_tag == "naive":
+        return scaled
+    half = eff.dim
+    return scaled[:half] + scaled[half:]
+
+
+def per_mode_block_energy(pre, eff, user: int) -> float:
+    """Expected energy of one unscaled transmit block, one branch per coding mode."""
+    row_power = np.sum(np.abs(pre.precoders[user]) ** 2, axis=1)
+    if eff.coding_tag == "plain":
+        return float(row_power.sum())
+    alpha = eff.gains.alpha[user - 1]
+    if eff.coding_tag == "naive":
+        return float(np.sum(np.abs(alpha) ** 2 * row_power))
+    half = eff.dim
+    weights = np.abs(alpha[:half]) ** 2 + np.abs(alpha[half:]) ** 2
+    return float(np.sum(weights * row_power))
+
+
+def per_mode_transmit(pre, eff, power: float, symbols: dict) -> dict:
+    """Beamformed, gain-expanded, power-scaled blocks, one branch per coding mode."""
+    out = {}
+    half = eff.dim
+    for user, mat in pre.precoders.items():
+        beamformed = mat @ symbols[user]
+        if eff.coding_tag == "plain":
+            block = beamformed
+        else:
+            alpha = eff.gains.alpha[user - 1]
+            if eff.coding_tag == "naive":
+                block = alpha[:, None] * beamformed
+            else:
+                block = np.concatenate(
+                    [alpha[:half, None] * beamformed, alpha[half:, None] * beamformed]
+                )
+        hat = float(np.sqrt(eff.channels.slots / per_mode_block_energy(pre, eff, user)))
+        out[user] = np.sqrt(power) * hat * block
+    return out

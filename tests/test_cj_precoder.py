@@ -32,7 +32,7 @@ def _effective_from_scalars(values: dict[tuple[int, int], complex], dim: int = 4
     entries = np.ones((3, 3, dim), dtype=complex)
     for (k, j), v in values.items():
         entries[k - 1, j - 1, :] = v
-    ch = ChannelSet(users=3, slots=dim, entries=entries, model_tag="iid")
+    ch = ChannelSet(entries=entries, model_tag="iid")
     return build_effective(ch, None, "plain")
 
 

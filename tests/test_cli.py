@@ -52,6 +52,28 @@ class TestParseArgs:
         with pytest.raises(ParameterError, match="figure1"):
             parse_args(["--experiment", "figure1", "--coding", "double"])
 
+    def test_figure1_rejects_single_layer(self):
+        with pytest.raises(ParameterError, match="figure1"):
+            parse_args(["--experiment", "figure1", "--layer", "single"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--experiment", "figure1"],
+            ["--experiment", "verify", "--coding", "plain"],
+            ["--experiment", "audit", "--coding", "naive"],
+        ],
+    )
+    def test_slow_changing_rejected_on_single_layer(self, flags):
+        with pytest.raises(ParameterError, match="always odd"):
+            parse_args(flags + ["--channel", "slow_changing"])
+        assert main(flags + ["--channel", "slow_changing"]) == 2
+
+    def test_slow_changing_accepted_on_double_layer(self):
+        for experiment in ("verify", "audit"):
+            spec = parse_args(["--experiment", experiment, "--channel", "slow_changing"])
+            assert spec.layer == "double"
+
     def test_figure1_coding_is_both(self):
         spec = parse_args(["--experiment", "figure1"])
         assert spec.coding == "both"
@@ -259,6 +281,16 @@ class TestMain:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_run_leaves_earlier_output_untouched(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"earlier,good\n1,2\n")
+        rc = main(
+            ["--experiment", "verify", "--users", "3", "--n", "100", "--coding", PLAIN,
+             "--channel", IID, "--out", str(out)]
+        )
+        assert rc == 1
+        assert out.read_bytes() == b"earlier,good\n1,2\n"
 
     def test_parse_error_exit_code(self, capsys):
         rc = main(["--experiment", "figure1", "--coding", "naive"])

@@ -34,7 +34,7 @@ class TestGenerateChannels:
 
     def test_slow_changing_two_constant_halves(self):
         ch = generate_channels(3, 8, "slow_changing", 5)
-        first, second = ch.half_blocks()
+        first, second = ch.entries[:, :, :4], ch.entries[:, :, 4:]
         assert np.all(first == first[:, :, :1])
         assert np.all(second == second[:, :, :1])
         assert not np.array_equal(first[:, :, 0], second[:, :, 0])
@@ -164,7 +164,7 @@ class TestBuildEffective:
         ch = generate_channels(3, 6, "constant", 1)
         ones = np.ones((3, 6), dtype=complex)
         beta = np.concatenate([ones[:, :3], -ones[:, :3]], axis=1)
-        cancelling = GainPlan(users=3, slots=6, alpha=ones.copy(), beta=beta)
+        cancelling = GainPlan(alpha=ones.copy(), beta=beta)
         with pytest.raises(DegenerateRealizationError):
             build_effective(ch, cancelling, "double")
 
@@ -172,7 +172,7 @@ class TestBuildEffective:
         # with all-ones gains each paired sum is just h + h
         ch = generate_channels(3, 8, "constant", 4)
         ones = np.ones((3, 8), dtype=complex)
-        g = GainPlan(users=3, slots=8, alpha=ones.copy(), beta=ones.copy())
+        g = GainPlan(alpha=ones.copy(), beta=ones.copy())
         eff = build_effective(ch, g, "double")
         assert np.allclose(eff.diagonals, 2.0 * ch.entries[:, :, :4])
 
@@ -197,7 +197,7 @@ class TestBuildEffective:
         for slot in (0, 2, 3, 4, 5, 7, 8, 9):
             perturbed_alpha[:, slot] *= 3.7
             perturbed_beta[:, slot] += 1.5j
-        other = GainPlan(users=3, slots=10, alpha=perturbed_alpha, beta=perturbed_beta)
+        other = GainPlan(alpha=perturbed_alpha, beta=perturbed_beta)
         eff_other = build_effective(ch, other, "double")
         assert np.array_equal(eff.diagonals[:, :, 1], eff_other.diagonals[:, :, 1])
 
@@ -208,24 +208,33 @@ class TestTypeValidation:
         bad = ch.entries.copy()
         bad[0, 0, 0] = 0.0
         with pytest.raises(ParameterError):
-            ChannelSet(users=3, slots=4, entries=bad, model_tag="iid")
+            ChannelSet(entries=bad, model_tag="iid")
 
     def test_channel_set_rejects_mislabeled_model(self):
         ch = generate_channels(3, 4, "iid", 0)
         with pytest.raises(ParameterError):
-            ChannelSet(users=3, slots=4, entries=ch.entries, model_tag="constant")
+            ChannelSet(entries=ch.entries, model_tag="constant")
 
-    def test_half_blocks_requires_even(self):
-        ch = generate_channels(3, 5, "iid", 0)
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4, 5), (3, 3, 4, 1)])
+    def test_channel_set_rejects_non_square_tensor(self, shape):
         with pytest.raises(ParameterError):
-            ch.half_blocks()
+            ChannelSet(entries=np.ones(shape, dtype=complex), model_tag="iid")
+
+    def test_sizes_are_read_off_the_arrays(self):
+        ch = ChannelSet(entries=np.ones((4, 4, 6), dtype=complex), model_tag="constant")
+        assert (ch.users, ch.slots) == (4, 6)
+        g = generate_gains(4, 6, 0)
+        eff = build_effective(ch, g, "double")
+        assert (eff.users, eff.fold, eff.dim) == (4, 2, 3)
+        with pytest.raises(ParameterError):
+            GainPlan(alpha=g.alpha, beta=g.beta[:, :5])
 
     def test_gain_plan_rejects_zero(self):
         g = generate_gains(3, 4, 0)
         bad = g.alpha.copy()
         bad[1, 1] = 0.0
         with pytest.raises(ParameterError):
-            GainPlan(users=3, slots=4, alpha=bad, beta=g.beta)
+            GainPlan(alpha=bad, beta=g.beta)
 
     def test_diagonal_label_bounds(self):
         eff = build_effective(generate_channels(3, 4, "iid", 0), None, "plain")
@@ -233,3 +242,29 @@ class TestTypeValidation:
             eff.diagonal(0, 1)
         with pytest.raises(ParameterError):
             eff.diagonal(1, 4)
+        for method in (eff.tx_gains, eff.rx_gains):
+            with pytest.raises(ParameterError):
+                method(4)
+
+
+class TestSlotGains:
+    @pytest.mark.parametrize("coding,fold", [("naive", 1), ("double", 2)])
+    def test_raw_slot_p_dim_plus_q_feeds_entry_q(self, coding, fold):
+        ch = generate_channels(3, 8, "iid", 1)
+        g = generate_gains(3, 8, 2)
+        eff = build_effective(ch, g, coding)
+        dim = 8 // fold
+        assert eff.fold == fold and eff.dim == dim
+        for user in (1, 2, 3):
+            tx, rx = eff.tx_gains(user), eff.rx_gains(user)
+            assert tx.shape == rx.shape == (fold, dim)
+            for p in range(fold):
+                for q in range(dim):
+                    assert tx[p, q] == g.alpha[user - 1, p * dim + q]
+                    assert rx[p, q] == g.beta[user - 1, p * dim + q]
+
+    def test_plain_gains_are_float_ones(self):
+        eff = build_effective(generate_channels(3, 5, "iid", 0), None, "plain")
+        for gains in (eff.tx_gains(2), eff.rx_gains(3)):
+            assert gains.dtype == np.float64
+            assert np.array_equal(gains, np.ones((1, 5)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import slope_between
 from symextia import (
     GainPlan,
@@ -131,7 +132,7 @@ class TestResampling:
         ones = np.ones((users, slots), dtype=complex)
         beta = ones.copy()
         beta[:, slots // 2 :] = -1.0
-        return GainPlan(users=users, slots=slots, alpha=ones.copy(), beta=beta)
+        return GainPlan(alpha=ones.copy(), beta=beta)
 
     def test_persistent_degeneracy_raises(self, monkeypatch):
         cfg, ch = _double_channels()
@@ -225,3 +226,53 @@ class TestSymbolChain:
         cfg, ch = _double_channels()
         with pytest.raises(ParameterError):
             run_symbol_chain(ch, "double", cfg, power=1.0, seed=0, blocks=0)
+
+
+FOLD_CASES = [
+    (users, n, coding)
+    for users, ns in ((3, (1, 2, 5)), (4, (1, 2)))
+    for n in ns
+    for coding in ("plain", "naive", "double")
+]
+
+
+class TestFoldMatchesPerModeReference:
+    @pytest.mark.parametrize("users,n,coding", FOLD_CASES)
+    def test_fold_is_bit_identical(self, users, n, coding):
+        cfg = make_config(users, n, "double" if coding == "double" else "single")
+        model = "iid" if coding == "plain" else "constant"
+        ch = generate_channels(users, cfg.extension_length, model, 31 * n + users)
+        _, eff, pre, _ = draw_realization(ch, coding, cfg, 4)
+        rng = np.random.default_rng(n)
+        shape = (ch.slots, 3)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for k in range(1, users + 1):
+            assert np.array_equal(effective_noise_std(eff, k), oracles.per_mode_noise_std(eff, k))
+            assert np.array_equal(combine_received(y, eff, k), oracles.per_mode_combine(y, eff, k))
+            assert np.array_equal(
+                combine_received(y[:, 0], eff, k), oracles.per_mode_combine(y[:, 0], eff, k)
+            )
+        hats = link_sim._scale_hats(pre, eff)
+        for user in pre.precoders:
+            energy = oracles.per_mode_block_energy(pre, eff, user)
+            assert hats[user] == float(np.sqrt(ch.slots / energy))
+        symbols = {
+            u: rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+            for u, d in pre.stream_counts.items()
+        }
+        got = transmit_blocks(pre, eff, 3.5, symbols)
+        want = oracles.per_mode_transmit(pre, eff, 3.5, symbols)
+        assert all(np.array_equal(got[u], want[u]) for u in want)
+
+    @pytest.mark.parametrize("coding", ["plain", "naive", "double"])
+    def test_noise_free_chain_uses_the_shared_zero_forcer(self, coding):
+        cfg = make_config(3, 2, "double" if coding == "double" else "single")
+        ch = generate_channels(3, cfg.extension_length, "iid", 8)
+        power = 2.0
+        sample = run_symbol_chain(ch, coding, cfg, power=power, seed=6, blocks=4, inject_noise=False)
+        eff, pre = sample.effective, sample.precoders
+        scales = {u: np.sqrt(power) * h for u, h in link_sim._scale_hats(pre, eff).items()}
+        for k in range(1, 4):
+            z = combine_received(sample.received[k], eff, k) / effective_noise_std(eff, k)[:, None]
+            blocks = link_sim._whitened_blocks(eff, pre, k, scales)
+            assert np.array_equal(sample.decoded[k], link_sim._zero_forcer(pre, blocks, k) @ z)
