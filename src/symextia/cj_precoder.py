@@ -11,7 +11,7 @@ D = (n+1)^N + n^N total streams across one signal space of dimension D.
 Every size follows from (K, n, layer) alone. The product columns are built
 as one row-wise Kronecker (face-splitting) product of per-generator power
 tables, and construction is refused up front when the complex128 precoders
-would exceed ``PRECODER_BYTE_BUDGET``.
+would exceed ``extension_core.BYTE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -21,17 +21,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateRealizationError, ParameterError
-from .extension_core import EffectiveChannel
+from .errors import DegenerateRealizationError, ParameterError
+from .extension_core import EffectiveChannel, check_byte_budget
 
 SINGLE_LAYER = "single"
 DOUBLE_LAYER = "double"
 LAYERS = (SINGLE_LAYER, DOUBLE_LAYER)
-
-# Refuse constructions whose complex128 precoders, D x ((n+1)^N + (K-1) n^N)
-# entries, would exceed this many bytes; the closed-form accounting covers
-# the asymptotic regime without them.
-PRECODER_BYTE_BUDGET = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -97,15 +92,16 @@ def make_config(users: int, n: int, layer: str) -> PrecoderConfig:
 
 
 def _check_byte_budget(config: PrecoderConfig) -> None:
-    """Refuse a construction whose precoders would exceed ``PRECODER_BYTE_BUDGET``."""
+    """Refuse a construction whose complex128 precoders would exceed the byte budget.
+
+    The precoders hold D x ((n+1)^N + (K-1) n^N) entries; the closed-form
+    accounting covers the asymptotic regime without them.
+    """
     n, order = config.exponent_cap, config.cascade_order
     columns = (n + 1) ** order + (config.users - 1) * n**order
-    needed = 16 * config.effective_dim * columns
-    if needed > PRECODER_BYTE_BUDGET:
-        raise CapacityError(
-            f"precoders for {config.users} users at n={n} need {needed} bytes, over the "
-            f"{PRECODER_BYTE_BUDGET}-byte budget; use closed_form_dof for accounting at this size"
-        )
+    check_byte_budget(
+        16 * config.effective_dim * columns, f"precoders for {config.users} users at n={n}"
+    )
 
 
 def enumerate_tuples(config: PrecoderConfig, cap: int) -> np.ndarray:
@@ -119,7 +115,7 @@ def enumerate_tuples(config: PrecoderConfig, cap: int) -> np.ndarray:
     ParameterError
         If ``cap`` is neither n nor n - 1.
     CapacityError
-        If the configured precoders exceed ``PRECODER_BYTE_BUDGET``.
+        If the configured precoders exceed ``extension_core.BYTE_BUDGET``.
     """
     if cap not in (config.exponent_cap, config.exponent_cap - 1):
         raise ParameterError(
@@ -233,7 +229,7 @@ def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSe
     ParameterError
         On any dimension mismatch between ``eff`` and ``config``.
     CapacityError
-        If the precoders would exceed ``PRECODER_BYTE_BUDGET``; checked before
+        If the precoders would exceed ``extension_core.BYTE_BUDGET``; checked before
         anything is allocated.
     DegenerateRealizationError
         If a cascade degenerates numerically, or a column norm overflows or

@@ -34,6 +34,7 @@ from .cj_precoder import (
     DOUBLE_LAYER,
     LAYERS,
     SINGLE_LAYER,
+    PrecoderConfig,
     build_cascades,
     closed_form_dof,
     make_config,
@@ -46,10 +47,11 @@ from .extension_core import (
     DOUBLE,
     NAIVE,
     SLOW_CHANGING,
+    ChannelSet,
     generate_channels,
     subseed,
 )
-from .link_sim import LinkConfig, draw_realization, simulate_link
+from .link_sim import LinkConfig, draw_realization, draw_until_built, simulate_link
 
 EXPERIMENTS = ("dof_table", "verify", "audit", "figure1")
 
@@ -166,6 +168,11 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
         )
     if args.trials < 1:
         raise ParameterError(f"--trials must be >= 1, got {args.trials}")
+    snr_db = _parse_snr(args.snr)
+    if args.experiment == "figure1" and len(snr_db) < 2:
+        raise ParameterError(
+            f"figure1 needs at least two SNR points for its DoF slope, got {args.snr!r}"
+        )
     n_range = _parse_colon_ints(args.n_range, "--n-range") if args.n_range else (args.n, args.n)
     return ExperimentSpec(
         experiment=args.experiment,
@@ -175,7 +182,7 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
         layer=layer,
         channel_model=args.channel,
         coding=coding,
-        snr_db=_parse_snr(args.snr),
+        snr_db=snr_db,
         trials=args.trials,
         seed=args.seed,
         output_path=args.out if args.out is not None else f"{args.experiment}.csv",
@@ -189,23 +196,23 @@ def _run_dof_table(spec: ExperimentSpec) -> Iterator[list]:
         yield [spec.users, n, spec.layer, dof.numerator, dof.denominator, f"{dof.value:.6f}"]
 
 
-def _row_realization(spec: ExperimentSpec, row: int):
+def _row_channels(spec: ExperimentSpec, row: int) -> tuple[PrecoderConfig, ChannelSet]:
     config = make_config(spec.users, spec.n, spec.layer)
     channels = generate_channels(
         spec.users, config.extension_length, spec.channel_model,
         subseed(spec.seed, _NS_CHANNELS, row),
     )
-    _, eff, pre, _ = draw_realization(
-        channels, spec.coding, config, subseed(spec.seed, _NS_LINK, row)
-    )
-    return eff, pre
+    return config, channels
 
 
 def _run_verify(spec: ExperimentSpec) -> Iterator[list]:
     yield ["row", "seed", "users", "n", "layer", "channel", "coding",
            "max_residual", "min_rank", "required_rank", "min_margin", "verdict"]
     for row in range(spec.trials):
-        eff, pre = _row_realization(spec, row)
+        config, channels = _row_channels(spec, row)
+        _, eff, pre, _ = draw_realization(
+            channels, spec.coding, config, subseed(spec.seed, _NS_LINK, row)
+        )
         report = check_alignment(eff, pre)
         ranks = report.rank_results.values()
         yield [row, spec.seed, spec.users, spec.n, spec.layer, spec.channel_model, spec.coding,
@@ -217,8 +224,12 @@ def _run_verify(spec: ExperimentSpec) -> Iterator[list]:
 def _run_audit(spec: ExperimentSpec) -> Iterator[list]:
     yield ["row", "seed", "quantity", "min_relative_gap", "flagged"]
     for row in range(spec.trials):
-        eff, _ = _row_realization(spec, row)
-        audit = distinctness_audit(build_cascades(eff))
+        # the audit reads the cascades only, so a draw is usable once they build
+        _, channels = _row_channels(spec, row)
+        _, _, cascades, _ = draw_until_built(
+            channels, spec.coding, subseed(spec.seed, _NS_LINK, row), build_cascades
+        )
+        audit = distinctness_audit(cascades)
         for (k, l), gap in sorted(audit.lambda_gaps.items()):
             name = f"T_{k}_{l}"
             yield [row, spec.seed, name, _fmt(gap), str(name in audit.flagged).lower()]

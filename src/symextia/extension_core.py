@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRealizationError, ParameterError
+from .errors import CapacityError, DegenerateRealizationError, ParameterError
 
 CONSTANT = "constant"
 SLOW_CHANGING = "slow_changing"
@@ -51,6 +51,11 @@ MIN_DRAW_MAGNITUDE = 1e-6
 # A paired-sum effective entry whose magnitude falls below this fraction of
 # its matrix mean counts as a cancellation and the realization is rejected.
 DEGENERATE_REL_TOL = 1e-9
+
+# Largest array, in bytes, that a run may ask for: the K x K x T channel
+# tensor and the precoders are each checked against it, in exact integers,
+# before numpy allocates them.
+BYTE_BUDGET = 2 * 1024**3
 
 
 def subseed(seed: int, *key: int) -> int:
@@ -80,6 +85,21 @@ def _check_sizes(users: int, slots: int, min_users: int, min_slots: int) -> None
         raise ParameterError(f"need at least {min_users} users, got {users}")
     if slots < min_slots:
         raise ParameterError(f"need at least {min_slots} slots, got {slots}")
+
+
+def check_byte_budget(needed: int, what: str) -> None:
+    """Refuse ``what`` when its ``needed`` bytes exceed ``BYTE_BUDGET``.
+
+    Raises
+    ------
+    CapacityError
+        Naming ``what``, its size and the budget.
+    """
+    if needed > BYTE_BUDGET:
+        raise CapacityError(
+            f"{what} need {needed} bytes, over the {BYTE_BUDGET}-byte budget; "
+            "use closed_form_dof for accounting at this size"
+        )
 
 
 def _check_users(users: int, *labels: int) -> None:
@@ -268,8 +288,14 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
     ------
     ParameterError
         For out-of-range sizes or an unknown model tag.
+    CapacityError
+        If the complex128 tensor, 16 * users^2 * slots bytes, would exceed
+        ``BYTE_BUDGET``; checked before anything is allocated.
     """
     _check_sizes(users, slots, 3, 2)
+    check_byte_budget(
+        16 * int(users) ** 2 * int(slots), f"channels for {users} users over {slots} slots"
+    )
     rng = np.random.default_rng(seed)
     if model == CONSTANT:
         base = _sample_unit_complex(rng, (users, users))
@@ -332,7 +358,8 @@ def build_effective(channels: ChannelSet, gains: GainPlan | None, coding: str) -
     fold = _check_coding(coding, channels, gains)
     scaled = channels.entries
     if gains is not None:
-        scaled = gains.beta[:, None, :] * scaled * gains.alpha[None, :, :]
+        scaled = gains.beta[:, None, :] * scaled
+        scaled *= gains.alpha[None, :, :]  # in place: one K x K x T temporary, same bits
     diagonals = scaled.reshape(*scaled.shape[:2], fold, -1).sum(axis=2)
     # only a paired sum can cancel; checked before EffectiveChannel, which
     # rejects zero entries as a ParameterError

@@ -22,7 +22,9 @@ transmit power at a sweep point is ``power_per_user * 10**(snr_db / 10)``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -42,6 +44,8 @@ from .extension_core import (
 
 # Consecutive degenerate gain redraws tolerated per trial before giving up.
 MAX_RESAMPLES = 20
+
+Built = TypeVar("Built")
 
 # Seed namespaces keeping gain draws and symbol/noise draws on disjoint streams.
 _NS_GAINS = 0
@@ -111,29 +115,54 @@ def _check_setup(channels: ChannelSet, coding: str, config: PrecoderConfig) -> N
         raise ParameterError(f"coding {coding!r} does not match layer {config.layer!r}")
 
 
-def draw_realization(
-    channels: ChannelSet, coding: str, config: PrecoderConfig, base_seed: int, trial: int = 0
-) -> tuple[GainPlan | None, EffectiveChannel, PrecoderSet, int]:
-    """Draw gains (when needed) until the realization builds, counting redraws.
+def draw_until_built(
+    channels: ChannelSet,
+    coding: str,
+    base_seed: int,
+    build: Callable[[EffectiveChannel], Built],
+    trial: int = 0,
+) -> tuple[GainPlan | None, EffectiveChannel, Built, int]:
+    """Draw gains (when needed) until ``build(effective)`` succeeds, counting redraws.
 
-    Returns ``(gains, effective, precoders, redraws)``; ``gains`` is None for
-    plain coding. Gain seeds are derived from ``(base_seed, trial, attempt)``
+    A draw is redrawn when ``build_effective`` or ``build`` raises
+    ``DegenerateRealizationError``, so the caller decides what a usable
+    realization must yield: ``draw_realization`` builds precoders, the
+    distinctness audit builds cascades only. Returns ``(gains, effective,
+    built, redraws)``; ``gains`` is None for plain coding, which has nothing
+    to redraw. Gain seeds are derived from ``(base_seed, trial, attempt)``
     so trials are independent and resampling is reproducible.
+
+    Raises
+    ------
+    SimulationError
+        If the draw stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
     if coding == PLAIN:
         eff = build_effective(channels, None, PLAIN)
-        return None, eff, build_precoders(eff, config), 0
+        return None, eff, build(eff), 0
     for attempt in range(MAX_RESAMPLES + 1):
         gains = generate_gains(
             channels.users, channels.slots, subseed(base_seed, _NS_GAINS, trial, attempt)
         )
         try:
             eff = build_effective(channels, gains, coding)
-            return gains, eff, build_precoders(eff, config), attempt
+            return gains, eff, build(eff), attempt
         except DegenerateRealizationError:
             continue
     raise SimulationError(
         f"trial {trial}: gave up after {MAX_RESAMPLES} consecutive degenerate gain redraws"
+    )
+
+
+def draw_realization(
+    channels: ChannelSet, coding: str, config: PrecoderConfig, base_seed: int, trial: int = 0
+) -> tuple[GainPlan | None, EffectiveChannel, PrecoderSet, int]:
+    """Draw gains (when needed) until the precoders build, counting redraws.
+
+    Returns ``(gains, effective, precoders, redraws)``; see ``draw_until_built``.
+    """
+    return draw_until_built(
+        channels, coding, base_seed, lambda eff: build_precoders(eff, config), trial
     )
 
 

@@ -4,6 +4,8 @@ These recompute expected values with pure-Python scalar loops, deliberately
 avoiding the package's numpy pipelines, so agreement is meaningful. The
 ``per_mode_*`` references spell out each coding mode's slot rule in its own
 branch; the link layer's folded code must match them bit for bit.
+``dense_min_relative_gap`` is the all-pairs matrix form of the gap the
+distinctness audit reports; the pruned sweep must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -108,6 +110,20 @@ def loop_precoders(eff, cascades, n: int) -> dict[int, np.ndarray]:
         user: mat / np.sqrt(np.sum(np.abs(mat) ** 2, axis=0))[None, :]
         for user, mat in sorted(raw.items())
     }
+
+
+def dense_min_relative_gap(values: np.ndarray) -> float:
+    """Smallest pairwise relative difference |a - b| / max(|a|, |b|)."""
+    v = np.asarray(values).ravel()
+    if v.size < 2:
+        return float("inf")
+    diff = np.abs(v[:, None] - v[None, :])
+    mags = np.abs(v)
+    scale = np.maximum(mags[:, None], mags[None, :])
+    iu = np.triu_indices(v.size, k=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.where(scale[iu] > 0, diff[iu] / scale[iu], 0.0)
+    return float(rel.min())
 
 
 def slope_between(rates: dict[float, float], lo: float, hi: float) -> float:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import dense_min_relative_gap
 from symextia import (
     ParameterError,
     PrecoderSet,
@@ -18,6 +21,38 @@ from symextia import (
     receiver_composite,
     signal_space_rank,
     subseed,
+)
+
+
+_FINITE_COMPLEX = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _with_duplicate(draw):
+    """Random complex values with one entry set to another's value or 1 ulp off it."""
+    size = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    step = draw(st.sampled_from([0.0, np.inf, -np.inf]))
+    re = v[j].real if step == 0.0 else np.nextafter(v[j].real, step)
+    v[i] = complex(re, v[j].imag)
+    return v
+
+
+_GAP_FAMILIES = st.one_of(
+    # random complex, including hypothesis' own zeros, repeats and tiny values
+    st.lists(_FINITE_COMPLEX, min_size=2, max_size=60).map(np.array),
+    # equal magnitudes: roots of unity and random points on the unit circle
+    st.integers(2, 300).map(lambda n: np.exp(2j * np.pi * np.arange(n) / n)),
+    st.lists(st.floats(0.0, 2 * np.pi), min_size=2, max_size=60).map(lambda a: np.exp(1j * np.array(a))),
+    _with_duplicate(),
+    # leading zeros
+    st.tuples(st.integers(1, 3), st.lists(_FINITE_COMPLEX, min_size=1, max_size=40)).map(
+        lambda t: np.concatenate([np.zeros(t[0], dtype=complex), t[1]])
+    ),
+    # real-valued
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60).map(np.array),
 )
 
 
@@ -60,6 +95,31 @@ class TestMinRelativeGap:
 
     def test_identical_values_gap_zero(self):
         assert min_relative_gap(np.array([2.0, 2.0])) == 0.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=_GAP_FAMILIES, exponent=st.integers(-320, 150))
+    def test_matches_dense_reference_bit_for_bit(self, values, exponent):
+        # exponents reach the subnormal range; 1e150 keeps |a - b| finite
+        scaled = values * 10.0**exponent
+        assert min_relative_gap(scaled) == dense_min_relative_gap(scaled)
+
+    def test_matches_dense_reference_on_cascades(self):
+        # generic double cascades, the naive collapse (gaps near 0) and plain i.i.d.
+        for users, n, coding, model in ((4, 2, "double", "constant"), (3, 5, "naive", "constant"),
+                                        (3, 10, "plain", "iid")):
+            cfg = make_config(users, n, "double" if coding == "double" else "single")
+            ch = generate_channels(users, cfg.extension_length, model, 4)
+            _, eff, _, _ = draw_realization(ch, coding, cfg, 5)
+            cascades = build_cascades(eff)
+            for diag in [*cascades.matrices.values(), cascades.kappa]:
+                assert min_relative_gap(diag) == dense_min_relative_gap(diag)
+
+    @pytest.mark.parametrize(
+        "values", [[np.nan, 1.0], [1.0, np.inf, 2.0], [1.0, complex(0.0, -np.inf)], [np.nan]]
+    )
+    def test_non_finite_input_raises(self, values):
+        with pytest.raises(ParameterError, match="finite"):
+            min_relative_gap(np.array(values))
 
 
 class TestDoubleLayerAlignment:

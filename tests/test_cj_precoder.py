@@ -24,7 +24,7 @@ from symextia import (
     make_config,
     subseed,
 )
-import symextia.cj_precoder as cj_precoder
+import symextia.extension_core as extension_core
 
 
 def _effective_from_scalars(values: dict[tuple[int, int], complex], dim: int = 4):
@@ -228,10 +228,10 @@ class TestBuildPrecoders:
         cfg = make_config(3, 2, "single")
         eff = build_effective(generate_channels(3, 5, "iid", 0), None, "plain")
         needed = 16 * 5 * (3 + 2 * 2)
-        monkeypatch.setattr(cj_precoder, "PRECODER_BYTE_BUDGET", needed - 1)
+        monkeypatch.setattr(extension_core, "BYTE_BUDGET", needed - 1)
         with pytest.raises(CapacityError):
             build_precoders(eff, cfg)
-        monkeypatch.setattr(cj_precoder, "PRECODER_BYTE_BUDGET", needed)
+        monkeypatch.setattr(extension_core, "BYTE_BUDGET", needed)
         assert sum(build_precoders(eff, cfg).stream_counts.values()) == 7
 
     def test_norm_overflow_raises(self):

@@ -1,12 +1,17 @@
 import csv
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import symextia
-from symextia import ParameterError
+import symextia.cj_precoder as cj_precoder
+import symextia.cli as cli
+import symextia.link_sim as link_sim
+from symextia import ParameterError, make_config
 from symextia.cli import ExperimentSpec, main, parse_args, run_experiment
 from symextia.extension_core import CONSTANT, DOUBLE, IID, NAIVE, PLAIN
 
@@ -96,6 +101,14 @@ class TestParseArgs:
     def test_bad_snr_rejected(self, text):
         with pytest.raises(ParameterError):
             parse_args(["--experiment", "figure1", "--snr", text])
+
+    @pytest.mark.parametrize("text", ["10:10:5", "10:14:5"])
+    def test_figure1_needs_two_snr_points(self, text, tmp_path):
+        # one point has no slope; the dof_estimate column would read nan
+        with pytest.raises(ParameterError, match="two SNR points"):
+            parse_args(["--experiment", "figure1", "--snr", text])
+        assert main(["--experiment", "figure1", "--snr", text, "--out", str(tmp_path / "f.csv")]) == 2
+        assert not (tmp_path / "f.csv").exists()
 
     def test_bad_trials_rejected(self):
         with pytest.raises(ParameterError, match="trials"):
@@ -197,6 +210,71 @@ class TestVerifyAndAudit:
             assert row[4] == "false"
 
 
+def _count_calls(monkeypatch, names):
+    """Count calls of each named function through every module that binds it."""
+    calls = Counter()
+    for name in names:
+        original = getattr(cj_precoder, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (cj_precoder, link_sim, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestAuditPath:
+    def test_audit_builds_cascades_once_per_row_and_no_precoders(self, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch, ("build_precoders", "build_cascades"))
+        rc = main(["--experiment", "audit", "--users", "3", "--n", "2", "--trials", "4",
+                   "--out", str(tmp_path / "audit.csv")])
+        assert rc == 0
+        assert calls == Counter({"build_cascades": 4})
+        calls.clear()
+        rc = main(["--experiment", "verify", "--users", "3", "--n", "2", "--trials", "2",
+                   "--out", str(tmp_path / "verify.csv")])
+        assert rc == 0
+        assert calls["build_precoders"] == 2
+
+    def test_audit_runs_where_the_precoders_overflow(self, tmp_path, capsys):
+        flags = ["--users", "3", "--n", "100", "--coding", PLAIN, "--channel", IID, "--trials", "2"]
+        assert main(["--experiment", "verify", *flags, "--out", str(tmp_path / "v.csv")]) == 1
+        assert "overflowed" in capsys.readouterr().err
+        out = tmp_path / "a.csv"
+        assert main(["--experiment", "audit", *flags, "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 1 + 2 * 2
+        assert all(float(row[3]) > 0 for row in rows[1:])
+
+    def test_audit_runs_beyond_the_precoder_budget(self, tmp_path):
+        # K=4, n=5 precoders need about 3 GB; the cascades need D = 10901 entries each
+        out = tmp_path / "audit.csv"
+        assert main(["--experiment", "audit", "--users", "4", "--n", "5", "--trials", "1",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [row[2] for row in rows[1:]] == [
+            "T_2_4", "T_3_2", "T_3_4", "T_4_2", "T_4_3", "kappa",
+        ]
+
+    def test_audit_row_memory_scales_with_the_channel_tensor(self, tmp_path):
+        args = ["--experiment", "audit", "--users", "4", "--n", "3", "--trials", "1",
+                "--out", str(tmp_path / "audit.csv")]
+        run_experiment(parse_args(args))  # warm up lazy imports before tracing
+        channel_bytes = 16 * 4**2 * make_config(4, 3, DOUBLE).extension_length
+        tracemalloc.start()
+        try:
+            run_experiment(parse_args(args))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the channel tensor, the gains, one scaled copy and the effective
+        # diagonals; a D x D pair matrix or the precoders would each be 40x or more
+        assert peak <= 5 * channel_bytes
+
+
 @pytest.fixture(scope="module")
 def figure_rows(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig") / "figure1.csv"
@@ -281,6 +359,16 @@ class TestMain:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--experiment", "verify", "--users", "5", "--n", "82"],
+         ["--experiment", "audit", "--users", "4", "--n", "40"]],
+    )
+    def test_channel_budget_exit_code(self, flags, tmp_path, capsys):
+        # the channel tensor alone would need 1e24 and 1.1e11 bytes
+        assert main(flags + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert "budget" in capsys.readouterr().err
 
     def test_failed_run_leaves_earlier_output_untouched(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symextia.extension_core as extension_core
 from symextia import (
+    CapacityError,
     ChannelSet,
     DegenerateRealizationError,
     GainPlan,
@@ -54,6 +56,22 @@ class TestGenerateChannels:
         for seed in range(30):
             ch = generate_channels(3, 40, "iid", seed)
             assert np.abs(ch.entries).min() >= MIN_DRAW_MAGNITUDE
+
+    def test_byte_budget_is_checked_exactly(self, monkeypatch):
+        needed = 16 * 3**2 * 5
+        monkeypatch.setattr(extension_core, "BYTE_BUDGET", needed - 1)
+        with pytest.raises(CapacityError, match="channels"):
+            generate_channels(3, 5, "iid", 0)
+        monkeypatch.setattr(extension_core, "BYTE_BUDGET", needed)
+        assert generate_channels(3, 5, "iid", 0).slots == 5
+
+    @pytest.mark.parametrize(
+        "users,slots", [(5, 2 * (83**11 + 82**11)), (4, 2 * (41**5 + 40**5))], ids=["k5_n82", "k4_n40"]
+    )
+    def test_refuses_tensors_over_budget_before_allocating(self, users, slots):
+        # verify --users 5 --n 82 and audit --users 4 --n 40: 10^24 and 1.1e11 bytes
+        with pytest.raises(CapacityError):
+            generate_channels(users, slots, "constant", 0)
 
     @pytest.mark.parametrize(
         "users,slots,model",
