@@ -158,6 +158,22 @@ def _pair_gaps(a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarra
         return np.where(scale > 0, np.abs(a - b) / scale, 0.0)
 
 
+def _wide_pair_gaps(a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray) -> np.ndarray:
+    """``_pair_gaps`` for values so large that ``a - b`` can overflow.
+
+    The pairs whose difference overflows are recomputed as
+    |a/2 - b/2| / (scale/2): halving is exact at that magnitude, so the gap
+    is the one an unbounded exponent range would give. Every other pair
+    keeps the ``_pair_gaps`` bits.
+    """
+    with np.errstate(over="ignore"):
+        gaps = _pair_gaps(a, b, mag_a, mag_b)
+    wide = np.flatnonzero(np.isinf(gaps))
+    scale = np.maximum(mag_a[wide], mag_b[wide])
+    gaps[wide] = np.abs(a[wide] / 2 - b[wide] / 2) / (scale / 2)
+    return gaps
+
+
 def min_relative_gap(values: np.ndarray) -> float:
     """Smallest pairwise relative difference |a - b| / max(|a|, |b|).
 
@@ -171,23 +187,30 @@ def min_relative_gap(values: np.ndarray) -> float:
     O(D log D) time; equal magnitudes, such as roots of unity, cost O(D^2).
     Memory stays O(D). Every pair that is computed uses the same
     floating-point expression as the full pair matrix, and the minimum is
-    exact, so the result is the same bits as comparing all pairs.
+    exact, so the result is the same bits as comparing all pairs; only a
+    pair whose difference overflows gets its exact gap where the matrix
+    reads inf.
 
     Raises
     ------
     ParameterError
-        If any value is not finite.
+        If any value or its magnitude is not finite.
     """
     v = np.asarray(values).ravel()
-    if not np.all(np.isfinite(v)):
-        raise ParameterError("relative gaps need finite values")
+    with np.errstate(over="ignore"):
+        mags = np.abs(v)
+    # a complex value can have finite parts and an overflowing magnitude
+    if not np.all(np.isfinite(mags)):
+        raise ParameterError("relative gaps need finite values and magnitudes")
     if v.size < 2:
         return float("inf")
-    mags = np.abs(v)
     order = np.argsort(mags)
     v, mags = v[order], mags[order]
     finfo = np.finfo(np.result_type(mags, 1.0))
-    best = _pair_gaps(v[1:], v[:-1], mags[1:], mags[:-1]).min()
+    # |a - b| <= 2 max(|a|, |b|), so below a quarter of the largest float no
+    # difference can overflow and the plain expression serves
+    pair_gaps = _wide_pair_gaps if mags[-1] > finfo.max / 4 else _pair_gaps
+    best = pair_gaps(v[1:], v[:-1], mags[1:], mags[:-1]).min()
     for offset in range(2, v.size):
         if best == 0:
             break
@@ -195,12 +218,13 @@ def min_relative_gap(values: np.ndarray) -> float:
         # Skipping needs (hi - lo) / hi > best with room for the rounding of
         # the magnitudes, the difference and the quotient: the relative
         # 1e-6 and 8 eps cover it at every scale, the subnormal term below
-        # the normal range.
-        slack = float(best) * (1 + 1e-6) + 8 * float(finfo.eps)
+        # the normal range. A slack of 1 already keeps every pair, since
+        # hi - lo <= hi, and capping it there keeps slack * hi finite.
+        slack = min(float(best) * (1 + 1e-6) + 8 * float(finfo.eps), 1.0)
         live = np.flatnonzero(hi - lo <= slack * hi + 8 * finfo.smallest_subnormal)
         if live.size == 0:
             break
-        best = min(best, _pair_gaps(v[live + offset], v[live], hi[live], lo[live]).min())
+        best = min(best, pair_gaps(v[live + offset], v[live], hi[live], lo[live]).min())
     return float(best)
 
 

@@ -16,9 +16,10 @@ All output is deterministic for the recorded seed: CSV files are UTF-8 with
 LF line endings, floats printed to 6 significant digits (exact-dof floats to
 6 decimal places), so reruns are byte-identical. Exit status is 0 on
 success, 2 on a flag parsing problem (including flags that would be ignored
-or could never run), and 1 when a module rejects the run. The CSV is written
-only after every row is computed, so a failed run leaves the output path as
-it was.
+or could never run: ``--snr`` outside figure1, ``--trials`` on dof_table,
+``--n-range`` outside dof_table), and 1 when a module rejects the run. The
+CSV is written only after every row is computed, so a failed run leaves the
+output path as it was.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ from .extension_core import (
 from .link_sim import LinkConfig, draw_realization, draw_until_built, simulate_link
 
 EXPERIMENTS = ("dof_table", "verify", "audit", "figure1")
+
+DEFAULT_SNR = "10:60:10"
+DEFAULT_TRIALS = 50
 
 # Seed namespaces for per-row channel draws and per-run link seeds; gain
 # draws are namespaced further inside the link layer.
@@ -134,13 +138,28 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
                         help="channel model (default constant)")
     parser.add_argument("--coding", choices=CODING_MODES, default=None,
                         help="coding mode for verify/audit (default double)")
-    parser.add_argument("--snr", default="10:60:10", metavar="LO:HI:STEP",
-                        help="SNR sweep in dB (default 10:60:10)")
-    parser.add_argument("--trials", type=int, default=50,
-                        help="Monte Carlo trials, or seeds per table row (default 50)")
+    parser.add_argument("--snr", default=None, metavar="LO:HI:STEP",
+                        help=f"SNR sweep in dB for figure1 (default {DEFAULT_SNR})")
+    parser.add_argument("--trials", type=int, default=None,
+                        help="Monte Carlo trials, or seeds per table row; not for dof_table "
+                             f"(default {DEFAULT_TRIALS})")
     parser.add_argument("--seed", type=int, default=0, help="experiment seed (default 0)")
     parser.add_argument("--out", default=None, help="output CSV path (default <experiment>.csv)")
     args = parser.parse_args(argv)
+    # flags default to None so that an explicit one the experiment would ignore is caught
+    ignored = [
+        flag
+        for flag, value, used in (
+            ("--snr", args.snr, args.experiment == "figure1"),
+            ("--trials", args.trials, args.experiment != "dof_table"),
+            ("--n-range", args.n_range, args.experiment == "dof_table"),
+        )
+        if value is not None and not used
+    ]
+    if ignored:
+        raise ParameterError(f"{args.experiment} does not use {', '.join(ignored)}")
+    trials = args.trials if args.trials is not None else DEFAULT_TRIALS
+    snr_text = args.snr if args.snr is not None else DEFAULT_SNR
 
     if args.experiment == "figure1":
         if args.coding is not None:
@@ -166,14 +185,16 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
             "--channel slow_changing needs an even slot count, but a single layer has "
             "D = (n+1)^N + n^N slots, which is always odd"
         )
-    if args.trials < 1:
-        raise ParameterError(f"--trials must be >= 1, got {args.trials}")
-    snr_db = _parse_snr(args.snr)
+    if trials < 1:
+        raise ParameterError(f"--trials must be >= 1, got {trials}")
+    snr_db = _parse_snr(snr_text)
     if args.experiment == "figure1" and len(snr_db) < 2:
         raise ParameterError(
-            f"figure1 needs at least two SNR points for its DoF slope, got {args.snr!r}"
+            f"figure1 needs at least two SNR points for its DoF slope, got {snr_text!r}"
         )
-    n_range = _parse_colon_ints(args.n_range, "--n-range") if args.n_range else (args.n, args.n)
+    n_range = (
+        _parse_colon_ints(args.n_range, "--n-range") if args.n_range is not None else (args.n, args.n)
+    )
     return ExperimentSpec(
         experiment=args.experiment,
         users=args.users,
@@ -183,7 +204,7 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
         channel_model=args.channel,
         coding=coding,
         snr_db=snr_db,
-        trials=args.trials,
+        trials=trials,
         seed=args.seed,
         output_path=args.out if args.out is not None else f"{args.experiment}.csv",
     )

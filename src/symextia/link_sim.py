@@ -12,9 +12,15 @@ pseudoinverse. How slots fold is read from ``EffectiveChannel`` (``fold``,
 
 One zero-forcer serves both receivers: the analytic rates of
 ``simulate_link`` and the sampled ``run_symbol_chain`` build the same
-whitened blocks and apply the same pseudoinverse rows. Rates are analytic
-from per-stream SINR, so the Monte Carlo averaging is over gain realizations
-only and a fixed seed gives bit-for-bit reproducible results.
+whitened blocks and apply the same pseudoinverse rows. That core takes a
+leading trial axis. ``simulate_link`` draws its realizations one trial at a
+time, then stacks a chunk of trials (``ZF_STACK_BYTES`` of composites) and
+makes one stacked ``pinv`` call per receiver; ``run_symbol_chain`` passes a
+batch of one. A stacked ``pinv`` factors each slice on its own and the rates
+are added up in trial, SNR, receiver order, so the bits are those of a
+trial-at-a-time loop. Rates are analytic from per-stream SINR, so the Monte
+Carlo averaging is over gain realizations only and a fixed seed gives
+bit-for-bit reproducible results.
 
 SNR is defined against unit-variance receiver noise, so the per-slot
 transmit power at a sweep point is ``power_per_user * 10**(snr_db / 10)``.
@@ -22,7 +28,7 @@ transmit power at a sweep point is ``power_per_user * 10**(snr_db / 10)``.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -44,6 +50,15 @@ from .extension_core import (
 
 # Consecutive degenerate gain redraws tolerated per trial before giving up.
 MAX_RESAMPLES = 20
+
+# Byte cap on one stack of (D, D) complex composites, 16·D² bytes per trial.
+# ``simulate_link`` runs its trials in chunks this cap allows (at least one
+# trial), so memory does not grow with the trial count. A chunk peaks at
+# about ten times its composite stack (realizations, whitened blocks, pinv
+# work arrays). 128 KiB stacks 18 trials at D = 21, which is most of the
+# gain of stacking all 50 of a run at a quarter of the memory, and runs
+# one trial at a time from D = 65 on.
+ZF_STACK_BYTES = 1 << 17
 
 Built = TypeVar("Built")
 
@@ -223,51 +238,64 @@ def transmit_blocks(
 
 
 def _whitened_blocks(
-    eff: EffectiveChannel, pre: PrecoderSet, k: int, scales: dict[int, float]
+    effs: Sequence[EffectiveChannel], pres: Sequence[PrecoderSet], k: int, scales: np.ndarray
 ) -> dict[int, np.ndarray]:
     """Per-transmitter blocks seen at receiver ``k`` after noise whitening.
 
-    Block j is ``scales[j] * H_kj V_j`` with each row divided by the combined
+    ``effs`` and ``pres`` hold one realization per trial and ``scales[t, j - 1]``
+    is trial t's amplitude for user j. Block j, of shape (trials, D, d_j), is
+    ``scales[:, j - 1] * H_kj V_j`` with each row divided by the combined
     noise standard deviation of its effective slot.
     """
-    wstd = effective_noise_std(eff, k)
+    wstd = np.stack([effective_noise_std(eff, k) for eff in effs])[:, :, None]
+    diagonals = np.stack([eff.diagonals[k - 1] for eff in effs])[:, :, :, None]
     return {
-        j: scales[j] * (eff.diagonal(k, j)[:, None] * pre.precoders[j]) / wstd[:, None]
-        for j in pre.precoders
+        j: scales[:, j - 1, None, None]
+        * (diagonals[:, j - 1] * np.stack([pre.precoders[j] for pre in pres]))
+        / wstd
+        for j in pres[0].precoders
     }
 
 
 def _zero_forcer(pre: PrecoderSet, blocks: dict[int, np.ndarray], k: int) -> np.ndarray:
-    """Rows of the composite pseudoinverse that recover user ``k``'s streams.
+    """Rows of each trial's composite pseudoinverse that recover user ``k``'s streams.
 
     The composite is the desired block next to the aligned-interference
-    basis block; both the analytic rates and the sampled chain use it.
+    basis block; both the analytic rates and the sampled chain use it. One
+    stacked ``pinv`` call covers every trial: it factors each (D, D) slice
+    on its own, so the rows are the same bits as one call per trial.
     """
-    composite = np.hstack([blocks[k], blocks[pre.basis_user(k)]])
-    return np.linalg.pinv(composite)[: pre.stream_counts[k]]
+    composite = np.concatenate([blocks[k], blocks[pre.basis_user(k)]], axis=-1)
+    return np.linalg.pinv(composite)[:, : pre.stream_counts[k]]
 
 
 def _receiver_terms(
-    eff: EffectiveChannel, pre: PrecoderSet, receiver: int, hats: dict[int, float]
+    effs: Sequence[EffectiveChannel], pres: Sequence[PrecoderSet], receiver: int, hats: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Power-independent SINR pieces at one receiver.
+    """Power-independent SINR pieces at one receiver, stacked over trials.
 
-    Returns per-desired-stream arrays (signal power, total cross-stream
-    leakage power, whitened-noise amplification); with transmit power P the
-    stream SINR is signal / (cross + noise / P).
+    Returns (trials, d_k) arrays of signal power, total cross-stream leakage
+    power and whitened-noise amplification per desired stream; with transmit
+    power P the stream SINR is signal / (cross + noise / P).
     """
     k = receiver
-    blocks = _whitened_blocks(eff, pre, k, hats)
+    pre = pres[0]
+    blocks = _whitened_blocks(effs, pres, k, hats)
     gains_zf = _zero_forcer(pre, blocks, k)
 
     own = gains_zf @ blocks[k]
-    signal = np.abs(np.diagonal(own)) ** 2
-    cross = np.sum(np.abs(own) ** 2, axis=1) - signal
+    signal = np.abs(np.diagonal(own, axis1=-2, axis2=-1)) ** 2
+    cross = np.sum(np.abs(own) ** 2, axis=-1) - signal
     for j in pre.precoders:
         if j != k:
-            cross = cross + np.sum(np.abs(gains_zf @ blocks[j]) ** 2, axis=1)
-    noise = np.sum(np.abs(gains_zf) ** 2, axis=1)
+            cross = cross + np.sum(np.abs(gains_zf @ blocks[j]) ** 2, axis=-1)
+    noise = np.sum(np.abs(gains_zf) ** 2, axis=-1)
     return signal, cross, noise
+
+
+def _hat_rows(effs: Sequence[EffectiveChannel], pres: Sequence[PrecoderSet]) -> np.ndarray:
+    """``_scale_hats`` of each trial as a (trials, users) array."""
+    return np.array([list(_scale_hats(pre, eff).values()) for eff, pre in zip(effs, pres)])
 
 
 def simulate_link(
@@ -280,6 +308,12 @@ def simulate_link(
     rebuilt, and analytic zero-forcing SINRs give the rates at every SNR
     point of the sweep. ``plain`` coding has no gain randomness, so its
     trials are identical by construction.
+
+    Trials are drawn one at a time, in chunks of at most ``ZF_STACK_BYTES``
+    of (D, D) composites; each receiver's terms for a chunk come from one
+    stacked pseudoinverse, and the rates are added up in trial, SNR,
+    receiver order, so the result is the same bits as a trial-at-a-time
+    loop.
 
     Returns
     -------
@@ -295,22 +329,31 @@ def simulate_link(
     _check_setup(channels, coding, config)
     slots = channels.slots
     users = channels.users
+    powers = np.array([link.power_per_user * 10.0 ** (snr / 10.0) for snr in link.snr_points_db])
     sum_acc = {snr: 0.0 for snr in link.snr_points_db}
     user_acc = {snr: np.zeros(users) for snr in link.snr_points_db}
     failures = 0
+    chunk = max(1, ZF_STACK_BYTES // (16 * config.effective_dim**2))
 
-    for trial in range(link.trials):
-        _, eff, pre, redraws = draw_realization(channels, coding, config, link.seed, trial)
-        failures += redraws
-        hats = _scale_hats(pre, eff)
-        terms = {k: _receiver_terms(eff, pre, k, hats) for k in range(1, users + 1)}
-        for snr in link.snr_points_db:
-            power = link.power_per_user * 10.0 ** (snr / 10.0)
-            for k, (signal, cross, noise) in terms.items():
-                sinr = signal / (cross + noise / power)
-                rate = float(np.sum(np.log2(1.0 + sinr)) / slots)
-                user_acc[snr][k - 1] += rate
-                sum_acc[snr] += rate
+    for start in range(0, link.trials, chunk):
+        _, effs, pres, redraws = zip(
+            *(
+                draw_realization(channels, coding, config, link.seed, trial)
+                for trial in range(start, min(start + chunk, link.trials))
+            )
+        )
+        failures += sum(redraws)
+        hats = _hat_rows(effs, pres)
+        rates = np.empty((len(effs), powers.size, users))
+        for k in range(1, users + 1):
+            signal, cross, noise = _receiver_terms(effs, pres, k, hats)
+            sinr = signal[:, None] / (cross[:, None] + noise[:, None] / powers[:, None])
+            rates[:, :, k - 1] = np.sum(np.log2(1.0 + sinr), axis=-1) / slots
+        for trial_rates in rates.tolist():
+            for snr, snr_rates in zip(link.snr_points_db, trial_rates):
+                for k, rate in enumerate(snr_rates):
+                    user_acc[snr][k] += rate
+                    sum_acc[snr] += rate
 
     sum_rate = {snr: sum_acc[snr] / link.trials for snr in link.snr_points_db}
     per_user = {
@@ -370,7 +413,7 @@ def run_symbol_chain(
     }
     tx = transmit_blocks(pre, eff, power, symbols)
 
-    scales = {user: np.sqrt(power) * hat for user, hat in _scale_hats(pre, eff).items()}
+    scales = np.sqrt(power) * _hat_rows((eff,), (pre,))
     received: dict[int, np.ndarray] = {}
     decoded: dict[int, np.ndarray] = {}
     for k in range(1, channels.users + 1):
@@ -379,7 +422,7 @@ def run_symbol_chain(
             y = y + (rng.standard_normal((slots, blocks)) + 1j * rng.standard_normal((slots, blocks))) / np.sqrt(2.0)
         received[k] = y
         z = combine_received(y, eff, k) / effective_noise_std(eff, k)[:, None]
-        decoded[k] = _zero_forcer(pre, _whitened_blocks(eff, pre, k, scales), k) @ z
+        decoded[k] = _zero_forcer(pre, _whitened_blocks((eff,), (pre,), k, scales), k)[0] @ z
     return ChainSample(
         channels=channels,
         gains=gains,

@@ -6,6 +6,9 @@ avoiding the package's numpy pipelines, so agreement is meaningful. The
 branch; the link layer's folded code must match them bit for bit.
 ``dense_min_relative_gap`` is the all-pairs matrix form of the gap the
 distinctness audit reports; the pruned sweep must match it bit for bit.
+``per_trial_simulate_link`` is the link simulation one trial and one
+pseudoinverse at a time; the stacked receiver terms must match it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from symextia.link_sim import LinkResult, draw_realization, effective_noise_std, estimate_dof
 
 # factor list for the user-(3,2) cascade: (receiver, transmitter, exponent)
 T32_FACTORS = (
@@ -186,3 +191,73 @@ def per_mode_transmit(pre, eff, power: float, symbols: dict) -> dict:
         hat = float(np.sqrt(eff.channels.slots / per_mode_block_energy(pre, eff, user)))
         out[user] = np.sqrt(power) * hat * block
     return out
+
+
+def _per_trial_scale_hats(pre, eff) -> dict[int, float]:
+    hats = {}
+    for user, mat in pre.precoders.items():
+        weights = np.sum(np.abs(eff.tx_gains(user)) ** 2, axis=0)
+        energy = float(np.sum(weights * np.sum(np.abs(mat) ** 2, axis=1)))
+        hats[user] = float(np.sqrt(eff.channels.slots / energy))
+    return hats
+
+
+def _per_trial_whitened_blocks(eff, pre, k: int, scales: dict) -> dict:
+    wstd = effective_noise_std(eff, k)
+    return {
+        j: scales[j] * (eff.diagonal(k, j)[:, None] * pre.precoders[j]) / wstd[:, None]
+        for j in pre.precoders
+    }
+
+
+def _per_trial_zero_forcer(pre, blocks: dict, k: int) -> np.ndarray:
+    composite = np.hstack([blocks[k], blocks[pre.basis_user(k)]])
+    return np.linalg.pinv(composite)[: pre.stream_counts[k]]
+
+
+def _per_trial_receiver_terms(eff, pre, receiver: int, hats: dict):
+    k = receiver
+    blocks = _per_trial_whitened_blocks(eff, pre, k, hats)
+    gains_zf = _per_trial_zero_forcer(pre, blocks, k)
+
+    own = gains_zf @ blocks[k]
+    signal = np.abs(np.diagonal(own)) ** 2
+    cross = np.sum(np.abs(own) ** 2, axis=1) - signal
+    for j in pre.precoders:
+        if j != k:
+            cross = cross + np.sum(np.abs(gains_zf @ blocks[j]) ** 2, axis=1)
+    noise = np.sum(np.abs(gains_zf) ** 2, axis=1)
+    return signal, cross, noise
+
+
+def per_trial_simulate_link(channels, coding: str, config, link) -> LinkResult:
+    """``simulate_link`` as one pseudoinverse per trial and receiver.
+
+    The trial-at-a-time loop the stacked receiver terms replaced, with its
+    helpers; the stacked form must give the same bits.
+    """
+    slots = channels.slots
+    users = channels.users
+    sum_acc = {snr: 0.0 for snr in link.snr_points_db}
+    user_acc = {snr: np.zeros(users) for snr in link.snr_points_db}
+    failures = 0
+
+    for trial in range(link.trials):
+        _, eff, pre, redraws = draw_realization(channels, coding, config, link.seed, trial)
+        failures += redraws
+        hats = _per_trial_scale_hats(pre, eff)
+        terms = {k: _per_trial_receiver_terms(eff, pre, k, hats) for k in range(1, users + 1)}
+        for snr in link.snr_points_db:
+            power = link.power_per_user * 10.0 ** (snr / 10.0)
+            for k, (signal, cross, noise) in terms.items():
+                sinr = signal / (cross + noise / power)
+                rate = float(np.sum(np.log2(1.0 + sinr)) / slots)
+                user_acc[snr][k - 1] += rate
+                sum_acc[snr] += rate
+
+    sum_rate = {snr: sum_acc[snr] / link.trials for snr in link.snr_points_db}
+    per_user = {
+        snr: tuple((user_acc[snr] / link.trials).tolist()) for snr in link.snr_points_db
+    }
+    dof = estimate_dof(sum_rate) if len(link.snr_points_db) >= 2 else float("nan")
+    return LinkResult(sum_rate=sum_rate, per_user_rate=per_user, dof_estimate=dof, failures=failures)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,8 +116,24 @@ class TestMinRelativeGap:
             for diag in [*cascades.matrices.values(), cascades.kappa]:
                 assert min_relative_gap(diag) == dense_min_relative_gap(diag)
 
+    def test_opposite_values_near_overflow(self):
+        # a - b overflows to inf; the halved recomputation gives the exact gap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert min_relative_gap(np.array([1e308, -1e308])) == 2.0
+            assert min_relative_gap(np.array([1e308, -1e308, 5.0])) == 1.0
+            # best = 2 at offset 1, so an uncapped prune bound overflows at offset 2
+            assert min_relative_gap(np.array([1.7e308, -1.7e308, 1.7e308])) == 0.0
+
     @pytest.mark.parametrize(
-        "values", [[np.nan, 1.0], [1.0, np.inf, 2.0], [1.0, complex(0.0, -np.inf)], [np.nan]]
+        "values",
+        [
+            [np.nan, 1.0],
+            [1.0, np.inf, 2.0],
+            [1.0, complex(0.0, -np.inf)],
+            [np.nan],
+            [complex(1.5e308, 1.5e308), 1.0],  # finite parts, magnitude overflows
+        ],
     )
     def test_non_finite_input_raises(self, values):
         with pytest.raises(ParameterError, match="finite"):

@@ -110,6 +110,25 @@ class TestParseArgs:
         assert main(["--experiment", "figure1", "--snr", text, "--out", str(tmp_path / "f.csv")]) == 2
         assert not (tmp_path / "f.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--experiment", "verify", "--snr", "10:60:10"],
+            ["--experiment", "audit", "--snr", "10:10:5"],
+            ["--experiment", "dof_table", "--snr", "0:20:5"],
+            ["--experiment", "dof_table", "--trials", "7"],
+            ["--experiment", "verify", "--n-range", "1:2"],
+            ["--experiment", "audit", "--n-range", "1:2"],
+            ["--experiment", "figure1", "--n-range", "1:2"],
+        ],
+    )
+    def test_ignored_flags_rejected(self, flags, tmp_path):
+        flag = next(f for f in flags if f.startswith("--") and f != "--experiment")
+        with pytest.raises(ParameterError, match=flag):
+            parse_args(flags)
+        assert main(flags + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_trials_rejected(self):
         with pytest.raises(ParameterError, match="trials"):
             parse_args(["--experiment", "verify", "--trials", "0"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,8 +273,66 @@ class TestFoldMatchesPerModeReference:
         power = 2.0
         sample = run_symbol_chain(ch, coding, cfg, power=power, seed=6, blocks=4, inject_noise=False)
         eff, pre = sample.effective, sample.precoders
-        scales = {u: np.sqrt(power) * h for u, h in link_sim._scale_hats(pre, eff).items()}
+        scales = np.sqrt(power) * link_sim._hat_rows((eff,), (pre,))
         for k in range(1, 4):
             z = combine_received(sample.received[k], eff, k) / effective_noise_std(eff, k)[:, None]
-            blocks = link_sim._whitened_blocks(eff, pre, k, scales)
-            assert np.array_equal(sample.decoded[k], link_sim._zero_forcer(pre, blocks, k) @ z)
+            blocks = link_sim._whitened_blocks((eff,), (pre,), k, scales)
+            assert np.array_equal(sample.decoded[k], link_sim._zero_forcer(pre, blocks, k)[0] @ z)
+
+
+def _link_case(users, n, coding, model, seed, trials):
+    cfg = make_config(users, n, "double" if coding == "double" else "single")
+    ch = generate_channels(users, cfg.extension_length, model, 100 * seed + n)
+    link = LinkConfig(snr_points_db=(0.0, 20.0, 40.0), trials=trials, seed=seed)
+    return ch, coding, cfg, link
+
+
+CODING_CHANNELS = [
+    (coding, model)
+    for coding in ("plain", "naive", "double")
+    for model in ("constant", "iid", "slow_changing")
+    if model != "slow_changing" or coding == "double"
+]
+# K=4, n=2 (D=275) takes ~0.8 s a case, so it runs one seed
+STACK_CASES = [
+    (users, n, coding, model, seed)
+    for users, ns in ((3, (1, 2, 5, 10)), (4, (1, 2)))
+    for n in ns
+    for coding, model in CODING_CHANNELS
+    for seed in ((0,) if (users, n) == (4, 2) else (0, 1, 2))
+]
+
+
+class TestStackedMatchesPerTrial:
+    @pytest.mark.parametrize("users,n,coding,model,seed", STACK_CASES)
+    def test_same_bits_as_per_trial_loop(self, users, n, coding, model, seed):
+        case = _link_case(users, n, coding, model, seed, trials=2 if users == 4 else 3)
+        # LinkResult equality: sum_rate, per_user_rate, dof_estimate and failures
+        assert simulate_link(*case) == oracles.per_trial_simulate_link(*case)
+
+    @pytest.mark.parametrize("composites", [1, 3])
+    def test_same_bits_over_several_chunks(self, monkeypatch, composites):
+        ch, coding, cfg, link = _link_case(3, 10, "double", "iid", 1, trials=7)
+        monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * cfg.effective_dim**2)
+        calls = []
+        real_pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(len(a)) or real_pinv(a))
+        got = simulate_link(ch, coding, cfg, link)
+        monkeypatch.undo()
+        # receivers run inside each chunk: chunks of 1 trial, or 3 + 3 + 1 trials
+        assert calls == ([1] * 21 if composites == 1 else [3] * 6 + [1] * 3)
+        assert got == oracles.per_trial_simulate_link(ch, coding, cfg, link)
+
+    def test_one_trial_peaks_within_one_composite_of_per_trial_loop(self):
+        case = _link_case(4, 2, "double", "constant", 0, trials=1)
+        composite = 16 * case[2].effective_dim ** 2
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run(*case)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(simulate_link) <= peak(oracles.per_trial_simulate_link) + composite
