@@ -152,25 +152,19 @@ def check_alignment(
 
 
 def _pair_gaps(a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray) -> np.ndarray:
-    """|a - b| / max(|a|, |b|) entrywise, 0 where both magnitudes are 0."""
-    scale = np.maximum(mag_a, mag_b)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(scale > 0, np.abs(a - b) / scale, 0.0)
+    """|a - b| / max(|a|, |b|) entrywise, 0 where both magnitudes are 0.
 
-
-def _wide_pair_gaps(a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray) -> np.ndarray:
-    """``_pair_gaps`` for values so large that ``a - b`` can overflow.
-
-    The pairs whose difference overflows are recomputed as
+    A pair whose difference overflows is recomputed as
     |a/2 - b/2| / (scale/2): halving is exact at that magnitude, so the gap
     is the one an unbounded exponent range would give. Every other pair
-    keeps the ``_pair_gaps`` bits.
+    keeps the bits of the plain expression.
     """
-    with np.errstate(over="ignore"):
-        gaps = _pair_gaps(a, b, mag_a, mag_b)
+    scale = np.maximum(mag_a, mag_b)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gaps = np.where(scale > 0, np.abs(a - b) / scale, 0.0)
     wide = np.flatnonzero(np.isinf(gaps))
-    scale = np.maximum(mag_a[wide], mag_b[wide])
-    gaps[wide] = np.abs(a[wide] / 2 - b[wide] / 2) / (scale / 2)
+    if wide.size:
+        gaps[wide] = np.abs(a[wide] / 2 - b[wide] / 2) / (scale[wide] / 2)
     return gaps
 
 
@@ -207,10 +201,7 @@ def min_relative_gap(values: np.ndarray) -> float:
     order = np.argsort(mags)
     v, mags = v[order], mags[order]
     finfo = np.finfo(np.result_type(mags, 1.0))
-    # |a - b| <= 2 max(|a|, |b|), so below a quarter of the largest float no
-    # difference can overflow and the plain expression serves
-    pair_gaps = _wide_pair_gaps if mags[-1] > finfo.max / 4 else _pair_gaps
-    best = pair_gaps(v[1:], v[:-1], mags[1:], mags[:-1]).min()
+    best = _pair_gaps(v[1:], v[:-1], mags[1:], mags[:-1]).min()
     for offset in range(2, v.size):
         if best == 0:
             break
@@ -224,7 +215,7 @@ def min_relative_gap(values: np.ndarray) -> float:
         live = np.flatnonzero(hi - lo <= slack * hi + 8 * finfo.smallest_subnormal)
         if live.size == 0:
             break
-        best = min(best, pair_gaps(v[live + offset], v[live], hi[live], lo[live]).min())
+        best = min(best, _pair_gaps(v[live + offset], v[live], hi[live], lo[live]).min())
     return float(best)
 
 
