@@ -21,7 +21,6 @@ from .align_verify import (
 )
 from .cj_precoder import (
     CascadeSet,
-    DofValue,
     PrecoderConfig,
     PrecoderSet,
     build_cascades,
@@ -70,7 +69,6 @@ __all__ = [
     "ChannelSet",
     "DegenerateRealizationError",
     "DistinctnessAudit",
-    "DofValue",
     "EffectiveChannel",
     "GainPlan",
     "LinkConfig",

@@ -4,6 +4,11 @@ All checks are subspace-level: precoder columns carry arbitrary nonzero
 per-column scales (they are normalized on construction), so equality is
 measured after per-column least-squares scale matching and containment via
 projection onto an orthonormal basis of the reference block.
+
+The checks are noise-free and scale-free: residuals are relative to the
+block they measure and the rank cutoff is relative to the largest singular
+value, so the SNR (each user's transmit power per raw slot over the
+unit-variance receiver noise, as in ``link_sim``) does not enter them.
 """
 
 from __future__ import annotations
@@ -32,22 +37,25 @@ class RankResult(NamedTuple):
 
 @dataclass(frozen=True)
 class AlignmentReport:
-    """Residuals and rank certificates for one (effective channel, precoder) pair."""
+    """Residuals and rank certificates for one (effective channel, precoder) pair.
 
-    users: int
+    ``rank_results`` holds one certificate per receiver, keyed 1..users.
+    """
+
     residuals: dict[str, float]
     rank_results: dict[int, RankResult]
     verdict: str
-    tolerance_used: float
 
 
 @dataclass(frozen=True)
 class DistinctnessAudit:
-    """Minimal pairwise relative gaps of cascade eigenvalues and kappa."""
+    """Minimal pairwise relative gaps of cascade eigenvalues and kappa.
+
+    ``flagged`` names every quantity whose gap is below ``DISTINCTNESS_TOL``.
+    """
 
     lambda_gaps: dict[tuple[int, int], float]
     kappa_gap: float
-    threshold: float
     flagged: tuple[str, ...]
 
 
@@ -100,21 +108,17 @@ def signal_space_rank(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) ->
     return RankResult(rank=rank, required=eff.dim, margin=margin, threshold=threshold)
 
 
-def check_alignment(
-    eff: EffectiveChannel, pre: PrecoderSet, residual_tol: float = RESIDUAL_TOL
-) -> AlignmentReport:
+def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
     """Verify every alignment condition and rank certificate at once.
 
     Equality conditions (H_1i V_i and H_13 V_3 span the same columns for
     i != 1, 3) are measured per column after least-squares scale matching;
     containment conditions (H_jk V_k inside the span of H_j1 V_1 for
     j, k != 1, j != k) as relative projection residuals. The verdict is
-    ``pass`` only if every residual is at or below ``residual_tol`` and
+    ``pass`` only if every residual is at or below ``RESIDUAL_TOL`` and
     every receiver composite has full rank D.
     """
     _check_pair(eff, pre)
-    if residual_tol <= 0:
-        raise ParameterError(f"residual tolerance must be positive, got {residual_tol}")
     residuals: dict[str, float] = {}
 
     reference = eff.diagonal(1, 3)[:, None] * pre.precoders[3]
@@ -139,15 +143,11 @@ def check_alignment(
             )
 
     rank_results = {k: signal_space_rank(eff, pre, k) for k in range(1, eff.users + 1)}
-    ok = all(r <= residual_tol for r in residuals.values()) and all(
+    ok = all(r <= RESIDUAL_TOL for r in residuals.values()) and all(
         res.rank == res.required for res in rank_results.values()
     )
     return AlignmentReport(
-        users=eff.users,
-        residuals=residuals,
-        rank_results=rank_results,
-        verdict="pass" if ok else "fail",
-        tolerance_used=residual_tol,
+        residuals=residuals, rank_results=rank_results, verdict="pass" if ok else "fail"
     )
 
 
@@ -219,22 +219,18 @@ def min_relative_gap(values: np.ndarray) -> float:
     return float(best)
 
 
-def distinctness_audit(cascades: CascadeSet, threshold: float = DISTINCTNESS_TOL) -> DistinctnessAudit:
+def distinctness_audit(cascades: CascadeSet) -> DistinctnessAudit:
     """Audit the generators for repeated eigenvalues.
 
     Repeated entries on a cascade diagonal (or on kappa) collapse the span
-    the exponent products can generate, so any gap below ``threshold`` is
-    flagged by name.
+    the exponent products can generate, so any gap below
+    ``DISTINCTNESS_TOL`` is flagged by name.
     """
-    if threshold <= 0:
-        raise ParameterError(f"threshold must be positive, got {threshold}")
     lambda_gaps = {pair: min_relative_gap(diag) for pair, diag in cascades.matrices.items()}
     kappa_gap = min_relative_gap(cascades.kappa)
     flagged = tuple(
-        sorted(f"T_{k}_{l}" for (k, l), gap in lambda_gaps.items() if gap < threshold)
+        sorted(f"T_{k}_{l}" for (k, l), gap in lambda_gaps.items() if gap < DISTINCTNESS_TOL)
     )
-    if kappa_gap < threshold:
+    if kappa_gap < DISTINCTNESS_TOL:
         flagged = flagged + ("kappa",)
-    return DistinctnessAudit(
-        lambda_gaps=lambda_gaps, kappa_gap=kappa_gap, threshold=threshold, flagged=flagged
-    )
+    return DistinctnessAudit(lambda_gaps=lambda_gaps, kappa_gap=kappa_gap, flagged=flagged)

@@ -135,8 +135,6 @@ class CascadeSet:
     diagonals); ``kappa`` is the diagonal of ``H_11^-1 H_12``.
     """
 
-    users: int
-    dim: int
     matrices: dict[tuple[int, int], np.ndarray]
     kappa: np.ndarray
 
@@ -162,7 +160,7 @@ def build_cascades(eff: EffectiveChannel) -> CascadeSet:
     kappa = d(1, 2) / d(1, 1)
     if not np.all(np.isfinite(kappa)) or np.any(kappa == 0):
         raise DegenerateRealizationError("kappa left the representable range")
-    return CascadeSet(users=eff.users, dim=eff.dim, matrices=matrices, kappa=kappa)
+    return CascadeSet(matrices=matrices, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -170,14 +168,13 @@ class PrecoderSet:
     """Per-user precoder matrices over one effective signal space.
 
     ``precoders[k]`` is the D x d_k complex matrix for 1-based user k with
-    unit-norm columns, keyed in ascending user order; ``column_order[k]`` is
-    the d_k x N int array of exponent vectors behind those columns, one row
-    per column, with columns aligned to ``pairs``. Sizes are read off the
-    matrices.
+    unit-norm columns, keyed in ascending user order. For the configuration
+    it was built with, user 1's columns follow the rows of
+    ``enumerate_tuples(config, n)`` and every other user's the rows of
+    ``enumerate_tuples(config, n - 1)``. Sizes are read off the matrices.
     """
 
     precoders: dict[int, np.ndarray]
-    column_order: dict[int, np.ndarray]
 
     @property
     def users(self) -> int:
@@ -190,10 +187,6 @@ class PrecoderSet:
     @property
     def stream_counts(self) -> dict[int, int]:
         return {user: mat.shape[1] for user, mat in self.precoders.items()}
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(cascade_pairs(self.users))
 
     def basis_user(self, receiver: int) -> int:
         """User whose block spans the aligned interference at ``receiver``.
@@ -239,10 +232,8 @@ def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSe
         raise ParameterError(f"user count {eff.users} != configured {config.users}")
     if eff.dim != config.effective_dim:
         raise ParameterError(f"effective dim {eff.dim} != configured {config.effective_dim}")
+    _check_byte_budget(config)
     cap = config.exponent_cap
-    order_full = enumerate_tuples(config, cap)
-    order_reduced = enumerate_tuples(config, cap - 1)
-
     dim = eff.dim
     cascades = build_cascades(eff)
     # T_kl^e for e = 0..cap, multiplied up one power at a time (a cumulative
@@ -281,25 +272,11 @@ def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSe
             if np.any(norms == 0):
                 raise DegenerateRealizationError(f"precoder column for user {user} vanished")
             mat /= norms
-    column_order = {u: (order_full if u == 1 else order_reduced) for u in precoders}
-    return PrecoderSet(precoders=precoders, column_order=column_order)
+    return PrecoderSet(precoders=precoders)
 
 
-@dataclass(frozen=True)
-class DofValue:
-    """Exact degrees of freedom as a reduced fraction plus a float rendering."""
-
-    numerator: int
-    denominator: int
-    value: float
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
-def closed_form_dof(users: int, n: int, layer: str) -> DofValue:
-    """Exact total degrees of freedom of the construction.
+def closed_form_dof(users: int, n: int, layer: str) -> Fraction:
+    """Exact total degrees of freedom of the construction, as a reduced fraction.
 
     Per layer the signal space has dimension (n+1)^N + n^N carrying
     (n+1)^N + (users-1) n^N streams, so
@@ -317,4 +294,4 @@ def closed_form_dof(users: int, n: int, layer: str) -> DofValue:
     dof = Fraction(hi + (users - 1) * lo, hi + lo)
     if layer == DOUBLE_LAYER:
         dof = dof / 2
-    return DofValue(numerator=dof.numerator, denominator=dof.denominator, value=float(dof))
+    return dof

@@ -15,11 +15,13 @@ figure1
 All output is deterministic for the recorded seed: CSV files are UTF-8 with
 LF line endings, floats printed to 6 significant digits (exact-dof floats to
 6 decimal places), so reruns are byte-identical. Exit status is 0 on
-success, 2 on a flag parsing problem (including flags that would be ignored
-or could never run: ``--snr`` outside figure1, ``--trials`` on dof_table,
-``--n-range`` outside dof_table), and 1 when a module rejects the run. The
-CSV is written only after every row is computed, so a failed run leaves the
-output path as it was.
+success, 2 on a flag parsing problem (including any flag the experiment does
+not read, ``--n`` together with ``--n-range``, and flags that could never
+run), and 1 when a module rejects the run. The CSV is written only after
+every row is computed, so a failed run leaves the output path as it was.
+
+SNR is defined against unit-variance receiver noise: at ``--snr`` point
+``s`` dB each user's expected transmit power per raw slot is ``10**(s/10)``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ from .extension_core import (
 from .link_sim import LinkConfig, draw_realization, draw_until_built, simulate_link
 
 EXPERIMENTS = ("dof_table", "verify", "audit", "figure1")
+
+# The flags each experiment reads besides --experiment. Any other flag given
+# explicitly exits 2, since the run would ignore it. The layer is a flag of
+# dof_table only: verify and audit derive it from --coding, and figure1
+# always runs naive coding on one layer and double coding on two.
+FLAGS_READ = {
+    "dof_table": ("--users", "--n", "--n-range", "--layer", "--out"),
+    "verify": ("--users", "--n", "--channel", "--coding", "--trials", "--seed", "--out"),
+    "audit": ("--users", "--n", "--channel", "--coding", "--trials", "--seed", "--out"),
+    "figure1": ("--users", "--n", "--channel", "--snr", "--trials", "--seed", "--out"),
+}
 
 DEFAULT_SNR = "10:60:10"
 DEFAULT_TRIALS = 50
@@ -122,65 +135,61 @@ def _parse_snr(text: str) -> tuple[float, ...]:
 
 
 def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
-    """Parse CLI flags into a validated ExperimentSpec."""
+    """Parse CLI flags into a validated ExperimentSpec.
+
+    Every flag defaults to None, so a flag given explicitly that the
+    experiment does not read (see ``FLAGS_READ``) is rejected by name.
+    """
     parser = argparse.ArgumentParser(
         prog="symextia",
         description="Symbol-extension interference alignment experiments.",
     )
     parser.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    parser.add_argument("--users", type=int, default=3, help="number of user pairs K (default 3)")
-    parser.add_argument("--n", type=int, default=2, help="exponent cap n (default 2)")
-    parser.add_argument("--n-range", default=None, metavar="LO:HI",
-                        help="inclusive cap range for dof_table (overrides --n)")
-    parser.add_argument("--layer", choices=LAYERS, default=None,
-                        help="symbol-extension layering (derived from --coding when omitted)")
-    parser.add_argument("--channel", choices=CHANNEL_MODELS, default=CONSTANT,
-                        help="channel model (default constant)")
-    parser.add_argument("--coding", choices=CODING_MODES, default=None,
-                        help="coding mode for verify/audit (default double)")
-    parser.add_argument("--snr", default=None, metavar="LO:HI:STEP",
+    parser.add_argument("--users", type=int, help="number of user pairs K (default 3)")
+    parser.add_argument("--n", type=int, help="exponent cap n (default 2)")
+    parser.add_argument("--n-range", metavar="LO:HI",
+                        help="inclusive cap range for dof_table (instead of --n)")
+    parser.add_argument("--layer", choices=LAYERS,
+                        help="symbol-extension layering for dof_table (default single)")
+    parser.add_argument("--channel", choices=CHANNEL_MODELS, help="channel model (default constant)")
+    parser.add_argument("--coding", choices=CODING_MODES,
+                        help="coding mode for verify/audit (default double); sets the layer")
+    parser.add_argument("--snr", metavar="LO:HI:STEP",
                         help=f"SNR sweep in dB for figure1 (default {DEFAULT_SNR})")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="Monte Carlo trials, or seeds per table row; not for dof_table "
-                             f"(default {DEFAULT_TRIALS})")
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed (default 0)")
-    parser.add_argument("--out", default=None, help="output CSV path (default <experiment>.csv)")
+    parser.add_argument("--trials", type=int,
+                        help=f"Monte Carlo trials, or seeds per table row (default {DEFAULT_TRIALS})")
+    parser.add_argument("--seed", type=int, help="experiment seed (default 0)")
+    parser.add_argument("--out", help="output CSV path (default <experiment>.csv)")
     args = parser.parse_args(argv)
-    # flags default to None so that an explicit one the experiment would ignore is caught
-    ignored = [
-        flag
-        for flag, value, used in (
-            ("--snr", args.snr, args.experiment == "figure1"),
-            ("--trials", args.trials, args.experiment != "dof_table"),
-            ("--n-range", args.n_range, args.experiment == "dof_table"),
-        )
-        if value is not None and not used
+    given = [
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if value is not None and dest != "experiment"
     ]
+    ignored = [flag for flag in given if flag not in FLAGS_READ[args.experiment]]
     if ignored:
         raise ParameterError(f"{args.experiment} does not use {', '.join(ignored)}")
+    if args.n is not None and args.n_range is not None:
+        raise ParameterError("--n and --n-range are mutually exclusive")
+    n = args.n if args.n is not None else 2
+    channel = args.channel if args.channel is not None else CONSTANT
     trials = args.trials if args.trials is not None else DEFAULT_TRIALS
     snr_text = args.snr if args.snr is not None else DEFAULT_SNR
 
-    if args.experiment == "figure1":
-        if args.coding is not None:
-            raise ParameterError("figure1 always compares naive and double; drop --coding")
-        if args.layer == SINGLE_LAYER:
-            raise ParameterError("figure1 always runs double coding on the double layer; drop --layer")
+    if args.experiment == "dof_table":
+        coding = DOUBLE
+        layer = args.layer if args.layer is not None else SINGLE_LAYER
+    elif args.experiment == "figure1":
         coding = "both"
         layer = DOUBLE_LAYER
     else:
         coding = args.coding if args.coding is not None else DOUBLE
-        derived_layer = DOUBLE_LAYER if coding == DOUBLE else SINGLE_LAYER
-        layer = args.layer if args.layer is not None else (
-            SINGLE_LAYER if args.experiment == "dof_table" else derived_layer
-        )
-        if args.experiment in ("verify", "audit") and layer != derived_layer:
-            raise ParameterError(f"--layer {layer} is inconsistent with --coding {coding}")
+        layer = DOUBLE_LAYER if coding == DOUBLE else SINGLE_LAYER
     # figure1's naive leg always draws a single layer
     single_layer_draw = args.experiment == "figure1" or (
         args.experiment != "dof_table" and layer == SINGLE_LAYER
     )
-    if args.channel == SLOW_CHANGING and single_layer_draw:
+    if channel == SLOW_CHANGING and single_layer_draw:
         raise ParameterError(
             "--channel slow_changing needs an even slot count, but a single layer has "
             "D = (n+1)^N + n^N slots, which is always odd"
@@ -192,20 +201,18 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
         raise ParameterError(
             f"figure1 needs at least two SNR points for its DoF slope, got {snr_text!r}"
         )
-    n_range = (
-        _parse_colon_ints(args.n_range, "--n-range") if args.n_range is not None else (args.n, args.n)
-    )
+    n_range = _parse_colon_ints(args.n_range, "--n-range") if args.n_range is not None else (n, n)
     return ExperimentSpec(
         experiment=args.experiment,
-        users=args.users,
-        n=args.n,
+        users=args.users if args.users is not None else 3,
+        n=n,
         n_range=n_range,
         layer=layer,
-        channel_model=args.channel,
+        channel_model=channel,
         coding=coding,
         snr_db=snr_db,
         trials=trials,
-        seed=args.seed,
+        seed=args.seed if args.seed is not None else 0,
         output_path=args.out if args.out is not None else f"{args.experiment}.csv",
     )
 
@@ -214,7 +221,7 @@ def _run_dof_table(spec: ExperimentSpec) -> Iterator[list]:
     yield ["users", "n", "layer", "dof_exact_num", "dof_exact_den", "dof_float"]
     for n in range(spec.n_range[0], spec.n_range[1] + 1):
         dof = closed_form_dof(spec.users, n, spec.layer)
-        yield [spec.users, n, spec.layer, dof.numerator, dof.denominator, f"{dof.value:.6f}"]
+        yield [spec.users, n, spec.layer, dof.numerator, dof.denominator, f"{float(dof):.6f}"]
 
 
 def _row_channels(spec: ExperimentSpec, row: int) -> tuple[PrecoderConfig, ChannelSet]:

@@ -22,8 +22,9 @@ trial-at-a-time loop. Rates are analytic from per-stream SINR, so the Monte
 Carlo averaging is over gain realizations only and a fixed seed gives
 bit-for-bit reproducible results.
 
-SNR is defined against unit-variance receiver noise, so the per-slot
-transmit power at a sweep point is ``power_per_user * 10**(snr_db / 10)``.
+SNR is defined against unit-variance receiver noise: at a sweep point of
+``snr_db`` each user's expected transmit power per raw slot is
+``10**(snr_db / 10)``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class LinkConfig:
 
     snr_points_db: tuple[float, ...]
     trials: int
-    power_per_user: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -83,8 +83,6 @@ class LinkConfig:
             raise ParameterError("SNR points must be strictly increasing")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if not self.power_per_user > 0:
-            raise ParameterError(f"power per user must be positive, got {self.power_per_user}")
 
 
 @dataclass(frozen=True)
@@ -104,10 +102,12 @@ class LinkResult:
 
 @dataclass(frozen=True)
 class ChainSample:
-    """One explicit pass through the symbol-level transmit/receive chain."""
+    """One explicit pass through the symbol-level transmit/receive chain.
 
-    channels: ChannelSet
-    gains: GainPlan | None
+    The channels and gains it ran on are ``effective.channels`` and
+    ``effective.gains``.
+    """
+
     effective: EffectiveChannel
     precoders: PrecoderSet
     symbols: dict[int, np.ndarray]
@@ -220,9 +220,25 @@ def transmit_blocks(
     ``symbols[k]`` has shape (streams_k, blocks); the returned raw blocks have
     shape (T, blocks) and expected per-slot power ``power``. Each beamformed
     entry q rides every raw slot folded onto it, times that slot's gain.
+
+    Raises
+    ------
+    ParameterError
+        If ``power`` is not positive, or ``symbols`` does not hold one 2-D
+        block per user, all with the same block count and each with that
+        user's stream count.
     """
     if not power > 0:
         raise ParameterError(f"power must be positive, got {power}")
+    if set(symbols) != set(pre.precoders):
+        raise ParameterError(
+            f"symbols must hold exactly users {sorted(pre.precoders)}, got keys {list(symbols)}"
+        )
+    if any(np.ndim(s) != 2 for s in symbols.values()):
+        raise ParameterError("each symbol block must be 2-D, (streams, blocks)")
+    block_counts = {user: s.shape[1] for user, s in symbols.items()}
+    if len(set(block_counts.values())) != 1:
+        raise ParameterError(f"every user must send the same number of blocks, got {block_counts}")
     hats = _scale_hats(pre, eff)
     out: dict[int, np.ndarray] = {}
     for user, mat in pre.precoders.items():
@@ -329,7 +345,7 @@ def simulate_link(
     _check_setup(channels, coding, config)
     slots = channels.slots
     users = channels.users
-    powers = np.array([link.power_per_user * 10.0 ** (snr / 10.0) for snr in link.snr_points_db])
+    powers = np.array([10.0 ** (snr / 10.0) for snr in link.snr_points_db])
     sum_acc = {snr: 0.0 for snr in link.snr_points_db}
     user_acc = {snr: np.zeros(users) for snr in link.snr_points_db}
     failures = 0
@@ -402,7 +418,7 @@ def run_symbol_chain(
         raise ParameterError(f"blocks must be >= 1, got {blocks}")
     if not power > 0:
         raise ParameterError(f"power must be positive, got {power}")
-    gains, eff, pre, redraws = draw_realization(channels, coding, config, seed, trial=0)
+    _, eff, pre, redraws = draw_realization(channels, coding, config, seed, trial=0)
     rng = np.random.default_rng(subseed(seed, _NS_CHAIN))
     slots = channels.slots
 
@@ -424,8 +440,6 @@ def run_symbol_chain(
         z = combine_received(y, eff, k) / effective_noise_std(eff, k)[:, None]
         decoded[k] = _zero_forcer(pre, _whitened_blocks((eff,), (pre,), k, scales), k)[0] @ z
     return ChainSample(
-        channels=channels,
-        gains=gains,
         effective=eff,
         precoders=pre,
         symbols=symbols,

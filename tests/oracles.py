@@ -93,14 +93,14 @@ def loop_precoders(eff, cascades, n: int) -> dict[int, np.ndarray]:
     pairs = list(cascades.matrices)
     tables = {}
     for pair in pairs:
-        table = [np.ones(cascades.dim, dtype=complex)]
+        table = [np.ones(cascades.kappa.size, dtype=complex)]
         for _ in range(n):
             table.append(table[-1] * cascades.matrices[pair])
         tables[pair] = table
 
     def columns(cap: int) -> np.ndarray:
         combos = list(itertools.product(range(cap + 1), repeat=len(pairs)))
-        cols = np.ones((cascades.dim, len(combos)), dtype=complex)
+        cols = np.ones((cascades.kappa.size, len(combos)), dtype=complex)
         for idx, combo in enumerate(combos):
             for pair, e in zip(pairs, combo):
                 if e:
@@ -248,7 +248,7 @@ def per_trial_simulate_link(channels, coding: str, config, link) -> LinkResult:
         hats = _per_trial_scale_hats(pre, eff)
         terms = {k: _per_trial_receiver_terms(eff, pre, k, hats) for k in range(1, users + 1)}
         for snr in link.snr_points_db:
-            power = link.power_per_user * 10.0 ** (snr / 10.0)
+            power = 10.0 ** (snr / 10.0)
             for k, (signal, cross, noise) in terms.items():
                 sinr = signal / (cross + noise / power)
                 rate = float(np.sum(np.log2(1.0 + sinr)) / slots)

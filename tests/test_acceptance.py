@@ -45,15 +45,15 @@ def _alignment_sweep(users, n, coding, model, seeds):
 
 def test_criterion_1_closed_form_dof():
     failures = []
-    if closed_form_dof(3, 2, "single").fraction != Fraction(7, 5):
+    if closed_form_dof(3, 2, "single") != Fraction(7, 5):
         failures.append("K=3 n=2 single is not exactly 7/5")
-    if closed_form_dof(3, 2, "double").fraction != Fraction(7, 10):
+    if closed_form_dof(3, 2, "double") != Fraction(7, 10):
         failures.append("K=3 n=2 double is not exactly 7/10")
-    if round(closed_form_dof(5, 81, "double").value, 4) != 1.1995:
-        failures.append(f"K=5 n=81 double rounds to {round(closed_form_dof(5, 81, 'double').value, 4)}")
-    if round(closed_form_dof(5, 82, "double").value, 4) != 1.2001:
-        failures.append(f"K=5 n=82 double rounds to {round(closed_form_dof(5, 82, 'double').value, 4)}")
-    if not closed_form_dof(5, 82, "double").fraction > Fraction(6, 5):
+    if round(float(closed_form_dof(5, 81, "double")), 4) != 1.1995:
+        failures.append(f"K=5 n=81 double rounds to {round(float(closed_form_dof(5, 81, 'double')), 4)}")
+    if round(float(closed_form_dof(5, 82, "double")), 4) != 1.2001:
+        failures.append(f"K=5 n=82 double rounds to {round(float(closed_form_dof(5, 82, 'double')), 4)}")
+    if not closed_form_dof(5, 82, "double") > Fraction(6, 5):
         failures.append("K=5 n=82 double does not exceed 6/5 exactly")
     _report("criterion 1: closed-form dof values (7/5, 7/10, 1.1995, 1.2001, >6/5)", failures)
 

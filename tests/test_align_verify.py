@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symextia.align_verify as align_verify
 from oracles import dense_min_relative_gap
 from symextia import (
     ParameterError,
@@ -15,6 +16,7 @@ from symextia import (
     check_alignment,
     distinctness_audit,
     draw_realization,
+    enumerate_tuples,
     generate_channels,
     make_config,
     min_relative_gap,
@@ -193,7 +195,6 @@ class TestDoubleLayerAlignment:
                 u: m / np.linalg.norm(m, axis=0, keepdims=True)
                 for u, m in random_cols.items()
             },
-            column_order=pre.column_order,
         )
         report = check_alignment(eff, fake)
         assert report.verdict == "fail"
@@ -209,7 +210,7 @@ class TestDoubleLayerAlignment:
                 2j * np.pi * rng.uniform(size=mat.shape[1])
             )
             scaled[user] = mat * scales[None, :]
-        twin = PrecoderSet(precoders=scaled, column_order=pre.column_order)
+        twin = PrecoderSet(precoders=scaled)
         base = check_alignment(eff, pre)
         rescaled = check_alignment(eff, twin)
         assert rescaled.verdict == base.verdict == "pass"
@@ -218,13 +219,11 @@ class TestDoubleLayerAlignment:
         for k in base.rank_results:
             assert rescaled.rank_results[k].rank == base.rank_results[k].rank
 
-    def test_tolerance_is_honored(self):
+    def test_tolerance_is_honored(self, monkeypatch):
         _, eff, pre = _double_setup(1)
-        strict = check_alignment(eff, pre, residual_tol=1e-18)
-        assert strict.tolerance_used == 1e-18
-        assert strict.verdict == "fail"
-        with pytest.raises(ParameterError):
-            check_alignment(eff, pre, residual_tol=0.0)
+        assert check_alignment(eff, pre).verdict == "pass"
+        monkeypatch.setattr(align_verify, "RESIDUAL_TOL", 1e-18)
+        assert check_alignment(eff, pre).verdict == "fail"
 
 
 class TestNaiveCollapse:
@@ -248,7 +247,7 @@ class TestNaiveCollapse:
             _, eff, _, _ = draw_realization(ch, "naive", cfg, subseed(seed, 3))
             audit = distinctness_audit(build_cascades(eff))
             assert audit.flagged == ("T_3_2",)
-            assert audit.kappa_gap > audit.threshold
+            assert audit.kappa_gap > align_verify.DISTINCTNESS_TOL
 
 
 class TestPlainCoding:
@@ -285,7 +284,7 @@ class TestPlainCoding:
         )
         pre = build_precoders(eff, cfg)
         lam = build_cascades(eff).matrices[(3, 2)]
-        for idx, exponents in enumerate(pre.column_order[1]):
+        for idx, exponents in enumerate(enumerate_tuples(cfg, 2)):
             column = pre.precoders[1][:, idx]
             target = lam ** exponents[0]
             cosine = abs(np.vdot(column, target)) / (
@@ -307,7 +306,7 @@ class TestPlainCoding:
             _, eff, _ = _double_setup(seed)
             audit = distinctness_audit(build_cascades(eff))
             assert audit.flagged == ()
-            assert min(audit.lambda_gaps.values()) > audit.threshold
+            assert min(audit.lambda_gaps.values()) > align_verify.DISTINCTNESS_TOL
 
 
 class TestValidation:

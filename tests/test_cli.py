@@ -46,7 +46,8 @@ class TestParseArgs:
         assert spec.coding == "naive"
 
     def test_layer_coding_conflict_rejected(self):
-        with pytest.raises(ParameterError, match="inconsistent"):
+        # verify reads no --layer at all: the coding sets it
+        with pytest.raises(ParameterError, match="verify does not use --layer"):
             parse_args(["--experiment", "verify", "--coding", "naive", "--layer", "double"])
 
     def test_dof_table_layer_defaults_single(self):
@@ -120,6 +121,13 @@ class TestParseArgs:
             ["--experiment", "verify", "--n-range", "1:2"],
             ["--experiment", "audit", "--n-range", "1:2"],
             ["--experiment", "figure1", "--n-range", "1:2"],
+            ["--experiment", "dof_table", "--coding", "naive"],
+            ["--experiment", "dof_table", "--channel", "iid"],
+            ["--experiment", "dof_table", "--seed", "5"],
+            ["--experiment", "figure1", "--layer", "double"],
+            ["--experiment", "verify", "--layer", "double"],
+            ["--experiment", "audit", "--layer", "single", "--coding", "naive"],
+            ["--experiment", "dof_table", "--n", "5", "--n-range", "1:2"],
         ],
     )
     def test_ignored_flags_rejected(self, flags, tmp_path):
@@ -128,6 +136,25 @@ class TestParseArgs:
             parse_args(flags)
         assert main(flags + ["--out", str(tmp_path / "x.csv")]) == 2
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, flag",
+        [(experiment, flag) for experiment in cli.EXPERIMENTS for flag in cli.FLAGS_READ[experiment]],
+    )
+    def test_every_flag_in_the_table_is_read(self, experiment, flag, tmp_path):
+        # small sizes for speed; each flag of the table is accepted and changes the output
+        base = {"dof_table": {}, "figure1": {"--n": "1", "--trials": "1", "--snr": "10:20:10"}}
+        other = {"--users": "4", "--n": "3", "--n-range": "1:2", "--layer": "double",
+                 "--channel": "iid", "--coding": "plain", "--snr": "10:30:10",
+                 "--trials": "2", "--seed": "1", "--out": str(tmp_path / "other.csv")}
+
+        def run(flags):
+            flags = {"--out": str(tmp_path / "base.csv"), **flags}
+            assert main(["--experiment", experiment, *(x for kv in flags.items() for x in kv)]) == 0
+            return flags["--out"], Path(flags["--out"]).read_bytes()
+
+        flags = base.get(experiment, {"--n": "1", "--trials": "1"})
+        assert run({**flags, flag: other[flag]}) != run(flags)
 
     def test_bad_trials_rejected(self):
         with pytest.raises(ParameterError, match="trials"):

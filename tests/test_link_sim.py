@@ -38,7 +38,6 @@ class TestLinkConfig:
             dict(snr_points_db=(10.0, 10.0), trials=1),
             dict(snr_points_db=(20.0, 10.0), trials=1),
             dict(snr_points_db=(10.0,), trials=0),
-            dict(snr_points_db=(10.0,), trials=1, power_per_user=0.0),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -223,6 +222,24 @@ class TestSymbolChain:
         good = {u: np.ones((d, 2), dtype=complex) for u, d in pre.stream_counts.items()}
         with pytest.raises(ParameterError):
             transmit_blocks(pre, eff, 0.0, good)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda s: {u: b for u, b in s.items() if u != 2},  # a user is missing
+            lambda s: {**s, 4: s[1]},  # a user the precoders do not have
+            lambda s: {**s, 2: s[2][:, 0]},  # a 1-D block
+            lambda s: {**s, 3: s[3][:, :1]},  # fewer blocks than the other users
+        ],
+        ids=["missing_user", "extra_user", "one_dimensional", "unequal_blocks"],
+    )
+    def test_transmit_blocks_validates_the_symbol_dict(self, spoil):
+        cfg, ch = _double_channels()
+        _, eff, pre, _ = draw_realization(ch, "double", cfg, 0)
+        good = {u: np.ones((d, 2), dtype=complex) for u, d in pre.stream_counts.items()}
+        transmit_blocks(pre, eff, 1.0, good)
+        with pytest.raises(ParameterError):
+            transmit_blocks(pre, eff, 1.0, spoil(good))
 
     def test_chain_rejects_bad_blocks(self):
         cfg, ch = _double_channels()
