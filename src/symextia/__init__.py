@@ -21,14 +21,15 @@ from .align_verify import (
 )
 from .cj_precoder import (
     CascadeSet,
-    PrecoderConfig,
     PrecoderSet,
     build_cascades,
     build_precoders,
+    cascade_order,
     cascade_pairs,
     closed_form_dof,
+    effective_dim,
     enumerate_tuples,
-    make_config,
+    exponent_cap,
 )
 from .errors import (
     CapacityError,
@@ -74,7 +75,6 @@ __all__ = [
     "LinkConfig",
     "LinkResult",
     "ParameterError",
-    "PrecoderConfig",
     "PrecoderSet",
     "RankResult",
     "SimulationError",
@@ -82,18 +82,20 @@ __all__ = [
     "build_cascades",
     "build_effective",
     "build_precoders",
+    "cascade_order",
     "cascade_pairs",
     "check_alignment",
     "closed_form_dof",
     "combine_received",
     "distinctness_audit",
     "draw_realization",
+    "effective_dim",
     "effective_noise_std",
     "enumerate_tuples",
     "estimate_dof",
+    "exponent_cap",
     "generate_channels",
     "generate_gains",
-    "make_config",
     "min_relative_gap",
     "numerical_rank",
     "orthonormal_basis",

@@ -59,12 +59,22 @@ class DistinctnessAudit:
     flagged: tuple[str, ...]
 
 
+def _rank_cutoff(shape: tuple[int, ...], s: np.ndarray) -> float | None:
+    """The one rank cutoff, max(shape) * eps * sigma_max, for descending singular values ``s``.
+
+    None means no nonzero singular value, so rank 0.
+    """
+    if s.size == 0 or s[0] == 0.0:
+        return None
+    return max(shape) * _EPS * float(s[0])
+
+
 def numerical_rank(matrix: np.ndarray) -> tuple[int, float, float]:
     """Rank, sigma_min/sigma_max margin, and the cutoff max(shape)*eps*sigma_max."""
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    threshold = _rank_cutoff(matrix.shape, s)
+    if threshold is None:
         return 0, 0.0, 0.0
-    threshold = max(matrix.shape) * _EPS * float(s[0])
     rank = int(np.count_nonzero(s > threshold))
     margin = float(s[-1] / s[0])
     return rank, margin, threshold
@@ -73,10 +83,8 @@ def numerical_rank(matrix: np.ndarray) -> tuple[int, float, float]:
 def orthonormal_basis(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical column space (SVD with rank cutoff)."""
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
-    threshold = max(matrix.shape) * _EPS * float(s[0])
-    return u[:, s > threshold]
+    threshold = _rank_cutoff(matrix.shape, s)
+    return u[:, :0] if threshold is None else u[:, s > threshold]
 
 
 def _check_pair(eff: EffectiveChannel, pre: PrecoderSet) -> None:

@@ -8,10 +8,13 @@ exponents up to n - 1 behind a fixed prefix, and every other user on a fixed
 diagonal rescaling of user 3's block. Per layer this yields
 D = (n+1)^N + n^N total streams across one signal space of dimension D.
 
-Every size follows from (K, n, layer) alone. The product columns are built
-as one row-wise Kronecker (face-splitting) product of per-generator power
-tables, and construction is refused up front when the complex128 precoders
-would exceed ``extension_core.BYTE_BUDGET``.
+D is strictly increasing in n, so an effective channel fixes the whole
+construction: K is ``eff.users`` and n is ``exponent_cap(K, eff.dim)``. The
+sizes are exact integers (``cascade_order``, ``effective_dim``,
+``exponent_cap``), so asymptotic sizes cost nothing. The product columns are
+built as one row-wise Kronecker (face-splitting) product of per-generator
+power tables, and construction is refused up front when the complex128
+precoders would exceed ``extension_core.BYTE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -29,40 +32,45 @@ DOUBLE_LAYER = "double"
 LAYERS = (SINGLE_LAYER, DOUBLE_LAYER)
 
 
-@dataclass(frozen=True)
-class PrecoderConfig:
-    """Sizing for one alignment construction.
+def cascade_order(users: int) -> int:
+    """Count N = (users-1)(users-2) - 1 of cascade generators."""
+    if users < 3:
+        raise ParameterError(f"need at least 3 users, got {users}")
+    return (users - 1) * (users - 2) - 1
 
-    ``exponent_cap`` is the symmetric exponent bound n. The derived sizes are
-    exact integer properties: ``cascade_order`` is the count N of cascade
-    generators, ``effective_dim`` the per-layer dimension
-    D = (n+1)^N + n^N, and ``extension_length`` the raw slot count T (equal
-    to D for a single layer, 2D for the double layer).
+
+def effective_dim(users: int, n: int) -> int:
+    """Per-layer signal-space dimension D = (n+1)^N + n^N, as an exact integer.
+
+    Every D is odd, since one of n and n + 1 is even.
     """
+    order = cascade_order(users)
+    if n < 1:
+        raise ParameterError(f"exponent cap must be >= 1, got {n}")
+    return (n + 1) ** order + n**order
 
-    users: int
-    exponent_cap: int
-    layer: str
 
-    def __post_init__(self) -> None:
-        if self.users < 3:
-            raise ParameterError(f"need at least 3 users, got {self.users}")
-        if self.exponent_cap < 1:
-            raise ParameterError(f"exponent cap must be >= 1, got {self.exponent_cap}")
-        if self.layer not in LAYERS:
-            raise ParameterError(f"unknown layer tag {self.layer!r}")
+def exponent_cap(users: int, dim: int) -> int:
+    """The exponent cap n >= 1 with ``effective_dim(users, n) == dim``.
 
-    @property
-    def cascade_order(self) -> int:
-        return (self.users - 1) * (self.users - 2) - 1
+    D grows strictly with n and n^N < D, so a bisection over
+    1 <= n < 2^(bits(D) // N + 1) finds it in exact integers.
 
-    @property
-    def effective_dim(self) -> int:
-        return (self.exponent_cap + 1) ** self.cascade_order + self.exponent_cap**self.cascade_order
-
-    @property
-    def extension_length(self) -> int:
-        return self.effective_dim if self.layer == SINGLE_LAYER else 2 * self.effective_dim
+    Raises
+    ------
+    ParameterError
+        If no n >= 1 gives a signal space of dimension ``dim``.
+    """
+    lo, hi = 1, 1 << (dim.bit_length() // cascade_order(users) + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if effective_dim(users, mid) < dim:
+            lo = mid + 1
+        else:
+            hi = mid
+    if effective_dim(users, lo) != dim:
+        raise ParameterError(f"no exponent cap n >= 1 gives {users} users a dimension of {dim}")
+    return lo
 
 
 def cascade_pairs(users: int) -> list[tuple[int, int]]:
@@ -81,48 +89,24 @@ def cascade_pairs(users: int) -> list[tuple[int, int]]:
     ]
 
 
-def make_config(users: int, n: int, layer: str) -> PrecoderConfig:
-    """Size an alignment construction for ``users`` pairs and exponent cap ``n``.
-
-    All arithmetic is exact integer arithmetic, so the huge dimensions of the
-    asymptotic regime (for example users=5, n=82) are represented without
-    rounding; only explicit construction is capped, by the byte budget.
-    """
-    return PrecoderConfig(users=users, exponent_cap=n, layer=layer)
-
-
-def _check_byte_budget(config: PrecoderConfig) -> None:
-    """Refuse a construction whose complex128 precoders would exceed the byte budget.
-
-    The precoders hold D x ((n+1)^N + (K-1) n^N) entries; the closed-form
-    accounting covers the asymptotic regime without them.
-    """
-    n, order = config.exponent_cap, config.cascade_order
-    columns = (n + 1) ** order + (config.users - 1) * n**order
-    check_byte_budget(
-        16 * config.effective_dim * columns, f"precoders for {config.users} users at n={n}"
-    )
-
-
-def enumerate_tuples(config: PrecoderConfig, cap: int) -> np.ndarray:
+def enumerate_tuples(users: int, cap: int) -> np.ndarray:
     """Every exponent vector with entries in 0..cap, one per row, lexicographically.
 
-    Columns follow ``cascade_pairs(config.users)``. ``cap`` must be the
-    configured exponent cap n (user 1's family) or n - 1 (user 3's family).
+    Columns follow ``cascade_pairs(users)``. User 1's precoder columns follow
+    the rows for cap n, every other user's the rows for cap n - 1.
 
     Raises
     ------
     ParameterError
-        If ``cap`` is neither n nor n - 1.
+        If ``users`` < 3 or ``cap`` < 0.
     CapacityError
-        If the configured precoders exceed ``extension_core.BYTE_BUDGET``.
+        If the int64 array would exceed ``extension_core.BYTE_BUDGET``.
     """
-    if cap not in (config.exponent_cap, config.exponent_cap - 1):
-        raise ParameterError(
-            f"cap {cap} is neither the exponent cap {config.exponent_cap} nor one below it"
-        )
-    _check_byte_budget(config)
-    order = config.cascade_order
+    order = cascade_order(users)
+    if cap < 0:
+        raise ParameterError(f"cap must be >= 0, got {cap}")
+    rows = (cap + 1) ** order
+    check_byte_budget(8 * order * rows, f"{rows} exponent tuples of length {order}")
     return np.indices((cap + 1,) * order).reshape(order, -1).T
 
 
@@ -168,10 +152,10 @@ class PrecoderSet:
     """Per-user precoder matrices over one effective signal space.
 
     ``precoders[k]`` is the D x d_k complex matrix for 1-based user k with
-    unit-norm columns, keyed in ascending user order. For the configuration
-    it was built with, user 1's columns follow the rows of
-    ``enumerate_tuples(config, n)`` and every other user's the rows of
-    ``enumerate_tuples(config, n - 1)``. Sizes are read off the matrices.
+    unit-norm columns, keyed in ascending user order. User 1's columns
+    follow the rows of ``enumerate_tuples(users, n)`` and every other user's
+    the rows of ``enumerate_tuples(users, n - 1)``. Sizes are read off the
+    matrices.
     """
 
     precoders: dict[int, np.ndarray]
@@ -196,8 +180,11 @@ class PrecoderSet:
         return 2 if receiver == 1 else 1
 
 
-def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSet:
-    """Build the cascade-product precoders for every user.
+def build_precoders(eff: EffectiveChannel) -> PrecoderSet:
+    """Build the cascade-product precoders for every user of ``eff``.
+
+    The exponent cap is read off the channel, ``n = exponent_cap(eff.users,
+    eff.dim)``.
 
     User 1's columns are ``prod T_kl^{e_kl} @ ones`` over all exponent tuples
     with entries up to n; user 3's are the cap n - 1 tuples behind the prefix
@@ -207,20 +194,11 @@ def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSe
     is one row-wise Kronecker product of those tables, so the work stays
     linear in D times the column count for fixed (users, n).
 
-    Parameters
-    ----------
-    eff : EffectiveChannel
-        Must satisfy ``eff.dim == config.effective_dim``.
-    config : PrecoderConfig
-
-    Returns
-    -------
-    PrecoderSet
-
     Raises
     ------
     ParameterError
-        On any dimension mismatch between ``eff`` and ``config``.
+        If ``eff.dim`` is no construction's dimension, for example a
+        double-length channel under single-layer coding (every D is odd).
     CapacityError
         If the precoders would exceed ``extension_core.BYTE_BUDGET``; checked before
         anything is allocated.
@@ -228,13 +206,11 @@ def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSe
         If a cascade degenerates numerically, or a column norm overflows or
         vanishes.
     """
-    if eff.users != config.users:
-        raise ParameterError(f"user count {eff.users} != configured {config.users}")
-    if eff.dim != config.effective_dim:
-        raise ParameterError(f"effective dim {eff.dim} != configured {config.effective_dim}")
-    _check_byte_budget(config)
-    cap = config.exponent_cap
-    dim = eff.dim
+    users, dim = eff.users, eff.dim
+    cap = exponent_cap(users, dim)
+    # D x ((n+1)^N + (K-1) n^N) entries, that is D + (K-2) n^N columns
+    columns = dim + (users - 2) * cap ** cascade_order(users)
+    check_byte_budget(16 * dim * columns, f"precoders for {users} users at n={cap}")
     cascades = build_cascades(eff)
     # T_kl^e for e = 0..cap, multiplied up one power at a time (a cumulative
     # product rounds differently).
@@ -247,7 +223,7 @@ def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSe
         tables.append(table)
 
     def power_products(top: int) -> np.ndarray:
-        # One column per row of enumerate_tuples(config, top). The output is
+        # One column per row of enumerate_tuples(users, top). The output is
         # forced to C order: the column norms below round differently when
         # each column is contiguous.
         out = np.ones((dim, 1), dtype=complex)
@@ -259,7 +235,7 @@ def build_precoders(eff: EffectiveChannel, config: PrecoderConfig) -> PrecoderSe
     # the user-3 prefix H_21 H_23^-1 is not one of the cascades
     prefix = eff.diagonal(2, 1) / eff.diagonal(2, 3)
     raw = {1: power_products(cap), 3: prefix[:, None] * power_products(cap - 1)}
-    for i in range(2, config.users + 1):
+    for i in range(2, users + 1):
         if i != 3:
             raw[i] = (eff.diagonal(1, 3) / eff.diagonal(1, i))[:, None] * raw[3]
 
@@ -287,11 +263,10 @@ def closed_form_dof(users: int, n: int, layer: str) -> Fraction:
     arithmetic is exact, so users=5 layers at n in the tens of thousands are
     still cheap.
     """
-    config = make_config(users, n, layer)
-    order = config.cascade_order
-    hi = (n + 1) ** order
-    lo = n**order
-    dof = Fraction(hi + (users - 1) * lo, hi + lo)
+    if layer not in LAYERS:
+        raise ParameterError(f"unknown layer tag {layer!r}")
+    dim = effective_dim(users, n)
+    dof = Fraction(dim + (users - 2) * n ** cascade_order(users), dim)
     if layer == DOUBLE_LAYER:
         dof = dof / 2
     return dof

@@ -16,9 +16,10 @@ All output is deterministic for the recorded seed: CSV files are UTF-8 with
 LF line endings, floats printed to 6 significant digits (exact-dof floats to
 6 decimal places), so reruns are byte-identical. Exit status is 0 on
 success, 2 on a flag parsing problem (including any flag the experiment does
-not read, ``--n`` together with ``--n-range``, and flags that could never
-run), and 1 when a module rejects the run. The CSV is written only after
-every row is computed, so a failed run leaves the output path as it was.
+not read, ``--n`` together with ``--n-range``, a negative ``--seed``, and
+flags that could never run), and 1 when a module rejects the run. The CSV
+is written only after every row is computed, so a failed run leaves the
+output path as it was.
 
 SNR is defined against unit-variance receiver noise: at ``--snr`` point
 ``s`` dB each user's expected transmit power per raw slot is ``10**(s/10)``.
@@ -37,10 +38,9 @@ from .cj_precoder import (
     DOUBLE_LAYER,
     LAYERS,
     SINGLE_LAYER,
-    PrecoderConfig,
     build_cascades,
     closed_form_dof,
-    make_config,
+    effective_dim,
 )
 from .errors import ParameterError, SymextiaError
 from .extension_core import (
@@ -49,6 +49,7 @@ from .extension_core import (
     CONSTANT,
     DOUBLE,
     NAIVE,
+    SLOT_FOLD,
     SLOW_CHANGING,
     ChannelSet,
     generate_channels,
@@ -196,6 +197,9 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
         )
     if trials < 1:
         raise ParameterError(f"--trials must be >= 1, got {trials}")
+    seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {seed}")
     snr_db = _parse_snr(snr_text)
     if args.experiment == "figure1" and len(snr_db) < 2:
         raise ParameterError(
@@ -212,7 +216,7 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
         coding=coding,
         snr_db=snr_db,
         trials=trials,
-        seed=args.seed if args.seed is not None else 0,
+        seed=seed,
         output_path=args.out if args.out is not None else f"{args.experiment}.csv",
     )
 
@@ -224,23 +228,20 @@ def _run_dof_table(spec: ExperimentSpec) -> Iterator[list]:
         yield [spec.users, n, spec.layer, dof.numerator, dof.denominator, f"{float(dof):.6f}"]
 
 
-def _row_channels(spec: ExperimentSpec, row: int) -> tuple[PrecoderConfig, ChannelSet]:
-    config = make_config(spec.users, spec.n, spec.layer)
-    channels = generate_channels(
-        spec.users, config.extension_length, spec.channel_model,
-        subseed(spec.seed, _NS_CHANNELS, row),
+def _channels(spec: ExperimentSpec, coding: str, *key: int) -> ChannelSet:
+    """Channels sized for ``coding``'s layers at (users, n), drawn from ``key``."""
+    return generate_channels(
+        spec.users, SLOT_FOLD[coding] * effective_dim(spec.users, spec.n), spec.channel_model,
+        subseed(spec.seed, _NS_CHANNELS, *key),
     )
-    return config, channels
 
 
 def _run_verify(spec: ExperimentSpec) -> Iterator[list]:
     yield ["row", "seed", "users", "n", "layer", "channel", "coding",
            "max_residual", "min_rank", "required_rank", "min_margin", "verdict"]
     for row in range(spec.trials):
-        config, channels = _row_channels(spec, row)
-        _, eff, pre, _ = draw_realization(
-            channels, spec.coding, config, subseed(spec.seed, _NS_LINK, row)
-        )
+        channels = _channels(spec, spec.coding, row)
+        _, eff, pre, _ = draw_realization(channels, spec.coding, subseed(spec.seed, _NS_LINK, row))
         report = check_alignment(eff, pre)
         ranks = report.rank_results.values()
         yield [row, spec.seed, spec.users, spec.n, spec.layer, spec.channel_model, spec.coding,
@@ -253,9 +254,9 @@ def _run_audit(spec: ExperimentSpec) -> Iterator[list]:
     yield ["row", "seed", "quantity", "min_relative_gap", "flagged"]
     for row in range(spec.trials):
         # the audit reads the cascades only, so a draw is usable once they build
-        _, channels = _row_channels(spec, row)
         _, _, cascades, _ = draw_until_built(
-            channels, spec.coding, subseed(spec.seed, _NS_LINK, row), build_cascades
+            _channels(spec, spec.coding, row), spec.coding, subseed(spec.seed, _NS_LINK, row),
+            build_cascades,
         )
         audit = distinctness_audit(cascades)
         for (k, l), gap in sorted(audit.lambda_gaps.items()):
@@ -267,20 +268,15 @@ def _run_audit(spec: ExperimentSpec) -> Iterator[list]:
 def _run_figure1(spec: ExperimentSpec) -> Iterator[list]:
     yield ["snr_db", "coding", "sum_rate_bits_per_use", "dof_estimate", "trials", "seed"]
     for idx, coding in enumerate((NAIVE, DOUBLE)):
-        layer = DOUBLE_LAYER if coding == DOUBLE else SINGLE_LAYER
-        config = make_config(spec.users, spec.n, layer)
         # constant-model draws share the same base matrix across both
         # extension lengths, so the two codings see one physical channel
-        channels = generate_channels(
-            spec.users, config.extension_length, spec.channel_model,
-            subseed(spec.seed, _NS_CHANNELS),
-        )
+        channels = _channels(spec, coding)
         link = LinkConfig(
             snr_points_db=spec.snr_db,
             trials=spec.trials,
             seed=subseed(spec.seed, _NS_LINK, idx),
         )
-        result = simulate_link(channels, coding, config, link)
+        result = simulate_link(channels, coding, link)
         for snr in spec.snr_db:
             yield [_fmt(snr), coding, _fmt(result.sum_rate[snr]), _fmt(result.dof_estimate),
                    spec.trials, spec.seed]
@@ -307,6 +303,8 @@ def run_experiment(spec: ExperimentSpec) -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         spec = parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        return exc.code
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -64,7 +64,14 @@ def subseed(seed: int, *key: int) -> int:
     Distinct key paths give statistically independent substreams, which keeps
     channel draws, gain draws, and per-trial noise decoupled even when they
     share one experiment seed.
+
+    Raises
+    ------
+    ParameterError
+        If ``seed`` or any key is negative.
     """
+    if min((seed, *key)) < 0:
+        raise ParameterError(f"seed and key must be non-negative, got {seed} and {key}")
     seq = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -180,10 +187,16 @@ class GainPlan:
                 raise ParameterError(f"{name} must be nonzero")
 
 
+def slot_fold(coding: str) -> int:
+    """Raw slots summed into each effective entry; ParameterError for an unknown ``coding``."""
+    if coding not in SLOT_FOLD:
+        raise ParameterError(f"unknown coding mode {coding!r}")
+    return SLOT_FOLD[coding]
+
+
 def _check_coding(coding: str, channels: ChannelSet, gains: GainPlan | None) -> int:
     """Check that ``coding`` can fold ``channels`` with ``gains``; return its fold."""
-    if coding not in CODING_MODES:
-        raise ParameterError(f"unknown coding mode {coding!r}")
+    fold = slot_fold(coding)
     if coding == PLAIN:
         if gains is not None:
             raise ParameterError("plain coding takes no gain plan")
@@ -193,7 +206,6 @@ def _check_coding(coding: str, channels: ChannelSet, gains: GainPlan | None) -> 
         raise ParameterError(
             f"gain plan shape {gains.alpha.shape} != channel shape ({channels.users}, {channels.slots})"
         )
-    fold = SLOT_FOLD[coding]
     if channels.slots % fold:
         raise ParameterError(f"{coding} coding requires a slot count divisible by {fold}")
     return fold

@@ -9,6 +9,9 @@ pre-whiten the colored combined noise, and zero-force on the aligned
 composite (desired block next to the aligned-interference basis) via a
 pseudoinverse. How slots fold is read from ``EffectiveChannel`` (``fold``,
 ``tx_gains``, ``rx_gains``), so nothing here branches on the coding mode.
+The channels and the coding fix the construction: ``build_precoders`` reads
+the user count and the exponent cap off each effective channel, so a slot
+count that no construction has is a ``ParameterError`` from the first draw.
 
 One zero-forcer serves both receivers: the analytic rates of
 ``simulate_link`` and the sampled ``run_symbol_chain`` build the same
@@ -35,17 +38,16 @@ from typing import TypeVar
 
 import numpy as np
 
-from .cj_precoder import DOUBLE_LAYER, PrecoderConfig, PrecoderSet, build_precoders
+from .cj_precoder import PrecoderSet, build_precoders
 from .errors import DegenerateRealizationError, ParameterError, SimulationError
 from .extension_core import (
-    DOUBLE,
     PLAIN,
-    CODING_MODES,
     ChannelSet,
     EffectiveChannel,
     GainPlan,
     build_effective,
     generate_gains,
+    slot_fold,
     subseed,
 )
 
@@ -117,19 +119,6 @@ class ChainSample:
     redraws: int
 
 
-def _check_setup(channels: ChannelSet, coding: str, config: PrecoderConfig) -> None:
-    if coding not in CODING_MODES:
-        raise ParameterError(f"unknown coding mode {coding!r}")
-    if channels.users != config.users:
-        raise ParameterError(f"channel users {channels.users} != configured {config.users}")
-    if channels.slots != config.extension_length:
-        raise ParameterError(
-            f"channel slots {channels.slots} != configured extension length {config.extension_length}"
-        )
-    if (coding == DOUBLE) != (config.layer == DOUBLE_LAYER):
-        raise ParameterError(f"coding {coding!r} does not match layer {config.layer!r}")
-
-
 def draw_until_built(
     channels: ChannelSet,
     coding: str,
@@ -170,15 +159,13 @@ def draw_until_built(
 
 
 def draw_realization(
-    channels: ChannelSet, coding: str, config: PrecoderConfig, base_seed: int, trial: int = 0
+    channels: ChannelSet, coding: str, base_seed: int, trial: int = 0
 ) -> tuple[GainPlan | None, EffectiveChannel, PrecoderSet, int]:
     """Draw gains (when needed) until the precoders build, counting redraws.
 
     Returns ``(gains, effective, precoders, redraws)``; see ``draw_until_built``.
     """
-    return draw_until_built(
-        channels, coding, base_seed, lambda eff: build_precoders(eff, config), trial
-    )
+    return draw_until_built(channels, coding, base_seed, build_precoders, trial)
 
 
 def effective_noise_std(eff: EffectiveChannel, receiver: int) -> np.ndarray:
@@ -314,9 +301,7 @@ def _hat_rows(effs: Sequence[EffectiveChannel], pres: Sequence[PrecoderSet]) -> 
     return np.array([list(_scale_hats(pre, eff).values()) for eff, pre in zip(effs, pres)])
 
 
-def simulate_link(
-    channels: ChannelSet, coding: str, config: PrecoderConfig, link: LinkConfig
-) -> LinkResult:
+def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkResult:
     """Average per-user and sum rates over seeded gain realizations.
 
     For each trial one gain plan is drawn (redrawing on degenerate paired
@@ -338,23 +323,23 @@ def simulate_link(
     Raises
     ------
     ParameterError
-        If the channel set, coding mode, and precoder configuration disagree.
+        If the coding mode is unknown, cannot fold the channel's slots, or
+        leaves an effective dimension that no construction has.
     SimulationError
         If some trial stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
-    _check_setup(channels, coding, config)
     slots = channels.slots
     users = channels.users
     powers = np.array([10.0 ** (snr / 10.0) for snr in link.snr_points_db])
     sum_acc = {snr: 0.0 for snr in link.snr_points_db}
     user_acc = {snr: np.zeros(users) for snr in link.snr_points_db}
     failures = 0
-    chunk = max(1, ZF_STACK_BYTES // (16 * config.effective_dim**2))
+    chunk = max(1, ZF_STACK_BYTES // (16 * (slots // slot_fold(coding)) ** 2))
 
     for start in range(0, link.trials, chunk):
         _, effs, pres, redraws = zip(
             *(
-                draw_realization(channels, coding, config, link.seed, trial)
+                draw_realization(channels, coding, link.seed, trial)
                 for trial in range(start, min(start + chunk, link.trials))
             )
         )
@@ -395,7 +380,6 @@ def estimate_dof(sum_rate: dict[float, float]) -> float:
 def run_symbol_chain(
     channels: ChannelSet,
     coding: str,
-    config: PrecoderConfig,
     power: float,
     seed: int,
     blocks: int = 1,
@@ -412,13 +396,20 @@ def run_symbol_chain(
     amplitude, so noise-free estimates equal the symbols up to the
     composite's conditioning). Useful for testing power accounting,
     combining statistics, and noise-free decodability.
+
+    Raises
+    ------
+    ParameterError
+        If ``blocks`` < 1, ``power`` is not positive, or the channels and
+        coding have no construction (as in ``simulate_link``).
+    SimulationError
+        If the draw stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
-    _check_setup(channels, coding, config)
     if blocks < 1:
         raise ParameterError(f"blocks must be >= 1, got {blocks}")
     if not power > 0:
         raise ParameterError(f"power must be positive, got {power}")
-    _, eff, pre, redraws = draw_realization(channels, coding, config, seed, trial=0)
+    _, eff, pre, redraws = draw_realization(channels, coding, seed)
     rng = np.random.default_rng(subseed(seed, _NS_CHAIN))
     slots = channels.slots
 

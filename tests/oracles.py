@@ -230,7 +230,7 @@ def _per_trial_receiver_terms(eff, pre, receiver: int, hats: dict):
     return signal, cross, noise
 
 
-def per_trial_simulate_link(channels, coding: str, config, link) -> LinkResult:
+def per_trial_simulate_link(channels, coding: str, link) -> LinkResult:
     """``simulate_link`` as one pseudoinverse per trial and receiver.
 
     The trial-at-a-time loop the stacked receiver terms replaced, with its
@@ -243,7 +243,7 @@ def per_trial_simulate_link(channels, coding: str, config, link) -> LinkResult:
     failures = 0
 
     for trial in range(link.trials):
-        _, eff, pre, redraws = draw_realization(channels, coding, config, link.seed, trial)
+        _, eff, pre, redraws = draw_realization(channels, coding, link.seed, trial)
         failures += redraws
         hats = _per_trial_scale_hats(pre, eff)
         terms = {k: _per_trial_receiver_terms(eff, pre, k, hats) for k in range(1, users + 1)}

@@ -16,8 +16,8 @@ from symextia import (
     check_alignment,
     closed_form_dof,
     draw_realization,
+    effective_dim,
     generate_channels,
-    make_config,
     numerical_rank,
     simulate_link,
 )
@@ -33,14 +33,13 @@ def _report(name: str, failures: list[str]) -> None:
 
 def _alignment_sweep(users, n, coding, model, seeds):
     """Alignment reports for `seeds` independent channel and gain draws."""
-    layer = "double" if coding == "double" else "single"
-    cfg = make_config(users, n, layer)
+    slots = (2 if coding == "double" else 1) * effective_dim(users, n)
     reports = []
     for seed in range(seeds):
-        channels = generate_channels(users, cfg.extension_length, model, seed)
-        _, eff, pre, _ = draw_realization(channels, coding, cfg, seed)
+        channels = generate_channels(users, slots, model, seed)
+        _, eff, pre, _ = draw_realization(channels, coding, seed)
         reports.append((eff, pre, check_alignment(eff, pre)))
-    return cfg, reports
+    return reports
 
 
 def test_criterion_1_closed_form_dof():
@@ -60,7 +59,7 @@ def test_criterion_1_closed_form_dof():
 
 def test_criterion_2_naive_collapse_on_constant_channels():
     failures = []
-    cfg, reports = _alignment_sweep(3, 2, "naive", "constant", seeds=100)
+    reports = _alignment_sweep(3, 2, "naive", "constant", seeds=100)
     for seed, (eff, pre, report) in enumerate(reports):
         for pair, diag in build_cascades(eff).matrices.items():
             spread = float(np.max(np.abs(diag - diag.mean())) / np.abs(diag.mean()))
@@ -75,18 +74,18 @@ def test_criterion_2_naive_collapse_on_constant_channels():
 
 def test_criterion_3_double_layer_succeeds_on_constant_channels():
     failures = []
-    cfg, reports = _alignment_sweep(3, 2, "double", "constant", seeds=100)
+    reports = _alignment_sweep(3, 2, "double", "constant", seeds=100)
     for seed, (eff, pre, report) in enumerate(reports):
         worst = max(report.residuals.values())
         if worst > 1e-8:
             failures.append(f"seed {seed}: residual {worst:.2e}")
-        if any(r.rank != cfg.effective_dim for r in report.rank_results.values()):
-            failures.append(f"seed {seed}: rank below {cfg.effective_dim}")
+        if any(r.rank != effective_dim(3, 2) for r in report.rank_results.values()):
+            failures.append(f"seed {seed}: rank below {effective_dim(3, 2)}")
         if report.verdict != "pass":
             failures.append(f"seed {seed}: verdict {report.verdict}")
-    channels = generate_channels(3, cfg.extension_length, "constant", 7)
+    channels = generate_channels(3, 10, "constant", 7)
     link = LinkConfig(snr_points_db=(50.0, 60.0), trials=100, seed=7)
-    dof = simulate_link(channels, "double", cfg, link).dof_estimate
+    dof = simulate_link(channels, "double", link).dof_estimate
     if abs(dof - 0.7) > 0.05:
         failures.append(f"simulated dof {dof:.4f} outside 0.7 +/- 0.05")
     _report(
@@ -97,13 +96,13 @@ def test_criterion_3_double_layer_succeeds_on_constant_channels():
 
 def test_criterion_4_double_layer_succeeds_on_slow_changing_channels():
     failures = []
-    cfg, reports = _alignment_sweep(3, 2, "double", "slow_changing", seeds=100)
+    reports = _alignment_sweep(3, 2, "double", "slow_changing", seeds=100)
     for seed, (eff, pre, report) in enumerate(reports):
         worst = max(report.residuals.values())
         if worst > 1e-8:
             failures.append(f"seed {seed}: residual {worst:.2e}")
-        if any(r.rank != cfg.effective_dim for r in report.rank_results.values()):
-            failures.append(f"seed {seed}: rank below {cfg.effective_dim}")
+        if any(r.rank != effective_dim(3, 2) for r in report.rank_results.values()):
+            failures.append(f"seed {seed}: rank below {effective_dim(3, 2)}")
         if report.verdict != "pass":
             failures.append(f"seed {seed}: verdict {report.verdict}")
     _report("criterion 4: double layer passes identically on slow-changing channels", failures[:5])
@@ -111,17 +110,17 @@ def test_criterion_4_double_layer_succeeds_on_slow_changing_channels():
 
 def test_criterion_5_plain_coding_keeps_full_dof_on_iid_channels():
     failures = []
-    cfg, reports = _alignment_sweep(3, 2, "plain", "iid", seeds=100)
+    reports = _alignment_sweep(3, 2, "plain", "iid", seeds=100)
     for seed, (eff, pre, report) in enumerate(reports):
         if report.verdict != "pass":
             failures.append(f"seed {seed}: verdict {report.verdict}")
-        if any(r.rank != cfg.effective_dim for r in report.rank_results.values()):
-            failures.append(f"seed {seed}: rank below {cfg.effective_dim}")
+        if any(r.rank != effective_dim(3, 2) for r in report.rank_results.values()):
+            failures.append(f"seed {seed}: rank below {effective_dim(3, 2)}")
     link = LinkConfig(snr_points_db=(50.0, 60.0), trials=1, seed=0)
     mean_rates = {50.0: 0.0, 60.0: 0.0}
     for seed in range(100):
-        channels = generate_channels(3, cfg.extension_length, "iid", seed)
-        result = simulate_link(channels, "plain", cfg, link)
+        channels = generate_channels(3, 5, "iid", seed)
+        result = simulate_link(channels, "plain", link)
         for snr in mean_rates:
             mean_rates[snr] += result.sum_rate[snr] / 100.0
     dof = slope_between(mean_rates, 50.0, 60.0)
@@ -132,9 +131,9 @@ def test_criterion_5_plain_coding_keeps_full_dof_on_iid_channels():
 
 def test_criterion_6_four_user_double_layer():
     failures = []
-    cfg, reports = _alignment_sweep(4, 1, "double", "constant", seeds=20)
-    if cfg.effective_dim != 33:
-        failures.append(f"effective dim {cfg.effective_dim} != 33")
+    reports = _alignment_sweep(4, 1, "double", "constant", seeds=20)
+    if effective_dim(4, 1) != 33:
+        failures.append(f"effective dim {effective_dim(4, 1)} != 33")
     for seed, (eff, pre, report) in enumerate(reports):
         worst = max(report.residuals.values())
         if worst > 1e-8:
@@ -146,10 +145,9 @@ def test_criterion_6_four_user_double_layer():
 
 def test_criterion_7_cascade_eigenvalues_match_scalar_oracle():
     failures = []
-    cfg = make_config(3, 2, "double")
     for seed in range(20):
-        channels = generate_channels(3, cfg.extension_length, "constant", seed)
-        gains, eff, _, _ = draw_realization(channels, "double", cfg, seed)
+        channels = generate_channels(3, 10, "constant", seed)
+        gains, eff, _, _ = draw_realization(channels, "double", seed)
         cascades = build_cascades(eff)
         lam_oracle = scalar_lambda_32(channels, gains)
         kap_oracle = scalar_kappa(channels, gains)

@@ -16,9 +16,9 @@ from symextia import (
     check_alignment,
     distinctness_audit,
     draw_realization,
+    effective_dim,
     enumerate_tuples,
     generate_channels,
-    make_config,
     min_relative_gap,
     numerical_rank,
     orthonormal_basis,
@@ -61,11 +61,9 @@ _GAP_FAMILIES = st.one_of(
 
 
 def _double_setup(seed, model="constant", users=3, n=2):
-    layer = "double"
-    cfg = make_config(users, n, layer)
-    ch = generate_channels(users, cfg.extension_length, model, subseed(seed, 2))
-    gains, eff, pre, _ = draw_realization(ch, "double", cfg, subseed(seed, 3))
-    return cfg, eff, pre
+    ch = generate_channels(users, 2 * effective_dim(users, n), model, subseed(seed, 2))
+    gains, eff, pre, _ = draw_realization(ch, "double", subseed(seed, 3))
+    return eff, pre
 
 
 class TestNumericalRank:
@@ -111,9 +109,9 @@ class TestMinRelativeGap:
         # generic double cascades, the naive collapse (gaps near 0) and plain i.i.d.
         for users, n, coding, model in ((4, 2, "double", "constant"), (3, 5, "naive", "constant"),
                                         (3, 10, "plain", "iid")):
-            cfg = make_config(users, n, "double" if coding == "double" else "single")
-            ch = generate_channels(users, cfg.extension_length, model, 4)
-            _, eff, _, _ = draw_realization(ch, coding, cfg, 5)
+            slots = (2 if coding == "double" else 1) * effective_dim(users, n)
+            ch = generate_channels(users, slots, model, 4)
+            _, eff, _, _ = draw_realization(ch, coding, 5)
             cascades = build_cascades(eff)
             for diag in [*cascades.matrices.values(), cascades.kappa]:
                 assert min_relative_gap(diag) == dense_min_relative_gap(diag)
@@ -147,12 +145,12 @@ class TestDoubleLayerAlignment:
         worst_residual = 0.0
         worst_margin = float("inf")
         for seed in range(100):
-            cfg, eff, pre = _double_setup(seed)
+            eff, pre = _double_setup(seed)
             report = check_alignment(eff, pre)
             assert report.verdict == "pass"
             worst_residual = max(worst_residual, max(report.residuals.values()))
             for result in report.rank_results.values():
-                assert result.rank == result.required == cfg.effective_dim
+                assert result.rank == result.required == effective_dim(3, 2)
                 assert result.margin > result.threshold
                 worst_margin = min(worst_margin, result.margin)
         assert worst_residual <= 1e-10
@@ -161,13 +159,13 @@ class TestDoubleLayerAlignment:
 
     def test_slow_changing_passes(self):
         for seed in range(100):
-            _, eff, pre = _double_setup(seed, model="slow_changing")
+            eff, pre = _double_setup(seed, model="slow_changing")
             report = check_alignment(eff, pre)
             assert report.verdict == "pass"
             assert max(report.residuals.values()) <= 1e-10
 
     def test_four_users_pass(self):
-        cfg, eff, pre = _double_setup(0, users=4, n=1)
+        eff, pre = _double_setup(0, users=4, n=1)
         report = check_alignment(eff, pre)
         assert report.verdict == "pass"
         assert all(r.rank == 33 for r in report.rank_results.values())
@@ -177,13 +175,13 @@ class TestDoubleLayerAlignment:
 
     def test_receiver1_composite_is_square_full_rank(self):
         for seed in range(100):
-            cfg, eff, pre = _double_setup(seed)
+            eff, pre = _double_setup(seed)
             composite = receiver_composite(eff, pre, 1)
-            assert composite.shape == (cfg.effective_dim, cfg.effective_dim)
-            assert numerical_rank(composite)[0] == cfg.effective_dim
+            assert composite.shape == (5, 5)
+            assert numerical_rank(composite)[0] == 5
 
     def test_misaligned_precoders_leave_large_residuals(self):
-        _, eff, pre = _double_setup(5)
+        eff, pre = _double_setup(5)
         rng = np.random.default_rng(11)
         random_cols = {
             user: rng.standard_normal((pre.dim, mat.shape[1]))
@@ -202,7 +200,7 @@ class TestDoubleLayerAlignment:
         assert max(containment) > 0.1
 
     def test_scale_invariance_of_checks(self):
-        _, eff, pre = _double_setup(6)
+        eff, pre = _double_setup(6)
         rng = np.random.default_rng(0)
         scaled = {}
         for user, mat in pre.precoders.items():
@@ -220,7 +218,7 @@ class TestDoubleLayerAlignment:
             assert rescaled.rank_results[k].rank == base.rank_results[k].rank
 
     def test_tolerance_is_honored(self, monkeypatch):
-        _, eff, pre = _double_setup(1)
+        eff, pre = _double_setup(1)
         assert check_alignment(eff, pre).verdict == "pass"
         monkeypatch.setattr(align_verify, "RESIDUAL_TOL", 1e-18)
         assert check_alignment(eff, pre).verdict == "fail"
@@ -228,10 +226,9 @@ class TestDoubleLayerAlignment:
 
 class TestNaiveCollapse:
     def test_constant_channel_fails_by_rank(self):
-        cfg = make_config(3, 2, "single")
         for seed in range(10):
-            ch = generate_channels(3, cfg.extension_length, "constant", subseed(seed, 2))
-            _, eff, pre, _ = draw_realization(ch, "naive", cfg, subseed(seed, 3))
+            ch = generate_channels(3, 5, "constant", subseed(seed, 2))
+            _, eff, pre, _ = draw_realization(ch, "naive", subseed(seed, 3))
             report = check_alignment(eff, pre)
             assert report.verdict == "fail"
             assert numerical_rank(pre.precoders[1])[0] == 1
@@ -241,10 +238,9 @@ class TestNaiveCollapse:
             assert report.rank_results[1].rank <= 3
 
     def test_audit_flags_cascades_but_not_kappa(self):
-        cfg = make_config(3, 2, "single")
         for seed in range(100):
-            ch = generate_channels(3, cfg.extension_length, "constant", subseed(seed, 2))
-            _, eff, _, _ = draw_realization(ch, "naive", cfg, subseed(seed, 3))
+            ch = generate_channels(3, 5, "constant", subseed(seed, 2))
+            _, eff, _, _ = draw_realization(ch, "naive", subseed(seed, 3))
             audit = distinctness_audit(build_cascades(eff))
             assert audit.flagged == ("T_3_2",)
             assert audit.kappa_gap > align_verify.DISTINCTNESS_TOL
@@ -252,12 +248,9 @@ class TestNaiveCollapse:
 
 class TestPlainCoding:
     def test_iid_channels_pass(self):
-        cfg = make_config(3, 2, "single")
         for seed in range(10):
-            eff = build_effective(
-                generate_channels(3, cfg.extension_length, "iid", seed), None, "plain"
-            )
-            pre = build_precoders(eff, cfg)
+            eff = build_effective(generate_channels(3, 5, "iid", seed), None, "plain")
+            pre = build_precoders(eff)
             report = check_alignment(eff, pre)
             assert report.verdict == "pass"
             assert numerical_rank(pre.precoders[1])[0] == pre.stream_counts[1]
@@ -265,26 +258,20 @@ class TestPlainCoding:
     def test_three_dim_extension_stays_well_conditioned(self):
         # K=3, n=1 fits in three slots; the direct precoder keeps a healthy
         # smallest singular value and the composite never loses rank
-        cfg = make_config(3, 1, "single")
         smallest = float("inf")
         for seed in range(100):
-            eff = build_effective(
-                generate_channels(3, cfg.extension_length, "iid", seed), None, "plain"
-            )
-            pre = build_precoders(eff, cfg)
+            eff = build_effective(generate_channels(3, 3, "iid", seed), None, "plain")
+            pre = build_precoders(eff)
             sigma = np.linalg.svd(pre.precoders[1], compute_uv=False)
             smallest = min(smallest, sigma[-1])
             assert signal_space_rank(eff, pre, 1).rank == 3
         assert smallest > 0.01
 
     def test_direct_precoder_columns_are_cascade_powers(self):
-        cfg = make_config(3, 2, "single")
-        eff = build_effective(
-            generate_channels(3, cfg.extension_length, "iid", 9), None, "plain"
-        )
-        pre = build_precoders(eff, cfg)
+        eff = build_effective(generate_channels(3, 5, "iid", 9), None, "plain")
+        pre = build_precoders(eff)
         lam = build_cascades(eff).matrices[(3, 2)]
-        for idx, exponents in enumerate(enumerate_tuples(cfg, 2)):
+        for idx, exponents in enumerate(enumerate_tuples(3, 2)):
             column = pre.precoders[1][:, idx]
             target = lam ** exponents[0]
             cosine = abs(np.vdot(column, target)) / (
@@ -293,17 +280,14 @@ class TestPlainCoding:
             assert cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_iid_cascade_entries_distinct(self):
-        cfg = make_config(3, 2, "single")
         for seed in range(100):
-            eff = build_effective(
-                generate_channels(3, cfg.extension_length, "iid", seed), None, "plain"
-            )
+            eff = build_effective(generate_channels(3, 5, "iid", seed), None, "plain")
             audit = distinctness_audit(build_cascades(eff))
             assert audit.flagged == ()
 
     def test_double_audit_clean_on_constant(self):
         for seed in range(100):
-            _, eff, _ = _double_setup(seed)
+            eff, _ = _double_setup(seed)
             audit = distinctness_audit(build_cascades(eff))
             assert audit.flagged == ()
             assert min(audit.lambda_gaps.values()) > align_verify.DISTINCTNESS_TOL
@@ -311,16 +295,13 @@ class TestPlainCoding:
 
 class TestValidation:
     def test_mismatched_pair_rejected(self):
-        _, eff, pre = _double_setup(0)
-        other_cfg = make_config(3, 1, "single")
-        other = build_effective(
-            generate_channels(3, other_cfg.extension_length, "iid", 0), None, "plain"
-        )
+        _, pre = _double_setup(0)
+        other = build_effective(generate_channels(3, 3, "iid", 0), None, "plain")
         with pytest.raises(ParameterError):
             check_alignment(other, pre)
 
     def test_receiver_label_bounds(self):
-        _, eff, pre = _double_setup(0)
+        eff, pre = _double_setup(0)
         with pytest.raises(ParameterError):
             signal_space_rank(eff, pre, 0)
         with pytest.raises(ParameterError):

@@ -15,13 +15,15 @@ from symextia import (
     build_cascades,
     build_effective,
     build_precoders,
+    cascade_order,
     cascade_pairs,
     closed_form_dof,
     draw_realization,
+    effective_dim,
     enumerate_tuples,
+    exponent_cap,
     generate_channels,
     generate_gains,
-    make_config,
     subseed,
 )
 import symextia.extension_core as extension_core
@@ -54,66 +56,77 @@ class TestCascadePairs:
             cascade_pairs(2)
 
 
-class TestMakeConfig:
+class TestSizes:
     def test_three_user_sizes(self):
-        single = make_config(3, 2, "single")
-        assert (single.cascade_order, single.effective_dim, single.extension_length) == (1, 5, 5)
-        double = make_config(3, 2, "double")
-        assert (double.effective_dim, double.extension_length) == (5, 10)
+        assert (cascade_order(3), effective_dim(3, 2)) == (1, 5)
 
     def test_four_user_sizes(self):
-        cfg = make_config(4, 1, "double")
-        assert cfg.cascade_order == 5
-        assert cfg.effective_dim == 2**5 + 1
-        assert cfg.extension_length == 66
+        assert cascade_order(4) == 5
+        assert effective_dim(4, 1) == 2**5 + 1
 
     def test_asymptotic_sizes_are_exact_integers(self):
-        cfg = make_config(5, 82, "double")
-        assert cfg.effective_dim == 83**11 + 82**11
+        dim = effective_dim(5, 82)
+        assert dim == 83**11 + 82**11
         # magnitude sanity on the two addends and their sum
         assert abs(83**11 / 1.2878e21 - 1) < 1e-4
         assert abs(82**11 / 1.1271e21 - 1) < 1e-4
-        assert abs(cfg.effective_dim / 2.4149e21 - 1) < 1e-4
+        assert abs(dim / 2.4149e21 - 1) < 1e-4
+        assert exponent_cap(5, dim) == 82
 
-    @pytest.mark.parametrize("users,n,layer", [(2, 1, "single"), (3, 0, "single"), (3, 1, "triple")])
-    def test_rejects_bad_parameters(self, users, n, layer):
+    @pytest.mark.parametrize("users,n", [(2, 1), (3, 0)])
+    def test_rejects_bad_parameters(self, users, n):
         with pytest.raises(ParameterError):
-            make_config(users, n, layer)
+            effective_dim(users, n)
+
+    @pytest.mark.parametrize("users", [3, 4, 5, 6])
+    def test_exponent_cap_inverts_effective_dim(self, users):
+        for n in range(1, 61):
+            assert exponent_cap(users, effective_dim(users, n)) == n
+
+    @pytest.mark.parametrize("users", [3, 4, 5, 6])
+    def test_exponent_cap_rejects_every_other_dim(self, users):
+        sizes = {effective_dim(users, n) for n in range(1, 2000)}  # every size up to 4001
+        # every size is odd, so a single/double layer mix-up never lands on one
+        assert all(dim % 2 for dim in sizes)
+        near = {effective_dim(users, n) + step for n in range(1, 61) for step in (-2, -1, 1, 2)}
+        for dim in sorted((set(range(-3, 3000)) | near) - sizes):
+            with pytest.raises(ParameterError, match="no exponent cap"):
+                exponent_cap(users, dim)
 
 
 class TestEnumerateTuples:
     def test_three_user_lexicographic(self):
-        cfg = make_config(3, 2, "single")
-        assert np.array_equal(enumerate_tuples(cfg, 2), [[0], [1], [2]])
-        assert np.array_equal(enumerate_tuples(cfg, 1), [[0], [1]])
+        assert np.array_equal(enumerate_tuples(3, 2), [[0], [1], [2]])
+        assert np.array_equal(enumerate_tuples(3, 1), [[0], [1]])
+        assert np.array_equal(enumerate_tuples(3, 0), [[0]])
 
     def test_matches_brute_force_enumeration(self):
-        cfg = make_config(4, 1, "double")
         pairs = cascade_pairs(4)
-        got = enumerate_tuples(cfg, 1)
+        got = enumerate_tuples(4, 1)
         want = [[t[p] for p in pairs] for t in brute_exponent_tuples(pairs, 1)]
         assert got.shape == (2**5, 5)
         # lexicographic over the sorted pair order
         assert want == sorted(want)
         assert np.array_equal(got, want)
 
-    def test_rejects_foreign_cap(self):
-        cfg = make_config(3, 2, "single")
+    @pytest.mark.parametrize("users,cap", [(2, 1), (3, -1)])
+    def test_rejects_bad_parameters(self, users, cap):
         with pytest.raises(ParameterError):
-            enumerate_tuples(cfg, 3)
+            enumerate_tuples(users, cap)
 
     def test_guard_refuses_astronomical_enumerations(self):
         with pytest.raises(CapacityError):
-            enumerate_tuples(make_config(5, 82, "double"), 82)
-        # K=5, n=2: 3^11 = 177,147 tuples, but the precoders need about 531 GB
-        cfg = make_config(5, 2, "single")
-        assert 16 * cfg.effective_dim * (3**11 + 4 * 2**11) > 5e11
+            enumerate_tuples(5, 82)
+        # K=4, cap 3: 4^5 tuples of 5 int64 entries
+        assert enumerate_tuples(4, 3).shape == (4**5, 5)
+
+    def test_guard_counts_its_own_bytes_exactly(self, monkeypatch):
+        needed = 8 * 5 * 2**5  # K=4, cap 1
+        monkeypatch.setattr(extension_core, "BYTE_BUDGET", needed - 1)
         with pytest.raises(CapacityError):
-            enumerate_tuples(cfg, 2)
-        # K=4, n=3: 1267 x 1753 precoder entries, about 34 MiB, stays buildable
-        cfg = make_config(4, 3, "single")
-        assert 16 * cfg.effective_dim * (4**5 + 3 * 3**5) < 35 * 2**20
-        assert enumerate_tuples(cfg, 3).shape == (4**5, 5)
+            enumerate_tuples(4, 1)
+        monkeypatch.setattr(extension_core, "BYTE_BUDGET", needed)
+        assert enumerate_tuples(4, 1).nbytes == needed
 
 
 class TestBuildCascades:
@@ -126,19 +139,17 @@ class TestBuildCascades:
         assert np.allclose(cascades.kappa, 3.0)
 
     def test_naive_constant_collapses_to_scaled_identity(self):
-        cfg = make_config(3, 2, "single")
         for seed in range(20):
-            ch = generate_channels(3, cfg.extension_length, "constant", seed)
-            g = generate_gains(3, cfg.extension_length, subseed(seed, 1))
+            ch = generate_channels(3, 5, "constant", seed)
+            g = generate_gains(3, 5, subseed(seed, 1))
             lam = build_cascades(build_effective(ch, g, "naive")).matrices[(3, 2)]
             spread = np.max(np.abs(lam - lam.mean())) / np.abs(lam.mean())
             assert spread <= 1e-12
 
     def test_double_matches_scalar_oracle(self):
-        cfg = make_config(3, 2, "double")
         for seed in range(10):
-            ch = generate_channels(3, cfg.extension_length, "constant", seed)
-            g = generate_gains(3, cfg.extension_length, subseed(seed, 1))
+            ch = generate_channels(3, 10, "constant", seed)
+            g = generate_gains(3, 10, subseed(seed, 1))
             cascades = build_cascades(build_effective(ch, g, "double"))
             lam_oracle = scalar_lambda_32(ch, g)
             kap_oracle = scalar_kappa(ch, g)
@@ -148,44 +159,40 @@ class TestBuildCascades:
 
 class TestBuildPrecoders:
     def test_stream_counts_and_unit_columns(self):
-        cfg = make_config(3, 2, "single")
         eff = build_effective(generate_channels(3, 5, "iid", 0), None, "plain")
-        pre = build_precoders(eff, cfg)
+        pre = build_precoders(eff)
         assert pre.stream_counts == {1: 3, 2: 2, 3: 2}
-        assert sum(pre.stream_counts.values()) == cfg.effective_dim + 2
+        assert sum(pre.stream_counts.values()) == effective_dim(3, 2) + 2
         for mat in pre.precoders.values():
             assert np.allclose(np.linalg.norm(mat, axis=0), 1.0)
 
     def test_columns_biject_with_exponent_tuples(self):
         for users, n in ((3, 2), (4, 1)):
-            cfg = make_config(users, n, "single")
             eff = build_effective(
-                generate_channels(users, cfg.extension_length, "iid", 1), None, "plain"
+                generate_channels(users, effective_dim(users, n), "iid", 1), None, "plain"
             )
-            pre = build_precoders(eff, cfg)
-            full = enumerate_tuples(cfg, n)
-            short = enumerate_tuples(cfg, n - 1)
+            pre = build_precoders(eff)
+            full = enumerate_tuples(users, n)
+            short = enumerate_tuples(users, n - 1)
             assert pre.stream_counts[1] == len(full) == pre.precoders[1].shape[1]
             for user in range(2, users + 1):
                 assert pre.stream_counts[user] == len(short) == pre.precoders[user].shape[1]
 
     def test_user1_columns_are_cascade_powers(self):
-        cfg = make_config(3, 2, "single")
         eff = build_effective(generate_channels(3, 5, "iid", 1), None, "plain")
-        pre = build_precoders(eff, cfg)
+        pre = build_precoders(eff)
         lam = build_cascades(eff).matrices[(3, 2)]
-        for col, exponents in zip(pre.precoders[1].T, enumerate_tuples(cfg, 2), strict=True):
+        for col, exponents in zip(pre.precoders[1].T, enumerate_tuples(3, 2), strict=True):
             want = lam ** exponents[0]
             want = want / np.linalg.norm(want)
             assert np.allclose(col, want)
 
     def test_user3_prefix_and_cross_user_rescale(self):
-        cfg = make_config(3, 2, "single")
         eff = build_effective(generate_channels(3, 5, "iid", 2), None, "plain")
-        pre = build_precoders(eff, cfg)
+        pre = build_precoders(eff)
         lam = build_cascades(eff).matrices[(3, 2)]
         prefix = eff.diagonal(2, 1) / eff.diagonal(2, 3)
-        for col, exponents in zip(pre.precoders[3].T, enumerate_tuples(cfg, 1), strict=True):
+        for col, exponents in zip(pre.precoders[3].T, enumerate_tuples(3, 1), strict=True):
             want = prefix * lam ** exponents[0]
             want = want / np.linalg.norm(want)
             assert np.allclose(col, want)
@@ -196,55 +203,61 @@ class TestBuildPrecoders:
         assert np.linalg.norm(left - right * coef) <= 1e-12 * np.linalg.norm(left)
 
     def test_four_user_shapes(self):
-        cfg = make_config(4, 1, "double")
-        ch = generate_channels(4, cfg.extension_length, "constant", 0)
-        g = generate_gains(4, cfg.extension_length, 1)
-        pre = build_precoders(build_effective(ch, g, "double"), cfg)
+        ch = generate_channels(4, 66, "constant", 0)
+        g = generate_gains(4, 66, 1)
+        pre = build_precoders(build_effective(ch, g, "double"))
         assert pre.stream_counts == {1: 32, 2: 1, 3: 1, 4: 1}
         assert all(mat.shape[0] == 33 for mat in pre.precoders.values())
 
-    def test_rejects_mismatched_dimensions(self):
-        cfg = make_config(3, 2, "single")
-        eff = build_effective(generate_channels(3, 7, "iid", 0), None, "plain")
-        with pytest.raises(ParameterError):
-            build_precoders(eff, cfg)
+    @pytest.mark.parametrize(
+        "users,slots,coding",
+        [
+            (3, 10, "plain"),  # double-length channels on one layer: D is even
+            (3, 10, "naive"),
+            (4, 66, "naive"),
+            (4, 35, "plain"),  # odd, but between the sizes 33 and 275
+        ],
+    )
+    def test_rejects_mismatched_dimensions(self, users, slots, coding):
+        ch = generate_channels(users, slots, "iid", 0)
+        gains = None if coding == "plain" else generate_gains(users, slots, 1)
+        with pytest.raises(ParameterError, match="no exponent cap"):
+            build_precoders(build_effective(ch, gains, coding))
 
     def test_peak_memory_stays_within_twice_the_output(self):
         # temporaries stay linear in D times the column count
         for n in (2, 3):
-            cfg = make_config(4, n, "single")
-            eff = build_effective(generate_channels(4, cfg.extension_length, "iid", 0), None, "plain")
+            dim = effective_dim(4, n)
+            eff = build_effective(generate_channels(4, dim, "iid", 0), None, "plain")
             tracemalloc.start()
             try:
-                pre = build_precoders(eff, cfg)
+                pre = build_precoders(eff)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2 * 16 * cfg.effective_dim * sum(pre.stream_counts.values())
+            assert peak <= 2 * 16 * dim * sum(pre.stream_counts.values())
 
     def test_byte_budget_is_checked_exactly(self, monkeypatch):
-        cfg = make_config(3, 2, "single")
         eff = build_effective(generate_channels(3, 5, "iid", 0), None, "plain")
         needed = 16 * 5 * (3 + 2 * 2)
         monkeypatch.setattr(extension_core, "BYTE_BUDGET", needed - 1)
         with pytest.raises(CapacityError):
-            build_precoders(eff, cfg)
+            build_precoders(eff)
         monkeypatch.setattr(extension_core, "BYTE_BUDGET", needed)
-        assert sum(build_precoders(eff, cfg).stream_counts.values()) == 7
+        assert sum(build_precoders(eff).stream_counts.values()) == 7
 
     def test_norm_overflow_raises(self):
         # at n=60 some squared column norms overflow to inf
-        cfg = make_config(3, 60, "single")
         eff = build_effective(generate_channels(3, 121, "iid", 2), None, "plain")
         with pytest.raises(DegenerateRealizationError):
-            build_precoders(eff, cfg)
+            build_precoders(eff)
 
     def test_matches_per_tuple_reference_bit_for_bit(self):
         for users, n in ((3, 1), (3, 2), (3, 5), (4, 1), (4, 2)):
             for coding, model in (("plain", "iid"), ("naive", "iid"), ("double", "constant")):
-                cfg = make_config(users, n, "double" if coding == "double" else "single")
-                ch = generate_channels(users, cfg.extension_length, model, subseed(n, 2))
-                _, eff, pre, _ = draw_realization(ch, coding, cfg, subseed(n, 3))
+                slots = (2 if coding == "double" else 1) * effective_dim(users, n)
+                ch = generate_channels(users, slots, model, subseed(n, 2))
+                _, eff, pre, _ = draw_realization(ch, coding, subseed(n, 3))
                 want = loop_precoders(eff, build_cascades(eff), n)
                 assert list(pre.precoders) == list(want)
                 for user, mat in want.items():

@@ -11,7 +11,7 @@ import symextia
 import symextia.cj_precoder as cj_precoder
 import symextia.cli as cli
 import symextia.link_sim as link_sim
-from symextia import ParameterError, make_config
+from symextia import ParameterError, effective_dim
 from symextia.cli import ExperimentSpec, main, parse_args, run_experiment
 from symextia.extension_core import CONSTANT, DOUBLE, IID, NAIVE, PLAIN
 
@@ -164,6 +164,10 @@ class TestParseArgs:
         with pytest.raises(SystemExit):
             parse_args(["--experiment", "nonsense"])
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="--seed must be >= 0"):
+            parse_args(["--experiment", "verify", "--seed", "-1"])
+
 
 class TestDofTable:
     def test_exact_rows(self, tmp_path):
@@ -309,7 +313,7 @@ class TestAuditPath:
         args = ["--experiment", "audit", "--users", "4", "--n", "3", "--trials", "1",
                 "--out", str(tmp_path / "audit.csv")]
         run_experiment(parse_args(args))  # warm up lazy imports before tracing
-        channel_bytes = 16 * 4**2 * make_config(4, 3, DOUBLE).extension_length
+        channel_bytes = 16 * 4**2 * 2 * effective_dim(4, 3)
         tracemalloc.start()
         try:
             run_experiment(parse_args(args))
@@ -430,6 +434,25 @@ class TestMain:
         rc = main(["--experiment", "figure1", "--coding", "naive"])
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--experiment", "nonsense"], ["--experiment", "verify", "--users", "x"]],
+        ids=["unknown_choice", "non_integer"],
+    )
+    def test_argparse_error_returns_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "invalid" in capsys.readouterr().err
+
+    def test_help_returns_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "--experiment" in capsys.readouterr().out
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "verify.csv"
+        assert main(["--experiment", "verify", "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_via_subprocess(self):
         # run from the directory holding the imported package, so the child

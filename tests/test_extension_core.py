@@ -117,6 +117,11 @@ class TestSubseed:
         distinct = {subseed(5), subseed(5, 0), subseed(5, 1), subseed(5, 0, 0), subseed(6)}
         assert len(distinct) == 5
 
+    @pytest.mark.parametrize("args", [(-1,), (5, -1), (5, 0, -2)])
+    def test_rejects_negative_seed_or_key(self, args):
+        with pytest.raises(ParameterError, match="non-negative"):
+            subseed(*args)
+
 
 class TestBuildEffective:
     def test_plain_copies_entries(self):

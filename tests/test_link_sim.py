@@ -13,11 +13,11 @@ from symextia import (
     build_effective,
     combine_received,
     draw_realization,
+    effective_dim,
     effective_noise_std,
     estimate_dof,
     generate_channels,
     generate_gains,
-    make_config,
     run_symbol_chain,
     simulate_link,
     transmit_blocks,
@@ -26,8 +26,7 @@ import symextia.link_sim as link_sim
 
 
 def _double_channels(seed=7, users=3, n=2):
-    cfg = make_config(users, n, "double")
-    return cfg, generate_channels(users, cfg.extension_length, "constant", seed)
+    return generate_channels(users, 2 * effective_dim(users, n), "constant", seed)
 
 
 class TestLinkConfig:
@@ -47,68 +46,76 @@ class TestLinkConfig:
 
 class TestSimulateLink:
     def test_double_layer_slope_near_seven_tenths(self):
-        cfg, ch = _double_channels()
+        ch = _double_channels()
         link = LinkConfig(snr_points_db=(50.0, 60.0), trials=50, seed=7)
-        result = simulate_link(ch, "double", cfg, link)
+        result = simulate_link(ch, "double", link)
         assert abs(result.dof_estimate - 0.7) <= 0.05
         assert result.failures >= 0
 
     def test_full_sweep_monotone_with_expected_slope(self):
-        cfg, ch = _double_channels(seed=3)
+        ch = _double_channels(seed=3)
         link = LinkConfig(snr_points_db=tuple(float(s) for s in range(10, 61, 10)), trials=50, seed=1)
-        result = simulate_link(ch, "double", cfg, link)
+        result = simulate_link(ch, "double", link)
         rates = [result.sum_rate[s] for s in link.snr_points_db]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
         assert 0.65 <= result.dof_estimate <= 0.75
 
     def test_per_user_rates_sum_to_sum_rate(self):
-        cfg, ch = _double_channels(seed=5)
+        ch = _double_channels(seed=5)
         link = LinkConfig(snr_points_db=(30.0, 40.0), trials=10, seed=2)
-        result = simulate_link(ch, "double", cfg, link)
+        result = simulate_link(ch, "double", link)
         for snr, rates in result.per_user_rate.items():
             assert len(rates) == 3
             assert sum(rates) == pytest.approx(result.sum_rate[snr], rel=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
-        cfg, ch = _double_channels(seed=9)
+        ch = _double_channels(seed=9)
         link = LinkConfig(snr_points_db=(40.0, 50.0), trials=8, seed=4)
-        a = simulate_link(ch, "double", cfg, link)
-        b = simulate_link(ch, "double", cfg, link)
+        a = simulate_link(ch, "double", link)
+        b = simulate_link(ch, "double", link)
         assert a == b
 
     def test_naive_saturates_on_constant_channels(self):
-        cfg = make_config(3, 2, "single")
-        ch = generate_channels(3, cfg.extension_length, "constant", 7)
+        ch = generate_channels(3, 5, "constant", 7)
         link = LinkConfig(snr_points_db=(50.0, 60.0), trials=50, seed=7)
-        result = simulate_link(ch, "naive", cfg, link)
+        result = simulate_link(ch, "naive", link)
         assert result.dof_estimate < 0.1
 
     def test_plain_iid_ensemble_slope_near_seven_fifths(self):
-        cfg = make_config(3, 2, "single")
         link = LinkConfig(snr_points_db=(50.0, 60.0), trials=1, seed=0)
         lo = hi = 0.0
         seeds = 40
         for seed in range(seeds):
-            ch = generate_channels(3, cfg.extension_length, "iid", 20_000 + seed)
-            result = simulate_link(ch, "plain", cfg, link)
+            ch = generate_channels(3, 5, "iid", 20_000 + seed)
+            result = simulate_link(ch, "plain", link)
             lo += result.sum_rate[50.0] / seeds
             hi += result.sum_rate[60.0] / seeds
         assert abs(slope_between({50.0: lo, 60.0: hi}, 50.0, 60.0) - 1.4) <= 0.1
 
     def test_rejects_mismatched_setup(self):
-        cfg, ch = _double_channels()
+        ch = _double_channels()
         link = LinkConfig(snr_points_db=(10.0, 20.0), trials=1)
+        # double-length channels on one layer leave an even D, which no n gives
+        for coding in ("naive", "plain"):
+            with pytest.raises(ParameterError, match="no exponent cap"):
+                simulate_link(ch, coding, link)
+            with pytest.raises(ParameterError, match="no exponent cap"):
+                run_symbol_chain(ch, coding, power=1.0, seed=0)
+        # K=4 single-length channels between the sizes 33 (n=1) and 275 (n=2)
+        wrong_n = generate_channels(4, 35, "iid", 0)
+        with pytest.raises(ParameterError, match="no exponent cap"):
+            simulate_link(wrong_n, "plain", link)
+        with pytest.raises(ParameterError, match="no exponent cap"):
+            run_symbol_chain(wrong_n, "plain", power=1.0, seed=0)
+        # single-length channels under double coding: an odd slot count
+        with pytest.raises(ParameterError, match="divisible"):
+            simulate_link(generate_channels(3, 5, "constant", 0), "double", link)
         with pytest.raises(ParameterError):
-            simulate_link(ch, "naive", cfg, link)  # single-layer coding, double config
-        single = make_config(3, 2, "single")
-        with pytest.raises(ParameterError):
-            simulate_link(ch, "plain", single, link)  # slot count mismatch
-        with pytest.raises(ParameterError):
-            simulate_link(ch, "viterbi", cfg, link)
+            simulate_link(ch, "viterbi", link)
 
     def test_single_snr_point_gives_nan_dof(self):
-        cfg, ch = _double_channels()
-        result = simulate_link(ch, "double", cfg, LinkConfig(snr_points_db=(30.0,), trials=2))
+        ch = _double_channels()
+        result = simulate_link(ch, "double", LinkConfig(snr_points_db=(30.0,), trials=2))
         assert np.isnan(result.dof_estimate)
         with pytest.raises(ParameterError):
             estimate_dof(result.sum_rate)
@@ -136,15 +143,15 @@ class TestResampling:
         return GainPlan(alpha=ones.copy(), beta=beta)
 
     def test_persistent_degeneracy_raises(self, monkeypatch):
-        cfg, ch = _double_channels()
+        ch = _double_channels()
         monkeypatch.setattr(
             link_sim, "generate_gains", lambda u, s, seed: self._cancelling_plan(u, s)
         )
         with pytest.raises(SimulationError):
-            draw_realization(ch, "double", cfg, 0)
+            draw_realization(ch, "double", 0)
 
     def test_redraw_count_reported(self, monkeypatch):
-        cfg, ch = _double_channels()
+        ch = _double_channels()
         calls = {"n": 0}
         real = generate_gains
 
@@ -155,31 +162,29 @@ class TestResampling:
             return real(users, slots, seed)
 
         monkeypatch.setattr(link_sim, "generate_gains", flaky)
-        _, _, _, redraws = draw_realization(ch, "double", cfg, 0)
+        _, _, _, redraws = draw_realization(ch, "double", 0)
         assert redraws == 1
 
 
 class TestSymbolChain:
     def test_noise_free_decode_is_exact(self):
-        cfg, ch = _double_channels(seed=11)
-        sample = run_symbol_chain(ch, "double", cfg, power=4.0, seed=3, blocks=8, inject_noise=False)
+        ch = _double_channels(seed=11)
+        sample = run_symbol_chain(ch, "double", power=4.0, seed=3, blocks=8, inject_noise=False)
         for user, sym in sample.symbols.items():
             err = np.linalg.norm(sample.decoded[user] - sym) / np.linalg.norm(sym)
             assert err <= 1e-8
 
     def test_noise_free_decode_plain(self):
-        cfg = make_config(3, 2, "single")
-        ch = generate_channels(3, cfg.extension_length, "iid", 17)
-        sample = run_symbol_chain(ch, "plain", cfg, power=1.0, seed=5, blocks=4, inject_noise=False)
+        ch = generate_channels(3, 5, "iid", 17)
+        sample = run_symbol_chain(ch, "plain", power=1.0, seed=5, blocks=4, inject_noise=False)
         for user, sym in sample.symbols.items():
             err = np.linalg.norm(sample.decoded[user] - sym) / np.linalg.norm(sym)
             assert err <= 1e-8
 
     def test_transmit_power_accounting(self):
-        cfg, ch = _double_channels(seed=11)
+        ch = _double_channels(seed=11)
         target = 2.5
-        sample = run_symbol_chain(
-            ch, "double", cfg, power=target, seed=3, blocks=100_000, inject_noise=False
+        sample = run_symbol_chain(ch, "double", power=target, seed=3, blocks=100_000, inject_noise=False
         )
         slots = 0
         for blocks in sample.tx_blocks.values():
@@ -189,8 +194,8 @@ class TestSymbolChain:
         assert slots >= 10_000
 
     def test_combined_noise_variance(self):
-        cfg, ch = _double_channels(seed=11)
-        sample = run_symbol_chain(ch, "double", cfg, power=1.0, seed=3, blocks=1)
+        ch = _double_channels(seed=11)
+        sample = run_symbol_chain(ch, "double", power=1.0, seed=3, blocks=1)
         eff = sample.effective
         rng = np.random.default_rng(99)
         draws = 20_000
@@ -204,8 +209,7 @@ class TestSymbolChain:
             assert np.max(np.abs(empirical - want) / want) <= 0.05
 
     def test_combine_shapes_and_plain_passthrough(self):
-        cfg = make_config(3, 2, "single")
-        ch = generate_channels(3, cfg.extension_length, "iid", 1)
+        ch = generate_channels(3, 5, "iid", 1)
         eff = build_effective(ch, None, "plain")
         y = np.arange(10).reshape(5, 2).astype(complex)
         assert np.array_equal(combine_received(y, eff, 1), y)
@@ -214,8 +218,8 @@ class TestSymbolChain:
             combine_received(y[:4], eff, 1)
 
     def test_transmit_blocks_validates_streams(self):
-        cfg, ch = _double_channels()
-        _, eff, pre, _ = draw_realization(ch, "double", cfg, 0)
+        ch = _double_channels()
+        _, eff, pre, _ = draw_realization(ch, "double", 0)
         bad = {u: np.ones((d + 1, 2), dtype=complex) for u, d in pre.stream_counts.items()}
         with pytest.raises(ParameterError):
             transmit_blocks(pre, eff, 1.0, bad)
@@ -234,17 +238,17 @@ class TestSymbolChain:
         ids=["missing_user", "extra_user", "one_dimensional", "unequal_blocks"],
     )
     def test_transmit_blocks_validates_the_symbol_dict(self, spoil):
-        cfg, ch = _double_channels()
-        _, eff, pre, _ = draw_realization(ch, "double", cfg, 0)
+        ch = _double_channels()
+        _, eff, pre, _ = draw_realization(ch, "double", 0)
         good = {u: np.ones((d, 2), dtype=complex) for u, d in pre.stream_counts.items()}
         transmit_blocks(pre, eff, 1.0, good)
         with pytest.raises(ParameterError):
             transmit_blocks(pre, eff, 1.0, spoil(good))
 
     def test_chain_rejects_bad_blocks(self):
-        cfg, ch = _double_channels()
+        ch = _double_channels()
         with pytest.raises(ParameterError):
-            run_symbol_chain(ch, "double", cfg, power=1.0, seed=0, blocks=0)
+            run_symbol_chain(ch, "double", power=1.0, seed=0, blocks=0)
 
 
 FOLD_CASES = [
@@ -258,10 +262,10 @@ FOLD_CASES = [
 class TestFoldMatchesPerModeReference:
     @pytest.mark.parametrize("users,n,coding", FOLD_CASES)
     def test_fold_is_bit_identical(self, users, n, coding):
-        cfg = make_config(users, n, "double" if coding == "double" else "single")
+        slots = (2 if coding == "double" else 1) * effective_dim(users, n)
         model = "iid" if coding == "plain" else "constant"
-        ch = generate_channels(users, cfg.extension_length, model, 31 * n + users)
-        _, eff, pre, _ = draw_realization(ch, coding, cfg, 4)
+        ch = generate_channels(users, slots, model, 31 * n + users)
+        _, eff, pre, _ = draw_realization(ch, coding, 4)
         rng = np.random.default_rng(n)
         shape = (ch.slots, 3)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -285,10 +289,9 @@ class TestFoldMatchesPerModeReference:
 
     @pytest.mark.parametrize("coding", ["plain", "naive", "double"])
     def test_noise_free_chain_uses_the_shared_zero_forcer(self, coding):
-        cfg = make_config(3, 2, "double" if coding == "double" else "single")
-        ch = generate_channels(3, cfg.extension_length, "iid", 8)
+        ch = generate_channels(3, 10 if coding == "double" else 5, "iid", 8)
         power = 2.0
-        sample = run_symbol_chain(ch, coding, cfg, power=power, seed=6, blocks=4, inject_noise=False)
+        sample = run_symbol_chain(ch, coding, power=power, seed=6, blocks=4, inject_noise=False)
         eff, pre = sample.effective, sample.precoders
         scales = np.sqrt(power) * link_sim._hat_rows((eff,), (pre,))
         for k in range(1, 4):
@@ -298,10 +301,10 @@ class TestFoldMatchesPerModeReference:
 
 
 def _link_case(users, n, coding, model, seed, trials):
-    cfg = make_config(users, n, "double" if coding == "double" else "single")
-    ch = generate_channels(users, cfg.extension_length, model, 100 * seed + n)
+    slots = (2 if coding == "double" else 1) * effective_dim(users, n)
+    ch = generate_channels(users, slots, model, 100 * seed + n)
     link = LinkConfig(snr_points_db=(0.0, 20.0, 40.0), trials=trials, seed=seed)
-    return ch, coding, cfg, link
+    return ch, coding, link
 
 
 CODING_CHANNELS = [
@@ -329,20 +332,20 @@ class TestStackedMatchesPerTrial:
 
     @pytest.mark.parametrize("composites", [1, 3])
     def test_same_bits_over_several_chunks(self, monkeypatch, composites):
-        ch, coding, cfg, link = _link_case(3, 10, "double", "iid", 1, trials=7)
-        monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * cfg.effective_dim**2)
+        ch, coding, link = _link_case(3, 10, "double", "iid", 1, trials=7)
+        monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * effective_dim(3, 10) ** 2)
         calls = []
         real_pinv = np.linalg.pinv
         monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(len(a)) or real_pinv(a))
-        got = simulate_link(ch, coding, cfg, link)
+        got = simulate_link(ch, coding, link)
         monkeypatch.undo()
         # receivers run inside each chunk: chunks of 1 trial, or 3 + 3 + 1 trials
         assert calls == ([1] * 21 if composites == 1 else [3] * 6 + [1] * 3)
-        assert got == oracles.per_trial_simulate_link(ch, coding, cfg, link)
+        assert got == oracles.per_trial_simulate_link(ch, coding, link)
 
     def test_one_trial_peaks_within_one_composite_of_per_trial_loop(self):
         case = _link_case(4, 2, "double", "constant", 0, trials=1)
-        composite = 16 * case[2].effective_dim ** 2
+        composite = 16 * effective_dim(4, 2) ** 2
 
         def peak(run):
             tracemalloc.start()
