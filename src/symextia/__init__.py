@@ -45,6 +45,7 @@ from .extension_core import (
     build_effective,
     generate_channels,
     generate_gains,
+    slot_fold,
     subseed,
 )
 from .link_sim import (
@@ -103,6 +104,7 @@ __all__ = [
     "run_symbol_chain",
     "signal_space_rank",
     "simulate_link",
+    "slot_fold",
     "subseed",
     "transmit_blocks",
 ]

@@ -49,10 +49,10 @@ from .extension_core import (
     CONSTANT,
     DOUBLE,
     NAIVE,
-    SLOT_FOLD,
     SLOW_CHANGING,
     ChannelSet,
     generate_channels,
+    slot_fold,
     subseed,
 )
 from .link_sim import LinkConfig, draw_realization, draw_until_built, simulate_link
@@ -231,7 +231,7 @@ def _run_dof_table(spec: ExperimentSpec) -> Iterator[list]:
 def _channels(spec: ExperimentSpec, coding: str, *key: int) -> ChannelSet:
     """Channels sized for ``coding``'s layers at (users, n), drawn from ``key``."""
     return generate_channels(
-        spec.users, SLOT_FOLD[coding] * effective_dim(spec.users, spec.n), spec.channel_model,
+        spec.users, slot_fold(coding) * effective_dim(spec.users, spec.n), spec.channel_model,
         subseed(spec.seed, _NS_CHANNELS, *key),
     )
 

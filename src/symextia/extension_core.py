@@ -245,7 +245,7 @@ class EffectiveChannel:
 
     @property
     def fold(self) -> int:
-        return SLOT_FOLD[self.coding_tag]
+        return slot_fold(self.coding_tag)
 
     @property
     def dim(self) -> int:

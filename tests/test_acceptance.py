@@ -20,6 +20,7 @@ from symextia import (
     generate_channels,
     numerical_rank,
     simulate_link,
+    slot_fold,
 )
 from symextia.cli import main
 
@@ -33,7 +34,7 @@ def _report(name: str, failures: list[str]) -> None:
 
 def _alignment_sweep(users, n, coding, model, seeds):
     """Alignment reports for `seeds` independent channel and gain draws."""
-    slots = (2 if coding == "double" else 1) * effective_dim(users, n)
+    slots = slot_fold(coding) * effective_dim(users, n)
     reports = []
     for seed in range(seeds):
         channels = generate_channels(users, slots, model, seed)

@@ -24,6 +24,7 @@ from symextia import (
     orthonormal_basis,
     receiver_composite,
     signal_space_rank,
+    slot_fold,
     subseed,
 )
 
@@ -109,7 +110,7 @@ class TestMinRelativeGap:
         # generic double cascades, the naive collapse (gaps near 0) and plain i.i.d.
         for users, n, coding, model in ((4, 2, "double", "constant"), (3, 5, "naive", "constant"),
                                         (3, 10, "plain", "iid")):
-            slots = (2 if coding == "double" else 1) * effective_dim(users, n)
+            slots = slot_fold(coding) * effective_dim(users, n)
             ch = generate_channels(users, slots, model, 4)
             _, eff, _, _ = draw_realization(ch, coding, 5)
             cascades = build_cascades(eff)

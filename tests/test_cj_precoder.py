@@ -24,6 +24,7 @@ from symextia import (
     exponent_cap,
     generate_channels,
     generate_gains,
+    slot_fold,
     subseed,
 )
 import symextia.extension_core as extension_core
@@ -237,14 +238,22 @@ class TestBuildPrecoders:
                 tracemalloc.stop()
             assert peak <= 2 * 16 * dim * sum(pre.stream_counts.values())
 
-    def test_byte_budget_is_checked_exactly(self, monkeypatch):
-        eff = build_effective(generate_channels(3, 5, "iid", 0), None, "plain")
-        needed = 16 * 5 * (3 + 2 * 2)
+    @pytest.mark.parametrize(
+        "users, n, columns",
+        [
+            (3, 2, 3 + 2 * 2),  # (n+1)^N + (K-1) n^N at N=1
+            (4, 1, 2**5 + 3 * 1),  # N=5: the smallest size with more than one rescaled user
+        ],
+    )
+    def test_byte_budget_is_checked_exactly(self, monkeypatch, users, n, columns):
+        dim = effective_dim(users, n)
+        eff = build_effective(generate_channels(users, dim, "iid", 0), None, "plain")
+        needed = 16 * dim * columns
         monkeypatch.setattr(extension_core, "BYTE_BUDGET", needed - 1)
         with pytest.raises(CapacityError):
             build_precoders(eff)
         monkeypatch.setattr(extension_core, "BYTE_BUDGET", needed)
-        assert sum(build_precoders(eff).stream_counts.values()) == 7
+        assert sum(build_precoders(eff).stream_counts.values()) == columns
 
     def test_norm_overflow_raises(self):
         # at n=60 some squared column norms overflow to inf
@@ -255,7 +264,7 @@ class TestBuildPrecoders:
     def test_matches_per_tuple_reference_bit_for_bit(self):
         for users, n in ((3, 1), (3, 2), (3, 5), (4, 1), (4, 2)):
             for coding, model in (("plain", "iid"), ("naive", "iid"), ("double", "constant")):
-                slots = (2 if coding == "double" else 1) * effective_dim(users, n)
+                slots = slot_fold(coding) * effective_dim(users, n)
                 ch = generate_channels(users, slots, model, subseed(n, 2))
                 _, eff, pre, _ = draw_realization(ch, coding, subseed(n, 3))
                 want = loop_precoders(eff, build_cascades(eff), n)

@@ -20,6 +20,7 @@ from symextia import (
     generate_gains,
     run_symbol_chain,
     simulate_link,
+    slot_fold,
     transmit_blocks,
 )
 import symextia.link_sim as link_sim
@@ -262,7 +263,7 @@ FOLD_CASES = [
 class TestFoldMatchesPerModeReference:
     @pytest.mark.parametrize("users,n,coding", FOLD_CASES)
     def test_fold_is_bit_identical(self, users, n, coding):
-        slots = (2 if coding == "double" else 1) * effective_dim(users, n)
+        slots = slot_fold(coding) * effective_dim(users, n)
         model = "iid" if coding == "plain" else "constant"
         ch = generate_channels(users, slots, model, 31 * n + users)
         _, eff, pre, _ = draw_realization(ch, coding, 4)
@@ -289,7 +290,7 @@ class TestFoldMatchesPerModeReference:
 
     @pytest.mark.parametrize("coding", ["plain", "naive", "double"])
     def test_noise_free_chain_uses_the_shared_zero_forcer(self, coding):
-        ch = generate_channels(3, 10 if coding == "double" else 5, "iid", 8)
+        ch = generate_channels(3, slot_fold(coding) * 5, "iid", 8)
         power = 2.0
         sample = run_symbol_chain(ch, coding, power=power, seed=6, blocks=4, inject_noise=False)
         eff, pre = sample.effective, sample.precoders
@@ -301,7 +302,7 @@ class TestFoldMatchesPerModeReference:
 
 
 def _link_case(users, n, coding, model, seed, trials):
-    slots = (2 if coding == "double" else 1) * effective_dim(users, n)
+    slots = slot_fold(coding) * effective_dim(users, n)
     ch = generate_channels(users, slots, model, 100 * seed + n)
     link = LinkConfig(snr_points_db=(0.0, 20.0, 40.0), trials=trials, seed=seed)
     return ch, coding, link
