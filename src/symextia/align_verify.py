@@ -29,8 +29,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class RankResult(NamedTuple):
-    rank: int
-    required: int
+    rank: int  # full rank is the effective dimension D
     margin: float  # sigma_min / sigma_max over the full square composite
     threshold: float  # absolute singular-value cutoff used for the rank
 
@@ -113,7 +112,7 @@ def signal_space_rank(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) ->
     _check_pair(eff, pre)
     composite = receiver_composite(eff, pre, receiver)
     rank, margin, threshold = numerical_rank(composite)
-    return RankResult(rank=rank, required=eff.dim, margin=margin, threshold=threshold)
+    return RankResult(rank=rank, margin=margin, threshold=threshold)
 
 
 def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
@@ -152,7 +151,7 @@ def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
 
     rank_results = {k: signal_space_rank(eff, pre, k) for k in range(1, eff.users + 1)}
     ok = all(r <= RESIDUAL_TOL for r in residuals.values()) and all(
-        res.rank == res.required for res in rank_results.values()
+        res.rank == eff.dim for res in rank_results.values()
     )
     return AlignmentReport(
         residuals=residuals, rank_results=rank_results, verdict="pass" if ok else "fail"

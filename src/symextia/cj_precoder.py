@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateRealizationError, ParameterError
-from .extension_core import EffectiveChannel, check_byte_budget
+from .extension_core import EffectiveChannel, check_byte_budget, count_text
 
 SINGLE_LAYER = "single"
 DOUBLE_LAYER = "double"
@@ -69,7 +69,9 @@ def exponent_cap(users: int, dim: int) -> int:
         else:
             hi = mid
     if effective_dim(users, lo) != dim:
-        raise ParameterError(f"no exponent cap n >= 1 gives {users} users a dimension of {dim}")
+        raise ParameterError(
+            f"no exponent cap n >= 1 gives {users} users a dimension of {count_text(dim)}"
+        )
     return lo
 
 
@@ -79,8 +81,7 @@ def cascade_pairs(users: int) -> list[tuple[int, int]]:
     Both labels run over 2..users with k != l, and the reserved pair (2, 3)
     is excluded, leaving N = (users-1)(users-2) - 1 pairs.
     """
-    if users < 3:
-        raise ParameterError(f"need at least 3 users, got {users}")
+    cascade_order(users)  # rejects fewer than 3 users
     return [
         (k, l)
         for k in range(2, users + 1)
@@ -106,7 +107,7 @@ def enumerate_tuples(users: int, cap: int) -> np.ndarray:
     if cap < 0:
         raise ParameterError(f"cap must be >= 0, got {cap}")
     rows = (cap + 1) ** order
-    check_byte_budget(8 * order * rows, f"{rows} exponent tuples of length {order}")
+    check_byte_budget(8 * order * rows, "{} exponent tuples of length {}", rows, order)
     return np.indices((cap + 1,) * order).reshape(order, -1).T
 
 
@@ -210,7 +211,7 @@ def build_precoders(eff: EffectiveChannel) -> PrecoderSet:
     cap = exponent_cap(users, dim)
     # D x ((n+1)^N + (K-1) n^N) entries, that is D + (K-2) n^N columns
     columns = dim + (users - 2) * cap ** cascade_order(users)
-    check_byte_budget(16 * dim * columns, f"precoders for {users} users at n={cap}")
+    check_byte_budget(16 * dim * columns, "precoders for {} users at n={}", users, cap)
     cascades = build_cascades(eff)
     # T_kl^e for e = 0..cap, multiplied up one power at a time (a cumulative
     # product rounds differently).

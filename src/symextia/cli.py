@@ -12,14 +12,20 @@ figure1
     Naive versus double-layered sum rate over an SNR sweep on one channel
     model, with the high-SNR slope per coding.
 
+Each experiment reads the flags ``FLAGS_READ`` lists for it; a flag it reads
+but the command line leaves out takes its value from ``DEFAULTS``, and the
+``ExperimentSpec`` holds None for every flag it does not read.
+
 All output is deterministic for the recorded seed: CSV files are UTF-8 with
 LF line endings, floats printed to 6 significant digits (exact-dof floats to
 6 decimal places), so reruns are byte-identical. Exit status is 0 on
 success, 2 on a flag parsing problem (including any flag the experiment does
-not read, ``--n`` together with ``--n-range``, a negative ``--seed``, and
-flags that could never run), and 1 when a module rejects the run. The CSV
-is written only after every row is computed, so a failed run leaves the
-output path as it was.
+not read, ``--n`` together with ``--n-range``, a negative ``--seed``, an
+``--snr`` bound that is not finite or has no finite transmit power, and
+flags that could never run), and 1 when a module rejects the run (an exact
+dof with more digits than the interpreter prints included). The CSV is
+written only after every row is computed, so a failed run leaves the output
+path as it was.
 
 SNR is defined against unit-variance receiver noise: at ``--snr`` point
 ``s`` dB each user's expected transmit power per raw slot is ``10**(s/10)``.
@@ -29,20 +35,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .align_verify import check_alignment, distinctness_audit
-from .cj_precoder import (
-    DOUBLE_LAYER,
-    LAYERS,
-    SINGLE_LAYER,
-    build_cascades,
-    closed_form_dof,
-    effective_dim,
-)
-from .errors import ParameterError, SymextiaError
+from .cj_precoder import LAYERS, SINGLE_LAYER, build_cascades, closed_form_dof, effective_dim
+from .errors import CapacityError, ParameterError, SymextiaError
 from .extension_core import (
     CHANNEL_MODELS,
     CODING_MODES,
@@ -55,14 +55,15 @@ from .extension_core import (
     slot_fold,
     subseed,
 )
-from .link_sim import LinkConfig, draw_realization, draw_until_built, simulate_link
+from .link_sim import LinkConfig, draw_realization, draw_until_built, simulate_link, snr_power
 
 EXPERIMENTS = ("dof_table", "verify", "audit", "figure1")
 
 # The flags each experiment reads besides --experiment. Any other flag given
-# explicitly exits 2, since the run would ignore it. The layer is a flag of
-# dof_table only: verify and audit derive it from --coding, and figure1
-# always runs naive coding on one layer and double coding on two.
+# explicitly exits 2, since the run would ignore it, and its spec field is
+# None. The layer is a flag of dof_table only: verify and audit draw one
+# layer per raw slot their --coding folds, and figure1 always runs
+# FIGURE1_CODINGS.
 FLAGS_READ = {
     "dof_table": ("--users", "--n", "--n-range", "--layer", "--out"),
     "verify": ("--users", "--n", "--channel", "--coding", "--trials", "--seed", "--out"),
@@ -70,8 +71,39 @@ FLAGS_READ = {
     "figure1": ("--users", "--n", "--channel", "--snr", "--trials", "--seed", "--out"),
 }
 
-DEFAULT_SNR = "10:60:10"
-DEFAULT_TRIALS = 50
+# The value of a flag an experiment reads but the command line leaves out;
+# --help prints these. --n-range defaults to the single cap --n and --out to
+# <experiment>.csv.
+DEFAULTS = {
+    "--users": 3,
+    "--n": 2,
+    "--layer": SINGLE_LAYER,
+    "--channel": CONSTANT,
+    "--coding": DOUBLE,
+    "--snr": "10:60:10",
+    "--trials": 50,
+    "--seed": 0,
+}
+
+# Every flag but --experiment: the ExperimentSpec field it sets, its
+# argparse keywords and its help text.
+_ARGUMENTS = {
+    "--users": ("users", {"type": int}, "number of user pairs K"),
+    "--n": ("n", {"type": int}, "exponent cap n"),
+    "--n-range": ("n_range", {"metavar": "LO:HI"}, "inclusive cap range for dof_table, not with --n"),
+    "--layer": ("layer", {"choices": LAYERS}, "symbol-extension layering for dof_table"),
+    "--channel": ("channel_model", {"choices": CHANNEL_MODELS}, "channel model"),
+    "--coding": ("coding", {"choices": CODING_MODES}, "coding mode for verify/audit; sets the layer"),
+    "--snr": ("snr_db", {"metavar": "LO:HI:STEP"},
+              "SNR sweep in dB for figure1; write a negative sweep as --snr=-10:0:5"),
+    "--trials": ("trials", {"type": int}, "Monte Carlo trials, or seeds per table row"),
+    "--seed": ("seed", {"type": int}, "experiment seed"),
+    "--out": ("output_path", {"metavar": "OUT"}, "output CSV path (default <experiment>.csv)"),
+}
+
+# figure1 contrasts naive coding on one layer with double coding on two,
+# on the same channel draw.
+FIGURE1_CODINGS = (NAIVE, DOUBLE)
 
 # Seed namespaces for per-row channel draws and per-run link seeds; gain
 # draws are namespaced further inside the link layer.
@@ -81,22 +113,24 @@ _NS_LINK = 3
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully resolved experiment parameters, ready to run.
+    """Resolved parameters of one experiment, ready to run.
 
-    ``coding`` is ``both`` for figure1, which always contrasts naive and
-    double coding on the same channel draw.
+    Every field the experiment does not read (see ``FLAGS_READ``) is None.
+    dof_table keeps its caps in ``n_range`` alone, so its ``n`` is None and
+    only it has ``n_range`` and ``layer``; only verify and audit have a
+    ``coding``, and only figure1 has ``snr_db``.
     """
 
     experiment: str
     users: int
-    n: int
-    n_range: tuple[int, int]
-    layer: str
-    channel_model: str
-    coding: str
-    snr_db: tuple[float, ...]
-    trials: int
-    seed: int
+    n: int | None
+    n_range: tuple[int, int] | None
+    layer: str | None
+    channel_model: str | None
+    coding: str | None
+    snr_db: tuple[float, ...] | None
+    trials: int | None
+    seed: int | None
     output_path: str
 
 
@@ -118,6 +152,7 @@ def _parse_colon_ints(text: str, flag: str) -> tuple[int, int]:
 
 
 def _parse_snr(text: str) -> tuple[float, ...]:
+    """figure1's sweep points; at least two, each with a finite transmit power."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError(f"--snr expects lo:hi:step, got {text!r}")
@@ -125,13 +160,20 @@ def _parse_snr(text: str) -> tuple[float, ...]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ParameterError(f"--snr expects numbers, got {text!r}") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ParameterError(f"--snr expects finite numbers, got {text!r}")
     if step <= 0 or hi < lo:
         raise ParameterError(f"--snr expects lo <= hi and step > 0, got {text!r}")
+    # the power grows with the point, so the two ends bound the whole sweep
+    snr_power(lo)
+    snr_power(hi)
     points = []
     value = lo
     while value <= hi + 1e-9:
         points.append(round(value, 9))
         value += step
+    if len(points) < 2:
+        raise ParameterError(f"figure1 needs at least two SNR points for its DoF slope, got {text!r}")
     return tuple(points)
 
 
@@ -139,93 +181,63 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
     """Parse CLI flags into a validated ExperimentSpec.
 
     Every flag defaults to None, so a flag given explicitly that the
-    experiment does not read (see ``FLAGS_READ``) is rejected by name.
+    experiment does not read (see ``FLAGS_READ``) is rejected by name; a
+    flag it reads but the command line leaves out takes its ``DEFAULTS``
+    value.
     """
     parser = argparse.ArgumentParser(
         prog="symextia",
         description="Symbol-extension interference alignment experiments.",
     )
     parser.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    parser.add_argument("--users", type=int, help="number of user pairs K (default 3)")
-    parser.add_argument("--n", type=int, help="exponent cap n (default 2)")
-    parser.add_argument("--n-range", metavar="LO:HI",
-                        help="inclusive cap range for dof_table (instead of --n)")
-    parser.add_argument("--layer", choices=LAYERS,
-                        help="symbol-extension layering for dof_table (default single)")
-    parser.add_argument("--channel", choices=CHANNEL_MODELS, help="channel model (default constant)")
-    parser.add_argument("--coding", choices=CODING_MODES,
-                        help="coding mode for verify/audit (default double); sets the layer")
-    parser.add_argument("--snr", metavar="LO:HI:STEP",
-                        help=f"SNR sweep in dB for figure1 (default {DEFAULT_SNR})")
-    parser.add_argument("--trials", type=int,
-                        help=f"Monte Carlo trials, or seeds per table row (default {DEFAULT_TRIALS})")
-    parser.add_argument("--seed", type=int, help="experiment seed (default 0)")
-    parser.add_argument("--out", help="output CSV path (default <experiment>.csv)")
+    for flag, (field, keywords, text) in _ARGUMENTS.items():
+        default = f" (default {DEFAULTS[flag]})" if flag in DEFAULTS else ""
+        parser.add_argument(flag, dest=field, **keywords, help=text + default)
     args = parser.parse_args(argv)
-    given = [
-        "--" + dest.replace("_", "-")
-        for dest, value in vars(args).items()
-        if value is not None and dest != "experiment"
-    ]
-    ignored = [flag for flag in given if flag not in FLAGS_READ[args.experiment]]
+    experiment, read = args.experiment, FLAGS_READ[args.experiment]
+    given = [flag for flag, (field, _, _) in _ARGUMENTS.items() if getattr(args, field) is not None]
+    ignored = [flag for flag in given if flag not in read]
     if ignored:
-        raise ParameterError(f"{args.experiment} does not use {', '.join(ignored)}")
-    if args.n is not None and args.n_range is not None:
+        raise ParameterError(f"{experiment} does not use {', '.join(ignored)}")
+    if "--n" in given and "--n-range" in given:
         raise ParameterError("--n and --n-range are mutually exclusive")
-    n = args.n if args.n is not None else 2
-    channel = args.channel if args.channel is not None else CONSTANT
-    trials = args.trials if args.trials is not None else DEFAULT_TRIALS
-    snr_text = args.snr if args.snr is not None else DEFAULT_SNR
+    fields = {}
+    for flag, (field, _, _) in _ARGUMENTS.items():
+        value = getattr(args, field)
+        fields[field] = DEFAULTS.get(flag) if value is None and flag in read else value
 
-    if args.experiment == "dof_table":
-        coding = DOUBLE
-        layer = args.layer if args.layer is not None else SINGLE_LAYER
-    elif args.experiment == "figure1":
-        coding = "both"
-        layer = DOUBLE_LAYER
-    else:
-        coding = args.coding if args.coding is not None else DOUBLE
-        layer = DOUBLE_LAYER if coding == DOUBLE else SINGLE_LAYER
-    # figure1's naive leg always draws a single layer
-    single_layer_draw = args.experiment == "figure1" or (
-        args.experiment != "dof_table" and layer == SINGLE_LAYER
-    )
-    if channel == SLOW_CHANGING and single_layer_draw:
+    if experiment == "dof_table":  # its caps live in n_range alone
+        n, text = fields["n"], fields["n_range"]
+        fields.update(n=None, n_range=(n, n) if text is None else _parse_colon_ints(text, "--n-range"))
+    codings = FIGURE1_CODINGS if experiment == "figure1" else (fields["coding"],)
+    if fields["channel_model"] == SLOW_CHANGING and any(slot_fold(c) == 1 for c in codings):
         raise ParameterError(
             "--channel slow_changing needs an even slot count, but a single layer has "
             "D = (n+1)^N + n^N slots, which is always odd"
         )
-    if trials < 1:
-        raise ParameterError(f"--trials must be >= 1, got {trials}")
-    seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ParameterError(f"--seed must be >= 0, got {seed}")
-    snr_db = _parse_snr(snr_text)
-    if args.experiment == "figure1" and len(snr_db) < 2:
-        raise ParameterError(
-            f"figure1 needs at least two SNR points for its DoF slope, got {snr_text!r}"
-        )
-    n_range = _parse_colon_ints(args.n_range, "--n-range") if args.n_range is not None else (n, n)
-    return ExperimentSpec(
-        experiment=args.experiment,
-        users=args.users if args.users is not None else 3,
-        n=n,
-        n_range=n_range,
-        layer=layer,
-        channel_model=channel,
-        coding=coding,
-        snr_db=snr_db,
-        trials=trials,
-        seed=seed,
-        output_path=args.out if args.out is not None else f"{args.experiment}.csv",
-    )
+    if fields["trials"] is not None and fields["trials"] < 1:
+        raise ParameterError(f"--trials must be >= 1, got {fields['trials']}")
+    if fields["seed"] is not None and fields["seed"] < 0:
+        raise ParameterError(f"--seed must be >= 0, got {fields['seed']}")
+    if fields["snr_db"] is not None:
+        fields["snr_db"] = _parse_snr(fields["snr_db"])
+    if fields["output_path"] is None:
+        fields["output_path"] = f"{experiment}.csv"
+    return ExperimentSpec(experiment=experiment, **fields)
 
 
 def _run_dof_table(spec: ExperimentSpec) -> Iterator[list]:
     yield ["users", "n", "layer", "dof_exact_num", "dof_exact_den", "dof_float"]
     for n in range(spec.n_range[0], spec.n_range[1] + 1):
         dof = closed_form_dof(spec.users, n, spec.layer)
-        yield [spec.users, n, spec.layer, dof.numerator, dof.denominator, f"{float(dof):.6f}"]
+        try:
+            exact = [str(dof.numerator), str(dof.denominator)]
+        except ValueError as exc:  # past the interpreter's int -> str digit limit
+            raise CapacityError(
+                f"the exact dof at users={spec.users}, n={n} has a "
+                f"{dof.numerator.bit_length()}-bit numerator, too many digits to print"
+            ) from exc
+        yield [spec.users, n, spec.layer, *exact, f"{float(dof):.6f}"]
 
 
 def _channels(spec: ExperimentSpec, coding: str, *key: int) -> ChannelSet:
@@ -239,12 +251,13 @@ def _channels(spec: ExperimentSpec, coding: str, *key: int) -> ChannelSet:
 def _run_verify(spec: ExperimentSpec) -> Iterator[list]:
     yield ["row", "seed", "users", "n", "layer", "channel", "coding",
            "max_residual", "min_rank", "required_rank", "min_margin", "verdict"]
+    layer = LAYERS[slot_fold(spec.coding) - 1]  # one layer per folded raw slot
     for row in range(spec.trials):
         channels = _channels(spec, spec.coding, row)
         _, eff, pre, _ = draw_realization(channels, spec.coding, subseed(spec.seed, _NS_LINK, row))
         report = check_alignment(eff, pre)
         ranks = report.rank_results.values()
-        yield [row, spec.seed, spec.users, spec.n, spec.layer, spec.channel_model, spec.coding,
+        yield [row, spec.seed, spec.users, spec.n, layer, spec.channel_model, spec.coding,
                _fmt(max(report.residuals.values())),
                min(r.rank for r in ranks), eff.dim,
                _fmt(min(r.margin for r in ranks)), report.verdict]
@@ -267,7 +280,7 @@ def _run_audit(spec: ExperimentSpec) -> Iterator[list]:
 
 def _run_figure1(spec: ExperimentSpec) -> Iterator[list]:
     yield ["snr_db", "coding", "sum_rate_bits_per_use", "dof_estimate", "trials", "seed"]
-    for idx, coding in enumerate((NAIVE, DOUBLE)):
+    for idx, coding in enumerate(FIGURE1_CODINGS):
         # constant-model draws share the same base matrix across both
         # extension lengths, so the two codings see one physical channel
         channels = _channels(spec, coding)

@@ -16,9 +16,9 @@ effective entries:
     halving the dimension:
     ``beta[k, q] h[k, j, q] alpha[j, q] + beta[k, D+q] h[k, j, D+q] alpha[j, D+q]``.
 
-``EffectiveChannel`` owns that rule: its ``fold`` is the number of raw
-slots summed per entry, and ``tx_gains``/``rx_gains`` give the per-slot gains
-in folded layout.
+``EffectiveChannel(channels, gains, coding_tag)`` owns that rule: it folds
+and checks its own diagonals, and hands the per-slot gains on in folded
+layout.
 
 User labels are 1-based everywhere in the public API; array axes are the
 corresponding 0-based indices.
@@ -26,7 +26,7 @@ corresponding 0-based indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,18 +94,24 @@ def _check_sizes(users: int, slots: int, min_users: int, min_slots: int) -> None
         raise ParameterError(f"need at least {min_slots} slots, got {slots}")
 
 
-def check_byte_budget(needed: int, what: str) -> None:
-    """Refuse ``what`` when its ``needed`` bytes exceed ``BYTE_BUDGET``.
+def count_text(count: int) -> str:
+    """``count`` in decimal, or by its bit length past the interpreter's int -> str digit limit."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"<{count.bit_length()}-bit number>"
 
-    Raises
-    ------
-    CapacityError
-        Naming ``what``, its size and the budget.
+
+def check_byte_budget(needed: int, what: str, *counts: int) -> None:
+    """CapacityError when an array of ``needed`` bytes would exceed ``BYTE_BUDGET``.
+
+    ``what`` names the array with one ``{}`` per count. The message is built
+    only on refusal, its counts through ``count_text``.
     """
     if needed > BYTE_BUDGET:
         raise CapacityError(
-            f"{what} need {needed} bytes, over the {BYTE_BUDGET}-byte budget; "
-            "use closed_form_dof for accounting at this size"
+            f"{what.format(*map(count_text, counts))} need {count_text(needed)} bytes, "
+            f"over the {BYTE_BUDGET}-byte budget; use closed_form_dof for accounting at this size"
         )
 
 
@@ -194,50 +200,64 @@ def slot_fold(coding: str) -> int:
     return SLOT_FOLD[coding]
 
 
-def _check_coding(coding: str, channels: ChannelSet, gains: GainPlan | None) -> int:
-    """Check that ``coding`` can fold ``channels`` with ``gains``; return its fold."""
-    fold = slot_fold(coding)
-    if coding == PLAIN:
-        if gains is not None:
-            raise ParameterError("plain coding takes no gain plan")
-    elif gains is None:
-        raise ParameterError(f"{coding} coding requires a gain plan")
-    elif gains.alpha.shape != (channels.users, channels.slots):
-        raise ParameterError(
-            f"gain plan shape {gains.alpha.shape} != channel shape ({channels.users}, {channels.slots})"
-        )
-    if channels.slots % fold:
-        raise ParameterError(f"{coding} coding requires a slot count divisible by {fold}")
-    return fold
-
-
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """Diagonal effective channels produced by one coding mode.
+    """Diagonal effective channels of ``channels`` under one coding mode.
 
     ``diagonals[k-1, j-1]`` holds the length-``dim`` diagonal of the
-    effective channel from transmitter j to receiver k. Each effective entry
-    q sums ``fold`` gain-weighted raw slots ``p*dim + q`` (p = 0..fold-1):
-    ``fold`` is 2 for ``double`` coding and 1 otherwise, and
-    ``dim = channels.slots // fold``. ``tx_gains`` and ``rx_gains`` hand
-    those per-slot gains to the transmit and receive chains, so this class
-    is the one place that knows how slots fold.
+    effective channel from transmitter j to receiver k, computed on
+    construction. Each effective entry q sums ``fold`` gain-weighted raw
+    slots ``p*dim + q`` (p = 0..fold-1): ``fold`` is 2 for ``double`` coding
+    and 1 otherwise, and ``dim = channels.slots // fold``. ``tx_gains`` and
+    ``rx_gains`` hand those per-slot gains to the transmit and receive
+    chains, so this class is the one place that knows how slots fold.
+
+    Raises ``ParameterError`` for an unknown coding tag, a gain plan under
+    ``plain`` or none under the other codings, a gain plan shaped unlike the
+    channels, a slot count ``fold`` does not divide, or a zero or non-finite
+    entry, and ``DegenerateRealizationError`` when a paired sum under
+    ``double`` cancels to below ``DEGENERATE_REL_TOL`` of its matrix mean
+    magnitude.
     """
 
-    diagonals: np.ndarray
-    coding_tag: str
     channels: ChannelSet
     gains: GainPlan | None
+    coding_tag: str
+    diagonals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_coding(self.coding_tag, self.channels, self.gains)
-        shape = (self.users, self.users, self.dim)
-        if self.diagonals.shape != shape:
-            raise ParameterError(f"diagonals shape {self.diagonals.shape} != {shape}")
-        if not np.all(np.isfinite(self.diagonals)):
+        channels, gains, coding, fold = self.channels, self.gains, self.coding_tag, self.fold
+        if (gains is None) != (coding == PLAIN):
+            raise ParameterError(f"{coding} coding takes {'no' if coding == PLAIN else 'a'} gain plan")
+        if gains is not None and gains.alpha.shape != (channels.users, channels.slots):
+            raise ParameterError(
+                f"gain plan shape {gains.alpha.shape} != channel shape ({channels.users}, {channels.slots})"
+            )
+        if channels.slots % fold:
+            raise ParameterError(f"{coding} coding requires a slot count divisible by {fold}")
+        scaled = channels.entries
+        if gains is not None:
+            scaled = gains.beta[:, None, :] * scaled
+            scaled *= gains.alpha[None, :, :]  # in place: one K x K x T temporary, same bits
+        diagonals = scaled.reshape(*scaled.shape[:2], fold, -1).sum(axis=2)
+        # only a paired sum can cancel; checked first, so a cancelled pair is
+        # degenerate rather than a zero entry
+        if fold > 1:
+            mags = np.abs(diagonals)
+            mean_mag = mags.mean(axis=2, keepdims=True)
+            # <= so an all-zero link (mean 0) also counts as cancelled
+            cancelled = mags <= DEGENERATE_REL_TOL * mean_mag
+            if cancelled.any():
+                k, j, _ = np.unravel_index(int(np.argmax(cancelled)), cancelled.shape)
+                raise DegenerateRealizationError(
+                    f"paired gains cancelled on link ({k + 1}, {j + 1}); redraw the gain plan"
+                )
+        # products of caller-supplied arrays can still overflow or underflow
+        if not np.all(np.isfinite(diagonals)):
             raise ParameterError("effective diagonals must be finite")
-        if np.any(self.diagonals == 0):
+        if np.any(diagonals == 0):
             raise ParameterError("effective diagonals must be nonzero")
+        object.__setattr__(self, "diagonals", diagonals)
 
     @property
     def users(self) -> int:
@@ -306,7 +326,7 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
     """
     _check_sizes(users, slots, 3, 2)
     check_byte_budget(
-        16 * int(users) ** 2 * int(slots), f"channels for {users} users over {slots} slots"
+        16 * int(users) ** 2 * int(slots), "channels for {} users over {} slots", users, slots
     )
     rng = np.random.default_rng(seed)
     if model == CONSTANT:
@@ -341,48 +361,8 @@ def generate_gains(users: int, slots: int, seed: int) -> GainPlan:
 
 
 def build_effective(channels: ChannelSet, gains: GainPlan | None, coding: str) -> EffectiveChannel:
-    """Combine raw channels and gains into diagonal effective channels.
+    """``EffectiveChannel(channels, gains, coding)``, with any gain plan dropped under ``plain``.
 
-    Parameters
-    ----------
-    channels : ChannelSet
-    gains : GainPlan or None
-        Required for ``naive`` and ``double`` coding, where it must match
-        ``channels`` in shape. ``plain`` ignores any supplied plan.
-    coding : str
-        One of ``plain``, ``naive``, ``double``.
-
-    Returns
-    -------
-    EffectiveChannel
-
-    Raises
-    ------
-    ParameterError
-        Unknown coding tag, missing gains, shape mismatch, or odd slot
-        count under ``double``.
-    DegenerateRealizationError
-        A paired sum under ``double`` coding cancelled to below
-        ``DEGENERATE_REL_TOL`` of its matrix mean magnitude.
+    Raises what ``EffectiveChannel`` raises.
     """
-    if coding == PLAIN:
-        gains = None
-    fold = _check_coding(coding, channels, gains)
-    scaled = channels.entries
-    if gains is not None:
-        scaled = gains.beta[:, None, :] * scaled
-        scaled *= gains.alpha[None, :, :]  # in place: one K x K x T temporary, same bits
-    diagonals = scaled.reshape(*scaled.shape[:2], fold, -1).sum(axis=2)
-    # only a paired sum can cancel; checked before EffectiveChannel, which
-    # rejects zero entries as a ParameterError
-    if fold > 1:
-        mags = np.abs(diagonals)
-        mean_mag = mags.mean(axis=2, keepdims=True)
-        # <= so an all-zero link (mean 0) also counts as cancelled
-        cancelled = mags <= DEGENERATE_REL_TOL * mean_mag
-        if cancelled.any():
-            k, j, _ = np.unravel_index(int(np.argmax(cancelled)), cancelled.shape)
-            raise DegenerateRealizationError(
-                f"paired gains cancelled on link ({k + 1}, {j + 1}); redraw the gain plan"
-            )
-    return EffectiveChannel(diagonals=diagonals, coding_tag=coding, channels=channels, gains=gains)
+    return EffectiveChannel(channels, None if coding == PLAIN else gains, coding)

@@ -19,19 +19,22 @@ whitened blocks and apply the same pseudoinverse rows. That core takes a
 leading trial axis. ``simulate_link`` draws its realizations one trial at a
 time, then stacks a chunk of trials (``ZF_STACK_BYTES`` of composites) and
 makes one stacked ``pinv`` call per receiver; ``run_symbol_chain`` passes a
-batch of one. A stacked ``pinv`` factors each slice on its own and the rates
-are added up in trial, SNR, receiver order, so the bits are those of a
+batch of one. A stacked ``pinv`` factors each slice on its own, and each
+trial's (SNR, user) rates are added to array accumulators in trial order, a
+receiver column at a time into the sum rate, so the bits are those of a
 trial-at-a-time loop. Rates are analytic from per-stream SINR, so the Monte
 Carlo averaging is over gain realizations only and a fixed seed gives
 bit-for-bit reproducible results.
 
 SNR is defined against unit-variance receiver noise: at a sweep point of
 ``snr_db`` each user's expected transmit power per raw slot is
-``10**(snr_db / 10)``.
+``snr_power(snr_db) = 10**(snr_db / 10)``, which must be a positive finite
+float.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
@@ -70,9 +73,23 @@ _NS_GAINS = 0
 _NS_CHAIN = 1
 
 
+def snr_power(snr_db: float) -> float:
+    """Transmit power per raw slot ``10**(snr_db / 10)``; ParameterError unless positive and finite.
+
+    That rejects a point that is not finite, above about 3082.5 dB, or low enough to give 0.
+    """
+    try:
+        power = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ParameterError(f"SNR point {snr_db} dB has no positive finite transmit power")
+    return power
+
+
 @dataclass(frozen=True)
 class LinkConfig:
-    """Sweep and averaging parameters for one link simulation."""
+    """Sweep and averaging parameters for one link simulation; each SNR point must pass ``snr_power``."""
 
     snr_points_db: tuple[float, ...]
     trials: int
@@ -81,6 +98,8 @@ class LinkConfig:
     def __post_init__(self) -> None:
         if len(self.snr_points_db) == 0:
             raise ParameterError("need at least one SNR point")
+        for snr in self.snr_points_db:
+            snr_power(snr)
         if any(b <= a for a, b in zip(self.snr_points_db, self.snr_points_db[1:])):
             raise ParameterError("SNR points must be strictly increasing")
         if self.trials < 1:
@@ -184,19 +203,18 @@ def combine_received(y: np.ndarray, eff: EffectiveChannel, receiver: int) -> np.
     return (gains.reshape(gains.shape + (1,) * (y.ndim - 1)) * folded).sum(axis=0)
 
 
-def _scale_hats(pre: PrecoderSet, eff: EffectiveChannel) -> dict[int, float]:
-    """Power-free part of the per-user block scale, sqrt(T / expected energy).
+def _scale_hats(pre: PrecoderSet, eff: EffectiveChannel) -> np.ndarray:
+    """Power-free part of each user's block scale, sqrt(T / expected energy), as a (users,) array.
 
     The expected energy of one unscaled T-slot block with unit-power streams
     weights each precoder row's power by the squared transmit gains folded
     onto that row.
     """
-    hats = {}
-    for user, mat in pre.precoders.items():
-        weights = np.sum(np.abs(eff.tx_gains(user)) ** 2, axis=0)
-        energy = float(np.sum(weights * np.sum(np.abs(mat) ** 2, axis=1)))
-        hats[user] = float(np.sqrt(eff.channels.slots / energy))
-    return hats
+    energy = np.array([
+        np.sum(np.sum(np.abs(eff.tx_gains(user)) ** 2, axis=0) * np.sum(np.abs(mat) ** 2, axis=1))
+        for user, mat in pre.precoders.items()
+    ])
+    return np.sqrt(eff.channels.slots / energy)
 
 
 def transmit_blocks(
@@ -236,7 +254,7 @@ def transmit_blocks(
             )
         beamformed = mat @ s
         block = (eff.tx_gains(user)[:, :, None] * beamformed).reshape(-1, s.shape[1])
-        out[user] = np.sqrt(power) * hats[user] * block
+        out[user] = np.sqrt(power) * hats[user - 1] * block
     return out
 
 
@@ -296,11 +314,6 @@ def _receiver_terms(
     return signal, cross, noise
 
 
-def _hat_rows(effs: Sequence[EffectiveChannel], pres: Sequence[PrecoderSet]) -> np.ndarray:
-    """``_scale_hats`` of each trial as a (trials, users) array."""
-    return np.array([list(_scale_hats(pre, eff).values()) for eff, pre in zip(effs, pres)])
-
-
 def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkResult:
     """Average per-user and sum rates over seeded gain realizations.
 
@@ -308,13 +321,8 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     cancellations, up to ``MAX_RESAMPLES`` consecutive redraws), precoders are
     rebuilt, and analytic zero-forcing SINRs give the rates at every SNR
     point of the sweep. ``plain`` coding has no gain randomness, so its
-    trials are identical by construction.
-
-    Trials are drawn one at a time, in chunks of at most ``ZF_STACK_BYTES``
-    of (D, D) composites; each receiver's terms for a chunk come from one
-    stacked pseudoinverse, and the rates are added up in trial, SNR,
-    receiver order, so the result is the same bits as a trial-at-a-time
-    loop.
+    trials are identical by construction. Trials are stacked in chunks as
+    the module docstring describes, with the bits of a trial-at-a-time loop.
 
     Returns
     -------
@@ -329,10 +337,10 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
         If some trial stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
     slots = channels.slots
-    users = channels.users
-    powers = np.array([10.0 ** (snr / 10.0) for snr in link.snr_points_db])
-    sum_acc = {snr: 0.0 for snr in link.snr_points_db}
-    user_acc = {snr: np.zeros(users) for snr in link.snr_points_db}
+    points = link.snr_points_db
+    powers = np.array([snr_power(snr) for snr in points])
+    user_acc = np.zeros((powers.size, channels.users))
+    sum_acc = np.zeros(powers.size)
     failures = 0
     chunk = max(1, ZF_STACK_BYTES // (16 * (slots // slot_fold(coding)) ** 2))
 
@@ -344,23 +352,20 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
             )
         )
         failures += sum(redraws)
-        hats = _hat_rows(effs, pres)
-        rates = np.empty((len(effs), powers.size, users))
-        for k in range(1, users + 1):
+        hats = np.stack([_scale_hats(pre, eff) for eff, pre in zip(effs, pres)])
+        rates = np.empty((len(effs), powers.size, channels.users))
+        for k in range(1, channels.users + 1):
             signal, cross, noise = _receiver_terms(effs, pres, k, hats)
             sinr = signal[:, None] / (cross[:, None] + noise[:, None] / powers[:, None])
             rates[:, :, k - 1] = np.sum(np.log2(1.0 + sinr), axis=-1) / slots
-        for trial_rates in rates.tolist():
-            for snr, snr_rates in zip(link.snr_points_db, trial_rates):
-                for k, rate in enumerate(snr_rates):
-                    user_acc[snr][k] += rate
-                    sum_acc[snr] += rate
+        for trial_rates in rates:
+            user_acc += trial_rates
+            for column in trial_rates.T:
+                sum_acc += column
 
-    sum_rate = {snr: sum_acc[snr] / link.trials for snr in link.snr_points_db}
-    per_user = {
-        snr: tuple((user_acc[snr] / link.trials).tolist()) for snr in link.snr_points_db
-    }
-    dof = estimate_dof(sum_rate) if len(link.snr_points_db) >= 2 else float("nan")
+    sum_rate = dict(zip(points, (sum_acc / link.trials).tolist()))
+    per_user = dict(zip(points, map(tuple, (user_acc / link.trials).tolist())))
+    dof = estimate_dof(sum_rate) if len(points) >= 2 else float("nan")
     return LinkResult(sum_rate=sum_rate, per_user_rate=per_user, dof_estimate=dof, failures=failures)
 
 
@@ -400,15 +405,14 @@ def run_symbol_chain(
     Raises
     ------
     ParameterError
-        If ``blocks`` < 1, ``power`` is not positive, or the channels and
-        coding have no construction (as in ``simulate_link``).
+        If ``blocks`` < 1, ``power`` is not positive (``transmit_blocks``
+        checks it), or the channels and coding have no construction (as in
+        ``simulate_link``).
     SimulationError
         If the draw stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
     if blocks < 1:
         raise ParameterError(f"blocks must be >= 1, got {blocks}")
-    if not power > 0:
-        raise ParameterError(f"power must be positive, got {power}")
     _, eff, pre, redraws = draw_realization(channels, coding, seed)
     rng = np.random.default_rng(subseed(seed, _NS_CHAIN))
     slots = channels.slots
@@ -420,7 +424,7 @@ def run_symbol_chain(
     }
     tx = transmit_blocks(pre, eff, power, symbols)
 
-    scales = np.sqrt(power) * _hat_rows((eff,), (pre,))
+    scales = np.sqrt(power) * _scale_hats(pre, eff)[None, :]
     received: dict[int, np.ndarray] = {}
     decoded: dict[int, np.ndarray] = {}
     for k in range(1, channels.users + 1):

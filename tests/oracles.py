@@ -8,7 +8,9 @@ branch; the link layer's folded code must match them bit for bit.
 distinctness audit reports; the pruned sweep must match it bit for bit.
 ``per_trial_simulate_link`` is the link simulation one trial and one
 pseudoinverse at a time; the stacked receiver terms must match it bit for
-bit.
+bit. ``parent_build_effective`` is the slot fold as ``build_effective``
+spelled it before ``EffectiveChannel`` computed its own diagonals; the class
+must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import itertools
 
 import numpy as np
 
+from symextia.errors import DegenerateRealizationError
+from symextia.extension_core import DEGENERATE_REL_TOL, PLAIN, SLOT_FOLD
 from symextia.link_sim import LinkResult, draw_realization, effective_noise_std, estimate_dof
 
 # factor list for the user-(3,2) cascade: (receiver, transmitter, exponent)
@@ -261,3 +265,34 @@ def per_trial_simulate_link(channels, coding: str, link) -> LinkResult:
     }
     dof = estimate_dof(sum_rate) if len(link.snr_points_db) >= 2 else float("nan")
     return LinkResult(sum_rate=sum_rate, per_user_rate=per_user, dof_estimate=dof, failures=failures)
+
+
+def parent_build_effective(channels, gains, coding: str) -> np.ndarray:
+    """The effective diagonals as ``build_effective`` folded them before
+    ``EffectiveChannel`` built its own.
+
+    A verbatim copy of that function's arithmetic and cancellation check;
+    its argument checks are left to the package, and it returns the
+    diagonals it used to hand to ``EffectiveChannel``.
+    """
+    if coding == PLAIN:
+        gains = None
+    fold = SLOT_FOLD[coding]
+    scaled = channels.entries
+    if gains is not None:
+        scaled = gains.beta[:, None, :] * scaled
+        scaled *= gains.alpha[None, :, :]  # in place: one K x K x T temporary, same bits
+    diagonals = scaled.reshape(*scaled.shape[:2], fold, -1).sum(axis=2)
+    # only a paired sum can cancel; checked before EffectiveChannel, which
+    # rejects zero entries as a ParameterError
+    if fold > 1:
+        mags = np.abs(diagonals)
+        mean_mag = mags.mean(axis=2, keepdims=True)
+        # <= so an all-zero link (mean 0) also counts as cancelled
+        cancelled = mags <= DEGENERATE_REL_TOL * mean_mag
+        if cancelled.any():
+            k, j, _ = np.unravel_index(int(np.argmax(cancelled)), cancelled.shape)
+            raise DegenerateRealizationError(
+                f"paired gains cancelled on link ({k + 1}, {j + 1}); redraw the gain plan"
+            )
+    return diagonals

@@ -151,7 +151,7 @@ class TestDoubleLayerAlignment:
             assert report.verdict == "pass"
             worst_residual = max(worst_residual, max(report.residuals.values()))
             for result in report.rank_results.values():
-                assert result.rank == result.required == effective_dim(3, 2)
+                assert result.rank == eff.dim == effective_dim(3, 2)
                 assert result.margin > result.threshold
                 worst_margin = min(worst_margin, result.margin)
         assert worst_residual <= 1e-10
@@ -235,7 +235,7 @@ class TestNaiveCollapse:
             assert numerical_rank(pre.precoders[1])[0] == 1
             # the alignment identities still hold; the collapse is a rank event
             assert max(report.residuals.values()) <= 1e-8
-            assert report.rank_results[1].rank < report.rank_results[1].required
+            assert report.rank_results[1].rank < eff.dim
             assert report.rank_results[1].rank <= 3
 
     def test_audit_flags_cascades_but_not_kappa(self):

@@ -94,6 +94,10 @@ class TestSizes:
             with pytest.raises(ParameterError, match="no exponent cap"):
                 exponent_cap(users, dim)
 
+    def test_exponent_cap_names_an_unprintable_dim_by_its_bit_length(self, int_digit_limit):
+        with pytest.raises(ParameterError, match="<15252-bit number>"):
+            exponent_cap(125, effective_dim(125, 1) + 1)
+
 
 class TestEnumerateTuples:
     def test_three_user_lexicographic(self):
@@ -120,6 +124,11 @@ class TestEnumerateTuples:
             enumerate_tuples(5, 82)
         # K=4, cap 3: 4^5 tuples of 5 int64 entries
         assert enumerate_tuples(4, 3).shape == (4**5, 5)
+
+    def test_guard_names_an_unprintable_count_by_its_bit_length(self, int_digit_limit):
+        # 2^15251 tuples: more digits than the interpreter converts to text
+        with pytest.raises(CapacityError, match="<15252-bit number> exponent tuples"):
+            enumerate_tuples(125, 1)
 
     def test_guard_counts_its_own_bytes_exactly(self, monkeypatch):
         needed = 8 * 5 * 2**5  # K=4, cap 1

@@ -18,6 +18,10 @@ from symextia.extension_core import CONSTANT, DOUBLE, IID, NAIVE, PLAIN
 from oracles import slope_between
 
 
+# The ExperimentSpec field each flag sets.
+SPEC_FIELD = {flag: field for flag, (field, _, _) in cli._ARGUMENTS.items()}
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as handle:
         return list(csv.reader(handle))
@@ -30,19 +34,19 @@ class TestParseArgs:
             experiment="verify",
             users=3,
             n=2,
-            n_range=(2, 2),
-            layer="double",
+            n_range=None,
+            layer=None,
             channel_model="constant",
             coding="double",
-            snr_db=(10.0, 20.0, 30.0, 40.0, 50.0, 60.0),
+            snr_db=None,
             trials=50,
             seed=0,
             output_path="verify.csv",
         )
 
-    def test_layer_derived_from_coding(self):
+    def test_coding_read_without_a_layer(self):
         spec = parse_args(["--experiment", "verify", "--coding", "naive"])
-        assert spec.layer == "single"
+        assert spec.layer is None
         assert spec.coding == "naive"
 
     def test_layer_coding_conflict_rejected(self):
@@ -78,12 +82,14 @@ class TestParseArgs:
     def test_slow_changing_accepted_on_double_layer(self):
         for experiment in ("verify", "audit"):
             spec = parse_args(["--experiment", experiment, "--channel", "slow_changing"])
-            assert spec.layer == "double"
+            assert spec.channel_model == "slow_changing"
+            assert spec.coding == "double"
 
-    def test_figure1_coding_is_both(self):
+    def test_figure1_stores_no_coding_or_layer(self):
         spec = parse_args(["--experiment", "figure1"])
-        assert spec.coding == "both"
-        assert spec.layer == "double"
+        assert spec.coding is None
+        assert spec.layer is None
+        assert cli.FIGURE1_CODINGS == (NAIVE, DOUBLE)
 
     def test_n_range_parsing(self):
         spec = parse_args(["--experiment", "dof_table", "--n-range", "1:9"])
@@ -155,6 +161,47 @@ class TestParseArgs:
 
         flags = base.get(experiment, {"--n": "1", "--trials": "1"})
         assert run({**flags, flag: other[flag]}) != run(flags)
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_unread_fields_are_none(self, experiment):
+        spec = parse_args(["--experiment", experiment])
+        read = {SPEC_FIELD[flag] for flag in cli.FLAGS_READ[experiment]}
+        if experiment == "dof_table":
+            read.discard("n")  # its caps live in n_range alone
+        for name in SPEC_FIELD.values():
+            assert (getattr(spec, name) is None) == (name not in read), name
+
+    @pytest.mark.parametrize(
+        "experiment, flag",
+        [(experiment, flag) for experiment in cli.EXPERIMENTS
+         for flag in cli.FLAGS_READ[experiment] if flag in cli.DEFAULTS],
+    )
+    def test_table_default_is_the_value_of_a_left_out_flag(self, experiment, flag, tmp_path):
+        # small sizes for speed, except for the flag under test
+        small = {} if experiment == "dof_table" else {"--n": "1", "--trials": "1"}
+        flags = [x for kv in small.items() if kv[0] != flag for x in kv]
+
+        def run(extra, name):
+            out = tmp_path / name
+            assert main(["--experiment", experiment, *flags, *extra, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        assert run([], "without.csv") == run([flag, str(cli.DEFAULTS[flag])], "with.csv")
+
+    @pytest.mark.parametrize("text", ["10:inf:10", "-inf:10:10", "10:20:inf", "nan:10:5"])
+    def test_non_finite_snr_rejected(self, text, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main(["--experiment", "figure1", f"--snr={text}", "--out", str(out)]) == 2
+        assert "usage error: --snr expects finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["3000:3100:100", "-4000:-3990:10"])
+    def test_snr_without_a_transmit_power_rejected(self, text, tmp_path, capsys):
+        # 10**(3100/10) overflows a float; 10**(-3990/10) is 0
+        out = tmp_path / "f.csv"
+        assert main(["--experiment", "figure1", f"--snr={text}", "--out", str(out)]) == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_trials_rejected(self):
         with pytest.raises(ParameterError, match="trials"):
@@ -419,6 +466,21 @@ class TestMain:
         # the channel tensor alone would need 1e24 and 1.1e11 bytes
         assert main(flags + ["--out", str(tmp_path / "x.csv")]) == 1
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--experiment", "verify", "--users", "125", "--n", "1"], "-bit number> slots"),
+         (["--experiment", "dof_table", "--users", "125", "--n-range", "1:1"],
+          "15250-bit numerator, too many digits to print")],
+        ids=["verify_channels", "dof_table_fraction"],
+    )
+    def test_exact_sizes_past_the_digit_limit_exit_one(self, flags, message, tmp_path, capsys,
+                                                        int_digit_limit):
+        out = tmp_path / "x.csv"
+        assert main(flags + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
     def test_failed_run_leaves_earlier_output_untouched(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

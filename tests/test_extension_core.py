@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symextia.extension_core as extension_core
+from oracles import parent_build_effective
 from symextia import (
     CapacityError,
     ChannelSet,
     DegenerateRealizationError,
+    EffectiveChannel,
     GainPlan,
     ParameterError,
     build_effective,
+    effective_dim,
     generate_channels,
     generate_gains,
     subseed,
@@ -183,6 +186,27 @@ class TestBuildEffective:
         with pytest.raises(ParameterError):
             build_effective(ch, generate_gains(3, 6, 0), "hamming")
 
+    def test_plain_with_a_gain_plan_is_rejected(self):
+        ch = generate_channels(3, 6, "iid", 0)
+        g = generate_gains(3, 6, 1)
+        with pytest.raises(ParameterError, match="plain coding takes no gain plan"):
+            EffectiveChannel(ch, g, "plain")
+        # build_effective drops the plan instead
+        assert build_effective(ch, g, "plain").gains is None
+
+    def test_coding_is_checked_once_per_build(self, monkeypatch):
+        calls = []
+        original = extension_core.slot_fold
+
+        def counted(coding):
+            calls.append(coding)
+            return original(coding)
+
+        monkeypatch.setattr(extension_core, "slot_fold", counted)
+        ch = generate_channels(3, 10, "iid", 5)
+        build_effective(ch, generate_gains(3, 10, 6), "double")
+        assert calls == ["double"]
+
     def test_detects_paired_cancellation(self):
         ch = generate_channels(3, 6, "constant", 1)
         ones = np.ones((3, 6), dtype=complex)
@@ -291,3 +315,24 @@ class TestSlotGains:
         for gains in (eff.tx_gains(2), eff.rx_gains(3)):
             assert gains.dtype == np.float64
             assert np.array_equal(gains, np.ones((1, 5)))
+
+
+def _fold_cases():
+    for users, caps in ((3, (1, 2, 5)), (4, (1, 2))):
+        for n in caps:
+            for coding in ("plain", "naive", "double"):
+                models = ("constant", "iid") + (("slow_changing",) if coding == "double" else ())
+                for model in models:
+                    yield users, n, coding, model
+
+
+class TestFoldMatchesParent:
+    @pytest.mark.parametrize("users,n,coding,model", list(_fold_cases()))
+    def test_diagonals_are_bit_identical(self, users, n, coding, model):
+        dim = effective_dim(users, n)
+        slots = (2 if coding == "double" else 1) * dim
+        ch = generate_channels(users, slots, model, 17 * n + users)
+        g = generate_gains(users, slots, subseed(n, users))
+        eff = build_effective(ch, g, coding)
+        assert eff.diagonals.shape == (users, users, dim)
+        assert np.array_equal(eff.diagonals, parent_build_effective(ch, g, coding))

@@ -44,6 +44,15 @@ class TestLinkConfig:
         with pytest.raises(ParameterError):
             LinkConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "points", [(10.0, float("inf")), (float("nan"), 10.0), (3000.0, 3100.0), (-4000.0, 0.0)]
+    )
+    def test_rejects_points_without_a_transmit_power(self, points):
+        # 10**(3100/10) overflows a float and 10**(-4000/10) is 0
+        with pytest.raises(ParameterError, match="no positive finite transmit power"):
+            LinkConfig(snr_points_db=points, trials=1)
+        assert link_sim.snr_power(3082.0) == 10.0 ** 308.2
+
 
 class TestSimulateLink:
     def test_double_layer_slope_near_seven_tenths(self):
@@ -279,7 +288,7 @@ class TestFoldMatchesPerModeReference:
         hats = link_sim._scale_hats(pre, eff)
         for user in pre.precoders:
             energy = oracles.per_mode_block_energy(pre, eff, user)
-            assert hats[user] == float(np.sqrt(ch.slots / energy))
+            assert hats[user - 1] == float(np.sqrt(ch.slots / energy))
         symbols = {
             u: rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
             for u, d in pre.stream_counts.items()
@@ -294,7 +303,7 @@ class TestFoldMatchesPerModeReference:
         power = 2.0
         sample = run_symbol_chain(ch, coding, power=power, seed=6, blocks=4, inject_noise=False)
         eff, pre = sample.effective, sample.precoders
-        scales = np.sqrt(power) * link_sim._hat_rows((eff,), (pre,))
+        scales = np.sqrt(power) * link_sim._scale_hats(pre, eff)[None, :]
         for k in range(1, 4):
             z = combine_received(sample.received[k], eff, k) / effective_noise_std(eff, k)[:, None]
             blocks = link_sim._whitened_blocks((eff,), (pre,), k, scales)
