@@ -14,13 +14,17 @@ sizes are exact integers (``cascade_order``, ``effective_dim``,
 ``exponent_cap``), so asymptotic sizes cost nothing. The product columns are
 built as one row-wise Kronecker (face-splitting) product of per-generator
 power tables, and construction is refused up front when the complex128
-precoders would exceed ``extension_core.BYTE_BUDGET``.
+precoders would exceed ``extension_core.BYTE_BUDGET``. One private build
+takes a stack of effective channels on a leading trial axis, which the link
+simulation uses for a chunk of trials at once; ``build_cascades`` and
+``build_precoders`` are its batches of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -124,8 +128,38 @@ class CascadeSet:
     kappa: np.ndarray
 
 
+def _link(diagonals: np.ndarray, receiver: int, transmitter: int) -> np.ndarray:
+    """Each trial's (trials, D) diagonal from ``transmitter`` to ``receiver`` in a (trials, K, K, D) stack."""
+    return diagonals[:, receiver - 1, transmitter - 1]
+
+
+def _stacked_cascades(diagonals: np.ndarray) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
+    """Cascade generators and kappa of a stack of effective channels.
+
+    ``diagonals`` is (trials, K, K, D), one ``EffectiveChannel.diagonals``
+    per trial; the generators and kappa come back as (trials, D) arrays.
+    Every quotient is entrywise, so each trial's slice has the bits of that
+    trial computed alone. A degenerate quotient in any trial raises
+    ``DegenerateRealizationError``, as ``build_cascades`` documents.
+    """
+    d = partial(_link, diagonals)
+    common = d(2, 1) / d(2, 3) * d(1, 3)
+    matrices: dict[tuple[int, int], np.ndarray] = {}
+    for k, l in cascade_pairs(diagonals.shape[1]):
+        mat = common / d(k, 1) * d(k, l) / d(1, l)
+        if not np.all(np.isfinite(mat)) or np.any(mat == 0):
+            raise DegenerateRealizationError(f"cascade ({k}, {l}) left the representable range")
+        matrices[(k, l)] = mat
+    kappa = d(1, 2) / d(1, 1)
+    if not np.all(np.isfinite(kappa)) or np.any(kappa == 0):
+        raise DegenerateRealizationError("kappa left the representable range")
+    return matrices, kappa
+
+
 def build_cascades(eff: EffectiveChannel) -> CascadeSet:
     """Form every cascade generator T_kl and kappa from effective diagonals.
+
+    This is the batch of one of the stacked cascade build.
 
     Raises
     ------
@@ -134,18 +168,8 @@ def build_cascades(eff: EffectiveChannel) -> CascadeSet:
         value; the effective diagonals themselves are nonzero by construction,
         so this only fires on extreme magnitude spread.
     """
-    d = eff.diagonal
-    common = d(2, 1) / d(2, 3) * d(1, 3)
-    matrices: dict[tuple[int, int], np.ndarray] = {}
-    for k, l in cascade_pairs(eff.users):
-        mat = common / d(k, 1) * d(k, l) / d(1, l)
-        if not np.all(np.isfinite(mat)) or np.any(mat == 0):
-            raise DegenerateRealizationError(f"cascade ({k}, {l}) left the representable range")
-        matrices[(k, l)] = mat
-    kappa = d(1, 2) / d(1, 1)
-    if not np.all(np.isfinite(kappa)) or np.any(kappa == 0):
-        raise DegenerateRealizationError("kappa left the representable range")
-    return CascadeSet(matrices=matrices, kappa=kappa)
+    matrices, kappa = _stacked_cascades(eff.diagonals[None])
+    return CascadeSet(matrices={pair: mat[0] for pair, mat in matrices.items()}, kappa=kappa[0])
 
 
 @dataclass(frozen=True)
@@ -156,7 +180,8 @@ class PrecoderSet:
     unit-norm columns, keyed in ascending user order. User 1's columns
     follow the rows of ``enumerate_tuples(users, n)`` and every other user's
     the rows of ``enumerate_tuples(users, n - 1)``. Sizes are read off the
-    matrices.
+    trailing two axes of the matrices, so a set may also hold a stack of
+    trials, (trials, D, d_k) per user, as the link simulation does.
     """
 
     precoders: dict[int, np.ndarray]
@@ -167,11 +192,11 @@ class PrecoderSet:
 
     @property
     def dim(self) -> int:
-        return self.precoders[1].shape[0]
+        return self.precoders[1].shape[-2]
 
     @property
     def stream_counts(self) -> dict[int, int]:
-        return {user: mat.shape[1] for user, mat in self.precoders.items()}
+        return {user: mat.shape[-1] for user, mat in self.precoders.items()}
 
     def basis_user(self, receiver: int) -> int:
         """User whose block spans the aligned interference at ``receiver``.
@@ -179,6 +204,63 @@ class PrecoderSet:
         That is user 2 at receiver 1 and user 1 at every other receiver.
         """
         return 2 if receiver == 1 else 1
+
+
+def _stacked_precoders(diagonals: np.ndarray) -> PrecoderSet:
+    """The precoders of a stack of effective channels, built in one pass.
+
+    ``diagonals`` is (trials, K, K, D), one ``EffectiveChannel.diagonals``
+    per trial, and the set holds one (trials, D, d_k) stack per user. Every
+    step is entrywise along the trial axis, or a reduction over one trial's
+    rows, so each slice has the bits of that trial built alone.
+    ``build_precoders`` documents the construction and its errors; a
+    degenerate cascade or column norm in any trial fails the whole stack,
+    and the byte budget is checked against the whole stack.
+    """
+    trials, users, _, dim = diagonals.shape
+    cap = exponent_cap(users, dim)
+    # D x ((n+1)^N + (K-1) n^N) entries, that is D + (K-2) n^N columns
+    columns = dim + (users - 2) * cap ** cascade_order(users)
+    check_byte_budget(16 * trials * dim * columns, "precoders for {} users at n={}", users, cap)
+    matrices, _ = _stacked_cascades(diagonals)  # kappa is checked, not used
+    # T_kl^e for e = 0..cap, multiplied up one power at a time (a cumulative
+    # product rounds differently).
+    tables = []
+    for mat in matrices.values():
+        table = np.empty((trials, cap + 1, dim), dtype=complex)
+        table[:, 0] = 1.0
+        for e in range(1, cap + 1):
+            table[:, e] = table[:, e - 1] * mat
+        tables.append(table)
+
+    def power_products(top: int) -> np.ndarray:
+        # One column per row of enumerate_tuples(users, top). The output is
+        # forced to C order: the column norms below round differently when
+        # each column is contiguous.
+        out = np.ones((trials, dim, 1), dtype=complex)
+        for table in tables:
+            powers = table[:, : top + 1].transpose(0, 2, 1)
+            out = np.multiply(out[:, :, :, None], powers[:, :, None, :], order="C")
+            out = out.reshape(trials, dim, -1)
+        return out
+
+    # the user-3 prefix H_21 H_23^-1 is not one of the cascades
+    prefix = _link(diagonals, 2, 1) / _link(diagonals, 2, 3)
+    raw = {1: power_products(cap), 3: prefix[:, :, None] * power_products(cap - 1)}
+    for i in range(2, users + 1):
+        if i != 3:
+            raw[i] = (_link(diagonals, 1, 3) / _link(diagonals, 1, i))[:, :, None] * raw[3]
+
+    precoders = dict(sorted(raw.items()))
+    with np.errstate(over="ignore"):  # an overflowed norm is caught just below
+        for user, mat in precoders.items():
+            norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=1, keepdims=True))
+            if not np.all(np.isfinite(norms)):
+                raise DegenerateRealizationError(f"precoder column norms for user {user} overflowed")
+            if np.any(norms == 0):
+                raise DegenerateRealizationError(f"precoder column for user {user} vanished")
+            mat /= norms
+    return PrecoderSet(precoders=precoders)
 
 
 def build_precoders(eff: EffectiveChannel) -> PrecoderSet:
@@ -195,6 +277,9 @@ def build_precoders(eff: EffectiveChannel) -> PrecoderSet:
     is one row-wise Kronecker product of those tables, so the work stays
     linear in D times the column count for fixed (users, n).
 
+    This is the batch of one of the stacked build that ``simulate_link``
+    runs over a chunk of trials at once; there is no other construction.
+
     Raises
     ------
     ParameterError
@@ -207,49 +292,8 @@ def build_precoders(eff: EffectiveChannel) -> PrecoderSet:
         If a cascade degenerates numerically, or a column norm overflows or
         vanishes.
     """
-    users, dim = eff.users, eff.dim
-    cap = exponent_cap(users, dim)
-    # D x ((n+1)^N + (K-1) n^N) entries, that is D + (K-2) n^N columns
-    columns = dim + (users - 2) * cap ** cascade_order(users)
-    check_byte_budget(16 * dim * columns, "precoders for {} users at n={}", users, cap)
-    cascades = build_cascades(eff)
-    # T_kl^e for e = 0..cap, multiplied up one power at a time (a cumulative
-    # product rounds differently).
-    tables = []
-    for mat in cascades.matrices.values():
-        table = np.empty((cap + 1, dim), dtype=complex)
-        table[0] = 1.0
-        for e in range(1, cap + 1):
-            table[e] = table[e - 1] * mat
-        tables.append(table)
-
-    def power_products(top: int) -> np.ndarray:
-        # One column per row of enumerate_tuples(users, top). The output is
-        # forced to C order: the column norms below round differently when
-        # each column is contiguous.
-        out = np.ones((dim, 1), dtype=complex)
-        for table in tables:
-            out = np.multiply(out[:, :, None], table[: top + 1].T[:, None, :], order="C")
-            out = out.reshape(dim, -1)
-        return out
-
-    # the user-3 prefix H_21 H_23^-1 is not one of the cascades
-    prefix = eff.diagonal(2, 1) / eff.diagonal(2, 3)
-    raw = {1: power_products(cap), 3: prefix[:, None] * power_products(cap - 1)}
-    for i in range(2, users + 1):
-        if i != 3:
-            raw[i] = (eff.diagonal(1, 3) / eff.diagonal(1, i))[:, None] * raw[3]
-
-    precoders = dict(sorted(raw.items()))
-    with np.errstate(over="ignore"):  # an overflowed norm is caught just below
-        for user, mat in precoders.items():
-            norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=0))
-            if not np.all(np.isfinite(norms)):
-                raise DegenerateRealizationError(f"precoder column norms for user {user} overflowed")
-            if np.any(norms == 0):
-                raise DegenerateRealizationError(f"precoder column for user {user} vanished")
-            mat /= norms
-    return PrecoderSet(precoders=precoders)
+    stack = _stacked_precoders(eff.diagonals[None])
+    return PrecoderSet(precoders={user: mat[0] for user, mat in stack.precoders.items()})
 
 
 def closed_form_dof(users: int, n: int, layer: str) -> Fraction:

@@ -21,11 +21,12 @@ LF line endings, floats printed to 6 significant digits (exact-dof floats to
 6 decimal places), so reruns are byte-identical. Exit status is 0 on
 success, 2 on a flag parsing problem (including any flag the experiment does
 not read, ``--n`` together with ``--n-range``, a negative ``--seed``, an
-``--snr`` bound that is not finite or has no finite transmit power, and
-flags that could never run), and 1 when a module rejects the run (an exact
-dof with more digits than the interpreter prints included). The CSV is
-written only after every row is computed, so a failed run leaves the output
-path as it was.
+``--snr`` bound that is not finite or has no usable transmit power, an
+``--snr`` sweep with more float64 points than ``BYTE_BUDGET`` holds or a
+step too small to move it, and flags that could never run), and 1 when a
+module rejects the run (an exact dof with more digits than the interpreter
+prints included). The CSV is written only after every row is computed, so a
+failed run leaves the output path as it was.
 
 SNR is defined against unit-variance receiver noise: at ``--snr`` point
 ``s`` dB each user's expected transmit power per raw slot is ``10**(s/10)``.
@@ -44,6 +45,7 @@ from .align_verify import check_alignment, distinctness_audit
 from .cj_precoder import LAYERS, SINGLE_LAYER, build_cascades, closed_form_dof, effective_dim
 from .errors import CapacityError, ParameterError, SymextiaError
 from .extension_core import (
+    BYTE_BUDGET,
     CHANNEL_MODELS,
     CODING_MODES,
     CONSTANT,
@@ -152,7 +154,13 @@ def _parse_colon_ints(text: str, flag: str) -> tuple[int, int]:
 
 
 def _parse_snr(text: str) -> tuple[float, ...]:
-    """figure1's sweep points; at least two, each with a finite transmit power."""
+    """figure1's sweep points; at least two, each with a usable transmit power.
+
+    Points are ``lo, lo + step, ...`` accumulated up to ``hi``. Their count
+    is worked out first, and a sweep whose float64 points would exceed
+    ``BYTE_BUDGET``, or whose step cannot move a point, is refused before
+    any point is made.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError(f"--snr expects lo:hi:step, got {text!r}")
@@ -167,6 +175,18 @@ def _parse_snr(text: str) -> tuple[float, ...]:
     # the power grows with the point, so the two ends bound the whole sweep
     snr_power(lo)
     snr_power(hi)
+    # counted before the loop below, which a tiny step would keep going
+    # for ever or past the memory budget
+    count = (hi + 1e-9 - lo) / step + 1
+    if 8 * count > BYTE_BUDGET:
+        raise ParameterError(
+            f"--snr {text!r} has about {count:.3g} points, more than the "
+            f"{BYTE_BUDGET}-byte budget holds as float64"
+        )
+    # a step of one float spacing at the largest magnitude moves every point
+    edge = max(abs(lo), abs(hi) + 1e-9)
+    if step < math.ulp(edge):
+        raise ParameterError(f"--snr step {step!r} is below the float spacing at {edge:g} dB")
     points = []
     value = lo
     while value <= hi + 1e-9:

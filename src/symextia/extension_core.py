@@ -209,7 +209,8 @@ class EffectiveChannel:
     construction. Each effective entry q sums ``fold`` gain-weighted raw
     slots ``p*dim + q`` (p = 0..fold-1): ``fold`` is 2 for ``double`` coding
     and 1 otherwise, and ``dim = channels.slots // fold``. ``tx_gains`` and
-    ``rx_gains`` hand those per-slot gains to the transmit and receive
+    ``rx_gains`` (or every user's at once, ``tx_gain_table`` and
+    ``rx_gain_table``) hand those per-slot gains to the transmit and receive
     chains, so this class is the one place that knows how slots fold.
 
     Raises ``ParameterError`` for an unknown coding tag, a gain plan under
@@ -282,17 +283,28 @@ class EffectiveChannel:
         Entry ``[p, q]`` scales raw slot ``p*dim + q``, which feeds effective
         entry q. Plain coding has unit gains.
         """
-        return self._slot_gains("alpha", user)
+        _check_users(self.users, user)
+        return self.tx_gain_table[user - 1]
 
     def rx_gains(self, user: int) -> np.ndarray:
         """Receive gains of 1-based ``user``, laid out like ``tx_gains``."""
-        return self._slot_gains("beta", user)
-
-    def _slot_gains(self, name: str, user: int) -> np.ndarray:
         _check_users(self.users, user)
+        return self.rx_gain_table[user - 1]
+
+    @property
+    def tx_gain_table(self) -> np.ndarray:
+        """Every user's ``tx_gains`` as one ``(users, fold, dim)`` array."""
+        return self._gain_table("alpha")
+
+    @property
+    def rx_gain_table(self) -> np.ndarray:
+        """Every user's ``rx_gains`` as one ``(users, fold, dim)`` array."""
+        return self._gain_table("beta")
+
+    def _gain_table(self, name: str) -> np.ndarray:
         if self.gains is None:
-            return np.ones((self.fold, self.dim))
-        return getattr(self.gains, name)[user - 1].reshape(self.fold, self.dim)
+            return np.ones((self.users, self.fold, self.dim))
+        return getattr(self.gains, name).reshape(self.users, self.fold, self.dim)
 
 
 def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelSet:

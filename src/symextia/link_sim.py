@@ -15,33 +15,42 @@ count that no construction has is a ``ParameterError`` from the first draw.
 
 One zero-forcer serves both receivers: the analytic rates of
 ``simulate_link`` and the sampled ``run_symbol_chain`` build the same
-whitened blocks and apply the same pseudoinverse rows. That core takes a
-leading trial axis. ``simulate_link`` draws its realizations one trial at a
-time, then stacks a chunk of trials (``ZF_STACK_BYTES`` of composites) and
-makes one stacked ``pinv`` call per receiver; ``run_symbol_chain`` passes a
-batch of one. A stacked ``pinv`` factors each slice on its own, and each
-trial's (SNR, user) rates are added to array accumulators in trial order, a
-receiver column at a time into the sum rate, so the bits are those of a
-trial-at-a-time loop. Rates are analytic from per-stream SINR, so the Monte
-Carlo averaging is over gain realizations only and a fixed seed gives
-bit-for-bit reproducible results.
+whitened blocks and apply the same pseudoinverse rows. That core, like the
+precoder build and the scale factors, takes optional leading trial axes.
+``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
+composites). Within a chunk, what stays per trial is the gain draw and the
+``EffectiveChannel`` it folds to, on the same seeds and with the same
+redraws of a cancelled pair as ``draw_realization``. The rest is stacked:
+one precoder build for the chunk (``build_precoders`` is that build's batch
+of one), one call for its scale factors, whitened blocks read straight from
+those stacked arrays, and one stacked ``pinv`` call per receiver.
+``run_symbol_chain`` calls the same functions on one trial without a trial
+axis. Every stacked step is entrywise along the trial axis, or a reduction
+or factorisation of one trial's slice, and each trial's (SNR, user) rates
+are added to array accumulators in trial order, a receiver column at a time
+into the sum rate, so the bits are those of a trial-at-a-time loop. A chunk
+in which some trial's precoders degenerate, or some trial gives up, is run
+again through ``draw_realization`` one trial at a time, so it redraws and
+fails exactly as that loop does. Rates are analytic from per-stream SINR,
+so the Monte Carlo averaging is over gain realizations only and a fixed
+seed gives bit-for-bit reproducible results.
 
 SNR is defined against unit-variance receiver noise: at a sweep point of
 ``snr_db`` each user's expected transmit power per raw slot is
 ``snr_power(snr_db) = 10**(snr_db / 10)``, which must be a positive finite
-float.
+float with a finite reciprocal.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
 
-from .cj_precoder import PrecoderSet, build_precoders
+from .cj_precoder import PrecoderSet, _stacked_precoders, build_precoders
 from .errors import DegenerateRealizationError, ParameterError, SimulationError
 from .extension_core import (
     PLAIN,
@@ -74,16 +83,21 @@ _NS_CHAIN = 1
 
 
 def snr_power(snr_db: float) -> float:
-    """Transmit power per raw slot ``10**(snr_db / 10)``; ParameterError unless positive and finite.
+    """Transmit power per raw slot ``10**(snr_db / 10)``; ParameterError unless usable.
 
-    That rejects a point that is not finite, above about 3082.5 dB, or low enough to give 0.
+    A usable power is positive and finite with a finite reciprocal, so the
+    SINR's noise term ``noise / power`` cannot overflow from the power
+    alone. That rejects a point that is not finite or lies outside about
+    -3082.5 .. 3082.5 dB.
     """
     try:
         power = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
         power = math.inf
-    if not 0.0 < power < math.inf:
-        raise ParameterError(f"SNR point {snr_db} dB has no positive finite transmit power")
+    if not (0.0 < power < math.inf and 1.0 / power < math.inf):
+        raise ParameterError(
+            f"SNR point {snr_db} dB has no positive finite transmit power with a finite reciprocal"
+        )
     return power
 
 
@@ -187,11 +201,20 @@ def draw_realization(
     return draw_until_built(channels, coding, base_seed, build_precoders, trial)
 
 
+def _folded_power(gains: np.ndarray) -> np.ndarray:
+    """Squared gain magnitudes summed over the raw slots folded onto each effective entry.
+
+    ``gains`` is laid out like ``EffectiveChannel.tx_gains``, with any
+    leading axes, (..., fold, dim); the result is (..., dim).
+    """
+    return np.sum(np.abs(gains) ** 2, axis=-2)
+
+
 def effective_noise_std(eff: EffectiveChannel, receiver: int) -> np.ndarray:
     """Standard deviation of the combined unit-variance noise per effective slot."""
     # with one tap this is |b| exactly: binary64 sqrt of a rounded square
     # returns the value unless the square under- or overflows
-    return np.sqrt(np.sum(np.abs(eff.rx_gains(receiver)) ** 2, axis=0))
+    return np.sqrt(_folded_power(eff.rx_gains(receiver)))
 
 
 def combine_received(y: np.ndarray, eff: EffectiveChannel, receiver: int) -> np.ndarray:
@@ -203,18 +226,24 @@ def combine_received(y: np.ndarray, eff: EffectiveChannel, receiver: int) -> np.
     return (gains.reshape(gains.shape + (1,) * (y.ndim - 1)) * folded).sum(axis=0)
 
 
-def _scale_hats(pre: PrecoderSet, eff: EffectiveChannel) -> np.ndarray:
-    """Power-free part of each user's block scale, sqrt(T / expected energy), as a (users,) array.
+def _scale_hats(pre: PrecoderSet, tx_power: np.ndarray, slots: int) -> np.ndarray:
+    """Power-free part of each user's block scale, sqrt(T / expected energy).
 
+    ``tx_power`` is ``_folded_power`` of the transmit gain table, (users, D).
     The expected energy of one unscaled T-slot block with unit-power streams
-    weights each precoder row's power by the squared transmit gains folded
-    onto that row.
+    weights each precoder row's power by that user's row of ``tx_power``.
+    A stack of trials, precoders (trials, D, d_k) and ``tx_power`` (trials,
+    users, D), gives one (trials, users) array in one pass; one trial gives
+    (users,).
     """
-    energy = np.array([
-        np.sum(np.sum(np.abs(eff.tx_gains(user)) ** 2, axis=0) * np.sum(np.abs(mat) ** 2, axis=1))
-        for user, mat in pre.precoders.items()
-    ])
-    return np.sqrt(eff.channels.slots / energy)
+    energy = np.stack(
+        [
+            np.sum(tx_power[..., user - 1, :] * np.sum(np.abs(mat) ** 2, axis=-1), axis=-1)
+            for user, mat in pre.precoders.items()
+        ],
+        axis=-1,
+    )
+    return np.sqrt(slots / energy)
 
 
 def transmit_blocks(
@@ -244,7 +273,7 @@ def transmit_blocks(
     block_counts = {user: s.shape[1] for user, s in symbols.items()}
     if len(set(block_counts.values())) != 1:
         raise ParameterError(f"every user must send the same number of blocks, got {block_counts}")
-    hats = _scale_hats(pre, eff)
+    hats = _scale_hats(pre, _folded_power(eff.tx_gain_table), eff.channels.slots)
     out: dict[int, np.ndarray] = {}
     for user, mat in pre.precoders.items():
         s = symbols[user]
@@ -259,22 +288,22 @@ def transmit_blocks(
 
 
 def _whitened_blocks(
-    effs: Sequence[EffectiveChannel], pres: Sequence[PrecoderSet], k: int, scales: np.ndarray
+    pre: PrecoderSet, diagonals: np.ndarray, noise_std: np.ndarray, scales: np.ndarray
 ) -> dict[int, np.ndarray]:
-    """Per-transmitter blocks seen at receiver ``k`` after noise whitening.
+    """Per-transmitter blocks seen at one receiver k after noise whitening.
 
-    ``effs`` and ``pres`` hold one realization per trial and ``scales[t, j - 1]``
-    is trial t's amplitude for user j. Block j, of shape (trials, D, d_j), is
-    ``scales[:, j - 1] * H_kj V_j`` with each row divided by the combined
-    noise standard deviation of its effective slot.
+    ``diagonals`` is the receiver's row of effective diagonals, (users, D),
+    ``noise_std`` its combined noise standard deviation per slot, (D,), and
+    ``scales[j - 1]`` user j's amplitude. Block j, of shape (D, d_j), is
+    ``scales[j - 1] * H_kj V_j`` with each row divided by the noise standard
+    deviation of its effective slot. Every argument may carry the same
+    leading trial axes, and so do the blocks.
     """
-    wstd = np.stack([effective_noise_std(eff, k) for eff in effs])[:, :, None]
-    diagonals = np.stack([eff.diagonals[k - 1] for eff in effs])[:, :, :, None]
     return {
-        j: scales[:, j - 1, None, None]
-        * (diagonals[:, j - 1] * np.stack([pre.precoders[j] for pre in pres]))
-        / wstd
-        for j in pres[0].precoders
+        j: scales[..., j - 1, None, None]
+        * (diagonals[..., j - 1, :, None] * mat)
+        / noise_std[..., :, None]
+        for j, mat in pre.precoders.items()
     }
 
 
@@ -287,21 +316,24 @@ def _zero_forcer(pre: PrecoderSet, blocks: dict[int, np.ndarray], k: int) -> np.
     on its own, so the rows are the same bits as one call per trial.
     """
     composite = np.concatenate([blocks[k], blocks[pre.basis_user(k)]], axis=-1)
-    return np.linalg.pinv(composite)[:, : pre.stream_counts[k]]
+    return np.linalg.pinv(composite)[..., : pre.stream_counts[k], :]
 
 
 def _receiver_terms(
-    effs: Sequence[EffectiveChannel], pres: Sequence[PrecoderSet], receiver: int, hats: np.ndarray
+    pre: PrecoderSet, diagonals: np.ndarray, noise_std: np.ndarray, receiver: int, hats: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Power-independent SINR pieces at one receiver, stacked over trials.
 
-    Returns (trials, d_k) arrays of signal power, total cross-stream leakage
-    power and whitened-noise amplification per desired stream; with transmit
-    power P the stream SINR is signal / (cross + noise / P).
+    ``pre`` holds (trials, D, d_k) precoder stacks, ``diagonals`` the
+    trials' effective diagonals, (trials, users, users, D), ``noise_std``
+    their combined noise standard deviations, (trials, users, D), and
+    ``hats`` their scales, (trials, users). Returns (trials, d_k) arrays of
+    signal power, total cross-stream leakage power and whitened-noise
+    amplification per desired stream; with transmit power P the stream SINR
+    is signal / (cross + noise / P).
     """
     k = receiver
-    pre = pres[0]
-    blocks = _whitened_blocks(effs, pres, k, hats)
+    blocks = _whitened_blocks(pre, diagonals[:, k - 1], noise_std[:, k - 1], hats)
     gains_zf = _zero_forcer(pre, blocks, k)
 
     own = gains_zf @ blocks[k]
@@ -314,15 +346,44 @@ def _receiver_terms(
     return signal, cross, noise
 
 
+def _draw_chunk(
+    channels: ChannelSet, coding: str, base_seed: int, trials: range
+) -> tuple[tuple[EffectiveChannel, ...], np.ndarray, PrecoderSet, int]:
+    """Realizations of ``trials``, stacked on a leading trial axis, and their redraw count.
+
+    Returns ``(effs, diagonals, precoders, redraws)``: diagonals
+    (trials, users, users, D) and precoders (trials, D, d_k). Gains are drawn
+    trial by trial on ``draw_realization``'s seeds, redrawn while the
+    effective channel is degenerate, and the chunk's precoders are one
+    stacked build. If a trial's precoders degenerate or a trial gives up,
+    the chunk is drawn again through ``draw_realization``, which redraws or
+    fails exactly as a trial-at-a-time run does.
+    """
+    try:
+        _, effs, _, redraws = zip(
+            *(draw_until_built(channels, coding, base_seed, lambda eff: None, t) for t in trials)
+        )
+        diagonals = np.stack([eff.diagonals for eff in effs])
+        pre = _stacked_precoders(diagonals)
+    except (DegenerateRealizationError, SimulationError):
+        _, effs, pres, redraws = zip(*(draw_realization(channels, coding, base_seed, t) for t in trials))
+        diagonals = np.stack([eff.diagonals for eff in effs])
+        pre = PrecoderSet({user: np.stack([p.precoders[user] for p in pres]) for user in pres[0].precoders})
+    return effs, diagonals, pre, sum(redraws)
+
+
 def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkResult:
     """Average per-user and sum rates over seeded gain realizations.
 
     For each trial one gain plan is drawn (redrawing on degenerate paired
-    cancellations, up to ``MAX_RESAMPLES`` consecutive redraws), precoders are
-    rebuilt, and analytic zero-forcing SINRs give the rates at every SNR
-    point of the sweep. ``plain`` coding has no gain randomness, so its
-    trials are identical by construction. Trials are stacked in chunks as
-    the module docstring describes, with the bits of a trial-at-a-time loop.
+    cancellations or precoders, up to ``MAX_RESAMPLES`` consecutive
+    redraws), precoders are built, and analytic zero-forcing SINRs give the
+    rates at every SNR point of the sweep. ``plain`` coding has no gain
+    randomness, so its trials are identical by construction. Trials run in
+    chunks as the module docstring describes: gains and effective channels
+    are drawn one trial at a time, while the chunk's precoders, scale
+    factors and zero-forcers are stacked calls, with the bits of a
+    trial-at-a-time loop.
 
     Returns
     -------
@@ -345,17 +406,15 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     chunk = max(1, ZF_STACK_BYTES // (16 * (slots // slot_fold(coding)) ** 2))
 
     for start in range(0, link.trials, chunk):
-        _, effs, pres, redraws = zip(
-            *(
-                draw_realization(channels, coding, link.seed, trial)
-                for trial in range(start, min(start + chunk, link.trials))
-            )
+        effs, diagonals, pre, redraws = _draw_chunk(
+            channels, coding, link.seed, range(start, min(start + chunk, link.trials))
         )
-        failures += sum(redraws)
-        hats = np.stack([_scale_hats(pre, eff) for eff, pre in zip(effs, pres)])
+        failures += redraws
+        hats = _scale_hats(pre, _folded_power(np.stack([eff.tx_gain_table for eff in effs])), slots)
+        noise_std = np.sqrt(_folded_power(np.stack([eff.rx_gain_table for eff in effs])))
         rates = np.empty((len(effs), powers.size, channels.users))
         for k in range(1, channels.users + 1):
-            signal, cross, noise = _receiver_terms(effs, pres, k, hats)
+            signal, cross, noise = _receiver_terms(pre, diagonals, noise_std, k, hats)
             sinr = signal[:, None] / (cross[:, None] + noise[:, None] / powers[:, None])
             rates[:, :, k - 1] = np.sum(np.log2(1.0 + sinr), axis=-1) / slots
         for trial_rates in rates:
@@ -424,7 +483,7 @@ def run_symbol_chain(
     }
     tx = transmit_blocks(pre, eff, power, symbols)
 
-    scales = np.sqrt(power) * _scale_hats(pre, eff)[None, :]
+    scales = np.sqrt(power) * _scale_hats(pre, _folded_power(eff.tx_gain_table), slots)
     received: dict[int, np.ndarray] = {}
     decoded: dict[int, np.ndarray] = {}
     for k in range(1, channels.users + 1):
@@ -432,8 +491,10 @@ def run_symbol_chain(
         if inject_noise:
             y = y + (rng.standard_normal((slots, blocks)) + 1j * rng.standard_normal((slots, blocks))) / np.sqrt(2.0)
         received[k] = y
-        z = combine_received(y, eff, k) / effective_noise_std(eff, k)[:, None]
-        decoded[k] = _zero_forcer(pre, _whitened_blocks((eff,), (pre,), k, scales), k)[0] @ z
+        noise_std = effective_noise_std(eff, k)
+        z = combine_received(y, eff, k) / noise_std[:, None]
+        whitened = _whitened_blocks(pre, eff.diagonals[k - 1], noise_std, scales)
+        decoded[k] = _zero_forcer(pre, whitened, k) @ z
     return ChainSample(
         effective=eff,
         precoders=pre,

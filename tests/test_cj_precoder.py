@@ -27,6 +27,7 @@ from symextia import (
     slot_fold,
     subseed,
 )
+import symextia.cj_precoder as cj_precoder
 import symextia.extension_core as extension_core
 
 
@@ -280,6 +281,20 @@ class TestBuildPrecoders:
                 assert list(pre.precoders) == list(want)
                 for user, mat in want.items():
                     assert np.array_equal(pre.precoders[user], mat), (users, n, coding, user)
+
+    def test_stacked_slices_match_per_tuple_reference(self):
+        # every slice of a stacked build has the bits of its trial built alone
+        for users, n in ((3, 2), (3, 10), (4, 1)):
+            for coding, model in (("naive", "iid"), ("double", "constant")):
+                slots = slot_fold(coding) * effective_dim(users, n)
+                ch = generate_channels(users, slots, model, subseed(n, 4))
+                effs = [draw_realization(ch, coding, subseed(n, 5), trial)[1] for trial in range(4)]
+                stack = cj_precoder._stacked_precoders(np.stack([eff.diagonals for eff in effs]))
+                for trial, eff in enumerate(effs):
+                    want = loop_precoders(eff, build_cascades(eff), n)
+                    assert list(stack.precoders) == list(want)
+                    for user, mat in want.items():
+                        assert np.array_equal(stack.precoders[user][trial], mat), (users, n, coding, trial)
 
 
 class TestClosedFormDof:

@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -195,13 +196,43 @@ class TestParseArgs:
         assert "usage error: --snr expects finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["3000:3100:100", "-4000:-3990:10"])
+    @pytest.mark.parametrize("text", ["3000:3100:100", "-4000:-3990:10", "-3200:-3190:10"])
     def test_snr_without_a_transmit_power_rejected(self, text, tmp_path, capsys):
-        # 10**(3100/10) overflows a float; 10**(-3990/10) is 0
+        # 10**(3100/10) overflows a float; 10**(-3990/10) is 0; 10**(-3200/10)
+        # is subnormal, and its reciprocal overflows
         out = tmp_path / "f.csv"
-        assert main(["--experiment", "figure1", f"--snr={text}", "--out", str(out)]) == 2
+        flags = ["--experiment", "figure1", "--n", "1", "--trials", "1", f"--snr={text}"]
+        assert main([*flags, "--out", str(out)]) == 2
         assert "usage error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0:10:1e-300", "budget"),  # about 1e301 points
+            ("-3000:3000:5e-324", "budget"),  # the count overflows to inf
+            ("0:256:9.5367431640625e-07", "budget"),  # 2**28 + 1 points, 8 bytes each
+            ("3000:3000.000000001:1e-13", "float spacing"),  # value += step never moves
+        ],
+    )
+    def test_snr_sweep_that_would_not_end_rejected_at_once(self, text, message, tmp_path):
+        # in a child process with a timeout, so a regression fails instead of hanging
+        out = tmp_path / "f.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "symextia.cli", "--experiment", "figure1", f"--snr={text}",
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            cwd=Path(symextia.__file__).parents[1],
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage error: --snr") and message in proc.stderr
+        assert not out.exists()
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match=message):
+            cli._parse_snr(text)
+        assert time.perf_counter() - start < 0.5
 
     def test_bad_trials_rejected(self):
         with pytest.raises(ParameterError, match="trials"):
@@ -413,6 +444,16 @@ class TestFigure1:
         assert next(iter(dofs[DOUBLE])) == pytest.approx(
             slope_between(rates[DOUBLE], 50.0, 60.0), abs=1e-4
         )
+
+    def test_builds_precoders_once_per_chunk(self, tmp_path, monkeypatch):
+        # the sweep_k3 benchmark op: D = 21, so a 128 KiB chunk holds 18 trials
+        # and 50 trials are 3 chunks per coding
+        calls = _count_calls(monkeypatch, ("build_precoders", "_stacked_precoders"))
+        rc = main(["--experiment", "figure1", "--users", "3", "--n", "10", "--channel", "constant",
+                   "--snr", "10:60:10", "--trials", "50", "--out", str(tmp_path / "f.csv")])
+        assert rc == 0
+        assert link_sim.ZF_STACK_BYTES // (16 * effective_dim(3, 10) ** 2) == 18
+        assert calls == Counter({"_stacked_precoders": 2 * 3})
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["--experiment", "figure1", "--trials", "5", "--snr", "10:30:10"]

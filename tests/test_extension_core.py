@@ -302,19 +302,26 @@ class TestSlotGains:
         eff = build_effective(ch, g, coding)
         dim = 8 // fold
         assert eff.fold == fold and eff.dim == dim
+        assert eff.tx_gain_table.shape == eff.rx_gain_table.shape == (3, fold, dim)
         for user in (1, 2, 3):
-            tx, rx = eff.tx_gains(user), eff.rx_gains(user)
-            assert tx.shape == rx.shape == (fold, dim)
-            for p in range(fold):
-                for q in range(dim):
-                    assert tx[p, q] == g.alpha[user - 1, p * dim + q]
-                    assert rx[p, q] == g.beta[user - 1, p * dim + q]
+            for tx, rx in (
+                (eff.tx_gains(user), eff.rx_gains(user)),
+                (eff.tx_gain_table[user - 1], eff.rx_gain_table[user - 1]),
+            ):
+                assert tx.shape == rx.shape == (fold, dim)
+                for p in range(fold):
+                    for q in range(dim):
+                        assert tx[p, q] == g.alpha[user - 1, p * dim + q]
+                        assert rx[p, q] == g.beta[user - 1, p * dim + q]
 
     def test_plain_gains_are_float_ones(self):
         eff = build_effective(generate_channels(3, 5, "iid", 0), None, "plain")
         for gains in (eff.tx_gains(2), eff.rx_gains(3)):
             assert gains.dtype == np.float64
             assert np.array_equal(gains, np.ones((1, 5)))
+        for table in (eff.tx_gain_table, eff.rx_gain_table):
+            assert table.dtype == np.float64
+            assert np.array_equal(table, np.ones((3, 1, 5)))
 
 
 def _fold_cases():

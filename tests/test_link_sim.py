@@ -6,6 +6,7 @@ import pytest
 import oracles
 from oracles import slope_between
 from symextia import (
+    DegenerateRealizationError,
     GainPlan,
     LinkConfig,
     ParameterError,
@@ -21,8 +22,10 @@ from symextia import (
     run_symbol_chain,
     simulate_link,
     slot_fold,
+    subseed,
     transmit_blocks,
 )
+import symextia.cj_precoder as cj_precoder
 import symextia.link_sim as link_sim
 
 
@@ -45,13 +48,18 @@ class TestLinkConfig:
             LinkConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        "points", [(10.0, float("inf")), (float("nan"), 10.0), (3000.0, 3100.0), (-4000.0, 0.0)]
+        "points",
+        [(10.0, float("inf")), (float("nan"), 10.0), (3000.0, 3100.0), (-4000.0, 0.0), (-3200.0, 0.0)],
     )
     def test_rejects_points_without_a_transmit_power(self, points):
-        # 10**(3100/10) overflows a float and 10**(-4000/10) is 0
+        # 10**(3100/10) overflows a float, 10**(-4000/10) is 0, and the
+        # reciprocal of the subnormal 10**(-3200/10) overflows
         with pytest.raises(ParameterError, match="no positive finite transmit power"):
             LinkConfig(snr_points_db=points, trials=1)
         assert link_sim.snr_power(3082.0) == 10.0 ** 308.2
+        assert link_sim.snr_power(-3082.0) == 10.0 ** -308.2
+        with pytest.raises(ParameterError, match="finite reciprocal"):
+            link_sim.snr_power(-3083.0)
 
 
 class TestSimulateLink:
@@ -285,7 +293,7 @@ class TestFoldMatchesPerModeReference:
             assert np.array_equal(
                 combine_received(y[:, 0], eff, k), oracles.per_mode_combine(y[:, 0], eff, k)
             )
-        hats = link_sim._scale_hats(pre, eff)
+        hats = link_sim._scale_hats(pre, link_sim._folded_power(eff.tx_gain_table), ch.slots)
         for user in pre.precoders:
             energy = oracles.per_mode_block_energy(pre, eff, user)
             assert hats[user - 1] == float(np.sqrt(ch.slots / energy))
@@ -303,11 +311,13 @@ class TestFoldMatchesPerModeReference:
         power = 2.0
         sample = run_symbol_chain(ch, coding, power=power, seed=6, blocks=4, inject_noise=False)
         eff, pre = sample.effective, sample.precoders
-        scales = np.sqrt(power) * link_sim._scale_hats(pre, eff)[None, :]
+        hats = link_sim._scale_hats(pre, link_sim._folded_power(eff.tx_gain_table), ch.slots)
+        scales = np.sqrt(power) * hats
         for k in range(1, 4):
-            z = combine_received(sample.received[k], eff, k) / effective_noise_std(eff, k)[:, None]
-            blocks = link_sim._whitened_blocks((eff,), (pre,), k, scales)
-            assert np.array_equal(sample.decoded[k], link_sim._zero_forcer(pre, blocks, k)[0] @ z)
+            noise_std = effective_noise_std(eff, k)
+            z = combine_received(sample.received[k], eff, k) / noise_std[:, None]
+            blocks = link_sim._whitened_blocks(pre, eff.diagonals[k - 1], noise_std, scales)
+            assert np.array_equal(sample.decoded[k], link_sim._zero_forcer(pre, blocks, k) @ z)
 
 
 def _link_case(users, n, coding, model, seed, trials):
@@ -340,6 +350,16 @@ class TestStackedMatchesPerTrial:
         # LinkResult equality: sum_rate, per_user_rate, dof_estimate and failures
         assert simulate_link(*case) == oracles.per_trial_simulate_link(*case)
 
+    @pytest.mark.parametrize("composites", [1, 2])
+    @pytest.mark.parametrize(
+        "users,n,coding,model", sorted({case[:4] for case in STACK_CASES if case[0] == 3})
+    )
+    def test_same_bits_at_every_chunk_cap(self, monkeypatch, users, n, coding, model, composites):
+        # chunks of one trial, and of two then one
+        case = _link_case(users, n, coding, model, 0, trials=3)
+        monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * effective_dim(users, n) ** 2)
+        assert simulate_link(*case) == oracles.per_trial_simulate_link(*case)
+
     @pytest.mark.parametrize("composites", [1, 3])
     def test_same_bits_over_several_chunks(self, monkeypatch, composites):
         ch, coding, link = _link_case(3, 10, "double", "iid", 1, trials=7)
@@ -366,3 +386,70 @@ class TestStackedMatchesPerTrial:
                 tracemalloc.stop()
 
         assert peak(simulate_link) <= peak(oracles.per_trial_simulate_link) + composite
+
+
+def _poison_precoders(monkeypatch, case, trial, attempts):
+    """Make the precoder build degenerate on the given gain draws of ``trial``.
+
+    Any stack holding one of those draws' effective diagonals raises inside
+    the cascade step, on the stacked path and on the per-trial path alike,
+    so the oracle redraws (or gives up on) exactly those draws.
+    """
+    ch, coding, link = case
+    seeds = [subseed(link.seed, link_sim._NS_GAINS, trial, attempt) for attempt in attempts]
+    poisoned = {
+        build_effective(ch, generate_gains(ch.users, ch.slots, seed), coding).diagonals.tobytes()
+        for seed in seeds
+    }
+    real = cj_precoder._stacked_cascades
+    stacks = []
+
+    def cascades(diagonals):
+        stacks.append(len(diagonals))
+        if any(d.tobytes() in poisoned for d in diagonals):
+            raise DegenerateRealizationError("forced")
+        return real(diagonals)
+
+    monkeypatch.setattr(cj_precoder, "_stacked_cascades", cascades)
+    return stacks
+
+
+class TestDegenerateTrialInAStack:
+    @pytest.mark.parametrize("composites, trial", [(18, 3), (3, 4)])
+    def test_redrawn_as_the_per_trial_loop_redraws(self, monkeypatch, composites, trial):
+        case = _link_case(3, 10, "double", "iid", 1, trials=7)
+        clean = simulate_link(*case)
+        monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * effective_dim(3, 10) ** 2)
+        stacks = _poison_precoders(monkeypatch, case, trial, attempts=(0,))
+        got = simulate_link(*case)
+        # the chunk holding the trial fails as a stack, then runs trial by trial
+        assert len(stacks) > -(-7 // composites) and 1 in stacks
+        assert got == oracles.per_trial_simulate_link(*case)
+        assert got.failures == clean.failures + 1
+        assert got != clean
+
+    def test_gives_up_as_the_per_trial_loop_gives_up(self, monkeypatch):
+        # trial 2's precoders and trial 5's effective channels degenerate on
+        # every draw: a trial-at-a-time run gives up on trial 2 first, while
+        # the chunk's effective channels alone would give up on trial 5
+        ch, coding, link = case = _link_case(3, 10, "double", "iid", 1, trials=7)
+        attempts = range(link_sim.MAX_RESAMPLES + 1)
+        _poison_precoders(monkeypatch, case, 2, attempts)
+        poisoned = {
+            generate_gains(ch.users, ch.slots, subseed(link.seed, link_sim._NS_GAINS, 5, a)).alpha.tobytes()
+            for a in attempts
+        }
+        real = link_sim.build_effective
+
+        def build_effective_or_fail(channels, gains, coding):
+            if gains.alpha.tobytes() in poisoned:
+                raise DegenerateRealizationError("forced")
+            return real(channels, gains, coding)
+
+        monkeypatch.setattr(link_sim, "build_effective", build_effective_or_fail)
+        with pytest.raises(SimulationError) as want:
+            oracles.per_trial_simulate_link(*case)
+        with pytest.raises(SimulationError) as got:
+            simulate_link(*case)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("trial 2: gave up after")
