@@ -20,7 +20,7 @@ import numpy as np
 
 from .cj_precoder import CascadeSet, PrecoderSet
 from .errors import ParameterError
-from .extension_core import EffectiveChannel
+from .extension_core import EffectiveChannel, _check_users
 
 RESIDUAL_TOL = 1e-8
 DISTINCTNESS_TOL = 1e-9
@@ -68,15 +68,13 @@ def _rank_cutoff(shape: tuple[int, ...], s: np.ndarray) -> float | None:
     return max(shape) * _EPS * float(s[0])
 
 
-def numerical_rank(matrix: np.ndarray) -> tuple[int, float, float]:
+def numerical_rank(matrix: np.ndarray) -> RankResult:
     """Rank, sigma_min/sigma_max margin, and the cutoff max(shape)*eps*sigma_max."""
     s = np.linalg.svd(matrix, compute_uv=False)
     threshold = _rank_cutoff(matrix.shape, s)
     if threshold is None:
-        return 0, 0.0, 0.0
-    rank = int(np.count_nonzero(s > threshold))
-    margin = float(s[-1] / s[0])
-    return rank, margin, threshold
+        return RankResult(0, 0.0, 0.0)
+    return RankResult(int(np.count_nonzero(s > threshold)), float(s[-1] / s[0]), threshold)
 
 
 def orthonormal_basis(matrix: np.ndarray) -> np.ndarray:
@@ -97,59 +95,52 @@ def _check_pair(eff: EffectiveChannel, pre: PrecoderSet) -> None:
 def receiver_composite(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) -> np.ndarray:
     """Desired block next to the aligned-interference basis seen at ``receiver``.
 
-    At receiver 1 the interference from every other user sits on the user-2
-    block, so the composite is [H_11 V_1 | H_12 V_2]; at receiver k != 1 all
-    interference aligns inside the user-1 block, giving [H_kk V_k | H_k1 V_1].
-    Either way the matrix is square D x D; ``PrecoderSet.basis_user`` names
-    the interference block.
+    This is ``PrecoderSet.composite`` of the receiver's ``received_blocks``,
+    the layout the alignment check and the link receivers read:
+    [H_11 V_1 | H_12 V_2] at receiver 1 and [H_kk V_k | H_k1 V_1] at
+    receiver k != 1, square D x D either way. A mismatched pair or receiver
+    label raises ``ParameterError``.
     """
-    k = receiver
-    return np.hstack([eff.diagonal(k, j)[:, None] * pre.precoders[j] for j in (k, pre.basis_user(k))])
+    _check_pair(eff, pre)
+    _check_users(eff.users, receiver)
+    return pre.composite(pre.received_blocks(eff.diagonals[receiver - 1]), receiver)
 
 
 def signal_space_rank(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) -> RankResult:
     """Certify that desired plus interference span the full D dimensions."""
-    _check_pair(eff, pre)
-    composite = receiver_composite(eff, pre, receiver)
-    rank, margin, threshold = numerical_rank(composite)
-    return RankResult(rank=rank, margin=margin, threshold=threshold)
+    return numerical_rank(receiver_composite(eff, pre, receiver))
 
 
 def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
-    """Verify every alignment condition and rank certificate at once.
+    """Verify every alignment condition and rank certificate in one pass over receivers.
 
-    Equality conditions (H_1i V_i and H_13 V_3 span the same columns for
-    i != 1, 3) are measured per column after least-squares scale matching;
-    containment conditions (H_jk V_k inside the span of H_j1 V_1 for
-    j, k != 1, j != k) as relative projection residuals. The verdict is
-    ``pass`` only if every residual is at or below ``RESIDUAL_TOL`` and
-    every receiver composite has full rank D.
+    At receiver 1, equality conditions (H_1i V_i and H_13 V_3 span the same
+    columns for i != 1, 3) are measured per column after least-squares scale
+    matching; at receiver j != 1, containment (H_jk V_k inside the span of
+    H_j1 V_1 for k != 1, j) as relative projection residuals; each
+    receiver's ``PrecoderSet.composite`` gets its ``numerical_rank``. The
+    verdict is ``pass`` only if every residual is at or below
+    ``RESIDUAL_TOL`` and every composite has full rank D.
     """
     _check_pair(eff, pre)
     residuals: dict[str, float] = {}
-
-    reference = eff.diagonal(1, 3)[:, None] * pre.precoders[3]
-    for i in range(2, eff.users + 1):
-        if i == 3:
-            continue
-        target = eff.diagonal(1, i)[:, None] * pre.precoders[i]
-        coef = np.sum(reference.conj() * target, axis=0) / np.sum(np.abs(reference) ** 2, axis=0)
-        residuals[f"equality_rx1_tx{i}"] = float(
-            np.linalg.norm(target - reference * coef[None, :]) / np.linalg.norm(target)
-        )
-
-    for j in range(2, eff.users + 1):
-        basis = orthonormal_basis(eff.diagonal(j, 1)[:, None] * pre.precoders[1])
-        for k in range(2, eff.users + 1):
-            if k == j:
-                continue
-            block = eff.diagonal(j, k)[:, None] * pre.precoders[k]
-            rejected = block - basis @ (basis.conj().T @ block)
-            residuals[f"contain_rx{j}_tx{k}"] = float(
-                np.linalg.norm(rejected) / np.linalg.norm(block)
-            )
-
-    rank_results = {k: signal_space_rank(eff, pre, k) for k in range(1, eff.users + 1)}
+    rank_results: dict[int, RankResult] = {}
+    for j in range(1, eff.users + 1):
+        blocks = pre.received_blocks(eff.diagonals[j - 1])
+        if j == 1:
+            reference = blocks[3]
+            for i in (2, *range(4, eff.users + 1)):
+                target = blocks[i]
+                coef = np.sum(reference.conj() * target, axis=0) / np.sum(np.abs(reference) ** 2, axis=0)
+                residuals[f"equality_rx1_tx{i}"] = float(
+                    np.linalg.norm(target - reference * coef[None, :]) / np.linalg.norm(target)
+                )
+        else:
+            basis = orthonormal_basis(blocks[1])
+            for k in (k for k in range(2, eff.users + 1) if k != j):
+                rejected = blocks[k] - basis @ (basis.conj().T @ blocks[k])
+                residuals[f"contain_rx{j}_tx{k}"] = float(np.linalg.norm(rejected) / np.linalg.norm(blocks[k]))
+        rank_results[j] = numerical_rank(pre.composite(blocks, j))
     ok = all(r <= RESIDUAL_TOL for r in residuals.values()) and all(
         res.rank == eff.dim for res in rank_results.values()
     )

@@ -181,7 +181,8 @@ class PrecoderSet:
     follow the rows of ``enumerate_tuples(users, n)`` and every other user's
     the rows of ``enumerate_tuples(users, n - 1)``. Sizes are read off the
     trailing two axes of the matrices, so a set may also hold a stack of
-    trials, (trials, D, d_k) per user, as the link simulation does.
+    trials, (trials, D, d_k) per user, as the link simulation does. The set
+    owns what a receiver sees: its blocks and its composite layout.
     """
 
     precoders: dict[int, np.ndarray]
@@ -204,6 +205,14 @@ class PrecoderSet:
         That is user 2 at receiver 1 and user 1 at every other receiver.
         """
         return 2 if receiver == 1 else 1
+
+    def received_blocks(self, row: np.ndarray) -> dict[int, np.ndarray]:
+        """Blocks H_kj V_j keyed by j, from receiver k's effective diagonals ``row``, (..., users, D)."""
+        return {j: row[..., j - 1, :, None] * mat for j, mat in self.precoders.items()}
+
+    def composite(self, blocks: dict[int, np.ndarray], receiver: int) -> np.ndarray:
+        """The square composite of ``received_blocks``: desired block, then the basis user's block."""
+        return np.concatenate([blocks[receiver], blocks[self.basis_user(receiver)]], axis=-1)
 
 
 def _stacked_precoders(diagonals: np.ndarray) -> PrecoderSet:

@@ -5,18 +5,18 @@ power symbol streams through its precoder, places every beamformed entry on
 each raw slot that folds onto it times that slot's transmit gain, and scales
 the block so the expected transmit power per raw slot equals the configured
 power. Receivers apply their receive gains, fold the slots back down,
-pre-whiten the colored combined noise, and zero-force on the aligned
-composite (desired block next to the aligned-interference basis) via a
-pseudoinverse. How slots fold is read from ``EffectiveChannel`` (``fold``,
-``tx_gains``, ``rx_gains``), so nothing here branches on the coding mode.
+pre-whiten the colored combined noise, and zero-force on their composite
+via a pseudoinverse. How slots fold is read from ``EffectiveChannel``
+(``fold``, ``tx_gains``, ``rx_gains``), so nothing here branches on coding.
 The channels and the coding fix the construction: ``build_precoders`` reads
 the user count and the exponent cap off each effective channel, so a slot
 count that no construction has is a ``ParameterError`` from the first draw.
 
 One zero-forcer serves both receivers: the analytic rates of
-``simulate_link`` and the sampled ``run_symbol_chain`` build the same
-whitened blocks and apply the same pseudoinverse rows. That core, like the
-precoder build and the scale factors, takes optional leading trial axes.
+``simulate_link`` and the sampled ``run_symbol_chain`` whiten the same
+``PrecoderSet.received_blocks`` and invert the same ``PrecoderSet.composite``,
+the receiver ``align_verify`` reads too. That core, like the precoder build
+and the scale factors, takes optional leading trial axes.
 ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
 composites). Within a chunk, what stays per trial is the gain draw and the
 ``EffectiveChannel`` it folds to, on the same seeds and with the same
@@ -258,12 +258,12 @@ def transmit_blocks(
     Raises
     ------
     ParameterError
-        If ``power`` is not positive, or ``symbols`` does not hold one 2-D
-        block per user, all with the same block count and each with that
-        user's stream count.
+        If ``power`` is not positive and finite, or ``symbols`` does not
+        hold one 2-D block per user, all with the same block count and each
+        with that user's stream count.
     """
-    if not power > 0:
-        raise ParameterError(f"power must be positive, got {power}")
+    if not 0 < power < math.inf:
+        raise ParameterError(f"power must be positive and finite, got {power}")
     if set(symbols) != set(pre.precoders):
         raise ParameterError(
             f"symbols must hold exactly users {sorted(pre.precoders)}, got keys {list(symbols)}"
@@ -294,29 +294,26 @@ def _whitened_blocks(
 
     ``diagonals`` is the receiver's row of effective diagonals, (users, D),
     ``noise_std`` its combined noise standard deviation per slot, (D,), and
-    ``scales[j - 1]`` user j's amplitude. Block j, of shape (D, d_j), is
-    ``scales[j - 1] * H_kj V_j`` with each row divided by the noise standard
-    deviation of its effective slot. Every argument may carry the same
-    leading trial axes, and so do the blocks.
+    ``scales[j - 1]`` user j's amplitude. Block j is ``scales[j - 1]`` times
+    ``pre.received_blocks(diagonals)[j]``, (D, d_j), each row divided by the
+    noise standard deviation of its effective slot. Every argument may carry
+    the same leading trial axes, and so do the blocks.
     """
     return {
-        j: scales[..., j - 1, None, None]
-        * (diagonals[..., j - 1, :, None] * mat)
-        / noise_std[..., :, None]
-        for j, mat in pre.precoders.items()
+        j: scales[..., j - 1, None, None] * block / noise_std[..., :, None]
+        for j, block in pre.received_blocks(diagonals).items()
     }
 
 
 def _zero_forcer(pre: PrecoderSet, blocks: dict[int, np.ndarray], k: int) -> np.ndarray:
     """Rows of each trial's composite pseudoinverse that recover user ``k``'s streams.
 
-    The composite is the desired block next to the aligned-interference
-    basis block; both the analytic rates and the sampled chain use it. One
-    stacked ``pinv`` call covers every trial: it factors each (D, D) slice
-    on its own, so the rows are the same bits as one call per trial.
+    The composite is ``pre.composite`` of the whitened blocks; both the
+    analytic rates and the sampled chain use it. One stacked ``pinv`` call
+    covers every trial: it factors each (D, D) slice on its own, so the rows
+    are the same bits as one call per trial.
     """
-    composite = np.concatenate([blocks[k], blocks[pre.basis_user(k)]], axis=-1)
-    return np.linalg.pinv(composite)[..., : pre.stream_counts[k], :]
+    return np.linalg.pinv(pre.composite(blocks, k))[..., : pre.stream_counts[k], :]
 
 
 def _receiver_terms(
@@ -415,7 +412,10 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
         rates = np.empty((len(effs), powers.size, channels.users))
         for k in range(1, channels.users + 1):
             signal, cross, noise = _receiver_terms(pre, diagonals, noise_std, k, hats)
-            sinr = signal[:, None] / (cross[:, None] + noise[:, None] / powers[:, None])
+            # noise / P overflows only where the SINR is far below 2^-53 (signal is
+            # at most about 1), so log2(1 + SINR) is 0 anyway; inf noise gives SINR 0
+            with np.errstate(over="ignore"):
+                sinr = signal[:, None] / (cross[:, None] + noise[:, None] / powers[:, None])
             rates[:, :, k - 1] = np.sum(np.log2(1.0 + sinr), axis=-1) / slots
         for trial_rates in rates:
             user_acc += trial_rates
@@ -464,9 +464,9 @@ def run_symbol_chain(
     Raises
     ------
     ParameterError
-        If ``blocks`` < 1, ``power`` is not positive (``transmit_blocks``
-        checks it), or the channels and coding have no construction (as in
-        ``simulate_link``).
+        If ``blocks`` < 1, ``power`` is not positive and finite
+        (``transmit_blocks`` checks it), or the channels and coding have no
+        construction (as in ``simulate_link``).
     SimulationError
         If the draw stays degenerate after ``MAX_RESAMPLES`` redraws.
     """

@@ -10,7 +10,11 @@ distinctness audit reports; the pruned sweep must match it bit for bit.
 pseudoinverse at a time; the stacked receiver terms must match it bit for
 bit. ``parent_build_effective`` is the slot fold as ``build_effective``
 spelled it before ``EffectiveChannel`` computed its own diagonals; the class
-must match it bit for bit.
+must match it bit for bit. ``parent_check_alignment``, with its
+``parent_signal_space_rank`` and ``parent_receiver_composite``, is the
+alignment check as it read before ``PrecoderSet`` owned the receiver blocks
+and the composite layout, one product per block and condition; the one-pass
+check and the one-receiver functions must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +23,14 @@ import itertools
 
 import numpy as np
 
+from symextia.align_verify import (
+    RESIDUAL_TOL,
+    AlignmentReport,
+    RankResult,
+    _check_pair,
+    numerical_rank,
+    orthonormal_basis,
+)
 from symextia.errors import DegenerateRealizationError
 from symextia.extension_core import DEGENERATE_REL_TOL, PLAIN, SLOT_FOLD
 from symextia.link_sim import LinkResult, draw_realization, effective_noise_std, estimate_dof
@@ -296,3 +308,55 @@ def parent_build_effective(channels, gains, coding: str) -> np.ndarray:
                 f"paired gains cancelled on link ({k + 1}, {j + 1}); redraw the gain plan"
             )
     return diagonals
+
+
+def parent_receiver_composite(eff, pre, receiver: int) -> np.ndarray:
+    k = receiver
+    return np.hstack([eff.diagonal(k, j)[:, None] * pre.precoders[j] for j in (k, pre.basis_user(k))])
+
+
+def parent_signal_space_rank(eff, pre, receiver: int) -> RankResult:
+    _check_pair(eff, pre)
+    composite = parent_receiver_composite(eff, pre, receiver)
+    rank, margin, threshold = numerical_rank(composite)
+    return RankResult(rank=rank, margin=margin, threshold=threshold)
+
+
+def parent_check_alignment(eff, pre) -> AlignmentReport:
+    """``check_alignment`` as it read before the one pass over receivers.
+
+    A verbatim copy, with its ``signal_space_rank``/``receiver_composite``
+    path: every block product is formed where a condition reads it, and the
+    rank certificates come after all residuals.
+    """
+    _check_pair(eff, pre)
+    residuals: dict[str, float] = {}
+
+    reference = eff.diagonal(1, 3)[:, None] * pre.precoders[3]
+    for i in range(2, eff.users + 1):
+        if i == 3:
+            continue
+        target = eff.diagonal(1, i)[:, None] * pre.precoders[i]
+        coef = np.sum(reference.conj() * target, axis=0) / np.sum(np.abs(reference) ** 2, axis=0)
+        residuals[f"equality_rx1_tx{i}"] = float(
+            np.linalg.norm(target - reference * coef[None, :]) / np.linalg.norm(target)
+        )
+
+    for j in range(2, eff.users + 1):
+        basis = orthonormal_basis(eff.diagonal(j, 1)[:, None] * pre.precoders[1])
+        for k in range(2, eff.users + 1):
+            if k == j:
+                continue
+            block = eff.diagonal(j, k)[:, None] * pre.precoders[k]
+            rejected = block - basis @ (basis.conj().T @ block)
+            residuals[f"contain_rx{j}_tx{k}"] = float(
+                np.linalg.norm(rejected) / np.linalg.norm(block)
+            )
+
+    rank_results = {k: parent_signal_space_rank(eff, pre, k) for k in range(1, eff.users + 1)}
+    ok = all(r <= RESIDUAL_TOL for r in residuals.values()) and all(
+        res.rank == eff.dim for res in rank_results.values()
+    )
+    return AlignmentReport(
+        residuals=residuals, rank_results=rank_results, verdict="pass" if ok else "fail"
+    )

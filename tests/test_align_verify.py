@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symextia.align_verify as align_verify
-from oracles import dense_min_relative_gap
+from oracles import (
+    dense_min_relative_gap,
+    parent_check_alignment,
+    parent_receiver_composite,
+    parent_signal_space_rank,
+)
 from symextia import (
     ParameterError,
     PrecoderSet,
@@ -65,6 +70,22 @@ def _double_setup(seed, model="constant", users=3, n=2):
     ch = generate_channels(users, 2 * effective_dim(users, n), model, subseed(seed, 2))
     gains, eff, pre, _ = draw_realization(ch, "double", subseed(seed, 3))
     return eff, pre
+
+
+def _misaligned_twin(pre, seed=11):
+    """Random unit-norm precoders with the sizes of ``pre``, aligned nowhere."""
+    rng = np.random.default_rng(seed)
+    random_cols = {
+        user: rng.standard_normal((pre.dim, mat.shape[1]))
+        + 1j * rng.standard_normal((pre.dim, mat.shape[1]))
+        for user, mat in pre.precoders.items()
+    }
+    return PrecoderSet(
+        precoders={
+            u: m / np.linalg.norm(m, axis=0, keepdims=True)
+            for u, m in random_cols.items()
+        },
+    )
 
 
 class TestNumericalRank:
@@ -183,19 +204,7 @@ class TestDoubleLayerAlignment:
 
     def test_misaligned_precoders_leave_large_residuals(self):
         eff, pre = _double_setup(5)
-        rng = np.random.default_rng(11)
-        random_cols = {
-            user: rng.standard_normal((pre.dim, mat.shape[1]))
-            + 1j * rng.standard_normal((pre.dim, mat.shape[1]))
-            for user, mat in pre.precoders.items()
-        }
-        fake = PrecoderSet(
-            precoders={
-                u: m / np.linalg.norm(m, axis=0, keepdims=True)
-                for u, m in random_cols.items()
-            },
-        )
-        report = check_alignment(eff, fake)
+        report = check_alignment(eff, _misaligned_twin(pre))
         assert report.verdict == "fail"
         containment = [v for k, v in report.residuals.items() if k.startswith("contain")]
         assert max(containment) > 0.1
@@ -294,12 +303,62 @@ class TestPlainCoding:
             assert min(audit.lambda_gaps.values()) > align_verify.DISTINCTNESS_TOL
 
 
+# (coding, channel model) pairs the coding can run; slow_changing needs the
+# even slot count of the double layer
+PARENT_CASES = [
+    (users, n, coding, model)
+    for users, ns in ((3, (1, 2, 5)), (4, (1, 2)))
+    for n in ns
+    for coding, models in (("plain", ("constant", "iid")), ("naive", ("constant", "iid")),
+                           ("double", ("constant", "slow_changing", "iid")))
+    for model in models
+]
+
+
+def _assert_same_report(report, parent):
+    assert list(report.residuals.items()) == list(parent.residuals.items())  # key order too
+    assert report.rank_results == parent.rank_results
+    assert report.verdict == parent.verdict
+
+
+class TestMatchesParentCheck:
+    @pytest.mark.parametrize("users, n, coding, model", PARENT_CASES)
+    def test_same_report_as_parent(self, users, n, coding, model):
+        ch = generate_channels(users, slot_fold(coding) * effective_dim(users, n), model, subseed(users, n, 2))
+        _, eff, pre, _ = draw_realization(ch, coding, subseed(users, n, 3))
+        _assert_same_report(check_alignment(eff, pre), parent_check_alignment(eff, pre))
+
+    def test_same_failing_report_as_parent(self):
+        eff, pre = _double_setup(5)
+        fake = _misaligned_twin(pre)
+        report = check_alignment(eff, fake)
+        assert report.verdict == "fail"
+        _assert_same_report(report, parent_check_alignment(eff, fake))
+
+    def test_one_receiver_matches_parent(self):
+        eff, pre = _double_setup(4, users=4, n=1)
+        for k in range(1, 5):
+            assert np.array_equal(receiver_composite(eff, pre, k), parent_receiver_composite(eff, pre, k))
+            assert signal_space_rank(eff, pre, k) == parent_signal_space_rank(eff, pre, k)
+
+
 class TestValidation:
     def test_mismatched_pair_rejected(self):
         _, pre = _double_setup(0)
         other = build_effective(generate_channels(3, 3, "iid", 0), None, "plain")
         with pytest.raises(ParameterError):
             check_alignment(other, pre)
+        # K=4 at n=1 and K=3 at n=16 share D=33: the user count alone differs
+        four_users = build_effective(generate_channels(4, 33, "iid", 0), None, "plain")
+        three_users = build_precoders(build_effective(generate_channels(3, 33, "iid", 0), None, "plain"))
+        with pytest.raises(ParameterError, match="does not match"):
+            check_alignment(four_users, three_users)
+        for eff, pre, receivers in ((other, pre, (1, 2, 3)), (four_users, three_users, (1, 4))):
+            for receiver in receivers:
+                with pytest.raises(ParameterError, match="does not match"):
+                    receiver_composite(eff, pre, receiver)
+                with pytest.raises(ParameterError, match="does not match"):
+                    signal_space_rank(eff, pre, receiver)
 
     def test_receiver_label_bounds(self):
         eff, pre = _double_setup(0)

@@ -206,6 +206,22 @@ class TestParseArgs:
         assert "usage error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_snr_just_inside_the_power_bound_runs_silently(self, tmp_path):
+        # noise / P overflows at -3082 dB; the rates are 0 and nothing is printed
+        out = tmp_path / "f.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "symextia.cli", "--experiment", "figure1", "--n", "1",
+             "--trials", "1", "--snr=-3082:-3072:10", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            cwd=Path(symextia.__file__).parents[1],
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rows = read_csv(out)[1:]
+        assert len(rows) == 4 and all(float(row[2]) == 0.0 for row in rows)
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -131,6 +131,17 @@ class TestSimulateLink:
         with pytest.raises(ParameterError):
             simulate_link(ch, "viterbi", link)
 
+    def test_rates_at_the_lowest_powers_are_zero_without_a_warning(self):
+        # noise / P overflows at -3082 dB, where the SINR is far below 2^-53:
+        # the rate is 0, as it already is at -200 dB
+        ch = generate_channels(3, 2 * effective_dim(3, 1), "constant", 0)
+        result = simulate_link(ch, "double", LinkConfig(snr_points_db=(-3082.0, -3072.0), trials=1))
+        assert result.sum_rate == {-3082.0: 0.0, -3072.0: 0.0}
+        assert result.per_user_rate == {-3082.0: (0.0, 0.0, 0.0), -3072.0: (0.0, 0.0, 0.0)}
+        assert result.dof_estimate == 0.0
+        low = simulate_link(ch, "double", LinkConfig(snr_points_db=(-200.0, -190.0), trials=1))
+        assert low.sum_rate[-200.0] == 0.0
+
     def test_single_snr_point_gives_nan_dof(self):
         ch = _double_channels()
         result = simulate_link(ch, "double", LinkConfig(snr_points_db=(30.0,), trials=2))
@@ -242,8 +253,9 @@ class TestSymbolChain:
         with pytest.raises(ParameterError):
             transmit_blocks(pre, eff, 1.0, bad)
         good = {u: np.ones((d, 2), dtype=complex) for u, d in pre.stream_counts.items()}
-        with pytest.raises(ParameterError):
-            transmit_blocks(pre, eff, 0.0, good)
+        for power in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ParameterError):
+                transmit_blocks(pre, eff, power, good)
 
     @pytest.mark.parametrize(
         "spoil",
@@ -267,6 +279,11 @@ class TestSymbolChain:
         ch = _double_channels()
         with pytest.raises(ParameterError):
             run_symbol_chain(ch, "double", power=1.0, seed=0, blocks=0)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, float("inf"), float("nan")])
+    def test_chain_rejects_a_power_that_is_not_positive_and_finite(self, power):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            run_symbol_chain(_double_channels(), "double", power=power, seed=0)
 
 
 FOLD_CASES = [
