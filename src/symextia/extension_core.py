@@ -16,9 +16,11 @@ effective entries:
     halving the dimension:
     ``beta[k, q] h[k, j, q] alpha[j, q] + beta[k, D+q] h[k, j, D+q] alpha[j, D+q]``.
 
-``EffectiveChannel(channels, gains, coding_tag)`` owns that rule: it folds
-and checks its own diagonals, and hands the per-slot gains on in folded
-layout.
+One private fold owns that rule and the cancellation rule, over optional
+leading trial axes: ``EffectiveChannel(channels, gains, coding_tag)`` is its
+batch of one, folding and checking its own diagonals and handing the
+per-slot gains on in folded layout, and the link simulation folds a whole
+chunk of trials' gain stacks in one call.
 
 User labels are 1-based everywhere in the public API; array axes are the
 corresponding 0-based indices.
@@ -115,6 +117,13 @@ def check_byte_budget(needed: int, what: str, *counts: int) -> None:
         )
 
 
+def _check_finite_nonzero(what: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{what} must be finite")
+    if np.any(arr == 0):
+        raise ParameterError(f"{what} must be nonzero")
+
+
 def _check_users(users: int, *labels: int) -> None:
     for label in labels:
         if not 1 <= label <= users:
@@ -146,10 +155,7 @@ class ChannelSet:
         _check_sizes(self.users, self.slots, 3, 2)
         if self.model_tag not in CHANNEL_MODELS:
             raise ParameterError(f"unknown channel model {self.model_tag!r}")
-        if not np.all(np.isfinite(self.entries)):
-            raise ParameterError("channel entries must be finite")
-        if np.any(self.entries == 0):
-            raise ParameterError("channel entries must be nonzero")
+        _check_finite_nonzero("channel entries", self.entries)
         if self.model_tag == CONSTANT:
             if np.any(self.entries != self.entries[:, :, :1]):
                 raise ParameterError("constant model requires identical slots")
@@ -187,10 +193,7 @@ class GainPlan:
         for name, arr in (("alpha", self.alpha), ("beta", self.beta)):
             if arr.shape != self.alpha.shape:
                 raise ParameterError(f"{name} shape {arr.shape} != {self.alpha.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ParameterError(f"{name} must be finite")
-            if np.any(arr == 0):
-                raise ParameterError(f"{name} must be nonzero")
+            _check_finite_nonzero(name, arr)
 
 
 def slot_fold(coding: str) -> int:
@@ -198,6 +201,60 @@ def slot_fold(coding: str) -> int:
     if coding not in SLOT_FOLD:
         raise ParameterError(f"unknown coding mode {coding!r}")
     return SLOT_FOLD[coding]
+
+
+def _fold_diagonals(
+    entries: np.ndarray, alpha: np.ndarray | None, beta: np.ndarray | None, coding: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Effective diagonals of raw channel ``entries`` under ``coding``, and where paired sums cancel.
+
+    ``entries`` is a ``ChannelSet.entries`` tensor, (users, users, slots).
+    ``alpha`` and ``beta`` are transmit and receive gains, (..., users,
+    slots) with any leading trial axes, or both None under ``plain``.
+    Returns the diagonals, (..., users, users, dim), and a (..., users,
+    users) mask, True on a link where some paired sum's magnitude is at
+    most ``DEGENERATE_REL_TOL`` of the link's mean magnitude; a pair that
+    sums to exactly 0, and so an all-zero link, counts. Every step is
+    entrywise or a reduction over one link's slots, so each trial's slice
+    has the bits of that trial folded alone.
+
+    Raises ``ParameterError`` for an unknown coding, gains under ``plain``
+    or none under the other codings, gains shaped unlike the channels, a
+    slot count the fold does not divide, a diagonal that is not finite or
+    a link whose mean magnitude is not, or a zero diagonal where no slots
+    pair. Finiteness is checked before the cancellation test, so a product
+    that overflows is a ``ParameterError`` and not a cancelled pair.
+    """
+    fold = slot_fold(coding)
+    users, _, slots = entries.shape
+    if (alpha is None) != (coding == PLAIN):
+        raise ParameterError(f"{coding} coding takes {'no' if coding == PLAIN else 'a'} gain plan")
+    if alpha is not None and alpha.shape[-2:] != (users, slots):
+        raise ParameterError(f"gain plan shape {alpha.shape[-2:]} != channel shape ({users}, {slots})")
+    if slots % fold:
+        raise ParameterError(f"{coding} coding requires a slot count divisible by {fold}")
+    # products of caller-supplied arrays can overflow; that is reported as a
+    # non-finite diagonal below rather than as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = entries
+        if alpha is not None:
+            scaled = beta[..., :, None, :] * entries
+            scaled *= alpha[..., None, :, :]  # in place: one temporary, same bits
+        diagonals = scaled.reshape(*scaled.shape[:-1], fold, -1).sum(axis=-2)
+    if not np.all(np.isfinite(diagonals)):
+        raise ParameterError("effective diagonals must be finite")
+    if fold == 1:
+        # nothing pairs, so nothing cancels; a zero is an underflow
+        if np.any(diagonals == 0):
+            raise ParameterError("effective diagonals must be nonzero")
+        return diagonals, np.zeros(diagonals.shape[:-1], dtype=bool)
+    with np.errstate(over="ignore"):
+        mags = np.abs(diagonals)
+        mean_mag = mags.mean(axis=-1, keepdims=True)
+    # an overflowed mean would make every finite entry look cancelled
+    if not np.all(np.isfinite(mean_mag)):
+        raise ParameterError("effective diagonal magnitudes must have a finite mean")
+    return diagonals, (mags <= DEGENERATE_REL_TOL * mean_mag).any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -211,14 +268,17 @@ class EffectiveChannel:
     and 1 otherwise, and ``dim = channels.slots // fold``. ``tx_gains`` and
     ``rx_gains`` (or every user's at once, ``tx_gain_table`` and
     ``rx_gain_table``) hand those per-slot gains to the transmit and receive
-    chains, so this class is the one place that knows how slots fold.
+    chains. The diagonals come from the module's one fold, of which this
+    class is the batch of one; ``simulate_link`` folds a chunk of trials
+    through it without building an ``EffectiveChannel`` per trial.
 
     Raises ``ParameterError`` for an unknown coding tag, a gain plan under
     ``plain`` or none under the other codings, a gain plan shaped unlike the
-    channels, a slot count ``fold`` does not divide, or a zero or non-finite
-    entry, and ``DegenerateRealizationError`` when a paired sum under
-    ``double`` cancels to below ``DEGENERATE_REL_TOL`` of its matrix mean
-    magnitude.
+    channels, a slot count ``fold`` does not divide, a non-finite or zero
+    entry (an overflowed product included) or paired sums too large to
+    average, and
+    ``DegenerateRealizationError`` when a paired sum under ``double``
+    cancels to below ``DEGENERATE_REL_TOL`` of its matrix mean magnitude.
     """
 
     channels: ChannelSet
@@ -227,37 +287,18 @@ class EffectiveChannel:
     diagonals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        channels, gains, coding, fold = self.channels, self.gains, self.coding_tag, self.fold
-        if (gains is None) != (coding == PLAIN):
-            raise ParameterError(f"{coding} coding takes {'no' if coding == PLAIN else 'a'} gain plan")
-        if gains is not None and gains.alpha.shape != (channels.users, channels.slots):
-            raise ParameterError(
-                f"gain plan shape {gains.alpha.shape} != channel shape ({channels.users}, {channels.slots})"
+        gains = self.gains
+        diagonals, cancelled = _fold_diagonals(
+            self.channels.entries,
+            None if gains is None else gains.alpha,
+            None if gains is None else gains.beta,
+            self.coding_tag,
+        )
+        if cancelled.any():
+            k, j = np.unravel_index(int(np.argmax(cancelled)), cancelled.shape)
+            raise DegenerateRealizationError(
+                f"paired gains cancelled on link ({k + 1}, {j + 1}); redraw the gain plan"
             )
-        if channels.slots % fold:
-            raise ParameterError(f"{coding} coding requires a slot count divisible by {fold}")
-        scaled = channels.entries
-        if gains is not None:
-            scaled = gains.beta[:, None, :] * scaled
-            scaled *= gains.alpha[None, :, :]  # in place: one K x K x T temporary, same bits
-        diagonals = scaled.reshape(*scaled.shape[:2], fold, -1).sum(axis=2)
-        # only a paired sum can cancel; checked first, so a cancelled pair is
-        # degenerate rather than a zero entry
-        if fold > 1:
-            mags = np.abs(diagonals)
-            mean_mag = mags.mean(axis=2, keepdims=True)
-            # <= so an all-zero link (mean 0) also counts as cancelled
-            cancelled = mags <= DEGENERATE_REL_TOL * mean_mag
-            if cancelled.any():
-                k, j, _ = np.unravel_index(int(np.argmax(cancelled)), cancelled.shape)
-                raise DegenerateRealizationError(
-                    f"paired gains cancelled on link ({k + 1}, {j + 1}); redraw the gain plan"
-                )
-        # products of caller-supplied arrays can still overflow or underflow
-        if not np.all(np.isfinite(diagonals)):
-            raise ParameterError("effective diagonals must be finite")
-        if np.any(diagonals == 0):
-            raise ParameterError("effective diagonals must be nonzero")
         object.__setattr__(self, "diagonals", diagonals)
 
     @property
@@ -366,10 +407,14 @@ def generate_gains(users: int, slots: int, seed: int) -> GainPlan:
     ``MIN_DRAW_MAGNITUDE``.
     """
     _check_sizes(users, slots, 1, 1)
-    rng = np.random.default_rng(seed)
-    alpha = _sample_unit_complex(rng, (users, slots))
-    beta = _sample_unit_complex(rng, (users, slots))
+    alpha, beta = _draw_gains(users, slots, seed)
     return GainPlan(alpha=alpha, beta=beta)
+
+
+def _draw_gains(users: int, slots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(alpha, beta)`` arrays of ``generate_gains(users, slots, seed)``, without the ``GainPlan``."""
+    rng = np.random.default_rng(seed)
+    return _sample_unit_complex(rng, (users, slots)), _sample_unit_complex(rng, (users, slots))
 
 
 def build_effective(channels: ChannelSet, gains: GainPlan | None, coding: str) -> EffectiveChannel:

@@ -18,20 +18,23 @@ One zero-forcer serves both receivers: the analytic rates of
 the receiver ``align_verify`` reads too. That core, like the precoder build
 and the scale factors, takes optional leading trial axes.
 ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
-composites). Within a chunk, what stays per trial is the gain draw and the
-``EffectiveChannel`` it folds to, on the same seeds and with the same
-redraws of a cancelled pair as ``draw_realization``. The rest is stacked:
+composites). Within a chunk, what stays per trial is the seeded gain draw,
+on ``draw_realization``'s seeds, written into one (trials, users, slots)
+stack per gain. The rest is stacked: the extension core's one fold and
+cancellation check over the whole stack, redrawing only the trials whose
+pairs cancelled through the same redraw loop as ``draw_realization``, then
 one precoder build for the chunk (``build_precoders`` is that build's batch
-of one), one call for its scale factors, whitened blocks read straight from
-those stacked arrays, and one stacked ``pinv`` call per receiver.
-``run_symbol_chain`` calls the same functions on one trial without a trial
-axis. Every stacked step is entrywise along the trial axis, or a reduction
-or factorisation of one trial's slice, and each trial's (SNR, user) rates
-are added to array accumulators in trial order, a receiver column at a time
-into the sum rate, so the bits are those of a trial-at-a-time loop. A chunk
-in which some trial's precoders degenerate, or some trial gives up, is run
-again through ``draw_realization`` one trial at a time, so it redraws and
-fails exactly as that loop does. Rates are analytic from per-stream SINR,
+of one), one call for its scale factors and noise standard deviations,
+whitened blocks read straight from those stacked arrays, and one stacked
+``pinv`` call per receiver; no ``GainPlan`` or ``EffectiveChannel`` is made
+per trial. ``run_symbol_chain`` calls the same functions on one trial
+without a trial axis. Every stacked step is entrywise along the trial axis,
+or a reduction or factorisation of one trial's slice, and each trial's
+(SNR, user) rates are added to array accumulators in trial order, a
+receiver column at a time into the sum rate, so the bits are those of a
+trial-at-a-time loop. A chunk in which some trial's precoders degenerate,
+or some trial gives up, is run again through ``draw_realization`` one trial
+at a time, so it redraws and fails exactly as that loop does. Rates are analytic from per-stream SINR,
 so the Monte Carlo averaging is over gain realizations only and a fixed
 seed gives bit-for-bit reproducible results.
 
@@ -44,19 +47,22 @@ float with a finite reciprocal.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
 
 from .cj_precoder import PrecoderSet, _stacked_precoders, build_precoders
-from .errors import DegenerateRealizationError, ParameterError, SimulationError
+from .errors import DegenerateRealizationError, ParameterError, SimulationError, SymextiaError
 from .extension_core import (
     PLAIN,
     ChannelSet,
     EffectiveChannel,
     GainPlan,
+    _check_finite_nonzero,
+    _draw_gains,
+    _fold_diagonals,
     build_effective,
     generate_gains,
     slot_fold,
@@ -152,6 +158,32 @@ class ChainSample:
     redraws: int
 
 
+def _redraw(trials: Sequence[int], attempt: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
+    """Redraw counts of ``trials``, each drawn again while degenerate; the one redraw loop.
+
+    ``attempt(rows, n)`` makes attempt ``n`` of the trials at positions
+    ``rows`` of ``trials`` and returns a mask of those still degenerate,
+    which the next call draws at ``n + 1``. One call serves every pending
+    trial, so they all stand at the same attempt.
+
+    Raises
+    ------
+    SimulationError
+        Naming the first trial still degenerate after ``MAX_RESAMPLES``
+        redraws.
+    """
+    redraws = np.zeros(len(trials), dtype=int)
+    rows = np.arange(len(trials))
+    for n in range(MAX_RESAMPLES + 1):
+        rows = rows[attempt(rows, n)]
+        if not rows.size:
+            return redraws
+        redraws[rows] += 1
+    raise SimulationError(
+        f"trial {trials[rows[0]]}: gave up after {MAX_RESAMPLES} consecutive degenerate gain redraws"
+    )
+
+
 def draw_until_built(
     channels: ChannelSet,
     coding: str,
@@ -167,7 +199,9 @@ def draw_until_built(
     distinctness audit builds cascades only. Returns ``(gains, effective,
     built, redraws)``; ``gains`` is None for plain coding, which has nothing
     to redraw. Gain seeds are derived from ``(base_seed, trial, attempt)``
-    so trials are independent and resampling is reproducible.
+    so trials are independent and resampling is reproducible; the chunks
+    of ``simulate_link`` draw on the same seeds through the same redraw
+    loop.
 
     Raises
     ------
@@ -177,18 +211,19 @@ def draw_until_built(
     if coding == PLAIN:
         eff = build_effective(channels, None, PLAIN)
         return None, eff, build(eff), 0
-    for attempt in range(MAX_RESAMPLES + 1):
-        gains = generate_gains(
-            channels.users, channels.slots, subseed(base_seed, _NS_GAINS, trial, attempt)
-        )
+    drawn = []
+
+    def attempt(rows: np.ndarray, n: int) -> np.ndarray:
+        gains = generate_gains(channels.users, channels.slots, subseed(base_seed, _NS_GAINS, trial, n))
         try:
             eff = build_effective(channels, gains, coding)
-            return gains, eff, build(eff), attempt
+            drawn.append((gains, eff, build(eff)))
         except DegenerateRealizationError:
-            continue
-    raise SimulationError(
-        f"trial {trial}: gave up after {MAX_RESAMPLES} consecutive degenerate gain redraws"
-    )
+            return np.array([True])
+        return np.array([False])
+
+    (redraws,) = _redraw((trial,), attempt)
+    return (*drawn[0], int(redraws))
 
 
 def draw_realization(
@@ -343,43 +378,87 @@ def _receiver_terms(
     return signal, cross, noise
 
 
+def _draw_gain_stacks(
+    channels: ChannelSet, coding: str, base_seed: int, trials: range
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Effective diagonals and gain tables of ``trials``, stacked, and their redraw count.
+
+    Returns ``(diagonals, tx_table, rx_table, redraws)``: diagonals
+    (trials, users, users, D) and gain tables laid out like
+    ``EffectiveChannel.tx_gain_table``, (trials, users, fold, D), all ones
+    under ``plain``. Each trial's gains come from ``draw_until_built``'s
+    seed for its attempt, filled in one trial at a time; each round checks
+    the drawn gains as ``GainPlan`` would and folds them in one call, and
+    only the trials whose pairs cancelled are drawn again, at the next
+    attempt.
+
+    Raises what the fold raises, and ``SimulationError`` when a trial gives
+    up.
+    """
+    users, slots, count = channels.users, channels.slots, len(trials)
+    fold = slot_fold(coding)
+    table_shape = (count, users, fold, slots // fold)
+    if coding == PLAIN:
+        diagonals, _ = _fold_diagonals(channels.entries, None, None, PLAIN)
+        ones = np.ones(table_shape)
+        return np.repeat(diagonals[None], count, axis=0), ones, ones, 0
+    alpha = np.empty((count, users, slots), dtype=complex)
+    beta = np.empty_like(alpha)
+    diagonals = np.empty((count, users, users, slots // fold), dtype=complex)
+
+    def attempt(rows: np.ndarray, n: int) -> np.ndarray:
+        for row in rows:
+            alpha[row], beta[row] = _draw_gains(users, slots, subseed(base_seed, _NS_GAINS, trials[row], n))
+        drawn_alpha, drawn_beta = alpha[rows], beta[rows]
+        _check_finite_nonzero("alpha", drawn_alpha)
+        _check_finite_nonzero("beta", drawn_beta)
+        diagonals[rows], cancelled = _fold_diagonals(channels.entries, drawn_alpha, drawn_beta, coding)
+        return cancelled.any(axis=(-2, -1))
+
+    redraws = _redraw(trials, attempt)
+    return diagonals, alpha.reshape(table_shape), beta.reshape(table_shape), int(redraws.sum())
+
+
 def _draw_chunk(
     channels: ChannelSet, coding: str, base_seed: int, trials: range
-) -> tuple[tuple[EffectiveChannel, ...], np.ndarray, PrecoderSet, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, PrecoderSet, int]:
     """Realizations of ``trials``, stacked on a leading trial axis, and their redraw count.
 
-    Returns ``(effs, diagonals, precoders, redraws)``: diagonals
-    (trials, users, users, D) and precoders (trials, D, d_k). Gains are drawn
-    trial by trial on ``draw_realization``'s seeds, redrawn while the
-    effective channel is degenerate, and the chunk's precoders are one
-    stacked build. If a trial's precoders degenerate or a trial gives up,
-    the chunk is drawn again through ``draw_realization``, which redraws or
-    fails exactly as a trial-at-a-time run does.
+    Returns ``(diagonals, tx_table, rx_table, precoders, redraws)``, the
+    first three as ``_draw_gain_stacks`` returns them and precoders
+    (trials, D, d_k). The gains are drawn and folded as stacks, with no
+    ``GainPlan`` or ``EffectiveChannel`` per trial, and the chunk's
+    precoders are one stacked build. If either step fails (a trial gives
+    up, a trial's precoders degenerate, an input is rejected), the chunk
+    is drawn again through ``draw_realization``, which redraws or fails
+    exactly as a trial-at-a-time run does.
     """
     try:
-        _, effs, _, redraws = zip(
-            *(draw_until_built(channels, coding, base_seed, lambda eff: None, t) for t in trials)
-        )
-        diagonals = np.stack([eff.diagonals for eff in effs])
-        pre = _stacked_precoders(diagonals)
-    except (DegenerateRealizationError, SimulationError):
+        diagonals, tx_table, rx_table, redraws = _draw_gain_stacks(channels, coding, base_seed, trials)
+        return diagonals, tx_table, rx_table, _stacked_precoders(diagonals), redraws
+    except SymextiaError:
         _, effs, pres, redraws = zip(*(draw_realization(channels, coding, base_seed, t) for t in trials))
-        diagonals = np.stack([eff.diagonals for eff in effs])
-        pre = PrecoderSet({user: np.stack([p.precoders[user] for p in pres]) for user in pres[0].precoders})
-    return effs, diagonals, pre, sum(redraws)
+    return (
+        np.stack([eff.diagonals for eff in effs]),
+        np.stack([eff.tx_gain_table for eff in effs]),
+        np.stack([eff.rx_gain_table for eff in effs]),
+        PrecoderSet({user: np.stack([p.precoders[user] for p in pres]) for user in pres[0].precoders}),
+        sum(redraws),
+    )
 
 
 def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkResult:
     """Average per-user and sum rates over seeded gain realizations.
 
-    For each trial one gain plan is drawn (redrawing on degenerate paired
+    For each trial one set of gains is drawn (redrawing on degenerate paired
     cancellations or precoders, up to ``MAX_RESAMPLES`` consecutive
     redraws), precoders are built, and analytic zero-forcing SINRs give the
     rates at every SNR point of the sweep. ``plain`` coding has no gain
     randomness, so its trials are identical by construction. Trials run in
-    chunks as the module docstring describes: gains and effective channels
-    are drawn one trial at a time, while the chunk's precoders, scale
-    factors and zero-forcers are stacked calls, with the bits of a
+    chunks as the module docstring describes: each trial's gains are drawn
+    from its own seed into the chunk's gain stacks, while the fold and
+    cancellation check, the redraws of cancelled trials, the precoders,
+    scale factors and zero-forcers are stacked calls, with the bits of a
     trial-at-a-time loop.
 
     Returns
@@ -403,13 +482,13 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     chunk = max(1, ZF_STACK_BYTES // (16 * (slots // slot_fold(coding)) ** 2))
 
     for start in range(0, link.trials, chunk):
-        effs, diagonals, pre, redraws = _draw_chunk(
+        diagonals, tx_table, rx_table, pre, redraws = _draw_chunk(
             channels, coding, link.seed, range(start, min(start + chunk, link.trials))
         )
         failures += redraws
-        hats = _scale_hats(pre, _folded_power(np.stack([eff.tx_gain_table for eff in effs])), slots)
-        noise_std = np.sqrt(_folded_power(np.stack([eff.rx_gain_table for eff in effs])))
-        rates = np.empty((len(effs), powers.size, channels.users))
+        hats = _scale_hats(pre, _folded_power(tx_table), slots)
+        noise_std = np.sqrt(_folded_power(rx_table))
+        rates = np.empty((len(diagonals), powers.size, channels.users))
         for k in range(1, channels.users + 1):
             signal, cross, noise = _receiver_terms(pre, diagonals, noise_std, k, hats)
             # noise / P overflows only where the SINR is far below 2^-53 (signal is

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,26 @@ class TestBuildEffective:
         with pytest.raises(DegenerateRealizationError):
             build_effective(ch, cancelling, "double")
 
+    @pytest.mark.parametrize("coding", ["naive", "double"])
+    def test_an_overflowed_product_is_not_finite_rather_than_cancelled(self, coding):
+        ch = generate_channels(3, 6, "iid", 1)
+        g = generate_gains(3, 6, 2)
+        alpha, beta = g.alpha.copy(), g.beta.copy()
+        alpha[0, 0], beta[0, 0] = 1e300, 1e10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="effective diagonals must be finite"):
+                build_effective(ch, GainPlan(alpha=alpha, beta=beta), coding)
+
+    def test_an_overflowed_mean_magnitude_is_not_a_cancellation(self):
+        # each paired sum is 1.2e308, finite, but three of them overflow the mean
+        ch = ChannelSet(entries=np.full((3, 3, 6), 6e307, dtype=complex), model_tag="constant")
+        ones = np.ones((3, 6), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="finite mean"):
+                build_effective(ch, GainPlan(alpha=ones, beta=ones.copy()), "double")
+
     def test_unit_gains_double_constant_channel(self):
         # with all-ones gains each paired sum is just h + h
         ch = generate_channels(3, 8, "constant", 4)
@@ -343,3 +365,20 @@ class TestFoldMatchesParent:
         eff = build_effective(ch, g, coding)
         assert eff.diagonals.shape == (users, users, dim)
         assert np.array_equal(eff.diagonals, parent_build_effective(ch, g, coding))
+
+    @pytest.mark.parametrize("coding", ["naive", "double"])
+    def test_a_stack_folds_each_trial_as_alone(self, coding):
+        # the middle plan cancels every pair of the constant channel
+        dim = effective_dim(3, 2)
+        slots = (2 if coding == "double" else 1) * dim
+        ch = generate_channels(3, slots, "constant", 5)
+        plans = [generate_gains(3, slots, seed) for seed in (1, 2)]
+        ones = np.ones((3, slots), dtype=complex)
+        plans.insert(1, GainPlan(alpha=ones, beta=np.concatenate([ones[:, :dim], -ones[:, dim:]], axis=1)))
+        diagonals, cancelled = extension_core._fold_diagonals(
+            ch.entries, np.stack([g.alpha for g in plans]), np.stack([g.beta for g in plans]), coding
+        )
+        assert diagonals.shape == (3, 3, 3, dim) and cancelled.shape == (3, 3, 3)
+        assert cancelled.any(axis=(1, 2)).tolist() == [False, coding == "double", False]
+        for trial in (0, 2):
+            assert np.array_equal(diagonals[trial], build_effective(ch, plans[trial], coding).diagonals)

@@ -26,6 +26,7 @@ from symextia import (
     transmit_blocks,
 )
 import symextia.cj_precoder as cj_precoder
+import symextia.extension_core as extension_core
 import symextia.link_sim as link_sim
 
 
@@ -431,7 +432,42 @@ def _poison_precoders(monkeypatch, case, trial, attempts):
     return stacks
 
 
+def _cancel_first_draw(monkeypatch, case, trial):
+    """Make the first gain draw of ``trial`` a plan whose pairs all cancel.
+
+    The plan is ``TestResampling._cancelling_plan``, on a constant channel.
+    It replaces that seed's draw in the chunk's gain stacks and in
+    ``generate_gains`` alike, so the oracle redraws exactly that draw.
+    """
+    ch, coding, link = case
+    first = subseed(link.seed, link_sim._NS_GAINS, trial, 0)
+    plan = TestResampling._cancelling_plan(ch.users, ch.slots)
+    real = extension_core._draw_gains
+
+    def draw(users, slots, seed):
+        return (plan.alpha.copy(), plan.beta.copy()) if seed == first else real(users, slots, seed)
+
+    for module in (extension_core, link_sim):
+        monkeypatch.setattr(module, "_draw_gains", draw)
+
+
 class TestDegenerateTrialInAStack:
+    @pytest.mark.parametrize("composites, trial", [(18, 3), (3, 4)])
+    def test_cancelled_pair_redrawn_within_the_stack(self, monkeypatch, composites, trial):
+        case = _link_case(3, 10, "double", "constant", 1, trials=7)
+        clean = simulate_link(*case)
+        monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * effective_dim(3, 10) ** 2)
+        _cancel_first_draw(monkeypatch, case, trial)
+        fallbacks = []
+        real_draw = link_sim.draw_realization
+        monkeypatch.setattr(link_sim, "draw_realization", lambda *a: fallbacks.append(a) or real_draw(*a))
+        got = simulate_link(*case)
+        # only the flagged trial is drawn again, inside its chunk
+        assert fallbacks == []
+        assert got == oracles.per_trial_simulate_link(*case)
+        assert got.failures == clean.failures + 1
+        assert got != clean
+
     @pytest.mark.parametrize("composites, trial", [(18, 3), (3, 4)])
     def test_redrawn_as_the_per_trial_loop_redraws(self, monkeypatch, composites, trial):
         case = _link_case(3, 10, "double", "iid", 1, trials=7)
@@ -448,7 +484,7 @@ class TestDegenerateTrialInAStack:
     def test_gives_up_as_the_per_trial_loop_gives_up(self, monkeypatch):
         # trial 2's precoders and trial 5's effective channels degenerate on
         # every draw: a trial-at-a-time run gives up on trial 2 first, while
-        # the chunk's effective channels alone would give up on trial 5
+        # the chunk's stacked fold alone would give up on trial 5
         ch, coding, link = case = _link_case(3, 10, "double", "iid", 1, trials=7)
         attempts = range(link_sim.MAX_RESAMPLES + 1)
         _poison_precoders(monkeypatch, case, 2, attempts)
@@ -456,17 +492,55 @@ class TestDegenerateTrialInAStack:
             generate_gains(ch.users, ch.slots, subseed(link.seed, link_sim._NS_GAINS, 5, a)).alpha.tobytes()
             for a in attempts
         }
-        real = link_sim.build_effective
+        real_fold, real_redraw = extension_core._fold_diagonals, link_sim._redraw
+        gave_up = []
 
-        def build_effective_or_fail(channels, gains, coding):
-            if gains.alpha.tobytes() in poisoned:
-                raise DegenerateRealizationError("forced")
-            return real(channels, gains, coding)
+        def fold_or_cancel(entries, alpha, beta, coding):
+            diagonals, cancelled = real_fold(entries, alpha, beta, coding)
+            flat = alpha.reshape(-1, *alpha.shape[-2:])
+            forced = np.array([a.tobytes() in poisoned for a in flat]).reshape(alpha.shape[:-2])
+            return diagonals, cancelled | forced[..., None, None]
 
-        monkeypatch.setattr(link_sim, "build_effective", build_effective_or_fail)
+        def redraw(trials, attempt):
+            try:
+                return real_redraw(trials, attempt)
+            except SimulationError as exc:
+                gave_up.append(str(exc))
+                raise
+
+        for module in (extension_core, link_sim):
+            monkeypatch.setattr(module, "_fold_diagonals", fold_or_cancel)
+        monkeypatch.setattr(link_sim, "_redraw", redraw)
         with pytest.raises(SimulationError) as want:
             oracles.per_trial_simulate_link(*case)
+        gave_up.clear()
         with pytest.raises(SimulationError) as got:
             simulate_link(*case)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("trial 2: gave up after")
+        # the stack gave up on trial 5, then the chunk ran trial by trial
+        assert gave_up[0].startswith("trial 5: gave up after") and gave_up[-1] == str(got.value)
+
+
+class TestChunkDraw:
+    def test_folds_once_per_chunk_without_an_effective_channel(self, monkeypatch):
+        # the sweep_k3 benchmark op: D = 21, so 50 trials are 3 chunks per coding
+        folds, built = [], []
+        real_fold = extension_core._fold_diagonals
+        real_init = extension_core.EffectiveChannel.__post_init__
+
+        def fold(entries, alpha, beta, coding):
+            folds.append(len(alpha))
+            return real_fold(entries, alpha, beta, coding)
+
+        for module in (extension_core, link_sim):
+            monkeypatch.setattr(module, "_fold_diagonals", fold)
+        monkeypatch.setattr(
+            extension_core.EffectiveChannel, "__post_init__", lambda eff: built.append(eff) or real_init(eff)
+        )
+        link = LinkConfig(snr_points_db=(10.0, 20.0, 30.0, 40.0, 50.0, 60.0), trials=50, seed=7)
+        for coding in ("naive", "double"):
+            ch = generate_channels(3, slot_fold(coding) * effective_dim(3, 10), "constant", 1)
+            assert simulate_link(ch, coding, link).failures == 0
+        assert built == []
+        assert folds == [18, 18, 14] * 2
