@@ -15,9 +15,9 @@ sizes are exact integers (``cascade_order``, ``effective_dim``,
 built as one row-wise Kronecker (face-splitting) product of per-generator
 power tables, and construction is refused up front when the complex128
 precoders would exceed ``extension_core.BYTE_BUDGET``. One private build
-takes a stack of effective channels on a leading trial axis, which the link
-simulation uses for a chunk of trials at once; ``build_cascades`` and
-``build_precoders`` are its batches of one.
+takes a stack of effective channels on a leading trial axis and flags its
+degenerate trials, which the link simulation uses for a chunk of trials at
+once; ``build_cascades`` and ``build_precoders`` are its batches of one.
 """
 
 from __future__ import annotations
@@ -133,27 +133,37 @@ def _link(diagonals: np.ndarray, receiver: int, transmitter: int) -> np.ndarray:
     return diagonals[:, receiver - 1, transmitter - 1]
 
 
-def _stacked_cascades(diagonals: np.ndarray) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
-    """Cascade generators and kappa of a stack of effective channels.
+def _flag(degenerate: list[str | None], bad: np.ndarray, message: str) -> None:
+    """Give ``message`` to each trial with a ``bad`` entry, (trials, ...), that has none yet."""
+    for trial in np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1)):
+        degenerate[trial] = degenerate[trial] or message
+
+
+# a degenerate trial's quotients are flagged, not warned about
+@np.errstate(all="ignore")
+def _stacked_cascades(
+    diagonals: np.ndarray,
+) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray, list[str | None]]:
+    """Cascade generators and kappa of a stack of effective channels, and the degenerate trials.
 
     ``diagonals`` is (trials, K, K, D), one ``EffectiveChannel.diagonals``
     per trial; the generators and kappa come back as (trials, D) arrays.
     Every quotient is entrywise, so each trial's slice has the bits of that
-    trial computed alone. A degenerate quotient in any trial raises
-    ``DegenerateRealizationError``, as ``build_cascades`` documents.
+    trial computed alone. The third value holds one entry per trial: None,
+    or the message ``build_cascades`` raises on that trial alone, naming
+    its first quotient that is not finite or is 0.
     """
     d = partial(_link, diagonals)
+    degenerate: list[str | None] = [None] * len(diagonals)
     common = d(2, 1) / d(2, 3) * d(1, 3)
     matrices: dict[tuple[int, int], np.ndarray] = {}
     for k, l in cascade_pairs(diagonals.shape[1]):
         mat = common / d(k, 1) * d(k, l) / d(1, l)
-        if not np.all(np.isfinite(mat)) or np.any(mat == 0):
-            raise DegenerateRealizationError(f"cascade ({k}, {l}) left the representable range")
+        _flag(degenerate, ~np.isfinite(mat) | (mat == 0), f"cascade ({k}, {l}) left the representable range")
         matrices[(k, l)] = mat
     kappa = d(1, 2) / d(1, 1)
-    if not np.all(np.isfinite(kappa)) or np.any(kappa == 0):
-        raise DegenerateRealizationError("kappa left the representable range")
-    return matrices, kappa
+    _flag(degenerate, ~np.isfinite(kappa) | (kappa == 0), "kappa left the representable range")
+    return matrices, kappa, degenerate
 
 
 def build_cascades(eff: EffectiveChannel) -> CascadeSet:
@@ -168,7 +178,9 @@ def build_cascades(eff: EffectiveChannel) -> CascadeSet:
         value; the effective diagonals themselves are nonzero by construction,
         so this only fires on extreme magnitude spread.
     """
-    matrices, kappa = _stacked_cascades(eff.diagonals[None])
+    matrices, kappa, degenerate = _stacked_cascades(eff.diagonals[None])
+    if degenerate[0]:
+        raise DegenerateRealizationError(degenerate[0])
     return CascadeSet(matrices={pair: mat[0] for pair, mat in matrices.items()}, kappa=kappa[0])
 
 
@@ -215,23 +227,26 @@ class PrecoderSet:
         return np.concatenate([blocks[receiver], blocks[self.basis_user(receiver)]], axis=-1)
 
 
-def _stacked_precoders(diagonals: np.ndarray) -> PrecoderSet:
-    """The precoders of a stack of effective channels, built in one pass.
+# a degenerate trial's powers, norms and quotients are flagged, not warned about
+@np.errstate(all="ignore")
+def _stacked_precoders(diagonals: np.ndarray) -> tuple[PrecoderSet, list[str | None]]:
+    """The precoders of a stack of effective channels, built in one pass, and the degenerate trials.
 
     ``diagonals`` is (trials, K, K, D), one ``EffectiveChannel.diagonals``
     per trial, and the set holds one (trials, D, d_k) stack per user. Every
     step is entrywise along the trial axis, or a reduction over one trial's
     rows, so each slice has the bits of that trial built alone.
-    ``build_precoders`` documents the construction and its errors; a
-    degenerate cascade or column norm in any trial fails the whole stack,
-    and the byte budget is checked against the whole stack.
+    ``build_precoders`` documents the construction and its errors; a size
+    with no construction, or a stack over the byte budget, raises. The
+    second value holds, per trial, None or the message ``build_precoders``
+    raises on that trial alone, and such a trial's slice is not usable.
     """
     trials, users, _, dim = diagonals.shape
     cap = exponent_cap(users, dim)
     # D x ((n+1)^N + (K-1) n^N) entries, that is D + (K-2) n^N columns
     columns = dim + (users - 2) * cap ** cascade_order(users)
     check_byte_budget(16 * trials * dim * columns, "precoders for {} users at n={}", users, cap)
-    matrices, _ = _stacked_cascades(diagonals)  # kappa is checked, not used
+    matrices, _, degenerate = _stacked_cascades(diagonals)  # kappa is checked, not used
     # T_kl^e for e = 0..cap, multiplied up one power at a time (a cumulative
     # product rounds differently).
     tables = []
@@ -261,15 +276,12 @@ def _stacked_precoders(diagonals: np.ndarray) -> PrecoderSet:
             raw[i] = (_link(diagonals, 1, 3) / _link(diagonals, 1, i))[:, :, None] * raw[3]
 
     precoders = dict(sorted(raw.items()))
-    with np.errstate(over="ignore"):  # an overflowed norm is caught just below
-        for user, mat in precoders.items():
-            norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=1, keepdims=True))
-            if not np.all(np.isfinite(norms)):
-                raise DegenerateRealizationError(f"precoder column norms for user {user} overflowed")
-            if np.any(norms == 0):
-                raise DegenerateRealizationError(f"precoder column for user {user} vanished")
-            mat /= norms
-    return PrecoderSet(precoders=precoders)
+    for user, mat in precoders.items():
+        norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=1, keepdims=True))
+        _flag(degenerate, ~np.isfinite(norms), f"precoder column norms for user {user} overflowed")
+        _flag(degenerate, norms == 0, f"precoder column for user {user} vanished")
+        mat /= norms
+    return PrecoderSet(precoders=precoders), degenerate
 
 
 def build_precoders(eff: EffectiveChannel) -> PrecoderSet:
@@ -301,7 +313,9 @@ def build_precoders(eff: EffectiveChannel) -> PrecoderSet:
         If a cascade degenerates numerically, or a column norm overflows or
         vanishes.
     """
-    stack = _stacked_precoders(eff.diagonals[None])
+    stack, degenerate = _stacked_precoders(eff.diagonals[None])
+    if degenerate[0]:
+        raise DegenerateRealizationError(degenerate[0])
     return PrecoderSet(precoders={user: mat[0] for user, mat in stack.precoders.items()})
 
 

@@ -19,8 +19,8 @@ effective entries:
 One private fold owns that rule and the cancellation rule, over optional
 leading trial axes: ``EffectiveChannel(channels, gains, coding_tag)`` is its
 batch of one, folding and checking its own diagonals and handing the
-per-slot gains on in folded layout, and the link simulation folds a whole
-chunk of trials' gain stacks in one call.
+per-slot gains on in folded layout, and the link simulation's redraw loop
+folds each attempt's gain stacks, a chunk's or one trial's, in one call.
 
 User labels are 1-based everywhere in the public API; array axes are the
 corresponding 0-based indices.
@@ -346,6 +346,18 @@ class EffectiveChannel:
         if self.gains is None:
             return np.ones((self.users, self.fold, self.dim))
         return getattr(self.gains, name).reshape(self.users, self.fold, self.dim)
+
+
+def _unchecked(cls: type, **fields: object):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, built without its checks or derivations.
+
+    The caller has already made them: the redraw loop hands its checked
+    gains and their fold to the ``GainPlan`` and ``EffectiveChannel`` of a
+    single-trial draw this way.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelSet:

@@ -18,25 +18,24 @@ One zero-forcer serves both receivers: the analytic rates of
 the receiver ``align_verify`` reads too. That core, like the precoder build
 and the scale factors, takes optional leading trial axes.
 ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
-composites). Within a chunk, what stays per trial is the seeded gain draw,
-on ``draw_realization``'s seeds, written into one (trials, users, slots)
-stack per gain. The rest is stacked: the extension core's one fold and
-cancellation check over the whole stack, redrawing only the trials whose
-pairs cancelled through the same redraw loop as ``draw_realization``, then
-one precoder build for the chunk (``build_precoders`` is that build's batch
-of one), one call for its scale factors and noise standard deviations,
-whitened blocks read straight from those stacked arrays, and one stacked
-``pinv`` call per receiver; no ``GainPlan`` or ``EffectiveChannel`` is made
-per trial. ``run_symbol_chain`` calls the same functions on one trial
-without a trial axis. Every stacked step is entrywise along the trial axis,
-or a reduction or factorisation of one trial's slice, and each trial's
-(SNR, user) rates are added to array accumulators in trial order, a
-receiver column at a time into the sum rate, so the bits are those of a
-trial-at-a-time loop. A chunk in which some trial's precoders degenerate,
-or some trial gives up, is run again through ``draw_realization`` one trial
-at a time, so it redraws and fails exactly as that loop does. Rates are analytic from per-stream SINR,
-so the Monte Carlo averaging is over gain realizations only and a fixed
-seed gives bit-for-bit reproducible results.
+composites). One redraw loop draws every realization, a chunk's or the
+single trial of ``draw_realization``: each attempt draws the pending
+trials' gains on their seeds into one (trials, users, slots) stack per
+gain, folds and checks the stack in one call, builds what the caller needs
+(a chunk's precoders are one stacked build, which flags each degenerate
+trial) and draws again only the trials whose pairs cancelled or whose
+build degenerated. A chunk then makes one call for its scale factors and
+noise standard deviations, reads its whitened blocks straight from those
+stacked arrays and makes one stacked ``pinv`` call per receiver; no
+``GainPlan`` or ``EffectiveChannel`` is made per trial. ``run_symbol_chain``
+calls the same functions on one trial without a trial axis. Every stacked
+step is entrywise along the trial axis, or a reduction or factorisation of
+one trial's slice, and each trial's (SNR, user) rates are added to array
+accumulators in trial order, a receiver column at a time into the sum
+rate, so rates, redraw counts and give-ups are those of a trial-at-a-time
+loop. Rates are analytic from per-stream SINR, so the Monte Carlo
+averaging is over gain realizations only and a fixed seed gives
+bit-for-bit reproducible results.
 
 SNR is defined against unit-variance receiver noise: at a sweep point of
 ``snr_db`` each user's expected transmit power per raw slot is
@@ -49,12 +48,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TypeVar
 
 import numpy as np
 
 from .cj_precoder import PrecoderSet, _stacked_precoders, build_precoders
-from .errors import DegenerateRealizationError, ParameterError, SimulationError, SymextiaError
+from .errors import DegenerateRealizationError, ParameterError, SimulationError
 from .extension_core import (
     PLAIN,
     ChannelSet,
@@ -63,8 +63,7 @@ from .extension_core import (
     _check_finite_nonzero,
     _draw_gains,
     _fold_diagonals,
-    build_effective,
-    generate_gains,
+    _unchecked,
     slot_fold,
     subseed,
 )
@@ -109,7 +108,10 @@ def snr_power(snr_db: float) -> float:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Sweep and averaging parameters for one link simulation; each SNR point must pass ``snr_power``."""
+    """Sweep and averaging parameters for one link simulation; ParameterError unless usable.
+
+    Each SNR point must pass ``snr_power``, ``trials`` is an integer >= 1 and ``seed`` one >= 0.
+    """
 
     snr_points_db: tuple[float, ...]
     trials: int
@@ -122,8 +124,10 @@ class LinkConfig:
             snr_power(snr)
         if any(b <= a for a, b in zip(self.snr_points_db, self.snr_points_db[1:])):
             raise ParameterError("SNR points must be strictly increasing")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if not isinstance(self.trials, Integral) or self.trials < 1:
+            raise ParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -158,27 +162,62 @@ class ChainSample:
     redraws: int
 
 
-def _redraw(trials: Sequence[int], attempt: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
-    """Redraw counts of ``trials``, each drawn again while degenerate; the one redraw loop.
+def _draw(
+    channels: ChannelSet,
+    coding: str,
+    base_seed: int,
+    trials: Sequence[int],
+    build: Callable[..., tuple[Built, list[str | None]]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Built, int]:
+    """Realizations of ``trials``, stacked, each drawn again while degenerate; the one redraw loop.
 
-    ``attempt(rows, n)`` makes attempt ``n`` of the trials at positions
-    ``rows`` of ``trials`` and returns a mask of those still degenerate,
-    which the next call draws at ``n + 1``. One call serves every pending
-    trial, so they all stand at the same attempt.
+    Attempt n of trial t draws its gains on ``subseed(base_seed, _NS_GAINS,
+    t, n)`` and checks them as ``GainPlan`` does; all pending trials are
+    drawn at the same attempt, folded in one call and built in one call.
+    ``build(alpha, beta, diagonals)`` takes the stacks of the drawn trials
+    (gains None under ``plain``, which has nothing to draw) and returns what
+    it built and, per trial, None or the message of a degenerate build. A
+    trial is drawn again if its pairs cancelled or its build degenerated,
+    and a chunk is built once more as a whole if its last build was not.
+    Returns the gain tables laid out like ``EffectiveChannel.tx_gain_table``
+    (all ones under ``plain``), the diagonals, the build and the redraw count.
 
-    Raises
-    ------
-    SimulationError
-        Naming the first trial still degenerate after ``MAX_RESAMPLES``
-        redraws.
+    Raises what the fold or ``build`` raises at the first attempt that
+    raises, ``DegenerateRealizationError`` with the message of a degenerate
+    ``plain`` build, and ``SimulationError`` naming the first trial still
+    degenerate after ``MAX_RESAMPLES`` redraws.
     """
-    redraws = np.zeros(len(trials), dtype=int)
-    rows = np.arange(len(trials))
+    users, slots, count = channels.users, channels.slots, len(trials)
+    fold = slot_fold(coding)
+    table_shape = (count, users, fold, slots // fold)
+    if coding == PLAIN:
+        diagonals = np.repeat(_fold_diagonals(channels.entries, None, None, PLAIN)[0][None], count, axis=0)
+        built, degenerate = build(None, None, diagonals)
+        if degenerate[0]:
+            raise DegenerateRealizationError(degenerate[0])
+        ones = np.ones(table_shape)
+        return ones, ones, diagonals, built, 0
+    rows = np.arange(count)
+    redraws = 0
     for n in range(MAX_RESAMPLES + 1):
-        rows = rows[attempt(rows, n)]
-        if not rows.size:
-            return redraws
-        redraws[rows] += 1
+        draws = [_draw_gains(users, slots, subseed(base_seed, _NS_GAINS, trials[row], n)) for row in rows]
+        # one trial's gains are used as drawn: copying a long plan costs more than folding it
+        drawn_alpha, drawn_beta = (np.array(g) if len(g) > 1 else g[0][None] for g in zip(*draws))
+        _check_finite_nonzero("alpha", drawn_alpha)
+        _check_finite_nonzero("beta", drawn_beta)
+        drawn, cancelled = _fold_diagonals(channels.entries, drawn_alpha, drawn_beta, coding)
+        built, degenerate = build(drawn_alpha, drawn_beta, drawn)
+        if n:
+            alpha[rows], beta[rows], diagonals[rows] = drawn_alpha, drawn_beta, drawn
+        else:
+            alpha, beta, diagonals = drawn_alpha, drawn_beta, drawn
+        again = cancelled.any(axis=(-2, -1)) | [message is not None for message in degenerate]
+        if not again.any():
+            if len(rows) < count:  # the last build covered only the redrawn trials
+                built, _ = build(alpha, beta, diagonals)
+            return alpha.reshape(table_shape), beta.reshape(table_shape), diagonals, built, redraws
+        rows = rows[again]
+        redraws += rows.size
     raise SimulationError(
         f"trial {trials[rows[0]]}: gave up after {MAX_RESAMPLES} consecutive degenerate gain redraws"
     )
@@ -193,37 +232,33 @@ def draw_until_built(
 ) -> tuple[GainPlan | None, EffectiveChannel, Built, int]:
     """Draw gains (when needed) until ``build(effective)`` succeeds, counting redraws.
 
-    A draw is redrawn when ``build_effective`` or ``build`` raises
+    A draw is redrawn when its paired sums cancel or ``build`` raises
     ``DegenerateRealizationError``, so the caller decides what a usable
     realization must yield: ``draw_realization`` builds precoders, the
     distinctness audit builds cascades only. Returns ``(gains, effective,
     built, redraws)``; ``gains`` is None for plain coding, which has nothing
-    to redraw. Gain seeds are derived from ``(base_seed, trial, attempt)``
-    so trials are independent and resampling is reproducible; the chunks
-    of ``simulate_link`` draw on the same seeds through the same redraw
-    loop.
+    to redraw. The draws are the one-trial case of the redraw loop of
+    ``simulate_link``'s chunks, on seeds derived from ``(base_seed, trial,
+    attempt)``, so trials are independent and resampling is reproducible.
 
     Raises
     ------
+    DegenerateRealizationError
+        If ``build`` degenerates under ``plain`` coding.
     SimulationError
         If the draw stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
-    if coding == PLAIN:
-        eff = build_effective(channels, None, PLAIN)
-        return None, eff, build(eff), 0
-    drawn = []
 
-    def attempt(rows: np.ndarray, n: int) -> np.ndarray:
-        gains = generate_gains(channels.users, channels.slots, subseed(base_seed, _NS_GAINS, trial, n))
+    def build_one(alpha, beta, diagonals):
+        gains = None if alpha is None else _unchecked(GainPlan, alpha=alpha[0], beta=beta[0])
+        eff = _unchecked(EffectiveChannel, channels=channels, gains=gains, coding_tag=coding, diagonals=diagonals[0])
         try:
-            eff = build_effective(channels, gains, coding)
-            drawn.append((gains, eff, build(eff)))
-        except DegenerateRealizationError:
-            return np.array([True])
-        return np.array([False])
+            return (gains, eff, build(eff)), [None]
+        except DegenerateRealizationError as exc:
+            return None, [str(exc)]
 
-    (redraws,) = _redraw((trial,), attempt)
-    return (*drawn[0], int(redraws))
+    *_, built, redraws = _draw(channels, coding, base_seed, (trial,), build_one)
+    return (*built, redraws)
 
 
 def draw_realization(
@@ -378,75 +413,6 @@ def _receiver_terms(
     return signal, cross, noise
 
 
-def _draw_gain_stacks(
-    channels: ChannelSet, coding: str, base_seed: int, trials: range
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Effective diagonals and gain tables of ``trials``, stacked, and their redraw count.
-
-    Returns ``(diagonals, tx_table, rx_table, redraws)``: diagonals
-    (trials, users, users, D) and gain tables laid out like
-    ``EffectiveChannel.tx_gain_table``, (trials, users, fold, D), all ones
-    under ``plain``. Each trial's gains come from ``draw_until_built``'s
-    seed for its attempt, filled in one trial at a time; each round checks
-    the drawn gains as ``GainPlan`` would and folds them in one call, and
-    only the trials whose pairs cancelled are drawn again, at the next
-    attempt.
-
-    Raises what the fold raises, and ``SimulationError`` when a trial gives
-    up.
-    """
-    users, slots, count = channels.users, channels.slots, len(trials)
-    fold = slot_fold(coding)
-    table_shape = (count, users, fold, slots // fold)
-    if coding == PLAIN:
-        diagonals, _ = _fold_diagonals(channels.entries, None, None, PLAIN)
-        ones = np.ones(table_shape)
-        return np.repeat(diagonals[None], count, axis=0), ones, ones, 0
-    alpha = np.empty((count, users, slots), dtype=complex)
-    beta = np.empty_like(alpha)
-    diagonals = np.empty((count, users, users, slots // fold), dtype=complex)
-
-    def attempt(rows: np.ndarray, n: int) -> np.ndarray:
-        for row in rows:
-            alpha[row], beta[row] = _draw_gains(users, slots, subseed(base_seed, _NS_GAINS, trials[row], n))
-        drawn_alpha, drawn_beta = alpha[rows], beta[rows]
-        _check_finite_nonzero("alpha", drawn_alpha)
-        _check_finite_nonzero("beta", drawn_beta)
-        diagonals[rows], cancelled = _fold_diagonals(channels.entries, drawn_alpha, drawn_beta, coding)
-        return cancelled.any(axis=(-2, -1))
-
-    redraws = _redraw(trials, attempt)
-    return diagonals, alpha.reshape(table_shape), beta.reshape(table_shape), int(redraws.sum())
-
-
-def _draw_chunk(
-    channels: ChannelSet, coding: str, base_seed: int, trials: range
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, PrecoderSet, int]:
-    """Realizations of ``trials``, stacked on a leading trial axis, and their redraw count.
-
-    Returns ``(diagonals, tx_table, rx_table, precoders, redraws)``, the
-    first three as ``_draw_gain_stacks`` returns them and precoders
-    (trials, D, d_k). The gains are drawn and folded as stacks, with no
-    ``GainPlan`` or ``EffectiveChannel`` per trial, and the chunk's
-    precoders are one stacked build. If either step fails (a trial gives
-    up, a trial's precoders degenerate, an input is rejected), the chunk
-    is drawn again through ``draw_realization``, which redraws or fails
-    exactly as a trial-at-a-time run does.
-    """
-    try:
-        diagonals, tx_table, rx_table, redraws = _draw_gain_stacks(channels, coding, base_seed, trials)
-        return diagonals, tx_table, rx_table, _stacked_precoders(diagonals), redraws
-    except SymextiaError:
-        _, effs, pres, redraws = zip(*(draw_realization(channels, coding, base_seed, t) for t in trials))
-    return (
-        np.stack([eff.diagonals for eff in effs]),
-        np.stack([eff.tx_gain_table for eff in effs]),
-        np.stack([eff.rx_gain_table for eff in effs]),
-        PrecoderSet({user: np.stack([p.precoders[user] for p in pres]) for user in pres[0].precoders}),
-        sum(redraws),
-    )
-
-
 def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkResult:
     """Average per-user and sum rates over seeded gain realizations.
 
@@ -455,11 +421,8 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     redraws), precoders are built, and analytic zero-forcing SINRs give the
     rates at every SNR point of the sweep. ``plain`` coding has no gain
     randomness, so its trials are identical by construction. Trials run in
-    chunks as the module docstring describes: each trial's gains are drawn
-    from its own seed into the chunk's gain stacks, while the fold and
-    cancellation check, the redraws of cancelled trials, the precoders,
-    scale factors and zero-forcers are stacked calls, with the bits of a
-    trial-at-a-time loop.
+    stacked chunks through the one redraw loop, as the module docstring
+    describes, with the bits of a trial-at-a-time loop.
 
     Returns
     -------
@@ -469,7 +432,14 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     ------
     ParameterError
         If the coding mode is unknown, cannot fold the channel's slots, or
-        leaves an effective dimension that no construction has.
+        leaves an effective dimension that no construction has, or a fold
+        overflows. A chunk raises the first such error it meets, at its
+        earliest attempt, where a trial-at-a-time loop would raise its
+        lowest trial's; the two differ only when trials of one chunk would
+        raise different errors, which takes channel or gain magnitudes near
+        the ends of the float range.
+    DegenerateRealizationError
+        If the precoders of ``plain`` coding degenerate.
     SimulationError
         If some trial stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
@@ -482,8 +452,9 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     chunk = max(1, ZF_STACK_BYTES // (16 * (slots // slot_fold(coding)) ** 2))
 
     for start in range(0, link.trials, chunk):
-        diagonals, tx_table, rx_table, pre, redraws = _draw_chunk(
-            channels, coding, link.seed, range(start, min(start + chunk, link.trials))
+        tx_table, rx_table, diagonals, pre, redraws = _draw(
+            channels, coding, link.seed, range(start, min(start + chunk, link.trials)),
+            lambda alpha, beta, diagonals: _stacked_precoders(diagonals),
         )
         failures += redraws
         hats = _scale_hats(pre, _folded_power(tx_table), slots)
@@ -543,14 +514,14 @@ def run_symbol_chain(
     Raises
     ------
     ParameterError
-        If ``blocks`` < 1, ``power`` is not positive and finite
+        If ``blocks`` is not an integer >= 1, ``power`` is not positive and finite
         (``transmit_blocks`` checks it), or the channels and coding have no
         construction (as in ``simulate_link``).
     SimulationError
         If the draw stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
-    if blocks < 1:
-        raise ParameterError(f"blocks must be >= 1, got {blocks}")
+    if not isinstance(blocks, Integral) or blocks < 1:
+        raise ParameterError(f"blocks must be an integer >= 1, got {blocks!r}")
     _, eff, pre, redraws = draw_realization(channels, coding, seed)
     rng = np.random.default_rng(subseed(seed, _NS_CHAIN))
     slots = channels.slots

@@ -7,14 +7,17 @@ branch; the link layer's folded code must match them bit for bit.
 ``dense_min_relative_gap`` is the all-pairs matrix form of the gap the
 distinctness audit reports; the pruned sweep must match it bit for bit.
 ``per_trial_simulate_link`` is the link simulation one trial and one
-pseudoinverse at a time; the stacked receiver terms must match it bit for
-bit. ``parent_build_effective`` is the slot fold as ``build_effective``
-spelled it before ``EffectiveChannel`` computed its own diagonals; the class
-must match it bit for bit. ``parent_check_alignment``, with its
-``parent_signal_space_rank`` and ``parent_receiver_composite``, is the
-alignment check as it read before ``PrecoderSet`` owned the receiver blocks
-and the composite layout, one product per block and condition; the one-pass
-check and the one-receiver functions must match them bit for bit.
+pseudoinverse at a time, drawing each trial through
+``parent_draw_realization``, the per-trial redraw loop as it read before
+one loop drew every realization; the stacked receiver terms and the chunk
+draws must match it bit for bit. ``parent_build_effective`` is the slot
+fold as ``build_effective`` spelled it before ``EffectiveChannel`` computed
+its own diagonals; the class must match it bit for bit.
+``parent_check_alignment``, with its ``parent_signal_space_rank`` and
+``parent_receiver_composite``, is the alignment check as it read before
+``PrecoderSet`` owned the receiver blocks and the composite layout, one
+product per block and condition; the one-pass check and the one-receiver
+functions must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -31,9 +34,17 @@ from symextia.align_verify import (
     numerical_rank,
     orthonormal_basis,
 )
-from symextia.errors import DegenerateRealizationError
-from symextia.extension_core import DEGENERATE_REL_TOL, PLAIN, SLOT_FOLD
-from symextia.link_sim import LinkResult, draw_realization, effective_noise_std, estimate_dof
+from symextia.cj_precoder import build_precoders
+from symextia.errors import DegenerateRealizationError, SimulationError
+from symextia.extension_core import (
+    DEGENERATE_REL_TOL,
+    PLAIN,
+    SLOT_FOLD,
+    build_effective,
+    generate_gains,
+    subseed,
+)
+from symextia.link_sim import MAX_RESAMPLES, _NS_GAINS, LinkResult, effective_noise_std, estimate_dof
 
 # factor list for the user-(3,2) cascade: (receiver, transmitter, exponent)
 T32_FACTORS = (
@@ -246,6 +257,29 @@ def _per_trial_receiver_terms(eff, pre, receiver: int, hats: dict):
     return signal, cross, noise
 
 
+def parent_draw_realization(channels, coding: str, base_seed: int, trial: int = 0):
+    """``draw_realization`` as a loop of its own over one trial's attempts.
+
+    Each attempt draws a ``GainPlan`` on the trial's seed for that attempt,
+    builds the ``EffectiveChannel`` and the precoders, and is redrawn when
+    either raises ``DegenerateRealizationError``. Returns ``(gains,
+    effective, precoders, redraws)``.
+    """
+    if coding == PLAIN:
+        eff = build_effective(channels, None, PLAIN)
+        return None, eff, build_precoders(eff), 0
+    for attempt in range(MAX_RESAMPLES + 1):
+        gains = generate_gains(channels.users, channels.slots, subseed(base_seed, _NS_GAINS, trial, attempt))
+        try:
+            eff = build_effective(channels, gains, coding)
+            return gains, eff, build_precoders(eff), attempt
+        except DegenerateRealizationError:
+            pass
+    raise SimulationError(
+        f"trial {trial}: gave up after {MAX_RESAMPLES} consecutive degenerate gain redraws"
+    )
+
+
 def per_trial_simulate_link(channels, coding: str, link) -> LinkResult:
     """``simulate_link`` as one pseudoinverse per trial and receiver.
 
@@ -259,7 +293,7 @@ def per_trial_simulate_link(channels, coding: str, link) -> LinkResult:
     failures = 0
 
     for trial in range(link.trials):
-        _, eff, pre, redraws = draw_realization(channels, coding, link.seed, trial)
+        _, eff, pre, redraws = parent_draw_realization(channels, coding, link.seed, trial)
         failures += redraws
         hats = _per_trial_scale_hats(pre, eff)
         terms = {k: _per_trial_receiver_terms(eff, pre, k, hats) for k in range(1, users + 1)}

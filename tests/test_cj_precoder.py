@@ -271,6 +271,39 @@ class TestBuildPrecoders:
         with pytest.raises(DegenerateRealizationError):
             build_precoders(eff)
 
+    def test_stack_flags_each_degenerate_trial_with_its_own_message(self):
+        # K=3, n=60 plain iid (D=121): seed 0 builds, seed 2's column norms
+        # overflow (test_norm_overflow_raises); two copies of seed 0 spoil a
+        # cascade quotient and kappa. Tier-1 turns any RuntimeWarning the
+        # spoiled trials would raise into an error.
+        entries = generate_channels(3, 121, "iid", 0).entries
+        cascade, kappa = entries.copy(), entries.copy()
+        cascade[1, 0] *= 1e200  # H_21 H_13 overflows
+        cascade[0, 2] *= 1e200
+        kappa[0, 0] = 1e-320  # H_11^-1 H_12 overflows
+        stack = (entries, cascade, generate_channels(3, 121, "iid", 2).entries, kappa)
+        effs = [build_effective(ChannelSet(e, "iid"), None, "plain") for e in stack]
+        diagonals = np.stack([eff.diagonals for eff in effs])
+        pre, degenerate = cj_precoder._stacked_precoders(diagonals)
+        *_, cascades_degenerate = cj_precoder._stacked_cascades(diagonals)
+        assert degenerate == [
+            None,
+            "cascade (3, 2) left the representable range",
+            "precoder column norms for user 1 overflowed",
+            "kappa left the representable range",
+        ]
+        assert cascades_degenerate == [None, degenerate[1], None, degenerate[3]]
+        for user, mat in build_precoders(effs[0]).precoders.items():
+            assert np.array_equal(pre.precoders[user][0], mat)
+        for eff, message, cascade_message in zip(effs, degenerate, cascades_degenerate):
+            for build, want in ((build_precoders, message), (build_cascades, cascade_message)):
+                if want is None:
+                    build(eff)
+                    continue
+                with pytest.raises(DegenerateRealizationError) as alone:
+                    build(eff)
+                assert str(alone.value) == want
+
     def test_matches_per_tuple_reference_bit_for_bit(self):
         for users, n in ((3, 1), (3, 2), (3, 5), (4, 1), (4, 2)):
             for coding, model in (("plain", "iid"), ("naive", "iid"), ("double", "constant")):
@@ -289,7 +322,8 @@ class TestBuildPrecoders:
                 slots = slot_fold(coding) * effective_dim(users, n)
                 ch = generate_channels(users, slots, model, subseed(n, 4))
                 effs = [draw_realization(ch, coding, subseed(n, 5), trial)[1] for trial in range(4)]
-                stack = cj_precoder._stacked_precoders(np.stack([eff.diagonals for eff in effs]))
+                stack, degenerate = cj_precoder._stacked_precoders(np.stack([eff.diagonals for eff in effs]))
+                assert degenerate == [None] * 4
                 for trial, eff in enumerate(effs):
                     want = loop_precoders(eff, build_cascades(eff), n)
                     assert list(stack.precoders) == list(want)

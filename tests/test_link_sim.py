@@ -26,6 +26,7 @@ from symextia import (
     transmit_blocks,
 )
 import symextia.cj_precoder as cj_precoder
+import symextia.cli as cli
 import symextia.extension_core as extension_core
 import symextia.link_sim as link_sim
 
@@ -47,6 +48,19 @@ class TestLinkConfig:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):
             LinkConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # each would otherwise fail later, inside the first draw, untyped or late
+            (dict(trials=2.5), "trials must be an integer"),
+            (dict(trials=3, seed=1.5), "seed must be an integer"),
+            (dict(trials=3, seed=-1), "seed must be an integer >= 0"),
+        ],
+    )
+    def test_rejects_a_trial_count_or_seed_that_is_not_a_count(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            LinkConfig(snr_points_db=(10.0,), **kwargs)
 
     @pytest.mark.parametrize(
         "points",
@@ -174,24 +188,24 @@ class TestResampling:
 
     def test_persistent_degeneracy_raises(self, monkeypatch):
         ch = _double_channels()
-        monkeypatch.setattr(
-            link_sim, "generate_gains", lambda u, s, seed: self._cancelling_plan(u, s)
-        )
+        plan = self._cancelling_plan(ch.users, ch.slots)
+        monkeypatch.setattr(link_sim, "_draw_gains", lambda u, s, seed: (plan.alpha.copy(), plan.beta.copy()))
         with pytest.raises(SimulationError):
             draw_realization(ch, "double", 0)
 
     def test_redraw_count_reported(self, monkeypatch):
         ch = _double_channels()
         calls = {"n": 0}
-        real = generate_gains
+        real = extension_core._draw_gains
 
         def flaky(users, slots, seed):
             calls["n"] += 1
             if calls["n"] == 1:
-                return self._cancelling_plan(users, slots)
+                plan = self._cancelling_plan(users, slots)
+                return plan.alpha, plan.beta
             return real(users, slots, seed)
 
-        monkeypatch.setattr(link_sim, "generate_gains", flaky)
+        monkeypatch.setattr(link_sim, "_draw_gains", flaky)
         _, _, _, redraws = draw_realization(ch, "double", 0)
         assert redraws == 1
 
@@ -280,6 +294,10 @@ class TestSymbolChain:
         ch = _double_channels()
         with pytest.raises(ParameterError):
             run_symbol_chain(ch, "double", power=1.0, seed=0, blocks=0)
+
+    def test_chain_rejects_a_block_count_that_is_not_an_integer(self):
+        with pytest.raises(ParameterError, match="blocks must be an integer >= 1"):
+            run_symbol_chain(_double_channels(), "double", power=1.0, seed=0, blocks=1.5)
 
     @pytest.mark.parametrize("power", [0.0, -1.0, float("inf"), float("nan")])
     def test_chain_rejects_a_power_that_is_not_positive_and_finite(self, power):
@@ -406,12 +424,52 @@ class TestStackedMatchesPerTrial:
         assert peak(simulate_link) <= peak(oracles.per_trial_simulate_link) + composite
 
 
+def _assert_same_realization(got, want):
+    (gains, eff, pre, redraws), (want_gains, want_eff, want_pre, want_redraws) = got, want
+    assert redraws == want_redraws
+    assert (gains is None) == (want_gains is None)
+    if gains is not None:
+        assert np.array_equal(gains.alpha, want_gains.alpha) and np.array_equal(gains.beta, want_gains.beta)
+    assert np.array_equal(eff.diagonals, want_eff.diagonals)
+    assert list(pre.precoders) == list(want_pre.precoders)
+    for user, mat in want_pre.precoders.items():
+        assert np.array_equal(pre.precoders[user], mat)
+
+
+class TestDrawRealization:
+    @pytest.mark.parametrize("users,n,coding,model,seed", STACK_CASES)
+    def test_same_draws_as_the_per_trial_loop(self, users, n, coding, model, seed):
+        ch, coding, link = _link_case(users, n, coding, model, seed, trials=2 if users == 4 else 3)
+        for trial in range(link.trials):
+            _assert_same_realization(
+                draw_realization(ch, coding, link.seed, trial),
+                oracles.parent_draw_realization(ch, coding, link.seed, trial),
+            )
+
+    def test_same_natural_redraws_as_the_per_trial_loop(self):
+        # the double-coding draw of figure1 --n 60 --channel iid --trials 4
+        # --seed 0 (D = 121), whose precoder norms overflow on some draws
+        spec = cli.parse_args(["--experiment", "figure1", "--n", "60", "--channel", "iid",
+                               "--trials", "4", "--seed", "0"])
+        ch = cli._channels(spec, "double")
+        seed = subseed(spec.seed, cli._NS_LINK, cli.FIGURE1_CODINGS.index("double"))
+        redrawn = 0
+        for trial in range(spec.trials):
+            got = draw_realization(ch, "double", seed, trial)
+            _assert_same_realization(got, oracles.parent_draw_realization(ch, "double", seed, trial))
+            redrawn += got[3] > 0
+        assert redrawn == 2
+        link = LinkConfig(snr_points_db=spec.snr_db, trials=spec.trials, seed=seed)
+        assert simulate_link(ch, "double", link) == oracles.per_trial_simulate_link(ch, "double", link)
+
+
 def _poison_precoders(monkeypatch, case, trial, attempts):
     """Make the precoder build degenerate on the given gain draws of ``trial``.
 
-    Any stack holding one of those draws' effective diagonals raises inside
-    the cascade step, on the stacked path and on the per-trial path alike,
-    so the oracle redraws (or gives up on) exactly those draws.
+    The stacked cascade step flags any trial of a stack that holds one of
+    those draws' effective diagonals, on the stacked path and on the
+    per-trial path alike, so the oracle redraws (or gives up on) exactly
+    those draws. Returns the size of every stack the step is called on.
     """
     ch, coding, link = case
     seeds = [subseed(link.seed, link_sim._NS_GAINS, trial, attempt) for attempt in attempts]
@@ -424,9 +482,9 @@ def _poison_precoders(monkeypatch, case, trial, attempts):
 
     def cascades(diagonals):
         stacks.append(len(diagonals))
-        if any(d.tobytes() in poisoned for d in diagonals):
-            raise DegenerateRealizationError("forced")
-        return real(diagonals)
+        matrices, kappa, degenerate = real(diagonals)
+        forced = ["forced" if d.tobytes() in poisoned else m for d, m in zip(diagonals, degenerate)]
+        return matrices, kappa, forced
 
     monkeypatch.setattr(cj_precoder, "_stacked_cascades", cascades)
     return stacks
@@ -436,7 +494,7 @@ def _cancel_first_draw(monkeypatch, case, trial):
     """Make the first gain draw of ``trial`` a plan whose pairs all cancel.
 
     The plan is ``TestResampling._cancelling_plan``, on a constant channel.
-    It replaces that seed's draw in the chunk's gain stacks and in
+    It replaces that seed's draw in the redraw loop and in
     ``generate_gains`` alike, so the oracle redraws exactly that draw.
     """
     ch, coding, link = case
@@ -451,6 +509,14 @@ def _cancel_first_draw(monkeypatch, case, trial):
         monkeypatch.setattr(module, "_draw_gains", draw)
 
 
+def _count_draw_realization(monkeypatch):
+    """Record the arguments of every ``draw_realization`` call made through ``link_sim``."""
+    calls = []
+    real = link_sim.draw_realization
+    monkeypatch.setattr(link_sim, "draw_realization", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 class TestDegenerateTrialInAStack:
     @pytest.mark.parametrize("composites, trial", [(18, 3), (3, 4)])
     def test_cancelled_pair_redrawn_within_the_stack(self, monkeypatch, composites, trial):
@@ -458,33 +524,45 @@ class TestDegenerateTrialInAStack:
         clean = simulate_link(*case)
         monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * effective_dim(3, 10) ** 2)
         _cancel_first_draw(monkeypatch, case, trial)
-        fallbacks = []
-        real_draw = link_sim.draw_realization
-        monkeypatch.setattr(link_sim, "draw_realization", lambda *a: fallbacks.append(a) or real_draw(*a))
+        draws = _count_draw_realization(monkeypatch)
         got = simulate_link(*case)
         # only the flagged trial is drawn again, inside its chunk
-        assert fallbacks == []
+        assert draws == []
         assert got == oracles.per_trial_simulate_link(*case)
         assert got.failures == clean.failures + 1
         assert got != clean
 
-    @pytest.mark.parametrize("composites, trial", [(18, 3), (3, 4)])
-    def test_redrawn_as_the_per_trial_loop_redraws(self, monkeypatch, composites, trial):
+    @pytest.mark.parametrize(
+        "composites, trial, built",
+        [
+            # one chunk: all 7 trials, the redraw of trial 3, then all 7 again
+            (18, 3, [7, 1, 7]),
+            # chunks of 3, 3 and 1: trial 4 is redrawn inside the second
+            (3, 4, [3, 3, 1, 3, 1]),
+            # chunks of one: trial 4's chunk is drawn twice
+            (1, 4, [1] * 8),
+        ],
+        ids=["18-3", "3-4", "1-4"],
+    )
+    def test_redrawn_as_the_per_trial_loop_redraws(self, monkeypatch, composites, trial, built):
         case = _link_case(3, 10, "double", "iid", 1, trials=7)
         clean = simulate_link(*case)
+        assert clean.failures == 0
         monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * effective_dim(3, 10) ** 2)
         stacks = _poison_precoders(monkeypatch, case, trial, attempts=(0,))
+        draws = _count_draw_realization(monkeypatch)
         got = simulate_link(*case)
-        # the chunk holding the trial fails as a stack, then runs trial by trial
-        assert len(stacks) > -(-7 // composites) and 1 in stacks
+        # the degenerate trial is redrawn inside its chunk, never trial by trial
+        assert stacks == built
+        assert draws == []
         assert got == oracles.per_trial_simulate_link(*case)
         assert got.failures == clean.failures + 1
         assert got != clean
 
     def test_gives_up_as_the_per_trial_loop_gives_up(self, monkeypatch):
         # trial 2's precoders and trial 5's effective channels degenerate on
-        # every draw: a trial-at-a-time run gives up on trial 2 first, while
-        # the chunk's stacked fold alone would give up on trial 5
+        # every draw: a trial-at-a-time run gives up on trial 2 first, and so
+        # does the chunk, in which both stay pending to the last attempt
         ch, coding, link = case = _link_case(3, 10, "double", "iid", 1, trials=7)
         attempts = range(link_sim.MAX_RESAMPLES + 1)
         _poison_precoders(monkeypatch, case, 2, attempts)
@@ -492,8 +570,7 @@ class TestDegenerateTrialInAStack:
             generate_gains(ch.users, ch.slots, subseed(link.seed, link_sim._NS_GAINS, 5, a)).alpha.tobytes()
             for a in attempts
         }
-        real_fold, real_redraw = extension_core._fold_diagonals, link_sim._redraw
-        gave_up = []
+        real_fold = extension_core._fold_diagonals
 
         def fold_or_cancel(entries, alpha, beta, coding):
             diagonals, cancelled = real_fold(entries, alpha, beta, coding)
@@ -501,25 +578,50 @@ class TestDegenerateTrialInAStack:
             forced = np.array([a.tobytes() in poisoned for a in flat]).reshape(alpha.shape[:-2])
             return diagonals, cancelled | forced[..., None, None]
 
-        def redraw(trials, attempt):
-            try:
-                return real_redraw(trials, attempt)
-            except SimulationError as exc:
-                gave_up.append(str(exc))
-                raise
-
         for module in (extension_core, link_sim):
             monkeypatch.setattr(module, "_fold_diagonals", fold_or_cancel)
-        monkeypatch.setattr(link_sim, "_redraw", redraw)
         with pytest.raises(SimulationError) as want:
             oracles.per_trial_simulate_link(*case)
-        gave_up.clear()
+        draws = _count_draw_realization(monkeypatch)
         with pytest.raises(SimulationError) as got:
             simulate_link(*case)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("trial 2: gave up after")
-        # the stack gave up on trial 5, then the chunk ran trial by trial
-        assert gave_up[0].startswith("trial 5: gave up after") and gave_up[-1] == str(got.value)
+        assert draws == []
+
+    def test_plain_precoders_that_degenerate_raise(self):
+        # plain coding has nothing to redraw: K=3, n=60 on this channel
+        # overflows the column norms (test_norm_overflow_raises)
+        ch = generate_channels(3, 121, "iid", 2)
+        with pytest.raises(DegenerateRealizationError, match="norms for user 1 overflowed"):
+            simulate_link(ch, "plain", LinkConfig(snr_points_db=(10.0,), trials=2))
+
+    def test_raises_the_parameter_error_of_the_earliest_attempt(self, monkeypatch):
+        # trial 0 cancels at attempt 0 and its attempt 1 has a zero alpha;
+        # trial 2's attempt 0 has a zero beta. A trial-at-a-time loop raises
+        # trial 0's error, the chunk the error of its first attempt.
+        ch, coding, link = case = _link_case(3, 10, "double", "constant", 1, trials=3)
+        seeds = {subseed(link.seed, link_sim._NS_GAINS, t, a): (t, a) for t in (0, 2) for a in (0, 1)}
+        plan = TestResampling._cancelling_plan(ch.users, ch.slots)
+        real = extension_core._draw_gains
+
+        def draw(users, slots, seed):
+            alpha, beta = real(users, slots, seed)
+            spoil = seeds.get(seed)
+            if spoil == (0, 0):
+                return plan.alpha.copy(), plan.beta.copy()
+            if spoil == (0, 1):
+                alpha[0, 0] = 0
+            if spoil == (2, 0):
+                beta[0, 0] = 0
+            return alpha, beta
+
+        for module in (extension_core, link_sim):
+            monkeypatch.setattr(module, "_draw_gains", draw)
+        with pytest.raises(ParameterError, match="alpha must be nonzero"):
+            oracles.per_trial_simulate_link(*case)
+        with pytest.raises(ParameterError, match="beta must be nonzero"):
+            simulate_link(*case)
 
 
 class TestChunkDraw:
