@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateRealizationError, ParameterError
-from .extension_core import EffectiveChannel, check_byte_budget, count_text
+from .extension_core import EffectiveChannel, _check_int, check_byte_budget, count_text
 
 SINGLE_LAYER = "single"
 DOUBLE_LAYER = "double"
@@ -37,20 +37,19 @@ LAYERS = (SINGLE_LAYER, DOUBLE_LAYER)
 
 
 def cascade_order(users: int) -> int:
-    """Count N = (users-1)(users-2) - 1 of cascade generators."""
-    if users < 3:
-        raise ParameterError(f"need at least 3 users, got {users}")
+    """Count N = (users-1)(users-2) - 1 of cascade generators; ParameterError unless ``users`` >= 3."""
+    _check_int("users", users, 3)
     return (users - 1) * (users - 2) - 1
 
 
 def effective_dim(users: int, n: int) -> int:
     """Per-layer signal-space dimension D = (n+1)^N + n^N, as an exact integer.
 
-    Every D is odd, since one of n and n + 1 is even.
+    Every D is odd, since one of n and n + 1 is even. ParameterError
+    unless ``n`` is an integer >= 1 (and ``users`` one >= 3).
     """
     order = cascade_order(users)
-    if n < 1:
-        raise ParameterError(f"exponent cap must be >= 1, got {n}")
+    _check_int("n", n, 1)
     return (n + 1) ** order + n**order
 
 
@@ -63,8 +62,10 @@ def exponent_cap(users: int, dim: int) -> int:
     Raises
     ------
     ParameterError
-        If no n >= 1 gives a signal space of dimension ``dim``.
+        If ``dim`` is not an integer, or no n >= 1 gives a signal space of
+        dimension ``dim``.
     """
+    _check_int("dim", dim, -np.inf)
     lo, hi = 1, 1 << (dim.bit_length() // cascade_order(users) + 1)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -103,13 +104,12 @@ def enumerate_tuples(users: int, cap: int) -> np.ndarray:
     Raises
     ------
     ParameterError
-        If ``users`` < 3 or ``cap`` < 0.
+        Unless ``users`` is an integer >= 3 and ``cap`` one >= 0.
     CapacityError
         If the int64 array would exceed ``extension_core.BYTE_BUDGET``.
     """
     order = cascade_order(users)
-    if cap < 0:
-        raise ParameterError(f"cap must be >= 0, got {cap}")
+    _check_int("cap", cap, 0)
     rows = (cap + 1) ** order
     check_byte_budget(8 * order * rows, "{} exponent tuples of length {}", rows, order)
     return np.indices((cap + 1,) * order).reshape(order, -1).T
@@ -247,30 +247,24 @@ def _stacked_precoders(diagonals: np.ndarray) -> tuple[PrecoderSet, list[str | N
     columns = dim + (users - 2) * cap ** cascade_order(users)
     check_byte_budget(16 * trials * dim * columns, "precoders for {} users at n={}", users, cap)
     matrices, _, degenerate = _stacked_cascades(diagonals)  # kappa is checked, not used
-    # T_kl^e for e = 0..cap, multiplied up one power at a time (a cumulative
-    # product rounds differently).
-    tables = []
+    # One column per row of enumerate_tuples(users, cap): each cascade's
+    # powers T_kl^e, e = 0..cap, multiplied up one at a time (a cumulative
+    # product rounds differently), times every column so far, in C order
+    # (the column norms below round differently when columns are contiguous).
+    products = np.ones((trials, dim, 1), dtype=complex)
     for mat in matrices.values():
         table = np.empty((trials, cap + 1, dim), dtype=complex)
         table[:, 0] = 1.0
         for e in range(1, cap + 1):
             table[:, e] = table[:, e - 1] * mat
-        tables.append(table)
-
-    def power_products(top: int) -> np.ndarray:
-        # One column per row of enumerate_tuples(users, top). The output is
-        # forced to C order: the column norms below round differently when
-        # each column is contiguous.
-        out = np.ones((trials, dim, 1), dtype=complex)
-        for table in tables:
-            powers = table[:, : top + 1].transpose(0, 2, 1)
-            out = np.multiply(out[:, :, :, None], powers[:, :, None, :], order="C")
-            out = out.reshape(trials, dim, -1)
-        return out
-
-    # the user-3 prefix H_21 H_23^-1 is not one of the cascades
+        products = np.multiply(products[:, :, :, None], table.transpose(0, 2, 1)[:, :, None, :], order="C")
+        products = products.reshape(trials, dim, -1)
+    # the cap n - 1 columns are the same chains of multiplies, the sub-grid
+    # below cap on every exponent axis; the user-3 prefix H_21 H_23^-1 is not a cascade
+    grid = products.reshape(trials, dim, *(cap + 1,) * len(matrices))
+    lower = grid[(..., *(slice(cap),) * len(matrices))].reshape(trials, dim, -1)
     prefix = _link(diagonals, 2, 1) / _link(diagonals, 2, 3)
-    raw = {1: power_products(cap), 3: prefix[:, :, None] * power_products(cap - 1)}
+    raw = {1: products, 3: prefix[:, :, None] * lower}
     for i in range(2, users + 1):
         if i != 3:
             raw[i] = (_link(diagonals, 1, 3) / _link(diagonals, 1, i))[:, :, None] * raw[3]

@@ -22,11 +22,12 @@ LF line endings, floats printed to 6 significant digits (exact-dof floats to
 success, 2 on a flag parsing problem (including any flag the experiment does
 not read, ``--n`` together with ``--n-range``, a negative ``--seed``, an
 ``--snr`` bound that is not finite or has no usable transmit power, an
-``--snr`` sweep with more float64 points than ``BYTE_BUDGET`` holds or a
-step too small to move it, and flags that could never run), and 1 when a
-module rejects the run (an exact dof with more digits than the interpreter
-prints included). The CSV is written only after every row is computed, so a
-failed run leaves the output path as it was.
+``--snr`` sweep with more float64 points than ``BYTE_BUDGET`` holds, a
+step too small to move it or points that repeat once rounded, and flags
+that could never run), and 1 when a module rejects the run (an exact dof
+with more digits than the interpreter prints included). The CSV is
+written only after every row is computed, so a failed run leaves the
+output path as it was.
 
 SNR is defined against unit-variance receiver noise: at ``--snr`` point
 ``s`` dB each user's expected transmit power per raw slot is ``10**(s/10)``.
@@ -53,13 +54,13 @@ from .extension_core import (
     NAIVE,
     SLOW_CHANGING,
     ChannelSet,
+    _STREAMS,
+    _check_int,
     generate_channels,
     slot_fold,
     subseed,
 )
-from .link_sim import LinkConfig, draw_realization, draw_until_built, simulate_link, snr_power
-
-EXPERIMENTS = ("dof_table", "verify", "audit", "figure1")
+from .link_sim import LinkConfig, _sweep_powers, draw_realization, draw_until_built, simulate_link, snr_power
 
 # The flags each experiment reads besides --experiment. Any other flag given
 # explicitly exits 2, since the run would ignore it, and its spec field is
@@ -72,6 +73,7 @@ FLAGS_READ = {
     "audit": ("--users", "--n", "--channel", "--coding", "--trials", "--seed", "--out"),
     "figure1": ("--users", "--n", "--channel", "--snr", "--trials", "--seed", "--out"),
 }
+EXPERIMENTS = tuple(FLAGS_READ)
 
 # The value of a flag an experiment reads but the command line leaves out;
 # --help prints these. --n-range defaults to the single cap --n and --out to
@@ -106,11 +108,6 @@ _ARGUMENTS = {
 # figure1 contrasts naive coding on one layer with double coding on two,
 # on the same channel draw.
 FIGURE1_CODINGS = (NAIVE, DOUBLE)
-
-# Seed namespaces for per-row channel draws and per-run link seeds; gain
-# draws are namespaced further inside the link layer.
-_NS_CHANNELS = 2
-_NS_LINK = 3
 
 
 @dataclass(frozen=True)
@@ -156,10 +153,11 @@ def _parse_colon_ints(text: str, flag: str) -> tuple[int, int]:
 def _parse_snr(text: str) -> tuple[float, ...]:
     """figure1's sweep points; at least two, each with a usable transmit power.
 
-    Points are ``lo, lo + step, ...`` accumulated up to ``hi``. Their count
-    is worked out first, and a sweep whose float64 points would exceed
-    ``BYTE_BUDGET``, or whose step cannot move a point, is refused before
-    any point is made.
+    Points are ``lo, lo + step, ...`` accumulated up to ``hi`` and rounded
+    to 9 decimals. Their count is worked out first, and a sweep whose
+    float64 points would exceed ``BYTE_BUDGET``, or whose step cannot move
+    a point, is refused before any point is made; so, like ``LinkConfig``,
+    is one whose rounded points repeat.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -194,6 +192,7 @@ def _parse_snr(text: str) -> tuple[float, ...]:
         value += step
     if len(points) < 2:
         raise ParameterError(f"figure1 needs at least two SNR points for its DoF slope, got {text!r}")
+    _sweep_powers(points)  # rounding can repeat a point
     return tuple(points)
 
 
@@ -235,10 +234,9 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
             "--channel slow_changing needs an even slot count, but a single layer has "
             "D = (n+1)^N + n^N slots, which is always odd"
         )
-    if fields["trials"] is not None and fields["trials"] < 1:
-        raise ParameterError(f"--trials must be >= 1, got {fields['trials']}")
-    if fields["seed"] is not None and fields["seed"] < 0:
-        raise ParameterError(f"--seed must be >= 0, got {fields['seed']}")
+    for field, minimum in (("trials", 1), ("seed", 0)):
+        if fields[field] is not None:
+            _check_int(f"--{field}", fields[field], minimum)
     if fields["snr_db"] is not None:
         fields["snr_db"] = _parse_snr(fields["snr_db"])
     if fields["output_path"] is None:
@@ -264,7 +262,7 @@ def _channels(spec: ExperimentSpec, coding: str, *key: int) -> ChannelSet:
     """Channels sized for ``coding``'s layers at (users, n), drawn from ``key``."""
     return generate_channels(
         spec.users, slot_fold(coding) * effective_dim(spec.users, spec.n), spec.channel_model,
-        subseed(spec.seed, _NS_CHANNELS, *key),
+        subseed(spec.seed, _STREAMS["channels"], *key),
     )
 
 
@@ -274,7 +272,7 @@ def _run_verify(spec: ExperimentSpec) -> Iterator[list]:
     layer = LAYERS[slot_fold(spec.coding) - 1]  # one layer per folded raw slot
     for row in range(spec.trials):
         channels = _channels(spec, spec.coding, row)
-        _, eff, pre, _ = draw_realization(channels, spec.coding, subseed(spec.seed, _NS_LINK, row))
+        _, eff, pre, _ = draw_realization(channels, spec.coding, subseed(spec.seed, _STREAMS["link"], row))
         report = check_alignment(eff, pre)
         ranks = report.rank_results.values()
         yield [row, spec.seed, spec.users, spec.n, layer, spec.channel_model, spec.coding,
@@ -288,7 +286,7 @@ def _run_audit(spec: ExperimentSpec) -> Iterator[list]:
     for row in range(spec.trials):
         # the audit reads the cascades only, so a draw is usable once they build
         _, _, cascades, _ = draw_until_built(
-            _channels(spec, spec.coding, row), spec.coding, subseed(spec.seed, _NS_LINK, row),
+            _channels(spec, spec.coding, row), spec.coding, subseed(spec.seed, _STREAMS["link"], row),
             build_cascades,
         )
         audit = distinctness_audit(cascades)
@@ -304,11 +302,7 @@ def _run_figure1(spec: ExperimentSpec) -> Iterator[list]:
         # constant-model draws share the same base matrix across both
         # extension lengths, so the two codings see one physical channel
         channels = _channels(spec, coding)
-        link = LinkConfig(
-            snr_points_db=spec.snr_db,
-            trials=spec.trials,
-            seed=subseed(spec.seed, _NS_LINK, idx),
-        )
+        link = LinkConfig(spec.snr_db, spec.trials, seed=subseed(spec.seed, _STREAMS["link"], idx))
         result = simulate_link(channels, coding, link)
         for snr in spec.snr_db:
             yield [_fmt(snr), coding, _fmt(result.sum_rate[snr]), _fmt(result.dof_estimate),

@@ -60,6 +60,21 @@ DEGENERATE_REL_TOL = 1e-9
 BYTE_BUDGET = 2 * 1024**3
 
 
+# The first key of every subseed path, one stream per kind of draw; every CSV byte depends on them.
+_STREAMS = {"gains": 0, "chain": 1, "channels": 2, "link": 3}
+
+
+def _check_int(name: str, value: object, minimum: float) -> None:
+    """ParameterError naming ``name`` unless ``value`` is a non-bool integer >= ``minimum``.
+
+    This is the one rule of every seed, key and count; a ``minimum`` of
+    ``-np.inf`` asks for an integer alone.
+    """
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < minimum:
+        bound = f" >= {minimum}" if minimum > -np.inf else ""
+        raise ParameterError(f"{name} must be an integer{bound}, got {count_text(value)}")
+
+
 def subseed(seed: int, *key: int) -> int:
     """Derive a child seed from ``seed`` and an integer key path.
 
@@ -70,11 +85,12 @@ def subseed(seed: int, *key: int) -> int:
     Raises
     ------
     ParameterError
-        If ``seed`` or any key is negative.
+        If ``seed`` or any key is not an integer >= 0 (a bool is not one).
     """
-    if min((seed, *key)) < 0:
-        raise ParameterError(f"seed and key must be non-negative, got {seed} and {key}")
-    seq = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
+    _check_int("seed", seed, 0)
+    for k in key:
+        _check_int("key", k, 0)
+    seq = np.random.SeedSequence(seed, spawn_key=key)
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -90,10 +106,8 @@ def _sample_unit_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np
 
 
 def _check_sizes(users: int, slots: int, min_users: int, min_slots: int) -> None:
-    if users < min_users:
-        raise ParameterError(f"need at least {min_users} users, got {users}")
-    if slots < min_slots:
-        raise ParameterError(f"need at least {min_slots} slots, got {slots}")
+    _check_int("users", users, min_users)
+    _check_int("slots", slots, min_slots)
 
 
 def count_text(count: int) -> str:
@@ -384,12 +398,14 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
     Raises
     ------
     ParameterError
-        For out-of-range sizes or an unknown model tag.
+        For out-of-range sizes, a ``seed`` that is not an integer >= 0, or an
+        unknown model tag.
     CapacityError
         If the complex128 tensor, 16 * users^2 * slots bytes, would exceed
         ``BYTE_BUDGET``; checked before anything is allocated.
     """
     _check_sizes(users, slots, 3, 2)
+    _check_int("seed", seed, 0)
     check_byte_budget(
         16 * int(users) ** 2 * int(slots), "channels for {} users over {} slots", users, slots
     )
@@ -398,13 +414,8 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
         base = _sample_unit_complex(rng, (users, users))
         entries = np.repeat(base[:, :, None], slots, axis=2)
     elif model == SLOW_CHANGING:
-        half = slots // 2
-        first = _sample_unit_complex(rng, (users, users))
-        second = _sample_unit_complex(rng, (users, users))
-        entries = np.concatenate(
-            [np.repeat(first[:, :, None], half, axis=2), np.repeat(second[:, :, None], slots - half, axis=2)],
-            axis=2,
-        )
+        halves = [_sample_unit_complex(rng, (users, users)) for _ in range(2)]
+        entries = np.repeat(np.stack(halves, axis=2), [slots // 2, slots - slots // 2], axis=2)
     else:
         entries = _sample_unit_complex(rng, (users, users, slots))
     return ChannelSet(entries=entries, model_tag=model)
@@ -416,9 +427,11 @@ def generate_gains(users: int, slots: int, seed: int) -> GainPlan:
     Alpha (transmit) gains are drawn before beta (receive) gains from a
     single stream, so one seed pins the whole plan. Entries are circularly
     symmetric unit-variance complex normals with magnitudes kept above
-    ``MIN_DRAW_MAGNITUDE``.
+    ``MIN_DRAW_MAGNITUDE``. Raises ``ParameterError`` unless ``users`` and
+    ``slots`` are integers >= 1 and ``seed`` one >= 0.
     """
     _check_sizes(users, slots, 1, 1)
+    _check_int("seed", seed, 0)
     alpha, beta = _draw_gains(users, slots, seed)
     return GainPlan(alpha=alpha, beta=beta)
 

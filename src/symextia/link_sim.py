@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from numbers import Integral
 from typing import TypeVar
 
 import numpy as np
@@ -60,7 +59,9 @@ from .extension_core import (
     ChannelSet,
     EffectiveChannel,
     GainPlan,
+    _STREAMS,
     _check_finite_nonzero,
+    _check_int,
     _draw_gains,
     _fold_diagonals,
     _unchecked,
@@ -82,10 +83,6 @@ ZF_STACK_BYTES = 1 << 17
 
 Built = TypeVar("Built")
 
-# Seed namespaces keeping gain draws and symbol/noise draws on disjoint streams.
-_NS_GAINS = 0
-_NS_CHAIN = 1
-
 
 def snr_power(snr_db: float) -> float:
     """Transmit power per raw slot ``10**(snr_db / 10)``; ParameterError unless usable.
@@ -106,11 +103,20 @@ def snr_power(snr_db: float) -> float:
     return power
 
 
+def _sweep_powers(points: Sequence[float]) -> list[float]:
+    """``snr_power`` of each sweep point; ParameterError unless all are usable and increase strictly."""
+    powers = [snr_power(snr) for snr in points]
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ParameterError("SNR points must be strictly increasing")
+    return powers
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Sweep and averaging parameters for one link simulation; ParameterError unless usable.
 
-    Each SNR point must pass ``snr_power``, ``trials`` is an integer >= 1 and ``seed`` one >= 0.
+    The points, at least one, must pass ``_sweep_powers``, ``trials`` is an
+    integer >= 1 and ``seed`` one >= 0 (a bool is neither).
     """
 
     snr_points_db: tuple[float, ...]
@@ -120,14 +126,9 @@ class LinkConfig:
     def __post_init__(self) -> None:
         if len(self.snr_points_db) == 0:
             raise ParameterError("need at least one SNR point")
-        for snr in self.snr_points_db:
-            snr_power(snr)
-        if any(b <= a for a, b in zip(self.snr_points_db, self.snr_points_db[1:])):
-            raise ParameterError("SNR points must be strictly increasing")
-        if not isinstance(self.trials, Integral) or self.trials < 1:
-            raise ParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _sweep_powers(self.snr_points_db)
+        _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -171,9 +172,10 @@ def _draw(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Built, int]:
     """Realizations of ``trials``, stacked, each drawn again while degenerate; the one redraw loop.
 
-    Attempt n of trial t draws its gains on ``subseed(base_seed, _NS_GAINS,
-    t, n)`` and checks them as ``GainPlan`` does; all pending trials are
-    drawn at the same attempt, folded in one call and built in one call.
+    Attempt n of trial t draws its gains on ``subseed(base_seed,
+    _STREAMS["gains"], t, n)`` and checks them as ``GainPlan`` does; all
+    pending trials are drawn at the same attempt, folded in one call and
+    built in one call.
     ``build(alpha, beta, diagonals)`` takes the stacks of the drawn trials
     (gains None under ``plain``, which has nothing to draw) and returns what
     it built and, per trial, None or the message of a degenerate build. A
@@ -200,7 +202,7 @@ def _draw(
     rows = np.arange(count)
     redraws = 0
     for n in range(MAX_RESAMPLES + 1):
-        draws = [_draw_gains(users, slots, subseed(base_seed, _NS_GAINS, trials[row], n)) for row in rows]
+        draws = [_draw_gains(users, slots, subseed(base_seed, _STREAMS["gains"], trials[row], n)) for row in rows]
         # one trial's gains are used as drawn: copying a long plan costs more than folding it
         drawn_alpha, drawn_beta = (np.array(g) if len(g) > 1 else g[0][None] for g in zip(*draws))
         _check_finite_nonzero("alpha", drawn_alpha)
@@ -243,11 +245,15 @@ def draw_until_built(
 
     Raises
     ------
+    ParameterError
+        Unless ``base_seed`` and ``trial`` are integers >= 0, under ``plain`` too.
     DegenerateRealizationError
         If ``build`` degenerates under ``plain`` coding.
     SimulationError
         If the draw stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
+    _check_int("base_seed", base_seed, 0)
+    _check_int("trial", trial, 0)
 
     def build_one(alpha, beta, diagonals):
         gains = None if alpha is None else _unchecked(GainPlan, alpha=alpha[0], beta=beta[0])
@@ -445,7 +451,7 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     """
     slots = channels.slots
     points = link.snr_points_db
-    powers = np.array([snr_power(snr) for snr in points])
+    powers = np.array(_sweep_powers(points))
     user_acc = np.zeros((powers.size, channels.users))
     sum_acc = np.zeros(powers.size)
     failures = 0
@@ -514,16 +520,16 @@ def run_symbol_chain(
     Raises
     ------
     ParameterError
-        If ``blocks`` is not an integer >= 1, ``power`` is not positive and finite
-        (``transmit_blocks`` checks it), or the channels and coding have no
-        construction (as in ``simulate_link``).
+        Unless ``blocks`` is an integer >= 1 and ``seed`` one >= 0, or if
+        ``power`` is not positive and finite (``transmit_blocks`` checks it),
+        or the channels and coding have no construction (as in
+        ``simulate_link``).
     SimulationError
         If the draw stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
-    if not isinstance(blocks, Integral) or blocks < 1:
-        raise ParameterError(f"blocks must be an integer >= 1, got {blocks!r}")
+    _check_int("blocks", blocks, 1)
+    rng = np.random.default_rng(subseed(seed, _STREAMS["chain"]))  # first: it names a bad seed "seed"
     _, eff, pre, redraws = draw_realization(channels, coding, seed)
-    rng = np.random.default_rng(subseed(seed, _NS_CHAIN))
     slots = channels.slots
 
     symbols = {
@@ -545,12 +551,5 @@ def run_symbol_chain(
         z = combine_received(y, eff, k) / noise_std[:, None]
         whitened = _whitened_blocks(pre, eff.diagonals[k - 1], noise_std, scales)
         decoded[k] = _zero_forcer(pre, whitened, k) @ z
-    return ChainSample(
-        effective=eff,
-        precoders=pre,
-        symbols=symbols,
-        tx_blocks=tx,
-        received=received,
-        decoded=decoded,
-        redraws=redraws,
-    )
+    return ChainSample(effective=eff, precoders=pre, symbols=symbols, tx_blocks=tx,
+                       received=received, decoded=decoded, redraws=redraws)

@@ -17,7 +17,9 @@ its own diagonals; the class must match it bit for bit.
 ``parent_receiver_composite``, is the alignment check as it read before
 ``PrecoderSet`` owned the receiver blocks and the composite layout, one
 product per block and condition; the one-pass check and the one-receiver
-functions must match them bit for bit.
+functions must match them bit for bit. ``partner_columns`` proves
+alignment without a basis: each interfering column at receiver j != 1 is a
+known column of user 1's block there, up to scale.
 """
 
 from __future__ import annotations
@@ -34,17 +36,20 @@ from symextia.align_verify import (
     numerical_rank,
     orthonormal_basis,
 )
-from symextia.cj_precoder import build_precoders
+from symextia.cj_precoder import build_precoders, cascade_pairs, enumerate_tuples
 from symextia.errors import DegenerateRealizationError, SimulationError
 from symextia.extension_core import (
     DEGENERATE_REL_TOL,
     PLAIN,
     SLOT_FOLD,
+    _STREAMS,
     build_effective,
     generate_gains,
     subseed,
 )
-from symextia.link_sim import MAX_RESAMPLES, _NS_GAINS, LinkResult, effective_noise_std, estimate_dof
+from symextia.link_sim import MAX_RESAMPLES, LinkResult, effective_noise_std, estimate_dof
+
+_NS_GAINS = _STREAMS["gains"]
 
 # factor list for the user-(3,2) cascade: (receiver, transmitter, exponent)
 T32_FACTORS = (
@@ -142,6 +147,45 @@ def loop_precoders(eff, cascades, n: int) -> dict[int, np.ndarray]:
         user: mat / np.sqrt(np.sum(np.abs(mat) ** 2, axis=0))[None, :]
         for user, mat in sorted(raw.items())
     }
+
+
+def partner_columns(users: int, n: int, receiver: int, transmitter: int) -> np.ndarray:
+    """The column of H_j1 V_1 that each column of H_jk V_k equals up to scale, j = receiver, k = transmitter.
+
+    For j != 1 and k != 1, j the construction makes H_jk V_k = H_j1 T_jk
+    M_{n-1}, where M_c holds the products with every exponent at most c. So
+    column e of H_jk V_k, row e of ``enumerate_tuples(users, n - 1)``, is
+    the user-1 column e + u_(j,k): u_(j,k) is the unit vector of (j, k) in
+    ``cascade_pairs``, and (2, 3), whose ratio is 1, has no shift.
+    """
+    pairs = cascade_pairs(users)
+    rows = enumerate_tuples(users, n - 1)
+    if (receiver, transmitter) != (2, 3):
+        rows = rows + np.eye(len(pairs), dtype=rows.dtype)[pairs.index((receiver, transmitter))]
+    return np.ravel_multi_index(tuple(rows.T), (n + 1,) * len(pairs))
+
+
+def scale_matched_residual(target: np.ndarray, reference: np.ndarray) -> float:
+    """Relative residual of ``target`` after least-squares scaling of each ``reference`` column onto it.
+
+    This is the per-column scale match of ``check_alignment``'s receiver-1 equality conditions.
+    """
+    coef = np.sum(reference.conj() * target, axis=0) / np.sum(np.abs(reference) ** 2, axis=0)
+    return float(np.linalg.norm(target - reference * coef[None, :]) / np.linalg.norm(target))
+
+
+def partner_residuals(eff, pre, n: int) -> dict[str, float]:
+    """``scale_matched_residual`` of every H_jk V_k against its ``partner_columns`` of H_j1 V_1.
+
+    Keyed like ``check_alignment``'s containment residuals, ``contain_rx{j}_tx{k}``.
+    """
+    residuals = {}
+    for j in range(2, eff.users + 1):
+        blocks = pre.received_blocks(eff.diagonals[j - 1])
+        for k in (k for k in range(2, eff.users + 1) if k != j):
+            partners = blocks[1][:, partner_columns(eff.users, n, j, k)]
+            residuals[f"contain_rx{j}_tx{k}"] = scale_matched_residual(blocks[k], partners)
+    return residuals
 
 
 def dense_min_relative_gap(values: np.ndarray) -> float:

@@ -11,6 +11,8 @@ from oracles import (
     parent_check_alignment,
     parent_receiver_composite,
     parent_signal_space_rank,
+    partner_columns,
+    partner_residuals,
 )
 from symextia import (
     ParameterError,
@@ -305,14 +307,28 @@ class TestPlainCoding:
 
 # (coding, channel model) pairs the coding can run; slow_changing needs the
 # even slot count of the double layer
-PARENT_CASES = [
-    (users, n, coding, model)
-    for users, ns in ((3, (1, 2, 5)), (4, (1, 2)))
-    for n in ns
-    for coding, models in (("plain", ("constant", "iid")), ("naive", ("constant", "iid")),
-                           ("double", ("constant", "slow_changing", "iid")))
-    for model in models
-]
+CODING_MODELS = (("plain", ("constant", "iid")), ("naive", ("constant", "iid")),
+                 ("double", ("constant", "slow_changing", "iid")))
+
+
+def _cases(sizes):
+    return [
+        (users, n, coding, model)
+        for users, ns in sizes
+        for n in ns
+        for coding, models in CODING_MODELS
+        for model in models
+    ]
+
+
+PARENT_CASES = _cases(((3, (1, 2, 5)), (4, (1, 2))))
+PARTNER_CASES = _cases(((3, (1, 2, 5, 10)), (4, (1, 2))))
+
+
+def _drawn(users, n, coding, model):
+    ch = generate_channels(users, slot_fold(coding) * effective_dim(users, n), model, subseed(users, n, 2))
+    _, eff, pre, _ = draw_realization(ch, coding, subseed(users, n, 3))
+    return eff, pre
 
 
 def _assert_same_report(report, parent):
@@ -324,8 +340,7 @@ def _assert_same_report(report, parent):
 class TestMatchesParentCheck:
     @pytest.mark.parametrize("users, n, coding, model", PARENT_CASES)
     def test_same_report_as_parent(self, users, n, coding, model):
-        ch = generate_channels(users, slot_fold(coding) * effective_dim(users, n), model, subseed(users, n, 2))
-        _, eff, pre, _ = draw_realization(ch, coding, subseed(users, n, 3))
+        eff, pre = _drawn(users, n, coding, model)
         _assert_same_report(check_alignment(eff, pre), parent_check_alignment(eff, pre))
 
     def test_same_failing_report_as_parent(self):
@@ -340,6 +355,34 @@ class TestMatchesParentCheck:
         for k in range(1, 5):
             assert np.array_equal(receiver_composite(eff, pre, k), parent_receiver_composite(eff, pre, k))
             assert signal_space_rank(eff, pre, k) == parent_signal_space_rank(eff, pre, k)
+
+
+class TestPartnerColumns:
+    @pytest.mark.parametrize("users, n, coding, model", PARTNER_CASES)
+    def test_partner_and_basis_residuals_within_tolerance(self, users, n, coding, model):
+        eff, pre = _drawn(users, n, coding, model)
+        partner = partner_residuals(eff, pre, n)
+        contain = {key: r for key, r in check_alignment(eff, pre).residuals.items() if key.startswith("contain")}
+        assert list(partner) == list(contain)
+        assert max(partner.values()) <= align_verify.RESIDUAL_TOL
+        assert max(contain.values()) <= align_verify.RESIDUAL_TOL
+        # random precoders of the same shapes have no partner columns
+        rng = np.random.default_rng(n)
+        random = PrecoderSet(
+            precoders={u: rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+                       for u, m in pre.precoders.items()}
+        )
+        assert min(partner_residuals(eff, random, n).values()) > 0.1
+
+    @pytest.mark.parametrize("users, n", [(3, 2), (4, 1)])
+    def test_map_matches_brute_force_column_search(self, users, n):
+        eff, pre = _drawn(users, n, "double", "constant")
+        for j in range(2, users + 1):
+            blocks = {u: b / np.linalg.norm(b, axis=0) for u, b in pre.received_blocks(eff.diagonals[j - 1]).items()}
+            for k in (k for k in range(2, users + 1) if k != j):
+                # the user-1 column each column of H_jk V_k is closest to in angle
+                found = np.argmax(np.abs(blocks[1].conj().T @ blocks[k]), axis=0)
+                assert np.array_equal(found, partner_columns(users, n, j, k)), (j, k)
 
 
 class TestValidation:

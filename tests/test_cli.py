@@ -206,6 +206,14 @@ class TestParseArgs:
         assert "usage error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_snr_sweep_whose_rounded_points_repeat_rejected(self, tmp_path, capsys):
+        # points are rounded to 9 decimals, so 1e-10 steps repeat 0.0 and 1e-9
+        out = tmp_path / "f.csv"
+        flags = ["--experiment", "figure1", "--n", "1", "--trials", "1", "--snr", "0:1e-9:1e-10"]
+        assert main([*flags, "--out", str(out)]) == 2
+        assert "usage error: SNR points must be strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_snr_just_inside_the_power_bound_runs_silently(self, tmp_path):
         # noise / P overflows at -3082 dB; the rates are 0 and nothing is printed
         out = tmp_path / "f.csv"
@@ -259,7 +267,7 @@ class TestParseArgs:
             parse_args(["--experiment", "nonsense"])
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ParameterError, match="--seed must be >= 0"):
+        with pytest.raises(ParameterError, match="--seed must be an integer >= 0"):
             parse_args(["--experiment", "verify", "--seed", "-1"])
 
 

@@ -13,14 +13,23 @@ from symextia import (
     DegenerateRealizationError,
     EffectiveChannel,
     GainPlan,
+    LinkConfig,
     ParameterError,
+    build_cascades,
     build_effective,
+    cascade_order,
+    closed_form_dof,
+    draw_realization,
     effective_dim,
+    enumerate_tuples,
+    exponent_cap,
     generate_channels,
     generate_gains,
+    run_symbol_chain,
     subseed,
 )
 from symextia.extension_core import MIN_DRAW_MAGNITUDE
+from symextia.link_sim import draw_until_built
 
 
 class TestGenerateChannels:
@@ -124,8 +133,82 @@ class TestSubseed:
 
     @pytest.mark.parametrize("args", [(-1,), (5, -1), (5, 0, -2)])
     def test_rejects_negative_seed_or_key(self, args):
-        with pytest.raises(ParameterError, match="non-negative"):
+        with pytest.raises(ParameterError, match="^(seed|key) must be an integer >= 0, got -"):
             subseed(*args)
+
+
+def _double_channels():
+    return generate_channels(3, 10, "constant", 1)  # K=3, n=2 under double coding
+
+
+def _plain_channels():
+    return generate_channels(3, 5, "iid", 1)  # K=3, n=2 under plain coding
+
+
+# (argument named in the message, its minimum, a call passing the value there)
+INTEGER_ENTRIES = {
+    "subseed seed": ("seed", 0, lambda v: subseed(v, 1)),
+    "subseed key": ("key", 0, lambda v: subseed(1, 0, v)),
+    "generate_channels users": ("users", 3, lambda v: generate_channels(v, 10, "constant", 1)),
+    "generate_channels slots": ("slots", 2, lambda v: generate_channels(3, v, "constant", 1)),
+    "generate_channels seed": ("seed", 0, lambda v: generate_channels(3, 10, "constant", v)),
+    "generate_gains users": ("users", 1, lambda v: generate_gains(v, 10, 1)),
+    "generate_gains slots": ("slots", 1, lambda v: generate_gains(3, v, 1)),
+    "generate_gains seed": ("seed", 0, lambda v: generate_gains(3, 10, v)),
+    # a float trial once drew the trial it truncated to, bit for bit
+    "draw_realization base_seed": ("base_seed", 0, lambda v: draw_realization(_double_channels(), "double", v)),
+    "draw_realization trial": ("trial", 0, lambda v: draw_realization(_double_channels(), "double", 1, v)),
+    "draw_realization plain base_seed": ("base_seed", 0, lambda v: draw_realization(_plain_channels(), "plain", v)),
+    "draw_realization plain trial": ("trial", 0, lambda v: draw_realization(_plain_channels(), "plain", 1, v)),
+    "draw_until_built base_seed": (
+        "base_seed", 0, lambda v: draw_until_built(_double_channels(), "double", v, build_cascades)
+    ),
+    "draw_until_built trial": (
+        "trial", 0, lambda v: draw_until_built(_double_channels(), "double", 1, build_cascades, v)
+    ),
+    "draw_until_built plain base_seed": (
+        "base_seed", 0, lambda v: draw_until_built(_plain_channels(), "plain", v, build_cascades)
+    ),
+    "draw_until_built plain trial": (
+        "trial", 0, lambda v: draw_until_built(_plain_channels(), "plain", 1, build_cascades, v)
+    ),
+    "run_symbol_chain seed": ("seed", 0, lambda v: run_symbol_chain(_double_channels(), "double", 1.0, v)),
+    "run_symbol_chain blocks": ("blocks", 1, lambda v: run_symbol_chain(_double_channels(), "double", 1.0, 1, v)),
+    "LinkConfig trials": ("trials", 1, lambda v: LinkConfig((10.0,), v)),
+    "LinkConfig seed": ("seed", 0, lambda v: LinkConfig((10.0,), 1, v)),
+    "cascade_order users": ("users", 3, cascade_order),
+    "effective_dim users": ("users", 3, lambda v: effective_dim(v, 2)),
+    "effective_dim n": ("n", 1, lambda v: effective_dim(3, v)),
+    "enumerate_tuples users": ("users", 3, lambda v: enumerate_tuples(v, 1)),
+    "enumerate_tuples cap": ("cap", 0, lambda v: enumerate_tuples(3, v)),
+    "closed_form_dof users": ("users", 3, lambda v: closed_form_dof(v, 2, "single")),
+    "closed_form_dof n": ("n", 1, lambda v: closed_form_dof(3, v, "single")),
+}
+
+
+class TestIntegerRule:
+    """Every seed, key and count is a non-bool integer at or above its minimum, checked by one rule."""
+
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+    @pytest.mark.parametrize("value", ["1.5", "True", "minimum - 1"])
+    def test_every_entry_refuses_a_value_that_is_not_a_count(self, entry, value):
+        name, minimum, call = INTEGER_ENTRIES[entry]
+        bad = {"1.5": 1.5, "True": True, "minimum - 1": minimum - 1}[value]
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer >= {minimum}, got "):
+            call(bad)
+
+    def test_numpy_integers_are_counts(self):
+        assert subseed(np.int64(5), np.int32(1)) == subseed(5, 1)
+        assert LinkConfig((10.0,), np.int64(2), np.uint8(3)).trials == 2
+
+    @pytest.mark.parametrize("dim", [5.0, 5.5, True])
+    def test_exponent_cap_refuses_a_dim_that_is_not_an_integer(self, dim):
+        with pytest.raises(ParameterError, match="^dim must be an integer, got "):
+            exponent_cap(3, dim)
+
+    def test_stream_ids_are_pinned(self):
+        # every CSV byte depends on these values
+        assert extension_core._STREAMS == {"gains": 0, "chain": 1, "channels": 2, "link": 3}
 
 
 class TestBuildEffective:

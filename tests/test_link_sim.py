@@ -452,7 +452,7 @@ class TestDrawRealization:
         spec = cli.parse_args(["--experiment", "figure1", "--n", "60", "--channel", "iid",
                                "--trials", "4", "--seed", "0"])
         ch = cli._channels(spec, "double")
-        seed = subseed(spec.seed, cli._NS_LINK, cli.FIGURE1_CODINGS.index("double"))
+        seed = subseed(spec.seed, extension_core._STREAMS["link"], cli.FIGURE1_CODINGS.index("double"))
         redrawn = 0
         for trial in range(spec.trials):
             got = draw_realization(ch, "double", seed, trial)
@@ -472,7 +472,7 @@ def _poison_precoders(monkeypatch, case, trial, attempts):
     those draws. Returns the size of every stack the step is called on.
     """
     ch, coding, link = case
-    seeds = [subseed(link.seed, link_sim._NS_GAINS, trial, attempt) for attempt in attempts]
+    seeds = [subseed(link.seed, extension_core._STREAMS["gains"], trial, attempt) for attempt in attempts]
     poisoned = {
         build_effective(ch, generate_gains(ch.users, ch.slots, seed), coding).diagonals.tobytes()
         for seed in seeds
@@ -498,7 +498,7 @@ def _cancel_first_draw(monkeypatch, case, trial):
     ``generate_gains`` alike, so the oracle redraws exactly that draw.
     """
     ch, coding, link = case
-    first = subseed(link.seed, link_sim._NS_GAINS, trial, 0)
+    first = subseed(link.seed, extension_core._STREAMS["gains"], trial, 0)
     plan = TestResampling._cancelling_plan(ch.users, ch.slots)
     real = extension_core._draw_gains
 
@@ -567,7 +567,7 @@ class TestDegenerateTrialInAStack:
         attempts = range(link_sim.MAX_RESAMPLES + 1)
         _poison_precoders(monkeypatch, case, 2, attempts)
         poisoned = {
-            generate_gains(ch.users, ch.slots, subseed(link.seed, link_sim._NS_GAINS, 5, a)).alpha.tobytes()
+            generate_gains(ch.users, ch.slots, subseed(link.seed, extension_core._STREAMS["gains"], 5, a)).alpha.tobytes()
             for a in attempts
         }
         real_fold = extension_core._fold_diagonals
@@ -601,7 +601,7 @@ class TestDegenerateTrialInAStack:
         # trial 2's attempt 0 has a zero beta. A trial-at-a-time loop raises
         # trial 0's error, the chunk the error of its first attempt.
         ch, coding, link = case = _link_case(3, 10, "double", "constant", 1, trials=3)
-        seeds = {subseed(link.seed, link_sim._NS_GAINS, t, a): (t, a) for t in (0, 2) for a in (0, 1)}
+        seeds = {subseed(link.seed, extension_core._STREAMS["gains"], t, a): (t, a) for t in (0, 2) for a in (0, 1)}
         plan = TestResampling._cancelling_plan(ch.users, ch.slots)
         real = extension_core._draw_gains
 
