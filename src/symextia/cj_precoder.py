@@ -38,7 +38,7 @@ LAYERS = (SINGLE_LAYER, DOUBLE_LAYER)
 
 def cascade_order(users: int) -> int:
     """Count N = (users-1)(users-2) - 1 of cascade generators; ParameterError unless ``users`` >= 3."""
-    _check_int("users", users, 3)
+    users = _check_int("users", users, 3)
     return (users - 1) * (users - 2) - 1
 
 
@@ -49,7 +49,7 @@ def effective_dim(users: int, n: int) -> int:
     unless ``n`` is an integer >= 1 (and ``users`` one >= 3).
     """
     order = cascade_order(users)
-    _check_int("n", n, 1)
+    n = _check_int("n", n, 1)
     return (n + 1) ** order + n**order
 
 
@@ -65,7 +65,7 @@ def exponent_cap(users: int, dim: int) -> int:
         If ``dim`` is not an integer, or no n >= 1 gives a signal space of
         dimension ``dim``.
     """
-    _check_int("dim", dim, -np.inf)
+    dim = _check_int("dim", dim, -np.inf)
     lo, hi = 1, 1 << (dim.bit_length() // cascade_order(users) + 1)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -109,7 +109,7 @@ def enumerate_tuples(users: int, cap: int) -> np.ndarray:
         If the int64 array would exceed ``extension_core.BYTE_BUDGET``.
     """
     order = cascade_order(users)
-    _check_int("cap", cap, 0)
+    cap = _check_int("cap", cap, 0)
     rows = (cap + 1) ** order
     check_byte_budget(8 * order * rows, "{} exponent tuples of length {}", rows, order)
     return np.indices((cap + 1,) * order).reshape(order, -1).T
@@ -178,7 +178,7 @@ def build_cascades(eff: EffectiveChannel) -> CascadeSet:
         value; the effective diagonals themselves are nonzero by construction,
         so this only fires on extreme magnitude spread.
     """
-    matrices, kappa, degenerate = _stacked_cascades(eff.diagonals[None])
+    matrices, kappa, degenerate = _stacked_cascades(eff._single()[None])
     if degenerate[0]:
         raise DegenerateRealizationError(degenerate[0])
     return CascadeSet(matrices={pair: mat[0] for pair, mat in matrices.items()}, kappa=kappa[0])
@@ -307,7 +307,7 @@ def build_precoders(eff: EffectiveChannel) -> PrecoderSet:
         If a cascade degenerates numerically, or a column norm overflows or
         vanishes.
     """
-    stack, degenerate = _stacked_precoders(eff.diagonals[None])
+    stack, degenerate = _stacked_precoders(eff._single()[None])
     if degenerate[0]:
         raise DegenerateRealizationError(degenerate[0])
     return PrecoderSet(precoders={user: mat[0] for user, mat in stack.precoders.items()})
@@ -327,6 +327,7 @@ def closed_form_dof(users: int, n: int, layer: str) -> Fraction:
     """
     if layer not in LAYERS:
         raise ParameterError(f"unknown layer tag {layer!r}")
+    users, n = _check_int("users", users, 3), _check_int("n", n, 1)
     dim = effective_dim(users, n)
     dof = Fraction(dim + (users - 2) * n ** cascade_order(users), dim)
     if layer == DOUBLE_LAYER:

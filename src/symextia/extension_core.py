@@ -17,10 +17,11 @@ effective entries:
     ``beta[k, q] h[k, j, q] alpha[j, q] + beta[k, D+q] h[k, j, D+q] alpha[j, D+q]``.
 
 One private fold owns that rule and the cancellation rule, over optional
-leading trial axes: ``EffectiveChannel(channels, gains, coding_tag)`` is its
-batch of one, folding and checking its own diagonals and handing the
-per-slot gains on in folded layout, and the link simulation's redraw loop
-folds each attempt's gain stacks, a chunk's or one trial's, in one call.
+leading trial axes. ``GainPlan`` and ``EffectiveChannel``, like
+``cj_precoder.PrecoderSet``, may hold such a stack of trials and read their
+sizes off the trailing axes: ``EffectiveChannel(channels, gains, coding_tag)``
+folds and checks its own diagonals, and the link simulation's redraw loop
+wraps its own fold of each attempt's gain stack as one.
 
 User labels are 1-based everywhere in the public API; array axes are the
 corresponding 0-based indices.
@@ -64,15 +65,17 @@ BYTE_BUDGET = 2 * 1024**3
 _STREAMS = {"gains": 0, "chain": 1, "channels": 2, "link": 3}
 
 
-def _check_int(name: str, value: object, minimum: float) -> None:
-    """ParameterError naming ``name`` unless ``value`` is a non-bool integer >= ``minimum``.
+def _check_int(name: str, value: object, minimum: float) -> int:
+    """``value`` as a Python int; ParameterError naming ``name`` unless it is a non-bool integer >= ``minimum``.
 
-    This is the one rule of every seed, key and count; a ``minimum`` of
-    ``-np.inf`` asks for an integer alone.
+    This is the one rule of every seed, key, count and user label; a
+    ``minimum`` of ``-np.inf`` asks for an integer alone. Sizes computed
+    from the returned int stay exact under numpy integer arguments.
     """
     if type(value) is bool or not isinstance(value, (int, np.integer)) or value < minimum:
         bound = f" >= {minimum}" if minimum > -np.inf else ""
         raise ParameterError(f"{name} must be an integer{bound}, got {count_text(value)}")
+    return int(value)
 
 
 def subseed(seed: int, *key: int) -> int:
@@ -105,9 +108,8 @@ def _sample_unit_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np
         out[small] = redraw
 
 
-def _check_sizes(users: int, slots: int, min_users: int, min_slots: int) -> None:
-    _check_int("users", users, min_users)
-    _check_int("slots", slots, min_slots)
+def _check_sizes(users: int, slots: int, min_users: int, min_slots: int) -> tuple[int, int]:
+    return _check_int("users", users, min_users), _check_int("slots", slots, min_slots)
 
 
 def count_text(count: int) -> str:
@@ -140,7 +142,7 @@ def _check_finite_nonzero(what: str, arr: np.ndarray) -> None:
 
 def _check_users(users: int, *labels: int) -> None:
     for label in labels:
-        if not 1 <= label <= users:
+        if _check_int("user label", label, 1) > users:
             raise ParameterError(f"user label {label} outside 1..{users}")
 
 
@@ -193,17 +195,18 @@ class ChannelSet:
 class GainPlan:
     """Artificial transmit (alpha) and receive (beta) gain sequences.
 
-    Both arrays have shape ``(users, slots)``; ``alpha[j-1, t]`` scales
-    transmitter j in slot t and ``beta[k-1, t]`` scales receiver k.
+    Both arrays have shape ``(..., users, slots)``, any leading axes a stack
+    of trials; ``alpha[j-1, t]`` scales transmitter j in slot t and
+    ``beta[k-1, t]`` scales receiver k. Every entry is finite and nonzero.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.alpha.ndim != 2:
-            raise ParameterError(f"alpha shape {self.alpha.shape} is not (users, slots)")
-        _check_sizes(*self.alpha.shape, 1, 1)
+        if self.alpha.ndim < 2:
+            raise ParameterError(f"alpha shape {self.alpha.shape} is not (..., users, slots)")
+        _check_sizes(*self.alpha.shape[-2:], 1, 1)
         for name, arr in (("alpha", self.alpha), ("beta", self.beta)):
             if arr.shape != self.alpha.shape:
                 raise ParameterError(f"{name} shape {arr.shape} != {self.alpha.shape}")
@@ -223,8 +226,9 @@ def _fold_diagonals(
     """Effective diagonals of raw channel ``entries`` under ``coding``, and where paired sums cancel.
 
     ``entries`` is a ``ChannelSet.entries`` tensor, (users, users, slots).
-    ``alpha`` and ``beta`` are transmit and receive gains, (..., users,
-    slots) with any leading trial axes, or both None under ``plain``.
+    ``alpha`` and ``beta`` are a ``GainPlan``'s transmit and receive gains,
+    (..., users, slots) with any leading trial axes, or both None under
+    ``plain``.
     Returns the diagonals, (..., users, users, dim), and a (..., users,
     users) mask, True on a link where some paired sum's magnitude is at
     most ``DEGENERATE_REL_TOL`` of the link's mean magnitude; a pair that
@@ -282,9 +286,9 @@ class EffectiveChannel:
     and 1 otherwise, and ``dim = channels.slots // fold``. ``tx_gains`` and
     ``rx_gains`` (or every user's at once, ``tx_gain_table`` and
     ``rx_gain_table``) hand those per-slot gains to the transmit and receive
-    chains. The diagonals come from the module's one fold, of which this
-    class is the batch of one; ``simulate_link`` folds a chunk of trials
-    through it without building an ``EffectiveChannel`` per trial.
+    chains. The diagonals come from the module's one fold. A stack of gains
+    gives a stack, every array above with the same leading axes and each
+    trial's slice that trial's own bits; code that takes one trial refuses it.
 
     Raises ``ParameterError`` for an unknown coding tag, a gain plan under
     ``plain`` or none under the other codings, a gain plan shaped unlike the
@@ -309,7 +313,7 @@ class EffectiveChannel:
             self.coding_tag,
         )
         if cancelled.any():
-            k, j = np.unravel_index(int(np.argmax(cancelled)), cancelled.shape)
+            *_, k, j = np.unravel_index(int(np.argmax(cancelled)), cancelled.shape)
             raise DegenerateRealizationError(
                 f"paired gains cancelled on link ({k + 1}, {j + 1}); redraw the gain plan"
             )
@@ -330,7 +334,7 @@ class EffectiveChannel:
     def diagonal(self, receiver: int, transmitter: int) -> np.ndarray:
         """Effective diagonal from 1-based ``transmitter`` to ``receiver``."""
         _check_users(self.users, receiver, transmitter)
-        return self.diagonals[receiver - 1, transmitter - 1]
+        return self.diagonals[..., receiver - 1, transmitter - 1, :]
 
     def tx_gains(self, user: int) -> np.ndarray:
         """Transmit gains of 1-based ``user`` as a ``(fold, dim)`` array.
@@ -339,12 +343,12 @@ class EffectiveChannel:
         entry q. Plain coding has unit gains.
         """
         _check_users(self.users, user)
-        return self.tx_gain_table[user - 1]
+        return self.tx_gain_table[..., user - 1, :, :]
 
     def rx_gains(self, user: int) -> np.ndarray:
         """Receive gains of 1-based ``user``, laid out like ``tx_gains``."""
         _check_users(self.users, user)
-        return self.rx_gain_table[user - 1]
+        return self.rx_gain_table[..., user - 1, :, :]
 
     @property
     def tx_gain_table(self) -> np.ndarray:
@@ -357,18 +361,31 @@ class EffectiveChannel:
         return self._gain_table("beta")
 
     def _gain_table(self, name: str) -> np.ndarray:
-        if self.gains is None:
-            return np.ones((self.users, self.fold, self.dim))
-        return getattr(self.gains, name).reshape(self.users, self.fold, self.dim)
+        if self.gains is None:  # unit gains for each (..., users) row of the diagonals
+            return np.ones((*self.diagonals.shape[:-2], self.fold, self.dim))
+        gains = getattr(self.gains, name)
+        return gains.reshape(*gains.shape[:-1], self.fold, self.dim)
+
+    @classmethod
+    def _folded(cls, channels: ChannelSet, gains: GainPlan | None, coding: str, diagonals: np.ndarray):
+        """The channel, stacked or not, of checked ``gains`` and of ``diagonals`` the caller folded."""
+        return _unchecked(cls, channels=channels, gains=gains, coding_tag=coding, diagonals=diagonals)
+
+    def _trial(self, index: int) -> EffectiveChannel:
+        """Trial ``index`` of this stack; its gains and diagonals are views of the stack's."""
+        plan = self.gains
+        gains = None if plan is None else _unchecked(GainPlan, alpha=plan.alpha[index], beta=plan.beta[index])
+        return self._folded(self.channels, gains, self.coding_tag, self.diagonals[index])
+
+    def _single(self) -> np.ndarray:
+        """``diagonals``; ParameterError if this holds a stack of trials, for code that takes one trial."""
+        if self.diagonals.ndim > 3:
+            raise ParameterError(f"expected one trial's effective channel, got a stack of {self.diagonals.shape[:-3]}")
+        return self.diagonals
 
 
 def _unchecked(cls: type, **fields: object):
-    """An instance of the frozen dataclass ``cls`` holding ``fields``, built without its checks or derivations.
-
-    The caller has already made them: the redraw loop hands its checked
-    gains and their fold to the ``GainPlan`` and ``EffectiveChannel`` of a
-    single-trial draw this way.
-    """
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, built without its checks or derivations."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -404,11 +421,9 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
         If the complex128 tensor, 16 * users^2 * slots bytes, would exceed
         ``BYTE_BUDGET``; checked before anything is allocated.
     """
-    _check_sizes(users, slots, 3, 2)
+    users, slots = _check_sizes(users, slots, 3, 2)
     _check_int("seed", seed, 0)
-    check_byte_budget(
-        16 * int(users) ** 2 * int(slots), "channels for {} users over {} slots", users, slots
-    )
+    check_byte_budget(16 * users**2 * slots, "channels for {} users over {} slots", users, slots)
     rng = np.random.default_rng(seed)
     if model == CONSTANT:
         base = _sample_unit_complex(rng, (users, users))
@@ -430,7 +445,7 @@ def generate_gains(users: int, slots: int, seed: int) -> GainPlan:
     ``MIN_DRAW_MAGNITUDE``. Raises ``ParameterError`` unless ``users`` and
     ``slots`` are integers >= 1 and ``seed`` one >= 0.
     """
-    _check_sizes(users, slots, 1, 1)
+    users, slots = _check_sizes(users, slots, 1, 1)
     _check_int("seed", seed, 0)
     alpha, beta = _draw_gains(users, slots, seed)
     return GainPlan(alpha=alpha, beta=beta)

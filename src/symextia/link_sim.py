@@ -12,28 +12,28 @@ The channels and the coding fix the construction: ``build_precoders`` reads
 the user count and the exponent cap off each effective channel, so a slot
 count that no construction has is a ``ParameterError`` from the first draw.
 
-One zero-forcer serves both receivers: the analytic rates of
-``simulate_link`` and the sampled ``run_symbol_chain`` whiten the same
+One receiver front end serves both receivers: the analytic rates of
+``simulate_link`` and the sampled ``run_symbol_chain`` read the same noise
+standard deviations off the ``EffectiveChannel``, whiten the same
 ``PrecoderSet.received_blocks`` and invert the same ``PrecoderSet.composite``,
-the receiver ``align_verify`` reads too. That core, like the precoder build
-and the scale factors, takes optional leading trial axes.
+the receiver ``align_verify`` reads too. That front end, like the precoder
+build and the scale factors, takes an ``EffectiveChannel`` and a
+``PrecoderSet`` that hold one trial or a stack of trials.
 ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
 composites). One redraw loop draws every realization, a chunk's or the
 single trial of ``draw_realization``: each attempt draws the pending
-trials' gains on their seeds into one (trials, users, slots) stack per
-gain, folds and checks the stack in one call, builds what the caller needs
-(a chunk's precoders are one stacked build, which flags each degenerate
-trial) and draws again only the trials whose pairs cancelled or whose
-build degenerated. A chunk then makes one call for its scale factors and
-noise standard deviations, reads its whitened blocks straight from those
-stacked arrays and makes one stacked ``pinv`` call per receiver; no
-``GainPlan`` or ``EffectiveChannel`` is made per trial. ``run_symbol_chain``
-calls the same functions on one trial without a trial axis. Every stacked
-step is entrywise along the trial axis, or a reduction or factorisation of
-one trial's slice, and each trial's (SNR, user) rates are added to array
-accumulators in trial order, a receiver column at a time into the sum
-rate, so rates, redraw counts and give-ups are those of a trial-at-a-time
-loop. Rates are analytic from per-stream SINR, so the Monte Carlo
+trials' gains on their seeds into one ``GainPlan`` stack, which checks
+them, folds the stack in one call, hands the build one ``EffectiveChannel``
+stack (a chunk's precoders are one stacked build, which flags each
+degenerate trial) and draws again only the trials whose pairs cancelled or
+whose build degenerated. A chunk then makes one call for its scale factors
+and one stacked ``pinv`` call per receiver; no ``GainPlan`` or
+``EffectiveChannel`` is made per trial. ``run_symbol_chain`` calls the same
+functions on one trial. Every stacked step is entrywise along the trial
+axis, or a reduction or factorisation of one trial's slice, and each
+trial's (SNR, user) rates are added to array accumulators in trial order,
+a receiver column at a time into the sum rate, so rates, redraw counts and
+give-ups are those of a trial-at-a-time loop. Rates are analytic from per-stream SINR, so the Monte Carlo
 averaging is over gain realizations only and a fixed seed gives
 bit-for-bit reproducible results.
 
@@ -60,11 +60,9 @@ from .extension_core import (
     EffectiveChannel,
     GainPlan,
     _STREAMS,
-    _check_finite_nonzero,
     _check_int,
     _draw_gains,
     _fold_diagonals,
-    _unchecked,
     slot_fold,
     subseed,
 )
@@ -168,56 +166,52 @@ def _draw(
     coding: str,
     base_seed: int,
     trials: Sequence[int],
-    build: Callable[..., tuple[Built, list[str | None]]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Built, int]:
-    """Realizations of ``trials``, stacked, each drawn again while degenerate; the one redraw loop.
+    build: Callable[[EffectiveChannel], tuple[Built, list[str | None]]],
+) -> tuple[EffectiveChannel, Built, int]:
+    """The one redraw loop: the realizations of ``trials`` as one ``EffectiveChannel`` stack, degenerate ones redrawn.
 
     Attempt n of trial t draws its gains on ``subseed(base_seed,
-    _STREAMS["gains"], t, n)`` and checks them as ``GainPlan`` does; all
-    pending trials are drawn at the same attempt, folded in one call and
-    built in one call.
-    ``build(alpha, beta, diagonals)`` takes the stacks of the drawn trials
-    (gains None under ``plain``, which has nothing to draw) and returns what
-    it built and, per trial, None or the message of a degenerate build. A
-    trial is drawn again if its pairs cancelled or its build degenerated,
-    and a chunk is built once more as a whole if its last build was not.
-    Returns the gain tables laid out like ``EffectiveChannel.tx_gain_table``
-    (all ones under ``plain``), the diagonals, the build and the redraw count.
+    _STREAMS["gains"], t, n)``; all pending trials are drawn at the same
+    attempt, checked as one ``GainPlan`` stack, folded in one call and
+    built in one call. ``build`` takes the ``EffectiveChannel`` stack of
+    the drawn trials (with no gains under ``plain``, which has nothing to
+    draw) and returns what it built and, per trial, None or the message of
+    a degenerate build. A trial is drawn again if its pairs cancelled or
+    its build degenerated, and a chunk is built once more as a whole if its
+    last build was not. Returns the stack of ``trials``, the build and the
+    redraw count.
 
-    Raises what the fold or ``build`` raises at the first attempt that
-    raises, ``DegenerateRealizationError`` with the message of a degenerate
-    ``plain`` build, and ``SimulationError`` naming the first trial still
-    degenerate after ``MAX_RESAMPLES`` redraws.
+    Raises what the ``GainPlan``, the fold or ``build`` raises at the first
+    attempt that raises, ``DegenerateRealizationError`` with the message of
+    a degenerate ``plain`` build, and ``SimulationError`` naming the first
+    trial still degenerate after ``MAX_RESAMPLES`` redraws.
     """
     users, slots, count = channels.users, channels.slots, len(trials)
-    fold = slot_fold(coding)
-    table_shape = (count, users, fold, slots // fold)
     if coding == PLAIN:
-        diagonals = np.repeat(_fold_diagonals(channels.entries, None, None, PLAIN)[0][None], count, axis=0)
-        built, degenerate = build(None, None, diagonals)
+        diagonals, _ = _fold_diagonals(channels.entries, None, None, PLAIN)
+        eff = EffectiveChannel._folded(channels, None, PLAIN, np.repeat(diagonals[None], count, axis=0))
+        built, degenerate = build(eff)
         if degenerate[0]:
             raise DegenerateRealizationError(degenerate[0])
-        ones = np.ones(table_shape)
-        return ones, ones, diagonals, built, 0
+        return eff, built, 0
     rows = np.arange(count)
     redraws = 0
     for n in range(MAX_RESAMPLES + 1):
         draws = [_draw_gains(users, slots, subseed(base_seed, _STREAMS["gains"], trials[row], n)) for row in rows]
         # one trial's gains are used as drawn: copying a long plan costs more than folding it
-        drawn_alpha, drawn_beta = (np.array(g) if len(g) > 1 else g[0][None] for g in zip(*draws))
-        _check_finite_nonzero("alpha", drawn_alpha)
-        _check_finite_nonzero("beta", drawn_beta)
-        drawn, cancelled = _fold_diagonals(channels.entries, drawn_alpha, drawn_beta, coding)
-        built, degenerate = build(drawn_alpha, drawn_beta, drawn)
-        if n:
-            alpha[rows], beta[rows], diagonals[rows] = drawn_alpha, drawn_beta, drawn
+        gains = GainPlan(*(np.array(g) if len(g) > 1 else g[0][None] for g in zip(*draws)))
+        drawn, cancelled = _fold_diagonals(channels.entries, gains.alpha, gains.beta, coding)
+        drawn_eff = EffectiveChannel._folded(channels, gains, coding, drawn)
+        built, degenerate = build(drawn_eff)
+        if len(rows) == count:
+            eff = drawn_eff
         else:
-            alpha, beta, diagonals = drawn_alpha, drawn_beta, drawn
+            eff.gains.alpha[rows], eff.gains.beta[rows], eff.diagonals[rows] = gains.alpha, gains.beta, drawn
         again = cancelled.any(axis=(-2, -1)) | [message is not None for message in degenerate]
         if not again.any():
             if len(rows) < count:  # the last build covered only the redrawn trials
-                built, _ = build(alpha, beta, diagonals)
-            return alpha.reshape(table_shape), beta.reshape(table_shape), diagonals, built, redraws
+                built, _ = build(eff)
+            return eff, built, redraws
         rows = rows[again]
         redraws += rows.size
     raise SimulationError(
@@ -255,16 +249,15 @@ def draw_until_built(
     _check_int("base_seed", base_seed, 0)
     _check_int("trial", trial, 0)
 
-    def build_one(alpha, beta, diagonals):
-        gains = None if alpha is None else _unchecked(GainPlan, alpha=alpha[0], beta=beta[0])
-        eff = _unchecked(EffectiveChannel, channels=channels, gains=gains, coding_tag=coding, diagonals=diagonals[0])
+    def build_one(stack: EffectiveChannel) -> tuple[Built | None, list[str | None]]:
         try:
-            return (gains, eff, build(eff)), [None]
+            return build(stack._trial(0)), [None]
         except DegenerateRealizationError as exc:
             return None, [str(exc)]
 
-    *_, built, redraws = _draw(channels, coding, base_seed, (trial,), build_one)
-    return (*built, redraws)
+    stack, built, redraws = _draw(channels, coding, base_seed, (trial,), build_one)
+    eff = stack._trial(0)
+    return eff.gains, eff, built, redraws
 
 
 def draw_realization(
@@ -287,7 +280,7 @@ def _folded_power(gains: np.ndarray) -> np.ndarray:
 
 
 def effective_noise_std(eff: EffectiveChannel, receiver: int) -> np.ndarray:
-    """Standard deviation of the combined unit-variance noise per effective slot."""
+    """Standard deviation of the combined unit-variance noise per effective slot, (..., D) for a stack."""
     # with one tap this is |b| exactly: binary64 sqrt of a rounded square
     # returns the value unless the square under- or overflows
     return np.sqrt(_folded_power(eff.rx_gains(receiver)))
@@ -295,6 +288,7 @@ def effective_noise_std(eff: EffectiveChannel, receiver: int) -> np.ndarray:
 
 def combine_received(y: np.ndarray, eff: EffectiveChannel, receiver: int) -> np.ndarray:
     """Apply receive gains and fold a raw T-slot block down to D effective slots."""
+    eff._single()
     gains = eff.rx_gains(receiver)
     if y.shape[0] != eff.channels.slots:
         raise ParameterError(f"block has {y.shape[0]} slots, expected {eff.channels.slots}")
@@ -302,16 +296,16 @@ def combine_received(y: np.ndarray, eff: EffectiveChannel, receiver: int) -> np.
     return (gains.reshape(gains.shape + (1,) * (y.ndim - 1)) * folded).sum(axis=0)
 
 
-def _scale_hats(pre: PrecoderSet, tx_power: np.ndarray, slots: int) -> np.ndarray:
+def _scale_hats(pre: PrecoderSet, eff: EffectiveChannel) -> np.ndarray:
     """Power-free part of each user's block scale, sqrt(T / expected energy).
 
-    ``tx_power`` is ``_folded_power`` of the transmit gain table, (users, D).
     The expected energy of one unscaled T-slot block with unit-power streams
-    weights each precoder row's power by that user's row of ``tx_power``.
-    A stack of trials, precoders (trials, D, d_k) and ``tx_power`` (trials,
-    users, D), gives one (trials, users) array in one pass; one trial gives
-    (users,).
+    weights each precoder row's power by ``_folded_power`` of that user's
+    transmit gains. A stack of trials, precoders (trials, D, d_k) and
+    ``eff`` a stack of as many trials, gives one (trials, users) array in
+    one pass; one trial gives (users,).
     """
+    tx_power = _folded_power(eff.tx_gain_table)
     energy = np.stack(
         [
             np.sum(tx_power[..., user - 1, :] * np.sum(np.abs(mat) ** 2, axis=-1), axis=-1)
@@ -319,7 +313,7 @@ def _scale_hats(pre: PrecoderSet, tx_power: np.ndarray, slots: int) -> np.ndarra
         ],
         axis=-1,
     )
-    return np.sqrt(slots / energy)
+    return np.sqrt(eff.channels.slots / energy)
 
 
 def transmit_blocks(
@@ -336,8 +330,9 @@ def transmit_blocks(
     ParameterError
         If ``power`` is not positive and finite, or ``symbols`` does not
         hold one 2-D block per user, all with the same block count and each
-        with that user's stream count.
+        with that user's stream count, or if ``eff`` holds a stack of trials.
     """
+    eff._single()
     if not 0 < power < math.inf:
         raise ParameterError(f"power must be positive and finite, got {power}")
     if set(symbols) != set(pre.precoders):
@@ -349,7 +344,7 @@ def transmit_blocks(
     block_counts = {user: s.shape[1] for user, s in symbols.items()}
     if len(set(block_counts.values())) != 1:
         raise ParameterError(f"every user must send the same number of blocks, got {block_counts}")
-    hats = _scale_hats(pre, _folded_power(eff.tx_gain_table), eff.channels.slots)
+    hats = _scale_hats(pre, eff)
     out: dict[int, np.ndarray] = {}
     for user, mat in pre.precoders.items():
         s = symbols[user]
@@ -363,51 +358,42 @@ def transmit_blocks(
     return out
 
 
-def _whitened_blocks(
-    pre: PrecoderSet, diagonals: np.ndarray, noise_std: np.ndarray, scales: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Per-transmitter blocks seen at one receiver k after noise whitening.
+def _zero_forcer(
+    pre: PrecoderSet, eff: EffectiveChannel, k: int, scales: np.ndarray
+) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray]:
+    """Receiver ``k``'s front end, shared by the analytic rates and the sampled chain.
 
-    ``diagonals`` is the receiver's row of effective diagonals, (users, D),
-    ``noise_std`` its combined noise standard deviation per slot, (D,), and
-    ``scales[j - 1]`` user j's amplitude. Block j is ``scales[j - 1]`` times
-    ``pre.received_blocks(diagonals)[j]``, (D, d_j), each row divided by the
-    noise standard deviation of its effective slot. Every argument may carry
-    the same leading trial axes, and so do the blocks.
+    ``scales[..., j - 1]`` is user j's amplitude. Returns the receiver's
+    ``effective_noise_std``, (D,); its whitened blocks, block j being
+    ``scales[j - 1]`` times ``pre.received_blocks`` of its row of effective
+    diagonals, (D, d_j), each row divided by the noise standard deviation
+    of its effective slot; and the rows of the pseudoinverse of
+    ``pre.composite`` of those blocks that recover user ``k``'s streams.
+    ``eff``, ``pre`` and ``scales`` may hold the same stack of trials, and
+    then so does every result. One stacked ``pinv`` call covers every
+    trial: it factors each (D, D) slice on its own, so the rows are the
+    same bits as one call per trial.
     """
-    return {
+    noise_std = effective_noise_std(eff, k)
+    blocks = {
         j: scales[..., j - 1, None, None] * block / noise_std[..., :, None]
-        for j, block in pre.received_blocks(diagonals).items()
+        for j, block in pre.received_blocks(eff.diagonals[..., k - 1, :, :]).items()
     }
-
-
-def _zero_forcer(pre: PrecoderSet, blocks: dict[int, np.ndarray], k: int) -> np.ndarray:
-    """Rows of each trial's composite pseudoinverse that recover user ``k``'s streams.
-
-    The composite is ``pre.composite`` of the whitened blocks; both the
-    analytic rates and the sampled chain use it. One stacked ``pinv`` call
-    covers every trial: it factors each (D, D) slice on its own, so the rows
-    are the same bits as one call per trial.
-    """
-    return np.linalg.pinv(pre.composite(blocks, k))[..., : pre.stream_counts[k], :]
+    return noise_std, blocks, np.linalg.pinv(pre.composite(blocks, k))[..., : pre.stream_counts[k], :]
 
 
 def _receiver_terms(
-    pre: PrecoderSet, diagonals: np.ndarray, noise_std: np.ndarray, receiver: int, hats: np.ndarray
+    pre: PrecoderSet, eff: EffectiveChannel, k: int, hats: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Power-independent SINR pieces at one receiver, stacked over trials.
+    """Power-independent SINR pieces at receiver ``k``, stacked over trials.
 
-    ``pre`` holds (trials, D, d_k) precoder stacks, ``diagonals`` the
-    trials' effective diagonals, (trials, users, users, D), ``noise_std``
-    their combined noise standard deviations, (trials, users, D), and
-    ``hats`` their scales, (trials, users). Returns (trials, d_k) arrays of
-    signal power, total cross-stream leakage power and whitened-noise
-    amplification per desired stream; with transmit power P the stream SINR
-    is signal / (cross + noise / P).
+    ``pre`` holds (trials, D, d_k) precoder stacks, ``eff`` the stack of
+    the same trials and ``hats`` their scales, (trials, users). Returns
+    (trials, d_k) arrays of signal power, total cross-stream leakage power
+    and whitened-noise amplification per desired stream; with transmit
+    power P the stream SINR is signal / (cross + noise / P).
     """
-    k = receiver
-    blocks = _whitened_blocks(pre, diagonals[:, k - 1], noise_std[:, k - 1], hats)
-    gains_zf = _zero_forcer(pre, blocks, k)
+    _, blocks, gains_zf = _zero_forcer(pre, eff, k, hats)
 
     own = gains_zf @ blocks[k]
     signal = np.abs(np.diagonal(own, axis1=-2, axis2=-1)) ** 2
@@ -458,16 +444,15 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     chunk = max(1, ZF_STACK_BYTES // (16 * (slots // slot_fold(coding)) ** 2))
 
     for start in range(0, link.trials, chunk):
-        tx_table, rx_table, diagonals, pre, redraws = _draw(
+        eff, pre, redraws = _draw(
             channels, coding, link.seed, range(start, min(start + chunk, link.trials)),
-            lambda alpha, beta, diagonals: _stacked_precoders(diagonals),
+            lambda stack: _stacked_precoders(stack.diagonals),
         )
         failures += redraws
-        hats = _scale_hats(pre, _folded_power(tx_table), slots)
-        noise_std = np.sqrt(_folded_power(rx_table))
-        rates = np.empty((len(diagonals), powers.size, channels.users))
+        hats = _scale_hats(pre, eff)
+        rates = np.empty((len(eff.diagonals), powers.size, channels.users))
         for k in range(1, channels.users + 1):
-            signal, cross, noise = _receiver_terms(pre, diagonals, noise_std, k, hats)
+            signal, cross, noise = _receiver_terms(pre, eff, k, hats)
             # noise / P overflows only where the SINR is far below 2^-53 (signal is
             # at most about 1), so log2(1 + SINR) is 0 anyway; inf noise gives SINR 0
             with np.errstate(over="ignore"):
@@ -539,7 +524,7 @@ def run_symbol_chain(
     }
     tx = transmit_blocks(pre, eff, power, symbols)
 
-    scales = np.sqrt(power) * _scale_hats(pre, _folded_power(eff.tx_gain_table), slots)
+    scales = np.sqrt(power) * _scale_hats(pre, eff)
     received: dict[int, np.ndarray] = {}
     decoded: dict[int, np.ndarray] = {}
     for k in range(1, channels.users + 1):
@@ -547,9 +532,7 @@ def run_symbol_chain(
         if inject_noise:
             y = y + (rng.standard_normal((slots, blocks)) + 1j * rng.standard_normal((slots, blocks))) / np.sqrt(2.0)
         received[k] = y
-        noise_std = effective_noise_std(eff, k)
-        z = combine_received(y, eff, k) / noise_std[:, None]
-        whitened = _whitened_blocks(pre, eff.diagonals[k - 1], noise_std, scales)
-        decoded[k] = _zero_forcer(pre, whitened, k) @ z
+        noise_std, _, gains_zf = _zero_forcer(pre, eff, k, scales)
+        decoded[k] = gains_zf @ (combine_received(y, eff, k) / noise_std[:, None])
     return ChainSample(effective=eff, precoders=pre, symbols=symbols, tx_blocks=tx,
                        received=received, decoded=decoded, redraws=redraws)

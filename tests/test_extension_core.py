@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symextia.extension_core as extension_core
+import symextia.link_sim as link_sim
 from oracles import parent_build_effective
 from symextia import (
     CapacityError,
@@ -17,7 +18,9 @@ from symextia import (
     ParameterError,
     build_cascades,
     build_effective,
+    build_precoders,
     cascade_order,
+    check_alignment,
     closed_form_dof,
     draw_realization,
     effective_dim,
@@ -25,10 +28,11 @@ from symextia import (
     exponent_cap,
     generate_channels,
     generate_gains,
+    receiver_composite,
     run_symbol_chain,
     subseed,
 )
-from symextia.extension_core import MIN_DRAW_MAGNITUDE
+from symextia.extension_core import CODING_MODES, MIN_DRAW_MAGNITUDE, slot_fold
 from symextia.link_sim import draw_until_built
 
 
@@ -145,6 +149,10 @@ def _plain_channels():
     return generate_channels(3, 5, "iid", 1)  # K=3, n=2 under plain coding
 
 
+def _double_effective():
+    return build_effective(_double_channels(), generate_gains(3, 10, 1), "double")
+
+
 # (argument named in the message, its minimum, a call passing the value there)
 INTEGER_ENTRIES = {
     "subseed seed": ("seed", 0, lambda v: subseed(v, 1)),
@@ -183,6 +191,13 @@ INTEGER_ENTRIES = {
     "enumerate_tuples cap": ("cap", 0, lambda v: enumerate_tuples(3, v)),
     "closed_form_dof users": ("users", 3, lambda v: closed_form_dof(v, 2, "single")),
     "closed_form_dof n": ("n", 1, lambda v: closed_form_dof(3, v, "single")),
+    "EffectiveChannel.tx_gains user": ("user label", 1, lambda v: _double_effective().tx_gains(v)),
+    "EffectiveChannel.rx_gains user": ("user label", 1, lambda v: _double_effective().rx_gains(v)),
+    "EffectiveChannel.diagonal receiver": ("user label", 1, lambda v: _double_effective().diagonal(v, 1)),
+    "EffectiveChannel.diagonal transmitter": ("user label", 1, lambda v: _double_effective().diagonal(1, v)),
+    "receiver_composite receiver": (
+        "user label", 1, lambda v: receiver_composite(*draw_realization(_double_channels(), "double", 1)[1:3], v)
+    ),
 }
 
 
@@ -200,6 +215,23 @@ class TestIntegerRule:
     def test_numpy_integers_are_counts(self):
         assert subseed(np.int64(5), np.int32(1)) == subseed(5, 1)
         assert LinkConfig((10.0,), np.int64(2), np.uint8(3)).trials == 2
+        eff = _double_effective()
+        assert np.array_equal(eff.tx_gains(np.int64(2)), eff.tx_gains(2))
+        with pytest.raises(ParameterError, match="^user label 4 outside 1..3$"):
+            eff.rx_gains(np.int64(4))
+
+    def test_numpy_integer_sizes_are_exact(self):
+        # numpy arithmetic on these would wrap around or lack int methods
+        assert effective_dim(5, np.int64(82)) == effective_dim(5, 82) > 2**64
+        assert type(effective_dim(5, np.int64(82))) is int
+        assert closed_form_dof(5, np.int64(82), "double") == closed_form_dof(5, 82, "double") > 0
+        assert closed_form_dof(np.int32(5), 82, "single") == closed_form_dof(5, 82, "single")
+        assert cascade_order(np.int8(4)) == cascade_order(4) == 5
+        assert exponent_cap(3, np.int64(5)) == exponent_cap(3, 5) == 2
+        assert exponent_cap(np.int64(4), 1267) == exponent_cap(4, 1267) == 3
+        assert np.array_equal(enumerate_tuples(np.int64(4), np.uint8(2)), enumerate_tuples(4, 2))
+        got = generate_channels(np.int64(3), np.int16(10), "slow_changing", np.uint8(1))
+        assert np.array_equal(got.entries, generate_channels(3, 10, "slow_changing", 1).entries)
 
     @pytest.mark.parametrize("dim", [5.0, 5.5, True])
     def test_exponent_cap_refuses_a_dim_that_is_not_an_integer(self, dim):
@@ -397,6 +429,84 @@ class TestTypeValidation:
         for method in (eff.tx_gains, eff.rx_gains):
             with pytest.raises(ParameterError):
                 method(4)
+
+
+class TestStackedTypes:
+    """``GainPlan`` and ``EffectiveChannel`` hold a stack of trials as ``PrecoderSet`` does."""
+
+    @staticmethod
+    def _stacked_plan(plans):
+        return GainPlan(np.stack([g.alpha for g in plans]), np.stack([g.beta for g in plans]))
+
+    @staticmethod
+    def _assert_each_trial_is_its_own(stack, ch, coding):
+        for t in range(len(stack.diagonals)):
+            plan = None if stack.gains is None else GainPlan(stack.gains.alpha[t], stack.gains.beta[t])
+            own = build_effective(ch, plan, coding)
+            pairs = [
+                (stack.diagonals[t], own.diagonals),
+                (stack.tx_gain_table[t], own.tx_gain_table),
+                (stack.rx_gain_table[t], own.rx_gain_table),
+            ]
+            for u in (1, 2, 3):
+                pairs += [(stack.tx_gains(u)[t], own.tx_gains(u)), (stack.rx_gains(u)[t], own.rx_gains(u))]
+                pairs += [(stack.diagonal(u, j)[t], own.diagonal(u, j)) for j in (1, 2, 3)]
+            for got, want in pairs:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("coding", CODING_MODES)
+    def test_the_redraw_loops_stack_is_each_trials_own_channel(self, coding):
+        ch = generate_channels(3, slot_fold(coding) * effective_dim(3, 2), "iid", 4)
+        stack, built, redraws = link_sim._draw(
+            ch, coding, 9, range(4), lambda eff: (len(eff.diagonals), [None] * len(eff.diagonals))
+        )
+        assert (built, redraws) == (4, 0)
+        assert stack.diagonals.shape == (4, 3, 3, effective_dim(3, 2))
+        self._assert_each_trial_is_its_own(stack, ch, coding)
+
+    @pytest.mark.parametrize("coding", ["naive", "double"])
+    def test_a_stacked_gain_plan_gives_each_trials_own_channel(self, coding):
+        ch = generate_channels(3, slot_fold(coding) * effective_dim(3, 2), "iid", 4)
+        plan = self._stacked_plan([generate_gains(3, ch.slots, seed) for seed in (1, 2, 3)])
+        stack = EffectiveChannel(ch, plan, coding)
+        assert stack.tx_gain_table.shape == (3, 3, slot_fold(coding), effective_dim(3, 2))
+        self._assert_each_trial_is_its_own(stack, ch, coding)
+
+    def test_a_zero_in_one_trial_of_a_stacked_plan_is_rejected(self):
+        plan = self._stacked_plan([generate_gains(3, 10, seed) for seed in (1, 2, 3)])
+        for name in ("alpha", "beta"):
+            spoiled = getattr(plan, name).copy()
+            spoiled[1, 2, 3] = 0
+            with pytest.raises(ParameterError, match=f"^{name} must be nonzero$"):
+                GainPlan(**{"alpha": plan.alpha, "beta": plan.beta, name: spoiled})
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_code_that_takes_one_trial_refuses_a_stack(self, trials):
+        ch = _double_channels()
+        stack = EffectiveChannel(ch, self._stacked_plan([generate_gains(3, 10, s) for s in range(trials)]), "double")
+        _, _, pre, _ = draw_realization(ch, "double", 0)
+        symbols = {u: np.ones((d, 1)) for u, d in pre.stream_counts.items()}
+        calls = (
+            lambda: build_cascades(stack),
+            lambda: build_precoders(stack),
+            lambda: check_alignment(stack, pre),
+            lambda: receiver_composite(stack, pre, 1),
+            lambda: link_sim.transmit_blocks(pre, stack, 1.0, symbols),
+            lambda: link_sim.combine_received(np.ones((10, 1)), stack, 1),
+        )
+        refusal = rf"^expected one trial's effective channel, got a stack of \({trials},\)$"
+        for call in calls:
+            with pytest.raises(ParameterError, match=refusal):
+                call()
+
+    def test_a_cancelled_pair_in_one_trial_of_a_stack_names_its_link(self):
+        ch = _double_channels()
+        g = generate_gains(3, 10, 1)
+        ones = np.ones((3, 10), dtype=complex)
+        cancelling = np.concatenate([ones[:, :5], -ones[:, 5:]], axis=1)
+        plan = self._stacked_plan([g, GainPlan(ones, cancelling)])
+        with pytest.raises(DegenerateRealizationError, match=r"cancelled on link \(1, 1\)"):
+            EffectiveChannel(ch, plan, "double")
 
 
 class TestSlotGains:

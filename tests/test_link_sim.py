@@ -329,7 +329,7 @@ class TestFoldMatchesPerModeReference:
             assert np.array_equal(
                 combine_received(y[:, 0], eff, k), oracles.per_mode_combine(y[:, 0], eff, k)
             )
-        hats = link_sim._scale_hats(pre, link_sim._folded_power(eff.tx_gain_table), ch.slots)
+        hats = link_sim._scale_hats(pre, eff)
         for user in pre.precoders:
             energy = oracles.per_mode_block_energy(pre, eff, user)
             assert hats[user - 1] == float(np.sqrt(ch.slots / energy))
@@ -347,13 +347,15 @@ class TestFoldMatchesPerModeReference:
         power = 2.0
         sample = run_symbol_chain(ch, coding, power=power, seed=6, blocks=4, inject_noise=False)
         eff, pre = sample.effective, sample.precoders
-        hats = link_sim._scale_hats(pre, link_sim._folded_power(eff.tx_gain_table), ch.slots)
-        scales = np.sqrt(power) * hats
+        scales = np.sqrt(power) * link_sim._scale_hats(pre, eff)
         for k in range(1, 4):
-            noise_std = effective_noise_std(eff, k)
+            noise_std, blocks, gains_zf = link_sim._zero_forcer(pre, eff, k, scales)
+            want = oracles._per_trial_whitened_blocks(eff, pre, k, dict(enumerate(scales, 1)))
+            assert np.array_equal(noise_std, effective_noise_std(eff, k))
+            assert all(np.array_equal(blocks[j], want[j]) for j in want)
+            assert np.array_equal(gains_zf, oracles._per_trial_zero_forcer(pre, want, k))
             z = combine_received(sample.received[k], eff, k) / noise_std[:, None]
-            blocks = link_sim._whitened_blocks(pre, eff.diagonals[k - 1], noise_std, scales)
-            assert np.array_equal(sample.decoded[k], link_sim._zero_forcer(pre, blocks, k) @ z)
+            assert np.array_equal(sample.decoded[k], gains_zf @ z)
 
 
 def _link_case(users, n, coding, model, seed, trials):
