@@ -86,6 +86,7 @@ def orthonormal_basis(matrix: np.ndarray) -> np.ndarray:
 
 def _check_pair(eff: EffectiveChannel, pre: PrecoderSet) -> None:
     eff._single()
+    pre._single()
     if eff.users != pre.users or eff.dim != pre.dim:
         raise ParameterError(
             f"effective channel ({eff.users} users, dim {eff.dim}) does not match "

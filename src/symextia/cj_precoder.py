@@ -211,6 +211,13 @@ class PrecoderSet:
     def stream_counts(self) -> dict[int, int]:
         return {user: mat.shape[-1] for user, mat in self.precoders.items()}
 
+    def _single(self) -> dict[int, np.ndarray]:
+        """``precoders``; ParameterError if this holds a stack of trials, for code that takes one trial."""
+        stack = self.precoders[1].shape[:-2]
+        if stack:
+            raise ParameterError(f"expected one trial's precoder set, got a stack of {stack}")
+        return self.precoders
+
     def basis_user(self, receiver: int) -> int:
         """User whose block spans the aligned interference at ``receiver``.
 

@@ -21,14 +21,16 @@ build and the scale factors, takes an ``EffectiveChannel`` and a
 ``PrecoderSet`` that hold one trial or a stack of trials.
 ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
 composites). One redraw loop draws every realization, a chunk's or the
-single trial of ``draw_realization``: each attempt draws the pending
-trials' gains on their seeds into one ``GainPlan`` stack, which checks
-them, folds the stack in one call, hands the build one ``EffectiveChannel``
-stack (a chunk's precoders are one stacked build, which flags each
-degenerate trial) and draws again only the trials whose pairs cancelled or
-whose build degenerated. A chunk then makes one call for its scale factors
-and one stacked ``pinv`` call per receiver; no ``GainPlan`` or
-``EffectiveChannel`` is made per trial. ``run_symbol_chain`` calls the same
+single trial of ``draw_realization``: attempt n of trial t is drawn on
+``subseed(seed, gains, t, n)``, and each pass draws every trial at its own
+attempt into one ``GainPlan`` stack, which checks them, folds the stack in
+one call, hands the build one ``EffectiveChannel`` stack (a chunk's
+precoders are one stacked build, which flags each degenerate trial) and
+advances the attempt of each trial whose pairs cancelled or whose build
+degenerated; the redraw count is the sum of the accepted attempt numbers.
+A chunk then makes one call for its scale factors and one stacked
+``pinv`` call per receiver; no ``GainPlan`` or ``EffectiveChannel`` is
+made per trial. ``run_symbol_chain`` calls the same
 functions on one trial. Every stacked step is entrywise along the trial
 axis, or a reduction or factorisation of one trial's slice, and each
 trial's (SNR, user) rates are added to array accumulators in trial order,
@@ -46,6 +48,7 @@ float with a finite reciprocal.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
@@ -85,11 +88,14 @@ Built = TypeVar("Built")
 def snr_power(snr_db: float) -> float:
     """Transmit power per raw slot ``10**(snr_db / 10)``; ParameterError unless usable.
 
-    A usable power is positive and finite with a finite reciprocal, so the
-    SINR's noise term ``noise / power`` cannot overflow from the power
-    alone. That rejects a point that is not finite or lies outside about
+    A usable point is a real number (a bool is not one), and a usable power
+    is positive and finite with a finite reciprocal, so the SINR's noise
+    term ``noise / power`` cannot overflow from the power alone. That
+    rejects a point that is not finite or lies outside about
     -3082.5 .. 3082.5 dB.
     """
+    if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real):
+        raise ParameterError(f"SNR point {snr_db!r} is not a real number")
     try:
         power = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
@@ -171,15 +177,14 @@ def _draw(
     """The one redraw loop: the realizations of ``trials`` as one ``EffectiveChannel`` stack, degenerate ones redrawn.
 
     Attempt n of trial t draws its gains on ``subseed(base_seed,
-    _STREAMS["gains"], t, n)``; all pending trials are drawn at the same
+    _STREAMS["gains"], t, n)``. Each pass draws every trial at its own
     attempt, checked as one ``GainPlan`` stack, folded in one call and
     built in one call. ``build`` takes the ``EffectiveChannel`` stack of
     the drawn trials (with no gains under ``plain``, which has nothing to
     draw) and returns what it built and, per trial, None or the message of
-    a degenerate build. A trial is drawn again if its pairs cancelled or
-    its build degenerated, and a chunk is built once more as a whole if its
-    last build was not. Returns the stack of ``trials``, the build and the
-    redraw count.
+    a degenerate build. A trial moves on to its next attempt if its pairs
+    cancelled or its build degenerated. Returns the last pass's stack, its
+    build and the redraw count, the sum of the accepted attempt numbers.
 
     Raises what the ``GainPlan``, the fold or ``build`` raises at the first
     attempt that raises, ``DegenerateRealizationError`` with the message of
@@ -194,29 +199,24 @@ def _draw(
         if degenerate[0]:
             raise DegenerateRealizationError(degenerate[0])
         return eff, built, 0
-    rows = np.arange(count)
-    redraws = 0
-    for n in range(MAX_RESAMPLES + 1):
-        draws = [_draw_gains(users, slots, subseed(base_seed, _STREAMS["gains"], trials[row], n)) for row in rows]
+    attempts = np.zeros(count, dtype=int)
+    while True:
+        draws = [_draw_gains(users, slots, subseed(base_seed, _STREAMS["gains"], t, n))
+                 for t, n in zip(trials, attempts)]
         # one trial's gains are used as drawn: copying a long plan costs more than folding it
         gains = GainPlan(*(np.array(g) if len(g) > 1 else g[0][None] for g in zip(*draws)))
-        drawn, cancelled = _fold_diagonals(channels.entries, gains.alpha, gains.beta, coding)
-        drawn_eff = EffectiveChannel._folded(channels, gains, coding, drawn)
-        built, degenerate = build(drawn_eff)
-        if len(rows) == count:
-            eff = drawn_eff
-        else:
-            eff.gains.alpha[rows], eff.gains.beta[rows], eff.diagonals[rows] = gains.alpha, gains.beta, drawn
+        diagonals, cancelled = _fold_diagonals(channels.entries, gains.alpha, gains.beta, coding)
+        eff = EffectiveChannel._folded(channels, gains, coding, diagonals)
+        built, degenerate = build(eff)
         again = cancelled.any(axis=(-2, -1)) | [message is not None for message in degenerate]
         if not again.any():
-            if len(rows) < count:  # the last build covered only the redrawn trials
-                built, _ = build(eff)
-            return eff, built, redraws
-        rows = rows[again]
-        redraws += rows.size
-    raise SimulationError(
-        f"trial {trials[rows[0]]}: gave up after {MAX_RESAMPLES} consecutive degenerate gain redraws"
-    )
+            return eff, built, int(attempts.sum())
+        stuck = np.flatnonzero(again & (attempts == MAX_RESAMPLES))
+        if stuck.size:
+            raise SimulationError(
+                f"trial {trials[stuck[0]]}: gave up after {MAX_RESAMPLES} consecutive degenerate gain redraws"
+            )
+        attempts += again
 
 
 def draw_until_built(
@@ -330,9 +330,11 @@ def transmit_blocks(
     ParameterError
         If ``power`` is not positive and finite, or ``symbols`` does not
         hold one 2-D block per user, all with the same block count and each
-        with that user's stream count, or if ``eff`` holds a stack of trials.
+        with that user's stream count, or if ``eff`` or ``pre`` holds a
+        stack of trials.
     """
     eff._single()
+    pre._single()
     if not 0 < power < math.inf:
         raise ParameterError(f"power must be positive and finite, got {power}")
     if set(symbols) != set(pre.precoders):
@@ -414,7 +416,8 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     rates at every SNR point of the sweep. ``plain`` coding has no gain
     randomness, so its trials are identical by construction. Trials run in
     stacked chunks through the one redraw loop, as the module docstring
-    describes, with the bits of a trial-at-a-time loop.
+    describes, with the bits of a trial-at-a-time loop; ``failures`` sums
+    the accepted attempt numbers.
 
     Returns
     -------

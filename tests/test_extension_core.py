@@ -16,6 +16,7 @@ from symextia import (
     GainPlan,
     LinkConfig,
     ParameterError,
+    PrecoderSet,
     build_cascades,
     build_effective,
     build_precoders,
@@ -30,6 +31,7 @@ from symextia import (
     generate_gains,
     receiver_composite,
     run_symbol_chain,
+    signal_space_rank,
     subseed,
 )
 from symextia.extension_core import CODING_MODES, MIN_DRAW_MAGNITUDE, slot_fold
@@ -495,6 +497,18 @@ class TestStackedTypes:
             lambda: link_sim.combine_received(np.ones((10, 1)), stack, 1),
         )
         refusal = rf"^expected one trial's effective channel, got a stack of \({trials},\)$"
+        for call in calls:
+            with pytest.raises(ParameterError, match=refusal):
+                call()
+        one = stack._trial(0)
+        pre_stack = PrecoderSet({u: np.stack([m] * trials) for u, m in pre.precoders.items()})
+        calls = (
+            lambda: check_alignment(one, pre_stack),
+            lambda: signal_space_rank(one, pre_stack, 1),
+            lambda: receiver_composite(one, pre_stack, 1),
+            lambda: link_sim.transmit_blocks(pre_stack, one, 1.0, symbols),
+        )
+        refusal = rf"^expected one trial's precoder set, got a stack of \({trials},\)$"
         for call in calls:
             with pytest.raises(ParameterError, match=refusal):
                 call()

@@ -62,6 +62,17 @@ class TestLinkConfig:
         with pytest.raises(ParameterError, match=message):
             LinkConfig(snr_points_db=(10.0,), **kwargs)
 
+    @pytest.mark.parametrize("points", ["12", (10.0, "20"), (10.0, 20j), (True, 2.0)])
+    def test_rejects_points_that_are_not_real_numbers(self, points):
+        # each would otherwise fail late and untyped, or read True as 1 dB
+        with pytest.raises(ParameterError, match="is not a real number"):
+            LinkConfig(snr_points_db=points, trials=2)
+
+    def test_takes_python_ints_and_numpy_floats(self):
+        points = (10, np.float64(20.0), np.float32(30.0))
+        assert LinkConfig(snr_points_db=points, trials=1).snr_points_db == points
+        assert link_sim.snr_power(np.float64(20.0)) == link_sim.snr_power(20) == 100.0
+
     @pytest.mark.parametrize(
         "points",
         [(10.0, float("inf")), (float("nan"), 10.0), (3000.0, 3100.0), (-4000.0, 0.0), (-3200.0, 0.0)],
@@ -537,10 +548,10 @@ class TestDegenerateTrialInAStack:
     @pytest.mark.parametrize(
         "composites, trial, built",
         [
-            # one chunk: all 7 trials, the redraw of trial 3, then all 7 again
-            (18, 3, [7, 1, 7]),
-            # chunks of 3, 3 and 1: trial 4 is redrawn inside the second
-            (3, 4, [3, 3, 1, 3, 1]),
+            # one chunk: all 7 trials, then all 7 again with trial 3 at attempt 1
+            (18, 3, [7, 7]),
+            # chunks of 3, 3 and 1: the second is drawn twice, trial 4 at attempt 1
+            (3, 4, [3, 3, 3, 1]),
             # chunks of one: trial 4's chunk is drawn twice
             (1, 4, [1] * 8),
         ],
@@ -560,6 +571,26 @@ class TestDegenerateTrialInAStack:
         assert got == oracles.per_trial_simulate_link(*case)
         assert got.failures == clean.failures + 1
         assert got != clean
+
+    def test_each_trial_is_drawn_at_its_own_attempt(self, monkeypatch):
+        # trial 1 degenerates at attempts 0 and 1, trial 4 at attempt 0: the
+        # third pass draws trial 1 at attempt 2, trial 4 at 1 and the rest at 0
+        ch, coding, link = case = _link_case(3, 10, "double", "iid", 1, trials=7)
+        _poison_precoders(monkeypatch, case, 1, attempts=(0, 1))
+        stacks = _poison_precoders(monkeypatch, case, 4, attempts=(0,))
+        eff, pre, redraws = link_sim._draw(
+            ch, coding, link.seed, range(7), lambda s: cj_precoder._stacked_precoders(s.diagonals)
+        )
+        assert redraws == 3
+        assert stacks == [7, 7, 7]
+        wants = [oracles.parent_draw_realization(ch, coding, link.seed, t) for t in range(7)]
+        assert [want[3] for want in wants] == [0, 2, 0, 0, 1, 0, 0]
+        for t, (want_gains, want_eff, want_pre, _) in enumerate(wants):
+            assert np.array_equal(eff.gains.alpha[t], want_gains.alpha)
+            assert np.array_equal(eff.gains.beta[t], want_gains.beta)
+            assert np.array_equal(eff.diagonals[t], want_eff.diagonals)
+            for user, mat in want_pre.precoders.items():
+                assert np.array_equal(pre.precoders[user][t], mat)
 
     def test_gives_up_as_the_per_trial_loop_gives_up(self, monkeypatch):
         # trial 2's precoders and trial 5's effective channels degenerate on
