@@ -13,15 +13,19 @@ construction: K is ``eff.users`` and n is ``exponent_cap(K, eff.dim)``. The
 sizes are exact integers (``cascade_order``, ``effective_dim``,
 ``exponent_cap``), so asymptotic sizes cost nothing. The product columns are
 built as one row-wise Kronecker (face-splitting) product of per-generator
-power tables, and construction is refused up front when the complex128
-precoders would exceed ``extension_core.BYTE_BUDGET``. One private build
-takes a stack of effective channels on a leading trial axis and flags its
-degenerate trials, which the link simulation uses for a chunk of trials at
-once; ``build_cascades`` and ``build_precoders`` are its batches of one.
+power tables, and construction is refused up front when the precoders would
+exceed ``extension_core.BYTE_BUDGET``. One private build takes a stack of
+effective channels on a leading trial axis and flags its degenerate trials,
+which the link simulation uses for a chunk of trials at once;
+``build_cascades`` and ``build_precoders`` are its batches of one. Up to
+the unnormalised columns, it and ``PrecoderSet.received_blocks`` compute in
+the diagonals' arithmetic, complex128 or exact int64 residues mod
+``_PRIME``; normalisation and its overflow and vanish checks are float-only.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -34,6 +38,32 @@ from .extension_core import EffectiveChannel, _check_int, check_byte_budget, cou
 SINGLE_LAYER = "single"
 DOUBLE_LAYER = "double"
 LAYERS = (SINGLE_LAYER, DOUBLE_LAYER)
+
+# The prime of the exact arithmetic: _PRIME**2 < 2**63, so a product of two residues is exact in int64.
+_PRIME = 1048573
+
+
+def _mod_mul(a: np.ndarray, b: np.ndarray, order: str = "K") -> np.ndarray:
+    product = np.multiply(a, b, order=order, dtype=np.int64)
+    return np.remainder(product, _PRIME, out=product)
+
+
+def _mod_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` times ``b**(p - 2)`` by repeated squaring: Fermat's inverse of ``b``, or 0 where ``b`` is 0."""
+    inverse, exponent = np.ones_like(b), _PRIME - 2
+    while exponent:
+        if exponent & 1:
+            inverse = _mod_mul(inverse, b)
+        b = _mod_mul(b, b)
+        exponent >>= 1
+    return _mod_mul(a, inverse)
+
+
+def _arithmetic(values: np.ndarray) -> tuple[np.dtype, Callable[..., np.ndarray], Callable[..., np.ndarray]]:
+    """The ``(dtype, mul, div)`` of ``values``: residues mod ``_PRIME`` if integer, else complex128."""
+    if np.issubdtype(values.dtype, np.integer):
+        return np.dtype(np.int64), _mod_mul, _mod_div
+    return np.dtype(complex), np.multiply, np.divide
 
 
 def cascade_order(users: int) -> int:
@@ -78,6 +108,11 @@ def exponent_cap(users: int, dim: int) -> int:
             f"no exponent cap n >= 1 gives {users} users a dimension of {count_text(dim)}"
         )
     return lo
+
+
+def _stream_count(users: int, n: int) -> int:
+    """Total streams of one layer, D + (users-2) n^N: user 1's (n+1)^N plus n^N for each other user."""
+    return effective_dim(users, n) + (users - 2) * n ** cascade_order(users)
 
 
 def cascade_pairs(users: int) -> list[tuple[int, int]]:
@@ -147,21 +182,22 @@ def _stacked_cascades(
     """Cascade generators and kappa of a stack of effective channels, and the degenerate trials.
 
     ``diagonals`` is (trials, K, K, D), one ``EffectiveChannel.diagonals``
-    per trial; the generators and kappa come back as (trials, D) arrays.
-    Every quotient is entrywise, so each trial's slice has the bits of that
-    trial computed alone. The third value holds one entry per trial: None,
-    or the message ``build_cascades`` raises on that trial alone, naming
-    its first quotient that is not finite or is 0.
+    per trial or residues mod ``_PRIME``, and so are the (trials, D)
+    generators and kappa. Every quotient is entrywise, so each trial's slice
+    has the bits of that trial computed alone. The third value holds one
+    entry per trial: None, or the message ``build_cascades`` raises on that
+    trial alone, naming its first quotient that is not finite or is 0.
     """
+    _, mul, div = _arithmetic(diagonals)
     d = partial(_link, diagonals)
     degenerate: list[str | None] = [None] * len(diagonals)
-    common = d(2, 1) / d(2, 3) * d(1, 3)
+    common = mul(div(d(2, 1), d(2, 3)), d(1, 3))  # mod p, 1/0 is 0: a zero denominator flags as a zero quotient
     matrices: dict[tuple[int, int], np.ndarray] = {}
     for k, l in cascade_pairs(diagonals.shape[1]):
-        mat = common / d(k, 1) * d(k, l) / d(1, l)
+        mat = div(mul(div(common, d(k, 1)), d(k, l)), d(1, l))
         _flag(degenerate, ~np.isfinite(mat) | (mat == 0), f"cascade ({k}, {l}) left the representable range")
         matrices[(k, l)] = mat
-    kappa = d(1, 2) / d(1, 1)
+    kappa = div(d(1, 2), d(1, 1))
     _flag(degenerate, ~np.isfinite(kappa) | (kappa == 0), "kappa left the representable range")
     return matrices, kappa, degenerate
 
@@ -189,9 +225,10 @@ class PrecoderSet:
     """Per-user precoder matrices over one effective signal space.
 
     ``precoders[k]`` is the D x d_k complex matrix for 1-based user k with
-    unit-norm columns, keyed in ascending user order. User 1's columns
-    follow the rows of ``enumerate_tuples(users, n)`` and every other user's
-    the rows of ``enumerate_tuples(users, n - 1)``. Sizes are read off the
+    unit-norm columns (or its unnormalised columns mod ``_PRIME``), keyed in
+    ascending user order. User 1's columns follow the rows of
+    ``enumerate_tuples(users, n)`` and every other user's the rows of
+    ``enumerate_tuples(users, n - 1)``. Sizes are read off the
     trailing two axes of the matrices, so a set may also hold a stack of
     trials, (trials, D, d_k) per user, as the link simulation does. The set
     owns what a receiver sees: its blocks and its composite layout.
@@ -227,56 +264,64 @@ class PrecoderSet:
 
     def received_blocks(self, row: np.ndarray) -> dict[int, np.ndarray]:
         """Blocks H_kj V_j keyed by j, from receiver k's effective diagonals ``row``, (..., users, D)."""
-        return {j: row[..., j - 1, :, None] * mat for j, mat in self.precoders.items()}
+        _, mul, _ = _arithmetic(row)
+        return {j: mul(row[..., j - 1, :, None], mat) for j, mat in self.precoders.items()}
 
     def composite(self, blocks: dict[int, np.ndarray], receiver: int) -> np.ndarray:
         """The square composite of ``received_blocks``: desired block, then the basis user's block."""
         return np.concatenate([blocks[receiver], blocks[self.basis_user(receiver)]], axis=-1)
 
 
-# a degenerate trial's powers, norms and quotients are flagged, not warned about
+# a degenerate trial's powers and quotients are flagged, not warned about
 @np.errstate(all="ignore")
-def _stacked_precoders(diagonals: np.ndarray) -> tuple[PrecoderSet, list[str | None]]:
-    """The precoders of a stack of effective channels, built in one pass, and the degenerate trials.
+def _stacked_columns(diagonals: np.ndarray) -> tuple[dict[int, np.ndarray], list[str | None]]:
+    """Every user's unnormalised columns, (trials, D, d_k) in user order, and the degenerate trials.
 
-    ``diagonals`` is (trials, K, K, D), one ``EffectiveChannel.diagonals``
-    per trial, and the set holds one (trials, D, d_k) stack per user. Every
-    step is entrywise along the trial axis, or a reduction over one trial's
-    rows, so each slice has the bits of that trial built alone.
-    ``build_precoders`` documents the construction and its errors; a size
-    with no construction, or a stack over the byte budget, raises. The
-    second value holds, per trial, None or the message ``build_precoders``
-    raises on that trial alone, and such a trial's slice is not usable.
+    ``diagonals`` is a stack ``_stacked_cascades`` takes, in either
+    arithmetic, and the columns are in the same one. A size with no
+    construction, or a stack over the byte budget, raises.
     """
+    dtype, mul, div = _arithmetic(diagonals)
     trials, users, _, dim = diagonals.shape
     cap = exponent_cap(users, dim)
-    # D x ((n+1)^N + (K-1) n^N) entries, that is D + (K-2) n^N columns
-    columns = dim + (users - 2) * cap ** cascade_order(users)
-    check_byte_budget(16 * trials * dim * columns, "precoders for {} users at n={}", users, cap)
+    nbytes = dtype.itemsize * trials * dim * _stream_count(users, cap)
+    check_byte_budget(nbytes, "precoders for {} users at n={}", users, cap)
     matrices, _, degenerate = _stacked_cascades(diagonals)  # kappa is checked, not used
     # One column per row of enumerate_tuples(users, cap): each cascade's
     # powers T_kl^e, e = 0..cap, multiplied up one at a time (a cumulative
     # product rounds differently), times every column so far, in C order
-    # (the column norms below round differently when columns are contiguous).
-    products = np.ones((trials, dim, 1), dtype=complex)
+    # (float column norms round differently when columns are contiguous).
+    products = np.ones((trials, dim, 1), dtype=dtype)
     for mat in matrices.values():
-        table = np.empty((trials, cap + 1, dim), dtype=complex)
-        table[:, 0] = 1.0
+        table = np.empty((trials, cap + 1, dim), dtype=dtype)
+        table[:, 0] = 1
         for e in range(1, cap + 1):
-            table[:, e] = table[:, e - 1] * mat
-        products = np.multiply(products[:, :, :, None], table.transpose(0, 2, 1)[:, :, None, :], order="C")
+            table[:, e] = mul(table[:, e - 1], mat)
+        products = mul(products[:, :, :, None], table.transpose(0, 2, 1)[:, :, None, :], order="C")
         products = products.reshape(trials, dim, -1)
     # the cap n - 1 columns are the same chains of multiplies, the sub-grid
     # below cap on every exponent axis; the user-3 prefix H_21 H_23^-1 is not a cascade
     grid = products.reshape(trials, dim, *(cap + 1,) * len(matrices))
     lower = grid[(..., *(slice(cap),) * len(matrices))].reshape(trials, dim, -1)
-    prefix = _link(diagonals, 2, 1) / _link(diagonals, 2, 3)
-    raw = {1: products, 3: prefix[:, :, None] * lower}
-    for i in range(2, users + 1):
-        if i != 3:
-            raw[i] = (_link(diagonals, 1, 3) / _link(diagonals, 1, i))[:, :, None] * raw[3]
+    d = partial(_link, diagonals)
+    raw = {1: products, 3: mul(div(d(2, 1), d(2, 3))[:, :, None], lower)}
+    raw.update({i: mul(div(d(1, 3), d(1, i))[:, :, None], raw[3]) for i in range(2, users + 1) if i != 3})
+    return dict(sorted(raw.items())), degenerate
 
-    precoders = dict(sorted(raw.items()))
+
+# a degenerate trial's norms and quotients are flagged, not warned about
+@np.errstate(all="ignore")
+def _stacked_precoders(diagonals: np.ndarray) -> tuple[PrecoderSet, list[str | None]]:
+    """The precoders of a stack of effective channels, built in one pass, and the degenerate trials.
+
+    The float ``_stacked_columns`` of ``diagonals``, one
+    ``EffectiveChannel.diagonals`` per trial, each column normalised over
+    one trial's rows, so each slice has the bits of that trial built alone.
+    ``build_precoders`` documents the construction and its errors; the
+    second value holds, per trial, None or the message it raises on that
+    trial alone, and such a trial's slice is not usable.
+    """
+    precoders, degenerate = _stacked_columns(diagonals)
     for user, mat in precoders.items():
         norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=1, keepdims=True))
         _flag(degenerate, ~np.isfinite(norms), f"precoder column norms for user {user} overflowed")
@@ -335,8 +380,7 @@ def closed_form_dof(users: int, n: int, layer: str) -> Fraction:
     if layer not in LAYERS:
         raise ParameterError(f"unknown layer tag {layer!r}")
     users, n = _check_int("users", users, 3), _check_int("n", n, 1)
-    dim = effective_dim(users, n)
-    dof = Fraction(dim + (users - 2) * n ** cascade_order(users), dim)
+    dof = Fraction(_stream_count(users, n), effective_dim(users, n))
     if layer == DOUBLE_LAYER:
         dof = dof / 2
     return dof

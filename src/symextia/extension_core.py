@@ -97,15 +97,19 @@ def subseed(seed: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _complex_normal(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
+    """Circularly symmetric unit-variance complex normals ``(re + 1j im) / sqrt(2)``, ``re`` drawn first."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
 def _sample_unit_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Circularly symmetric unit-variance complex normals, small draws redrawn."""
-    out = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """``_complex_normal`` draws with every one below ``MIN_DRAW_MAGNITUDE`` redrawn."""
+    out = _complex_normal(rng, shape)
     while True:
         small = np.abs(out) < MIN_DRAW_MAGNITUDE
         if not small.any():
             return out
-        redraw = (rng.standard_normal(int(small.sum())) + 1j * rng.standard_normal(int(small.sum()))) / np.sqrt(2.0)
-        out[small] = redraw
+        out[small] = _complex_normal(rng, int(small.sum()))
 
 
 def _check_sizes(users: int, slots: int, min_users: int, min_slots: int) -> tuple[int, int]:

@@ -15,29 +15,23 @@ count that no construction has is a ``ParameterError`` from the first draw.
 One receiver front end serves both receivers: the analytic rates of
 ``simulate_link`` and the sampled ``run_symbol_chain`` read the same noise
 standard deviations off the ``EffectiveChannel``, whiten the same
-``PrecoderSet.received_blocks`` and invert the same ``PrecoderSet.composite``,
-the receiver ``align_verify`` reads too. That front end, like the precoder
-build and the scale factors, takes an ``EffectiveChannel`` and a
-``PrecoderSet`` that hold one trial or a stack of trials.
-``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
-composites). One redraw loop draws every realization, a chunk's or the
-single trial of ``draw_realization``: attempt n of trial t is drawn on
-``subseed(seed, gains, t, n)``, and each pass draws every trial at its own
-attempt into one ``GainPlan`` stack, which checks them, folds the stack in
-one call, hands the build one ``EffectiveChannel`` stack (a chunk's
-precoders are one stacked build, which flags each degenerate trial) and
-advances the attempt of each trial whose pairs cancelled or whose build
-degenerated; the redraw count is the sum of the accepted attempt numbers.
-A chunk then makes one call for its scale factors and one stacked
-``pinv`` call per receiver; no ``GainPlan`` or ``EffectiveChannel`` is
-made per trial. ``run_symbol_chain`` calls the same
-functions on one trial. Every stacked step is entrywise along the trial
-axis, or a reduction or factorisation of one trial's slice, and each
-trial's (SNR, user) rates are added to array accumulators in trial order,
-a receiver column at a time into the sum rate, so rates, redraw counts and
-give-ups are those of a trial-at-a-time loop. Rates are analytic from per-stream SINR, so the Monte Carlo
-averaging is over gain realizations only and a fixed seed gives
-bit-for-bit reproducible results.
+``PrecoderSet.received_blocks`` and invert the same
+``PrecoderSet.composite``, the receiver ``align_verify`` reads too. That
+front end, like the precoder build and the scale factors, takes an
+``EffectiveChannel`` and a ``PrecoderSet`` that hold one trial or a stack of
+trials. ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
+composites). One redraw loop, ``_draw``, draws every realization, a chunk's
+or the single trial of ``draw_realization``, as one ``EffectiveChannel``
+stack, and a chunk's precoders are one stacked build. A chunk then makes one
+call for its scale factors and one stacked ``pinv`` call per receiver; no
+``GainPlan`` or ``EffectiveChannel`` is made per trial. ``run_symbol_chain``
+calls the same functions on one trial. Every stacked step is entrywise along
+the trial axis, or a reduction or factorisation of one trial's slice, and
+each trial's (SNR, user) rates are added to array accumulators in trial
+order, a receiver column at a time into the sum rate, so rates, redraw
+counts and give-ups are those of a trial-at-a-time loop. Rates are analytic
+from per-stream SINR, so the Monte Carlo averaging is over gain realizations
+only and a fixed seed gives bit-for-bit reproducible results.
 
 SNR is defined against unit-variance receiver noise: at a sweep point of
 ``snr_db`` each user's expected transmit power per raw slot is
@@ -64,6 +58,7 @@ from .extension_core import (
     GainPlan,
     _STREAMS,
     _check_int,
+    _complex_normal,
     _draw_gains,
     _fold_diagonals,
     slot_fold,
@@ -85,14 +80,21 @@ ZF_STACK_BYTES = 1 << 17
 Built = TypeVar("Built")
 
 
+def _usable_power(power: object) -> bool:
+    """The one power rule: a real number, positive and finite with a finite reciprocal (so noise / power is)."""
+    try:
+        real = not isinstance(power, bool) and isinstance(power, numbers.Real)
+        return real and 0.0 < float(power) < math.inf and 1.0 / float(power) < math.inf
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def snr_power(snr_db: float) -> float:
     """Transmit power per raw slot ``10**(snr_db / 10)``; ParameterError unless usable.
 
-    A usable point is a real number (a bool is not one), and a usable power
-    is positive and finite with a finite reciprocal, so the SINR's noise
-    term ``noise / power`` cannot overflow from the power alone. That
-    rejects a point that is not finite or lies outside about
-    -3082.5 .. 3082.5 dB.
+    A usable point is a real number, and its power must pass the one power
+    rule, ``_usable_power``. That rejects a point that is not finite or lies
+    outside about -3082.5 .. 3082.5 dB.
     """
     if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real):
         raise ParameterError(f"SNR point {snr_db!r} is not a real number")
@@ -100,7 +102,7 @@ def snr_power(snr_db: float) -> float:
         power = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
         power = math.inf
-    if not (0.0 < power < math.inf and 1.0 / power < math.inf):
+    if not _usable_power(power):
         raise ParameterError(
             f"SNR point {snr_db} dB has no positive finite transmit power with a finite reciprocal"
         )
@@ -119,8 +121,9 @@ def _sweep_powers(points: Sequence[float]) -> list[float]:
 class LinkConfig:
     """Sweep and averaging parameters for one link simulation; ParameterError unless usable.
 
-    The points, at least one, must pass ``_sweep_powers``, ``trials`` is an
-    integer >= 1 and ``seed`` one >= 0 (a bool is neither).
+    The points, at least one, are a sequence that is not a string, stored
+    as a tuple (so a config is hashable), and must pass ``_sweep_powers``;
+    ``trials`` is an integer >= 1 and ``seed`` one >= 0 (a bool is neither).
     """
 
     snr_points_db: tuple[float, ...]
@@ -128,6 +131,10 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        points = self.snr_points_db
+        if isinstance(points, (str, bytes)) or not isinstance(points, Sequence):
+            raise ParameterError(f"snr_points_db {points!r} is not a real number sequence, such as a tuple")
+        object.__setattr__(self, "snr_points_db", tuple(points))
         if len(self.snr_points_db) == 0:
             raise ParameterError("need at least one SNR point")
         _sweep_powers(self.snr_points_db)
@@ -328,15 +335,15 @@ def transmit_blocks(
     Raises
     ------
     ParameterError
-        If ``power`` is not positive and finite, or ``symbols`` does not
+        If ``power`` fails the power rule of ``_usable_power``, or ``symbols`` does not
         hold one 2-D block per user, all with the same block count and each
         with that user's stream count, or if ``eff`` or ``pre`` holds a
         stack of trials.
     """
     eff._single()
     pre._single()
-    if not 0 < power < math.inf:
-        raise ParameterError(f"power must be positive and finite, got {power}")
+    if not _usable_power(power):
+        raise ParameterError(f"power {power!r} must be a real number, positive and finite with a finite reciprocal")
     if set(symbols) != set(pre.precoders):
         raise ParameterError(
             f"symbols must hold exactly users {sorted(pre.precoders)}, got keys {list(symbols)}"
@@ -509,7 +516,7 @@ def run_symbol_chain(
     ------
     ParameterError
         Unless ``blocks`` is an integer >= 1 and ``seed`` one >= 0, or if
-        ``power`` is not positive and finite (``transmit_blocks`` checks it),
+        ``power`` is not usable (``transmit_blocks`` checks it),
         or the channels and coding have no construction (as in
         ``simulate_link``).
     SimulationError
@@ -518,13 +525,8 @@ def run_symbol_chain(
     _check_int("blocks", blocks, 1)
     rng = np.random.default_rng(subseed(seed, _STREAMS["chain"]))  # first: it names a bad seed "seed"
     _, eff, pre, redraws = draw_realization(channels, coding, seed)
-    slots = channels.slots
 
-    symbols = {
-        user: (rng.standard_normal((d, blocks)) + 1j * rng.standard_normal((d, blocks)))
-        / np.sqrt(2.0)
-        for user, d in pre.stream_counts.items()
-    }
+    symbols = {user: _complex_normal(rng, (d, blocks)) for user, d in pre.stream_counts.items()}
     tx = transmit_blocks(pre, eff, power, symbols)
 
     scales = np.sqrt(power) * _scale_hats(pre, eff)
@@ -533,7 +535,7 @@ def run_symbol_chain(
     for k in range(1, channels.users + 1):
         y = sum(channels.entries[k - 1, j - 1][:, None] * tx[j] for j in tx)
         if inject_noise:
-            y = y + (rng.standard_normal((slots, blocks)) + 1j * rng.standard_normal((slots, blocks))) / np.sqrt(2.0)
+            y = y + _complex_normal(rng, (channels.slots, blocks))
         received[k] = y
         noise_std, _, gains_zf = _zero_forcer(pre, eff, k, scales)
         decoded[k] = gains_zf @ (combine_received(y, eff, k) / noise_std[:, None])

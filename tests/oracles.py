@@ -19,12 +19,16 @@ its own diagonals; the class must match it bit for bit.
 product per block and condition; the one-pass check and the one-receiver
 functions must match them bit for bit. ``partner_columns`` proves
 alignment without a basis: each interfering column at receiver j != 1 is a
-known column of user 1's block there, up to scale.
+known column of user 1's block there, up to scale. ``modp_columns`` and
+``modp_received_blocks`` are the construction over the residues mod a prime
+in Python ints, every power by ``pow`` and every inverse by ``pow(x, -1,
+p)``; the exact build must equal them entry by entry.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -438,3 +442,50 @@ def parent_check_alignment(eff, pre) -> AlignmentReport:
     return AlignmentReport(
         residuals=residuals, rank_results=rank_results, verdict="pass" if ok else "fail"
     )
+
+
+def modp_columns(diagonals: np.ndarray, n: int, p: int) -> dict[int, np.ndarray]:
+    """Every user's unnormalised precoder columns mod ``p``, one Python int entry at a time.
+
+    ``diagonals`` is a (trials, K, K, D) stack of residues with no zero
+    denominator. Returns one (trials, D, d_k) int64 array per user, in
+    ascending user order.
+    """
+    trials, users, _, dim = diagonals.shape
+    pairs = cascade_pairs(users)
+
+    def row(t: int, q: int) -> dict[int, list[int]]:
+        h = {(k + 1, j + 1): int(x) for (k, j), x in np.ndenumerate(diagonals[t, :, :, q])}
+        cascade = {
+            (k, l): h[2, 1] * pow(h[2, 3], -1, p) * h[1, 3] * pow(h[k, 1], -1, p) * h[k, l] * pow(h[1, l], -1, p) % p
+            for k, l in pairs
+        }
+
+        def products(cap: int) -> list[int]:
+            return [
+                math.prod(pow(cascade[pair], e, p) for pair, e in zip(pairs, combo)) % p
+                for combo in itertools.product(range(cap + 1), repeat=len(pairs))
+            ]
+
+        out = {1: products(n), 3: [h[2, 1] * pow(h[2, 3], -1, p) * v % p for v in products(n - 1)]}
+        for i in (2, *range(4, users + 1)):
+            out[i] = [h[1, 3] * pow(h[1, i], -1, p) * v % p for v in out[3]]
+        return out
+
+    rows = [[row(t, q) for q in range(dim)] for t in range(trials)]
+    return {
+        user: np.array([[r[user] for r in trial] for trial in rows], dtype=np.int64)
+        for user in range(1, users + 1)
+    }
+
+
+def modp_received_blocks(row: np.ndarray, columns: dict[int, np.ndarray], p: int) -> dict[int, np.ndarray]:
+    """Blocks H_kj V_j mod ``p`` from receiver k's (trials, K, D) ``row`` of residues, one Python int at a time."""
+    return {
+        j: np.array(
+            [[[int(row[t, j - 1, q]) * int(v) % p for v in mat[t, q]] for q in range(mat.shape[1])]
+             for t in range(mat.shape[0])],
+            dtype=np.int64,
+        )
+        for j, mat in columns.items()
+    }

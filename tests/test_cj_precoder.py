@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_exponent_tuples, loop_precoders, scalar_kappa, scalar_lambda_32
+from oracles import (
+    brute_exponent_tuples,
+    loop_precoders,
+    modp_columns,
+    modp_received_blocks,
+    scalar_kappa,
+    scalar_lambda_32,
+)
 from symextia import (
     CapacityError,
     ChannelSet,
@@ -334,6 +341,45 @@ class TestBuildPrecoders:
                     assert list(stack.precoders) == list(want)
                     for user, mat in want.items():
                         assert np.array_equal(stack.precoders[user][trial], mat), (users, n, coding, trial)
+
+
+class TestModPrimeBuild:
+    """The construction over residues mod ``_PRIME``, from the same code as the float build."""
+
+    @pytest.mark.parametrize("users, n", [(3, 1), (3, 2), (4, 1)])
+    def test_columns_and_blocks_equal_a_python_int_reference(self, users, n):
+        p = cj_precoder._PRIME
+        rng = np.random.default_rng(subseed(users, n))
+        diagonals = rng.integers(1, p, size=(2, users, users, effective_dim(users, n)))
+        columns, degenerate = cj_precoder._stacked_columns(diagonals)
+        want = modp_columns(diagonals, n, p)
+        # nonzero residues have nonzero products mod a prime: nothing degenerates
+        assert degenerate == [None, None]
+        assert list(columns) == list(want)
+        for user, mat in want.items():
+            assert columns[user].dtype == np.int64
+            assert np.array_equal(columns[user], mat), (users, n, user)
+        pre = cj_precoder.PrecoderSet(precoders=columns)
+        for k in range(1, users + 1):
+            blocks = pre.received_blocks(diagonals[:, k - 1])
+            want_blocks = modp_received_blocks(diagonals[:, k - 1], want, p)
+            assert list(blocks) == list(want_blocks)
+            for j, block in want_blocks.items():
+                assert np.array_equal(blocks[j], block), (users, n, k, j)
+
+    def test_a_zero_denominator_flags_its_trial_with_the_float_message(self):
+        # the inverse of 0 mod p is 0, so a zero denominator makes a zero
+        # quotient, which the float build's check already flags
+        diagonals = np.random.default_rng(0).integers(1, cj_precoder._PRIME, size=(3, 3, 3, 5))
+        diagonals[1, 1, 2, 3] = 0  # H_23, a denominator of every cascade
+        diagonals[2, 0, 0, 0] = 0  # H_11, the denominator of kappa
+        _, exact = cj_precoder._stacked_columns(diagonals)
+        _, floats = cj_precoder._stacked_precoders(diagonals.astype(complex))
+        assert exact == floats == [
+            None,
+            "cascade (3, 2) left the representable range",
+            "kappa left the representable range",
+        ]
 
 
 class TestClosedFormDof:

@@ -68,6 +68,17 @@ class TestLinkConfig:
         with pytest.raises(ParameterError, match="is not a real number"):
             LinkConfig(snr_points_db=points, trials=2)
 
+    @pytest.mark.parametrize("points", [10.0, None, "12", b"\x0a\x14"])
+    def test_rejects_points_that_are_not_a_sequence(self, points):
+        # 10.0 and None would fail untyped, and "12" would be read a character at a time
+        with pytest.raises(ParameterError, match="is not a real number sequence"):
+            LinkConfig(snr_points_db=points, trials=2)
+
+    def test_stores_the_points_as_a_tuple(self):
+        link = LinkConfig(snr_points_db=[10.0, 20.0], trials=2)
+        assert link.snr_points_db == (10.0, 20.0)
+        assert hash(link) == hash(LinkConfig(snr_points_db=(10.0, 20.0), trials=2))
+
     def test_takes_python_ints_and_numpy_floats(self):
         points = (10, np.float64(20.0), np.float32(30.0))
         assert LinkConfig(snr_points_db=points, trials=1).snr_points_db == points
@@ -314,6 +325,31 @@ class TestSymbolChain:
     def test_chain_rejects_a_power_that_is_not_positive_and_finite(self, power):
         with pytest.raises(ParameterError, match="positive and finite"):
             run_symbol_chain(_double_channels(), "double", power=power, seed=0)
+
+
+    @pytest.mark.parametrize("power", ["1", True, 1e-309, 10**400])
+    def test_chain_rejects_a_power_that_fails_the_power_rule(self, power):
+        # neither a string nor a bool is a power; the reciprocal of 1e-309
+        # overflows, as that of an SNR point below about -3082.5 dB does
+        with pytest.raises(ParameterError, match="a real number, positive and finite with a finite reciprocal"):
+            run_symbol_chain(_double_channels(), "double", power=power, seed=0)
+
+    def test_chain_draws_its_symbols_then_its_noise_from_the_chain_stream(self):
+        seed, blocks = 3, 4
+        ch = _double_channels(seed=11)
+        sample = run_symbol_chain(ch, "double", power=2.0, seed=seed, blocks=blocks)
+        rng = np.random.default_rng(subseed(seed, extension_core._STREAMS["chain"]))
+
+        def normals(shape):
+            real = rng.standard_normal(shape)
+            return (real + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+        for user, streams in sample.precoders.stream_counts.items():
+            assert np.array_equal(sample.symbols[user], normals((streams, blocks)))
+        tx = sample.tx_blocks
+        for k in range(1, ch.users + 1):
+            noiseless = sum(ch.entries[k - 1, j - 1][:, None] * tx[j] for j in tx)
+            assert np.array_equal(sample.received[k], noiseless + normals((ch.slots, blocks)))
 
 
 FOLD_CASES = [
