@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cj_precoder import CascadeSet, PrecoderSet
+from .cj_precoder import CascadeSet, PrecoderSet, _check_pair
 from .errors import ParameterError
 from .extension_core import EffectiveChannel, _check_users
 
@@ -82,16 +82,6 @@ def orthonormal_basis(matrix: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
     threshold = _rank_cutoff(matrix.shape, s)
     return u[:, :0] if threshold is None else u[:, s > threshold]
-
-
-def _check_pair(eff: EffectiveChannel, pre: PrecoderSet) -> None:
-    eff._single()
-    pre._single()
-    if eff.users != pre.users or eff.dim != pre.dim:
-        raise ParameterError(
-            f"effective channel ({eff.users} users, dim {eff.dim}) does not match "
-            f"precoder set ({pre.users} users, dim {pre.dim})"
-        )
 
 
 def receiver_composite(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) -> np.ndarray:

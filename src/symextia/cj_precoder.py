@@ -272,6 +272,17 @@ class PrecoderSet:
         return np.concatenate([blocks[receiver], blocks[self.basis_user(receiver)]], axis=-1)
 
 
+def _check_pair(eff: EffectiveChannel, pre: PrecoderSet) -> None:
+    """The one pair rule: ParameterError unless ``eff`` and ``pre`` are one trial of the same size."""
+    eff._single()
+    pre._single()
+    if eff.users != pre.users or eff.dim != pre.dim:
+        raise ParameterError(
+            f"effective channel ({eff.users} users, dim {eff.dim}) does not match "
+            f"precoder set ({pre.users} users, dim {pre.dim})"
+        )
+
+
 # a degenerate trial's powers and quotients are flagged, not warned about
 @np.errstate(all="ignore")
 def _stacked_columns(diagonals: np.ndarray) -> tuple[dict[int, np.ndarray], list[str | None]]:

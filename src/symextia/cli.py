@@ -14,7 +14,9 @@ figure1
 
 Each experiment reads the flags ``FLAGS_READ`` lists for it; a flag it reads
 but the command line leaves out takes its value from ``DEFAULTS``, and the
-``ExperimentSpec`` holds None for every flag it does not read.
+``ExperimentSpec`` holds None for every flag it does not read. Both are
+computed from one table with one row per flag, and so is the argparse
+parser, built once at import.
 
 All output is deterministic for the recorded seed: CSV files are UTF-8 with
 LF line endings, floats printed to 6 significant digits (exact-dof floats to
@@ -62,49 +64,6 @@ from .extension_core import (
 )
 from .link_sim import LinkConfig, _sweep_powers, draw_realization, draw_until_built, simulate_link, snr_power
 
-# The flags each experiment reads besides --experiment. Any other flag given
-# explicitly exits 2, since the run would ignore it, and its spec field is
-# None. The layer is a flag of dof_table only: verify and audit draw one
-# layer per raw slot their --coding folds, and figure1 always runs
-# FIGURE1_CODINGS.
-FLAGS_READ = {
-    "dof_table": ("--users", "--n", "--n-range", "--layer", "--out"),
-    "verify": ("--users", "--n", "--channel", "--coding", "--trials", "--seed", "--out"),
-    "audit": ("--users", "--n", "--channel", "--coding", "--trials", "--seed", "--out"),
-    "figure1": ("--users", "--n", "--channel", "--snr", "--trials", "--seed", "--out"),
-}
-EXPERIMENTS = tuple(FLAGS_READ)
-
-# The value of a flag an experiment reads but the command line leaves out;
-# --help prints these. --n-range defaults to the single cap --n and --out to
-# <experiment>.csv.
-DEFAULTS = {
-    "--users": 3,
-    "--n": 2,
-    "--layer": SINGLE_LAYER,
-    "--channel": CONSTANT,
-    "--coding": DOUBLE,
-    "--snr": "10:60:10",
-    "--trials": 50,
-    "--seed": 0,
-}
-
-# Every flag but --experiment: the ExperimentSpec field it sets, its
-# argparse keywords and its help text.
-_ARGUMENTS = {
-    "--users": ("users", {"type": int}, "number of user pairs K"),
-    "--n": ("n", {"type": int}, "exponent cap n"),
-    "--n-range": ("n_range", {"metavar": "LO:HI"}, "inclusive cap range for dof_table, not with --n"),
-    "--layer": ("layer", {"choices": LAYERS}, "symbol-extension layering for dof_table"),
-    "--channel": ("channel_model", {"choices": CHANNEL_MODELS}, "channel model"),
-    "--coding": ("coding", {"choices": CODING_MODES}, "coding mode for verify/audit; sets the layer"),
-    "--snr": ("snr_db", {"metavar": "LO:HI:STEP"},
-              "SNR sweep in dB for figure1; write a negative sweep as --snr=-10:0:5"),
-    "--trials": ("trials", {"type": int}, "Monte Carlo trials, or seeds per table row"),
-    "--seed": ("seed", {"type": int}, "experiment seed"),
-    "--out": ("output_path", {"metavar": "OUT"}, "output CSV path (default <experiment>.csv)"),
-}
-
 # figure1 contrasts naive coding on one layer with double coding on two,
 # on the same channel draw.
 FIGURE1_CODINGS = (NAIVE, DOUBLE)
@@ -114,10 +73,8 @@ FIGURE1_CODINGS = (NAIVE, DOUBLE)
 class ExperimentSpec:
     """Resolved parameters of one experiment, ready to run.
 
-    Every field the experiment does not read (see ``FLAGS_READ``) is None.
-    dof_table keeps its caps in ``n_range`` alone, so its ``n`` is None and
-    only it has ``n_range`` and ``layer``; only verify and audit have a
-    ``coding``, and only figure1 has ``snr_db``.
+    Every field the experiment does not read (see ``FLAGS_READ``) is None,
+    and so is dof_table's ``n``, since it keeps its caps in ``n_range`` alone.
     """
 
     experiment: str
@@ -196,54 +153,6 @@ def _parse_snr(text: str) -> tuple[float, ...]:
     return tuple(points)
 
 
-def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
-    """Parse CLI flags into a validated ExperimentSpec.
-
-    Every flag defaults to None, so a flag given explicitly that the
-    experiment does not read (see ``FLAGS_READ``) is rejected by name; a
-    flag it reads but the command line leaves out takes its ``DEFAULTS``
-    value.
-    """
-    parser = argparse.ArgumentParser(
-        prog="symextia",
-        description="Symbol-extension interference alignment experiments.",
-    )
-    parser.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    for flag, (field, keywords, text) in _ARGUMENTS.items():
-        default = f" (default {DEFAULTS[flag]})" if flag in DEFAULTS else ""
-        parser.add_argument(flag, dest=field, **keywords, help=text + default)
-    args = parser.parse_args(argv)
-    experiment, read = args.experiment, FLAGS_READ[args.experiment]
-    given = [flag for flag, (field, _, _) in _ARGUMENTS.items() if getattr(args, field) is not None]
-    ignored = [flag for flag in given if flag not in read]
-    if ignored:
-        raise ParameterError(f"{experiment} does not use {', '.join(ignored)}")
-    if "--n" in given and "--n-range" in given:
-        raise ParameterError("--n and --n-range are mutually exclusive")
-    fields = {}
-    for flag, (field, _, _) in _ARGUMENTS.items():
-        value = getattr(args, field)
-        fields[field] = DEFAULTS.get(flag) if value is None and flag in read else value
-
-    if experiment == "dof_table":  # its caps live in n_range alone
-        n, text = fields["n"], fields["n_range"]
-        fields.update(n=None, n_range=(n, n) if text is None else _parse_colon_ints(text, "--n-range"))
-    codings = FIGURE1_CODINGS if experiment == "figure1" else (fields["coding"],)
-    if fields["channel_model"] == SLOW_CHANGING and any(slot_fold(c) == 1 for c in codings):
-        raise ParameterError(
-            "--channel slow_changing needs an even slot count, but a single layer has "
-            "D = (n+1)^N + n^N slots, which is always odd"
-        )
-    for field, minimum in (("trials", 1), ("seed", 0)):
-        if fields[field] is not None:
-            _check_int(f"--{field}", fields[field], minimum)
-    if fields["snr_db"] is not None:
-        fields["snr_db"] = _parse_snr(fields["snr_db"])
-    if fields["output_path"] is None:
-        fields["output_path"] = f"{experiment}.csv"
-    return ExperimentSpec(experiment=experiment, **fields)
-
-
 def _run_dof_table(spec: ExperimentSpec) -> Iterator[list]:
     yield ["users", "n", "layer", "dof_exact_num", "dof_exact_den", "dof_float"]
     for n in range(spec.n_range[0], spec.n_range[1] + 1):
@@ -309,19 +218,98 @@ def _run_figure1(spec: ExperimentSpec) -> Iterator[list]:
                    spec.trials, spec.seed]
 
 
+# Each experiment and the runner that yields its CSV rows, header first.
+_RUNNERS = {"dof_table": _run_dof_table, "verify": _run_verify, "audit": _run_audit, "figure1": _run_figure1}
+EXPERIMENTS = tuple(_RUNNERS)
+_DRAWS = ("verify", "audit", "figure1")  # the experiments that draw channels
+
+# One row per flag but --experiment: the ExperimentSpec field it sets, its
+# argparse keywords and help text, the experiments that read it, and the
+# value it takes when one of them runs without it (None for --n-range, which
+# falls back to the cap --n, and --out, to <experiment>.csv). A flag given to
+# an experiment that does not read it exits 2, since the run would ignore it.
+# The layer is a flag of dof_table only: verify and audit draw one layer per
+# raw slot their --coding folds, and figure1 always runs FIGURE1_CODINGS.
+_FLAGS = {
+    "--users": ("users", {"type": int}, "number of user pairs K", EXPERIMENTS, 3),
+    "--n": ("n", {"type": int}, "exponent cap n", EXPERIMENTS, 2),
+    "--n-range": ("n_range", {"metavar": "LO:HI"}, "inclusive cap range for dof_table, not with --n",
+                  ("dof_table",), None),
+    "--layer": ("layer", {"choices": LAYERS}, "symbol-extension layering for dof_table",
+                ("dof_table",), SINGLE_LAYER),
+    "--channel": ("channel_model", {"choices": CHANNEL_MODELS}, "channel model", _DRAWS, CONSTANT),
+    "--coding": ("coding", {"choices": CODING_MODES}, "coding mode for verify/audit; sets the layer",
+                 ("verify", "audit"), DOUBLE),
+    "--snr": ("snr_db", {"metavar": "LO:HI:STEP"},
+              "SNR sweep in dB for figure1; write a negative sweep as --snr=-10:0:5", ("figure1",), "10:60:10"),
+    "--trials": ("trials", {"type": int}, "Monte Carlo trials, or seeds per table row", _DRAWS, 50),
+    "--seed": ("seed", {"type": int}, "experiment seed", _DRAWS, 0),
+    "--out": ("output_path", {"metavar": "OUT"}, "output CSV path (default <experiment>.csv)",
+              EXPERIMENTS, None),
+}
+FLAGS_READ = {e: tuple(flag for flag, (*_, readers, _) in _FLAGS.items() if e in readers) for e in EXPERIMENTS}
+DEFAULTS = {flag: default for flag, (*_, default) in _FLAGS.items() if default is not None}
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="symextia",
+                                     description="Symbol-extension interference alignment experiments.")
+    parser.add_argument("--experiment", required=True, choices=EXPERIMENTS)
+    for flag, (field, keywords, text, _, default) in _FLAGS.items():
+        shown = "" if default is None else f" (default {default})"
+        parser.add_argument(flag, dest=field, **keywords, help=text + shown)
+    return parser
+
+
+_PARSER = _parser()  # built once, at import; parse_args only parses and resolves
+
+
+def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
+    """Parse CLI flags into a validated ExperimentSpec.
+
+    Every flag defaults to None, so a flag given explicitly that the
+    experiment does not read (see ``FLAGS_READ``) is rejected by name; a
+    flag it reads but the command line leaves out takes its ``DEFAULTS``
+    value.
+    """
+    fields = vars(_PARSER.parse_args(argv))
+    experiment = fields.pop("experiment")
+    given = [flag for flag, (field, *_) in _FLAGS.items() if fields[field] is not None]
+    ignored = [flag for flag in given if flag not in FLAGS_READ[experiment]]
+    if ignored:
+        raise ParameterError(f"{experiment} does not use {', '.join(ignored)}")
+    if "--n" in given and "--n-range" in given:
+        raise ParameterError("--n and --n-range are mutually exclusive")
+    for field, _, _, readers, default in _FLAGS.values():
+        if fields[field] is None and experiment in readers:
+            fields[field] = default
+
+    if experiment == "dof_table":  # its caps live in n_range alone
+        n, text = fields["n"], fields["n_range"]
+        fields.update(n=None, n_range=(n, n) if text is None else _parse_colon_ints(text, "--n-range"))
+    codings = FIGURE1_CODINGS if experiment == "figure1" else (fields["coding"],)
+    if fields["channel_model"] == SLOW_CHANGING and any(slot_fold(c) == 1 for c in codings):
+        raise ParameterError(
+            "--channel slow_changing needs an even slot count, but a single layer has "
+            "D = (n+1)^N + n^N slots, which is always odd"
+        )
+    for field, minimum in (("trials", 1), ("seed", 0)):
+        if fields[field] is not None:
+            _check_int(f"--{field}", fields[field], minimum)
+    if fields["snr_db"] is not None:
+        fields["snr_db"] = _parse_snr(fields["snr_db"])
+    if fields["output_path"] is None:
+        fields["output_path"] = f"{experiment}.csv"
+    return ExperimentSpec(experiment=experiment, **fields)
+
+
 def run_experiment(spec: ExperimentSpec) -> str:
     """Run one experiment and return the path of the CSV it wrote.
 
     The file is written only once every row is computed, so a run that
     raises leaves any earlier file at the path untouched.
     """
-    runner = {
-        "dof_table": _run_dof_table,
-        "verify": _run_verify,
-        "audit": _run_audit,
-        "figure1": _run_figure1,
-    }[spec.experiment]
-    rows = list(runner(spec))  # every row before the file is opened
+    rows = list(_RUNNERS[spec.experiment](spec))  # every row before the file is opened
     with open(spec.output_path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerows(rows)
     return spec.output_path

@@ -144,6 +144,11 @@ def _check_finite_nonzero(what: str, arr: np.ndarray) -> None:
         raise ParameterError(f"{what} must be nonzero")
 
 
+def _check_model(model: str) -> None:
+    if model not in CHANNEL_MODELS:
+        raise ParameterError(f"unknown channel model {model!r}")
+
+
 def _check_users(users: int, *labels: int) -> None:
     for label in labels:
         if _check_int("user label", label, 1) > users:
@@ -173,8 +178,7 @@ class ChannelSet:
         if self.entries.ndim != 3 or shape[0] != shape[1]:
             raise ParameterError(f"entries shape {shape} is not (users, users, slots)")
         _check_sizes(self.users, self.slots, 3, 2)
-        if self.model_tag not in CHANNEL_MODELS:
-            raise ParameterError(f"unknown channel model {self.model_tag!r}")
+        _check_model(self.model_tag)
         _check_finite_nonzero("channel entries", self.entries)
         if self.model_tag == CONSTANT:
             if np.any(self.entries != self.entries[:, :, :1]):
@@ -428,6 +432,7 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
     users, slots = _check_sizes(users, slots, 3, 2)
     _check_int("seed", seed, 0)
     check_byte_budget(16 * users**2 * slots, "channels for {} users over {} slots", users, slots)
+    _check_model(model)  # before the draw, which for iid is the whole tensor
     rng = np.random.default_rng(seed)
     if model == CONSTANT:
         base = _sample_unit_complex(rng, (users, users))

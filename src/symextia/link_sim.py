@@ -49,7 +49,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .cj_precoder import PrecoderSet, _stacked_precoders, build_precoders
+from .cj_precoder import PrecoderSet, _check_pair, _stacked_precoders, build_precoders
 from .errors import DegenerateRealizationError, ParameterError, SimulationError
 from .extension_core import (
     PLAIN,
@@ -87,6 +87,11 @@ def _usable_power(power: object) -> bool:
         return real and 0.0 < float(power) < math.inf and 1.0 / float(power) < math.inf
     except OverflowError:  # an int too large for a float
         return False
+
+
+def _check_power(power: object) -> None:
+    if not _usable_power(power):
+        raise ParameterError(f"power {power!r} must be a real number, positive and finite with a finite reciprocal")
 
 
 def snr_power(snr_db: float) -> float:
@@ -337,13 +342,11 @@ def transmit_blocks(
     ParameterError
         If ``power`` fails the power rule of ``_usable_power``, or ``symbols`` does not
         hold one 2-D block per user, all with the same block count and each
-        with that user's stream count, or if ``eff`` or ``pre`` holds a
-        stack of trials.
+        with that user's stream count, or if ``eff`` and ``pre`` are not
+        one trial of the same size (``_check_pair``).
     """
-    eff._single()
-    pre._single()
-    if not _usable_power(power):
-        raise ParameterError(f"power {power!r} must be a real number, positive and finite with a finite reciprocal")
+    _check_pair(eff, pre)
+    _check_power(power)
     if set(symbols) != set(pre.precoders):
         raise ParameterError(
             f"symbols must hold exactly users {sorted(pre.precoders)}, got keys {list(symbols)}"
@@ -516,14 +519,14 @@ def run_symbol_chain(
     ------
     ParameterError
         Unless ``blocks`` is an integer >= 1 and ``seed`` one >= 0, or if
-        ``power`` is not usable (``transmit_blocks`` checks it),
-        or the channels and coding have no construction (as in
-        ``simulate_link``).
+        ``power`` fails the power rule (checked before the draw), or the
+        channels and coding have no construction (as in ``simulate_link``).
     SimulationError
         If the draw stays degenerate after ``MAX_RESAMPLES`` redraws.
     """
     _check_int("blocks", blocks, 1)
     rng = np.random.default_rng(subseed(seed, _STREAMS["chain"]))  # first: it names a bad seed "seed"
+    _check_power(power)
     _, eff, pre, redraws = draw_realization(channels, coding, seed)
 
     symbols = {user: _complex_normal(rng, (d, blocks)) for user, d in pre.stream_counts.items()}

@@ -36,11 +36,10 @@ from symextia.align_verify import (
     RESIDUAL_TOL,
     AlignmentReport,
     RankResult,
-    _check_pair,
     numerical_rank,
     orthonormal_basis,
 )
-from symextia.cj_precoder import build_precoders, cascade_pairs, enumerate_tuples
+from symextia.cj_precoder import _check_pair, build_precoders, cascade_pairs, enumerate_tuples
 from symextia.errors import DegenerateRealizationError, SimulationError
 from symextia.extension_core import (
     DEGENERATE_REL_TOL,

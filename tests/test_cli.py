@@ -20,7 +20,7 @@ from oracles import slope_between
 
 
 # The ExperimentSpec field each flag sets.
-SPEC_FIELD = {flag: field for flag, (field, _, _) in cli._ARGUMENTS.items()}
+SPEC_FIELD = {flag: field for flag, (field, *_) in cli._FLAGS.items()}
 
 
 def read_csv(path):
@@ -269,6 +269,43 @@ class TestParseArgs:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError, match="--seed must be an integer >= 0"):
             parse_args(["--experiment", "verify", "--seed", "-1"])
+
+
+class TestFlagTable:
+    def test_computed_tables_keep_their_values(self):
+        # the values the hand-written tables held; the README documents them
+        assert cli.EXPERIMENTS == ("dof_table", "verify", "audit", "figure1")
+        assert cli.FLAGS_READ == {
+            "dof_table": ("--users", "--n", "--n-range", "--layer", "--out"),
+            "verify": ("--users", "--n", "--channel", "--coding", "--trials", "--seed", "--out"),
+            "audit": ("--users", "--n", "--channel", "--coding", "--trials", "--seed", "--out"),
+            "figure1": ("--users", "--n", "--channel", "--snr", "--trials", "--seed", "--out"),
+        }
+        assert list(cli.DEFAULTS.items()) == [
+            ("--users", 3), ("--n", 2), ("--layer", "single"), ("--channel", "constant"),
+            ("--coding", "double"), ("--snr", "10:60:10"), ("--trials", 50), ("--seed", 0),
+        ]
+
+    def test_help_names_each_default(self, capsys):
+        assert main(["--help"]) == 0
+        entries, flag = {}, None
+        for line in capsys.readouterr().out.split("options:")[1].splitlines():
+            if line.startswith("  -"):
+                flag = line.split()[0]
+                entries[flag] = ""
+            if flag:
+                entries[flag] += " " + line
+        entries = {flag: " ".join(entry.split()) for flag, entry in entries.items()}
+        assert set(entries) == {"-h,", "--experiment", *SPEC_FIELD}
+        for flag, default in cli.DEFAULTS.items():
+            assert entries[flag].endswith(f"(default {default})"), entries[flag]
+
+    def test_parser_is_built_once(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_args built a parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+        assert parse_args(["--experiment", "verify"]).trials == 50
 
 
 class TestDofTable:

@@ -101,6 +101,19 @@ class TestGenerateChannels:
         with pytest.raises(ParameterError):
             generate_channels(users, slots, model, 0)
 
+    def test_refuses_an_unknown_model_before_the_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew channels for an unknown model")
+
+        monkeypatch.setattr(extension_core, "_sample_unit_complex", refuse)
+        with pytest.raises(ParameterError, match="unknown channel model 'bogus'"):
+            generate_channels(3, 2 * 10**6, "bogus", 0)
+        # the size, seed and budget checks still come first
+        with pytest.raises(ParameterError, match="seed"):
+            generate_channels(3, 10, "bogus", -1)
+        with pytest.raises(CapacityError):
+            generate_channels(5, 2 * (83**11 + 82**11), "bogus", 0)
+
 
 class TestGenerateGains:
     def test_shapes_and_determinism(self):

@@ -294,6 +294,14 @@ class TestSymbolChain:
             with pytest.raises(ParameterError):
                 transmit_blocks(pre, eff, power, good)
 
+    def test_transmit_blocks_rejects_a_mismatched_pair(self):
+        # precoders for K=3 n=2 (D=5), an effective channel for K=3 n=1 (D=3)
+        _, _, pre, _ = draw_realization(generate_channels(3, 5, "iid", 0), "plain", 0)
+        _, eff, _, _ = draw_realization(generate_channels(3, 3, "iid", 0), "plain", 0)
+        symbols = {u: np.ones((d, 1), dtype=complex) for u, d in pre.stream_counts.items()}
+        with pytest.raises(ParameterError, match="does not match"):
+            transmit_blocks(pre, eff, 1.0, symbols)
+
     @pytest.mark.parametrize(
         "spoil",
         [
@@ -326,6 +334,17 @@ class TestSymbolChain:
         with pytest.raises(ParameterError, match="positive and finite"):
             run_symbol_chain(_double_channels(), "double", power=power, seed=0)
 
+
+    def test_chain_checks_its_power_before_the_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a realization for an unusable power")
+
+        monkeypatch.setattr(link_sim, "draw_realization", refuse)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            run_symbol_chain(_double_channels(), "double", power=0.0, seed=0)
+        # a bad seed is still the error named first
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            run_symbol_chain(_double_channels(), "double", power=0.0, seed=-1)
 
     @pytest.mark.parametrize("power", ["1", True, 1e-309, 10**400])
     def test_chain_rejects_a_power_that_fails_the_power_rule(self, power):
