@@ -6,7 +6,8 @@ a symbol extension of length T: user 1 transmits on all entrywise products
 all-ones vector (exponents up to n), user 3 on the same products with
 exponents up to n - 1 behind a fixed prefix, and every other user on a fixed
 diagonal rescaling of user 3's block. Per layer this yields
-D = (n+1)^N + n^N total streams across one signal space of dimension D.
+(n+1)^N + (K-1) n^N streams over one signal space of dimension
+D = (n+1)^N + n^N.
 
 D is strictly increasing in n, so an effective channel fixes the whole
 construction: K is ``eff.users`` and n is ``exponent_cap(K, eff.dim)``. The

@@ -27,9 +27,11 @@ not read, ``--n`` together with ``--n-range``, a negative ``--seed``, an
 ``--snr`` sweep with more float64 points than ``BYTE_BUDGET`` holds, a
 step too small to move it or points that repeat once rounded, and flags
 that could never run), and 1 when a module rejects the run (an exact dof
-with more digits than the interpreter prints included). The CSV is
-written only after every row is computed, so a failed run leaves the
-output path as it was.
+with more digits than the interpreter prints included) or the output path
+cannot be written. An output path that is a directory, lies in no existing
+directory or is not writable is refused before any row is computed, and
+the CSV is opened only after every row is computed, so a run that fails
+before then leaves the output path as it was.
 
 SNR is defined against unit-variance receiver noise: at ``--snr`` point
 ``s`` dB each user's expected transmit power per raw slot is ``10**(s/10)``.
@@ -40,6 +42,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -303,15 +306,32 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
     return ExperimentSpec(experiment=experiment, **fields)
 
 
+def _check_output(path: str) -> None:
+    """ParameterError unless ``path`` can name a writable file in an existing directory."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ParameterError(f"output path {path!r} is a directory")
+    if not os.path.isdir(folder):
+        raise ParameterError(f"output directory {folder!r} does not exist")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ParameterError(f"output path {path!r} is not writable")
+
+
 def run_experiment(spec: ExperimentSpec) -> str:
     """Run one experiment and return the path of the CSV it wrote.
 
-    The file is written only once every row is computed, so a run that
-    raises leaves any earlier file at the path untouched.
+    An output path that cannot be written is refused with ``ParameterError``
+    before any row is computed, and an ``OSError`` at open or write raises
+    the same. The file is opened only once every row is computed, so a run
+    that raises before then leaves any earlier file at the path untouched.
     """
+    _check_output(spec.output_path)
     rows = list(_RUNNERS[spec.experiment](spec))  # every row before the file is opened
-    with open(spec.output_path, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(rows)
+    try:
+        with open(spec.output_path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output path {spec.output_path!r}: {exc.strerror or exc}") from exc
     return spec.output_path
 
 

@@ -38,7 +38,11 @@ from .errors import CapacityError, DegenerateRealizationError, ParameterError
 CONSTANT = "constant"
 SLOW_CHANGING = "slow_changing"
 IID = "iid"
-CHANNEL_MODELS = (CONSTANT, SLOW_CHANGING, IID)
+# The one rule of every channel model: how many constant slot blocks it
+# draws, one (users, users) matrix each, held over slots // blocks slots in
+# order; None draws every slot on its own.
+_MODEL_BLOCKS = {CONSTANT: 1, SLOW_CHANGING: 2, IID: None}
+CHANNEL_MODELS = tuple(_MODEL_BLOCKS)
 
 PLAIN = "plain"
 NAIVE = "naive"
@@ -144,9 +148,17 @@ def _check_finite_nonzero(what: str, arr: np.ndarray) -> None:
         raise ParameterError(f"{what} must be nonzero")
 
 
-def _check_model(model: str) -> None:
-    if model not in CHANNEL_MODELS:
+def _check_model(model: str, slots: int) -> int | None:
+    """``model``'s block count in ``_MODEL_BLOCKS``.
+
+    ParameterError for an unknown model or a slot count its blocks do not divide.
+    """
+    if model not in _MODEL_BLOCKS:
         raise ParameterError(f"unknown channel model {model!r}")
+    blocks = _MODEL_BLOCKS[model]
+    if blocks is not None and slots % blocks:
+        raise ParameterError(f"{model} model requires a slot count divisible by {blocks}, got {slots}")
+    return blocks
 
 
 def _check_users(users: int, *labels: int) -> None:
@@ -167,7 +179,11 @@ class ChannelSet:
         in slot t. Treated as immutable once constructed. ``users`` (K, at
         least 3) and ``slots`` (T, at least 2) are read off its shape.
     model_tag : str
-        One of ``constant``, ``slow_changing``, ``iid``.
+        One of ``CHANNEL_MODELS``. A model is the number of constant slot
+        blocks it holds, from ``_MODEL_BLOCKS``: ``constant`` 1,
+        ``slow_changing`` 2 (the two halves), ``iid`` None (no rule on the
+        slots). ``ParameterError`` refuses an unknown model, a slot count
+        the blocks do not divide, and a block whose slots differ.
     """
 
     entries: np.ndarray
@@ -178,17 +194,12 @@ class ChannelSet:
         if self.entries.ndim != 3 or shape[0] != shape[1]:
             raise ParameterError(f"entries shape {shape} is not (users, users, slots)")
         _check_sizes(self.users, self.slots, 3, 2)
-        _check_model(self.model_tag)
+        blocks = _check_model(self.model_tag, self.slots)
         _check_finite_nonzero("channel entries", self.entries)
-        if self.model_tag == CONSTANT:
-            if np.any(self.entries != self.entries[:, :, :1]):
-                raise ParameterError("constant model requires identical slots")
-        elif self.model_tag == SLOW_CHANGING:
-            if self.slots % 2:
-                raise ParameterError("slow_changing model requires an even slot count")
-            halves = self.entries.reshape(self.users, self.users, 2, -1)
-            if np.any(halves != halves[..., :1]):
-                raise ParameterError("slow_changing model requires two constant halves")
+        if blocks is not None:
+            held = self.entries.reshape(self.users, self.users, blocks, -1)
+            if np.any(held != held[..., :1]):
+                raise ParameterError(f"{self.model_tag} model requires constant blocks of {self.slots // blocks} slots")
 
     @property
     def users(self) -> int:
@@ -407,11 +418,13 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
     users : int
         Number of user pairs K >= 3.
     slots : int
-        Extension length T >= 2 (even for ``slow_changing``).
+        Extension length T >= 2, divisible by the model's block count.
     model : str
-        ``constant`` repeats one draw across all slots, ``slow_changing``
-        holds two draws over the two halves of the extension, ``iid``
-        draws every slot independently.
+        One of ``CHANNEL_MODELS``, drawn as its number of constant slot
+        blocks in ``_MODEL_BLOCKS``: ``constant`` 1, ``slow_changing`` 2,
+        ``iid`` None. Each block's (users, users) matrix is drawn in turn
+        and repeated over its T / blocks slots; ``iid`` draws the whole
+        (users, users, T) tensor at once.
     seed : int
         Seed for the local random stream; equal seeds reproduce the
         realization exactly.
@@ -423,8 +436,10 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
     Raises
     ------
     ParameterError
-        For out-of-range sizes, a ``seed`` that is not an integer >= 0, or an
-        unknown model tag.
+        For out-of-range sizes, a ``seed`` that is not an integer >= 0, an
+        unknown model tag, or a slot count the model's blocks do not divide
+        (an odd one under ``slow_changing``). The model is checked after the
+        sizes, seed and budget and before anything is drawn.
     CapacityError
         If the complex128 tensor, 16 * users^2 * slots bytes, would exceed
         ``BYTE_BUDGET``; checked before anything is allocated.
@@ -432,16 +447,13 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
     users, slots = _check_sizes(users, slots, 3, 2)
     _check_int("seed", seed, 0)
     check_byte_budget(16 * users**2 * slots, "channels for {} users over {} slots", users, slots)
-    _check_model(model)  # before the draw, which for iid is the whole tensor
+    blocks = _check_model(model, slots)  # before the draw, which can be the whole tensor
     rng = np.random.default_rng(seed)
-    if model == CONSTANT:
-        base = _sample_unit_complex(rng, (users, users))
-        entries = np.repeat(base[:, :, None], slots, axis=2)
-    elif model == SLOW_CHANGING:
-        halves = [_sample_unit_complex(rng, (users, users)) for _ in range(2)]
-        entries = np.repeat(np.stack(halves, axis=2), [slots // 2, slots - slots // 2], axis=2)
-    else:
+    if blocks is None:
         entries = _sample_unit_complex(rng, (users, users, slots))
+    else:
+        draws = [_sample_unit_complex(rng, (users, users)) for _ in range(blocks)]
+        entries = np.repeat(np.stack(draws, axis=2), slots // blocks, axis=2)
     return ChannelSet(entries=entries, model_tag=model)
 
 

@@ -13,6 +13,9 @@ one loop drew every realization; the stacked receiver terms and the chunk
 draws must match it bit for bit. ``parent_build_effective`` is the slot
 fold as ``build_effective`` spelled it before ``EffectiveChannel`` computed
 its own diagonals; the class must match it bit for bit.
+``parent_generate_channels`` is the channel draw as it read before one
+table of slot blocks named every channel model, one branch per model;
+``generate_channels`` must match it bit for bit.
 ``parent_check_alignment``, with its ``parent_signal_space_rank`` and
 ``parent_receiver_composite``, is the alignment check as it read before
 ``PrecoderSet`` owned the receiver blocks and the composite layout, one
@@ -42,10 +45,13 @@ from symextia.align_verify import (
 from symextia.cj_precoder import _check_pair, build_precoders, cascade_pairs, enumerate_tuples
 from symextia.errors import DegenerateRealizationError, SimulationError
 from symextia.extension_core import (
+    CONSTANT,
     DEGENERATE_REL_TOL,
     PLAIN,
     SLOT_FOLD,
+    SLOW_CHANGING,
     _STREAMS,
+    _sample_unit_complex,
     build_effective,
     generate_gains,
     subseed,
@@ -389,6 +395,25 @@ def parent_build_effective(channels, gains, coding: str) -> np.ndarray:
                 f"paired gains cancelled on link ({k + 1}, {j + 1}); redraw the gain plan"
             )
     return diagonals
+
+
+def parent_generate_channels(users: int, slots: int, model: str, seed: int) -> np.ndarray:
+    """The channel tensor as ``generate_channels`` drew it with one branch per model.
+
+    A verbatim copy of that function's drawing ladder; its argument checks
+    are left to the package, and it returns the entries it used to hand to
+    ``ChannelSet``.
+    """
+    rng = np.random.default_rng(seed)
+    if model == CONSTANT:
+        base = _sample_unit_complex(rng, (users, users))
+        entries = np.repeat(base[:, :, None], slots, axis=2)
+    elif model == SLOW_CHANGING:
+        halves = [_sample_unit_complex(rng, (users, users)) for _ in range(2)]
+        entries = np.repeat(np.stack(halves, axis=2), [slots // 2, slots - slots // 2], axis=2)
+    else:
+        entries = _sample_unit_complex(rng, (users, users, slots))
+    return entries
 
 
 def parent_receiver_composite(eff, pre, receiver: int) -> np.ndarray:

@@ -594,6 +594,31 @@ class TestMain:
         assert rc == 1
         assert out.read_bytes() == b"earlier,good\n1,2\n"
 
+    @pytest.mark.parametrize("where", ["missing_parent", "directory"])
+    def test_unwritable_out_exits_one_before_any_row(self, where, tmp_path, capsys, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("computed a row for an output path that cannot be written")
+
+        monkeypatch.setitem(cli._RUNNERS, "dof_table", refuse)
+        out = tmp_path / "no" / "such" / "x.csv" if where == "missing_parent" else tmp_path
+        assert main(["--experiment", "dof_table", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_os_error_at_open_is_a_typed_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        out = tmp_path / "dof.csv"
+        out.write_bytes(b"earlier,good\n")
+        monkeypatch.setattr(cli, "open", fail, raising=False)
+        with pytest.raises(ParameterError, match="cannot write output path .*Permission denied"):
+            run_experiment(parse_args(["--experiment", "dof_table", "--out", str(out)]))
+        assert main(["--experiment", "dof_table", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output path")
+        assert out.read_bytes() == b"earlier,good\n"
+
     def test_parse_error_exit_code(self, capsys):
         rc = main(["--experiment", "figure1", "--coding", "naive"])
         assert rc == 2

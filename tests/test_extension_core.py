@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import symextia.extension_core as extension_core
 import symextia.link_sim as link_sim
-from oracles import parent_build_effective
+from oracles import parent_build_effective, parent_generate_channels
 from symextia import (
     CapacityError,
     ChannelSet,
@@ -34,7 +35,7 @@ from symextia import (
     signal_space_rank,
     subseed,
 )
-from symextia.extension_core import CODING_MODES, MIN_DRAW_MAGNITUDE, slot_fold
+from symextia.extension_core import CHANNEL_MODELS, CODING_MODES, MIN_DRAW_MAGNITUDE, slot_fold
 from symextia.link_sim import draw_until_built
 
 
@@ -113,6 +114,78 @@ class TestGenerateChannels:
             generate_channels(3, 10, "bogus", -1)
         with pytest.raises(CapacityError):
             generate_channels(5, 2 * (83**11 + 82**11), "bogus", 0)
+
+
+class TestModelTable:
+    def test_models_keep_their_names_and_order(self):
+        assert CHANNEL_MODELS == ("constant", "slow_changing", "iid")
+        assert CHANNEL_MODELS == tuple(extension_core._MODEL_BLOCKS)
+
+    @pytest.mark.parametrize("model", CHANNEL_MODELS)
+    @pytest.mark.parametrize("users", [3, 4, 5])
+    @pytest.mark.parametrize("slots", [2, 4, 10, 42, 550])
+    def test_draws_match_the_parent_ladder(self, model, users, slots):
+        for seed in (0, 1, 7, 2**63 + 5):
+            want = parent_generate_channels(users, slots, model, seed).tobytes()
+            assert generate_channels(users, slots, model, seed).entries.tobytes() == want
+        got = generate_channels(np.int64(users), np.int16(slots), model, np.uint64(2**63 + 5))
+        assert got.entries.tobytes() == want
+
+    def test_odd_slow_changing_slot_count_refused_before_the_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew channels for a slot count the model cannot hold")
+
+        monkeypatch.setattr(extension_core, "_sample_unit_complex", refuse)
+        for slots in (3, 7, 2_000_001):
+            with pytest.raises(ParameterError, match="slow_changing model requires a slot count divisible by 2"):
+                generate_channels(3, slots, "slow_changing", 0)
+
+    def test_odd_slow_changing_refusal_allocates_nothing(self):
+        generate_channels(3, 4, "slow_changing", 0)  # warm up lazy imports before tracing
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError):
+                generate_channels(3, 2_000_001, "slow_changing", 0)  # 288 MB once drawn
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class TestChannelSetModels:
+    """``ChannelSet`` built by hand, so every model's slot rule is checked on its own."""
+
+    @staticmethod
+    def _blocks(*values):
+        """A 3-user tensor whose slot t is one fixed channel matrix times ``values[t]``."""
+        base = generate_channels(3, 2, "constant", 4).entries[:, :, :1]
+        return base * np.asarray(values, dtype=complex)
+
+    def test_constant_with_one_changed_slot_refused(self):
+        assert ChannelSet(self._blocks(1, 1, 1, 1), "constant").slots == 4
+        with pytest.raises(ParameterError, match="constant model requires constant blocks of 4 slots"):
+            ChannelSet(self._blocks(1, 1, 2, 1), "constant")
+
+    def test_slow_changing_half_whose_slots_differ_refused(self):
+        assert ChannelSet(self._blocks(1, 1, 2, 2), "slow_changing").slots == 4
+        with pytest.raises(ParameterError, match="slow_changing model requires constant blocks of 2 slots"):
+            ChannelSet(self._blocks(1, 1, 2, 3), "slow_changing")
+        with pytest.raises(ParameterError, match="constant blocks"):
+            ChannelSet(self._blocks(1, 2, 2, 2), "slow_changing")
+
+    def test_odd_slow_changing_slot_count_refused(self):
+        with pytest.raises(ParameterError, match="divisible by 2, got 5"):
+            ChannelSet(self._blocks(1, 1, 1, 1, 1), "slow_changing")
+
+    def test_any_finite_nonzero_iid_tensor_accepted(self):
+        rng = np.random.default_rng(3)
+        entries = rng.standard_normal((4, 4, 7)) + 1j * rng.uniform(1, 2, (4, 4, 7))
+        assert ChannelSet(entries, "iid").slots == 7
+        assert ChannelSet(self._blocks(1, 1, 1), "iid").slots == 3
+
+    def test_unknown_model_refused(self):
+        with pytest.raises(ParameterError, match="unknown channel model 'rayleigh'"):
+            ChannelSet(self._blocks(1, 1), "rayleigh")
 
 
 class TestGenerateGains:
