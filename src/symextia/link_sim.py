@@ -6,8 +6,9 @@ each raw slot that folds onto it times that slot's transmit gain, and scales
 the block so the expected transmit power per raw slot equals the configured
 power. Receivers apply their receive gains, fold the slots back down,
 pre-whiten the colored combined noise, and zero-force on their composite
-via a pseudoinverse. How slots fold is read from ``EffectiveChannel``
-(``fold``, ``tx_gains``, ``rx_gains``), so nothing here branches on coding.
+with the rows of its pseudoinverse that recover the desired streams. How
+slots fold is read from ``EffectiveChannel`` (``fold``, ``tx_gains``,
+``rx_gains``), so nothing here branches on coding.
 The channels and the coding fix the construction: ``build_precoders`` reads
 the user count and the exponent cap off each effective channel, so a slot
 count that no construction has is a ``ParameterError`` from the first draw.
@@ -23,7 +24,8 @@ trials. ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
 composites). One redraw loop, ``_draw``, draws every realization, a chunk's
 or the single trial of ``draw_realization``, as one ``EffectiveChannel``
 stack, and a chunk's precoders are one stacked build. A chunk then makes one
-call for its scale factors and one stacked ``pinv`` call per receiver; no
+call for its scale factors and one stacked SVD per receiver, from which only
+the receiver's rows of ``pinv`` are multiplied out (``_pinv_rows``); no
 ``GainPlan`` or ``EffectiveChannel`` is made per trial. ``run_symbol_chain``
 calls the same functions on one trial. Every stacked step is entrywise along
 the trial axis, or a reduction or factorisation of one trial's slice, and
@@ -70,12 +72,19 @@ MAX_RESAMPLES = 20
 
 # Byte cap on one stack of (D, D) complex composites, 16·D² bytes per trial.
 # ``simulate_link`` runs its trials in chunks this cap allows (at least one
-# trial), so memory does not grow with the trial count. A chunk peaks at
-# about ten times its composite stack (realizations, whitened blocks, pinv
-# work arrays). 128 KiB stacks 18 trials at D = 21, which is most of the
-# gain of stacking all 50 of a run at a quarter of the memory, and runs
-# one trial at a time from D = 65 on.
+# trial), so memory does not grow with the trial count. A chunk's numpy
+# arrays peak at about nine times its composite stack at D = 21 and 33, and
+# 7.5 times at D = 275 (realizations, whitened blocks, SVD factors, as
+# tracemalloc counts them; LAPACK's own workspace comes on top). 128 KiB
+# stacks 18 trials at D = 21, which is most of the gain of stacking all 50
+# of a run at a quarter of the memory, and runs one trial at a time from
+# D = 65 on.
 ZF_STACK_BYTES = 1 << 17
+
+# numpy's default ``pinv`` cutoff: the zero-forcer zeroes every singular value
+# at or below this times the largest. ``align_verify._rank_cutoff`` cuts at
+# D·eps instead; the two answer one question two ways (ROADMAP item 7).
+_PINV_RCOND = 1e-15
 
 Built = TypeVar("Built")
 
@@ -299,11 +308,14 @@ def effective_noise_std(eff: EffectiveChannel, receiver: int) -> np.ndarray:
 
 
 def combine_received(y: np.ndarray, eff: EffectiveChannel, receiver: int) -> np.ndarray:
-    """Apply receive gains and fold a raw T-slot block down to D effective slots."""
+    """Apply receive gains and fold a raw T-slot block down to D effective slots.
+
+    ParameterError unless ``y`` has T slots along its first axis.
+    """
     eff._single()
     gains = eff.rx_gains(receiver)
-    if y.shape[0] != eff.channels.slots:
-        raise ParameterError(f"block has {y.shape[0]} slots, expected {eff.channels.slots}")
+    if y.shape[:1] != (eff.channels.slots,):
+        raise ParameterError(f"block of shape {y.shape} does not have {eff.channels.slots} slots on its first axis")
     folded = y.reshape(gains.shape + y.shape[1:])
     return (gains.reshape(gains.shape + (1,) * (y.ndim - 1)) * folded).sum(axis=0)
 
@@ -370,6 +382,25 @@ def transmit_blocks(
     return out
 
 
+def _pinv_rows(composite: np.ndarray, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of ``np.linalg.pinv(composite)``, bit for bit, without the others.
+
+    ``composite`` is a (..., D, D) stack the caller owns; it is conjugated in
+    place. The steps are ``pinv``'s own: one SVD of the conjugate (stacked,
+    each slice factored on its own), singular values at or below
+    ``_PINV_RCOND`` times the largest zeroed, the rest inverted, and
+    V·diag(1/σ)·Uᴴ multiplied out, but only for the rows asked for. At least
+    two rows are multiplied: numpy sends a one-row product to ``gemv``,
+    which sums in another order than the ``gemm`` of ``pinv``.
+    """
+    u, s, vh = np.linalg.svd(np.conjugate(composite, out=composite), full_matrices=False)
+    large = s > _PINV_RCOND * np.amax(s, axis=-1, keepdims=True)
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    v_rows = np.swapaxes(vh, -1, -2)[..., : max(rows, 2), :]
+    return np.matmul(v_rows, np.multiply(s[..., None], np.swapaxes(u, -1, -2)))[..., :rows, :]
+
+
 def _zero_forcer(
     pre: PrecoderSet, eff: EffectiveChannel, k: int, scales: np.ndarray
 ) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray]:
@@ -382,16 +413,17 @@ def _zero_forcer(
     of its effective slot; and the rows of the pseudoinverse of
     ``pre.composite`` of those blocks that recover user ``k``'s streams.
     ``eff``, ``pre`` and ``scales`` may hold the same stack of trials, and
-    then so does every result. One stacked ``pinv`` call covers every
-    trial: it factors each (D, D) slice on its own, so the rows are the
-    same bits as one call per trial.
+    then so does every result. One stacked SVD covers every trial
+    (``_pinv_rows``): it factors each (D, D) slice on its own, and only the
+    d_k rows are multiplied out, so the rows are the same bits as one
+    ``pinv`` call per trial. The fresh blocks are whitened in place.
     """
     noise_std = effective_noise_std(eff, k)
-    blocks = {
-        j: scales[..., j - 1, None, None] * block / noise_std[..., :, None]
-        for j, block in pre.received_blocks(eff.diagonals[..., k - 1, :, :]).items()
-    }
-    return noise_std, blocks, np.linalg.pinv(pre.composite(blocks, k))[..., : pre.stream_counts[k], :]
+    blocks = pre.received_blocks(eff.diagonals[..., k - 1, :, :])
+    for j, block in blocks.items():
+        block *= scales[..., j - 1, None, None]
+        block /= noise_std[..., :, None]
+    return noise_std, blocks, _pinv_rows(pre.composite(blocks, k), pre.stream_counts[k])
 
 
 def _receiver_terms(

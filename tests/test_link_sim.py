@@ -280,8 +280,9 @@ class TestSymbolChain:
         y = np.arange(10).reshape(5, 2).astype(complex)
         assert np.array_equal(combine_received(y, eff, 1), y)
         assert np.all(effective_noise_std(eff, 2) == 1.0)
-        with pytest.raises(ParameterError):
-            combine_received(y[:4], eff, 1)
+        for bad in (y[:4], np.zeros(())):
+            with pytest.raises(ParameterError, match="slots on its first axis"):
+                combine_received(bad, eff, 1)
 
     def test_transmit_blocks_validates_streams(self):
         ch = _double_channels()
@@ -469,8 +470,8 @@ class TestStackedMatchesPerTrial:
         ch, coding, link = _link_case(3, 10, "double", "iid", 1, trials=7)
         monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * effective_dim(3, 10) ** 2)
         calls = []
-        real_pinv = np.linalg.pinv
-        monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(len(a)) or real_pinv(a))
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or real_svd(a, **kw))
         got = simulate_link(ch, coding, link)
         monkeypatch.undo()
         # receivers run inside each chunk: chunks of 1 trial, or 3 + 3 + 1 trials
@@ -490,6 +491,47 @@ class TestStackedMatchesPerTrial:
                 tracemalloc.stop()
 
         assert peak(simulate_link) <= peak(oracles.per_trial_simulate_link) + composite
+
+
+def _assert_rows_of_pinv(monkeypatch, composite):
+    """``_pinv_rows`` equals the first d rows of ``np.linalg.pinv`` bit for bit, for every d.
+
+    The stack is factored once: every d forms its rows from copies of that
+    factorisation, handed out only for the thin SVD of the conjugate.
+    """
+    want = np.linalg.pinv(composite)
+    factors = np.linalg.svd(np.conjugate(composite), full_matrices=False)
+
+    def svd(a, full_matrices=True):
+        assert not full_matrices and np.array_equal(a, np.conjugate(composite))
+        return tuple(f.copy() for f in factors)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for d in range(1, composite.shape[-1] + 1):
+        assert np.array_equal(link_sim._pinv_rows(composite.copy(), d), want[..., :d, :]), d
+
+
+class TestPinvRows:
+    # one trial as the sampled chain passes it, and stacks of 1 and 3 trials
+    @pytest.mark.parametrize("trials", [(), (1,), (3,)])
+    @pytest.mark.parametrize("dim", [3, 5, 21, 33, 275])
+    def test_rows_of_pinv(self, monkeypatch, dim, trials):
+        rng = np.random.default_rng(dim)
+        shape = trials + (dim, dim)
+        _assert_rows_of_pinv(monkeypatch, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("dim", [3, 21])
+    def test_rows_of_pinv_where_the_cutoff_bites(self, monkeypatch, dim):
+        # a full slice, one with two equal columns, and an all-zero slice
+        rng = np.random.default_rng(dim)
+        shape = (3, dim, dim)
+        composite = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        composite[1, :, 0] = composite[1, :, -1]
+        composite[2] = 0
+        s = np.linalg.svd(composite, compute_uv=False)
+        assert s[0, -1] > link_sim._PINV_RCOND * s[0, 0]
+        assert s[1, -1] <= link_sim._PINV_RCOND * s[1, 0] and not s[2].any()
+        _assert_rows_of_pinv(monkeypatch, composite)
 
 
 def _assert_same_realization(got, want):
