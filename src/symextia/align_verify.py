@@ -9,18 +9,29 @@ The checks are noise-free and scale-free: residuals are relative to the
 block they measure and the rank cutoff is relative to the largest singular
 value, so the SNR (each user's transmit power per raw slot over the
 unit-variance receiver noise, as in ``link_sim``) does not enter them.
+
+``check_alignment`` runs two kinds of dense SVD at each receiver j != 1: a
+thin SVD with vectors for the containment basis of H_j1 V_1
+(``orthonormal_basis``) and a values-only SVD for the rank certificate
+(``numerical_rank``). numpy's SVD with vectors releases the GIL while its
+values-only SVD holds it, so the basis runs on one helper thread while the
+certificate runs on the calling thread. Both read the arrays a serial pass
+would, so every residual and certificate keeps its bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .cj_precoder import CascadeSet, PrecoderSet, _check_pair
 from .errors import ParameterError
 from .extension_core import EffectiveChannel, _check_users
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 RESIDUAL_TOL = 1e-8
 DISTINCTNESS_TOL = 1e-9
@@ -68,8 +79,18 @@ def _rank_cutoff(shape: tuple[int, ...], s: np.ndarray) -> float | None:
     return max(shape) * _EPS * float(s[0])
 
 
+def _require_finite(matrix: np.ndarray) -> None:
+    """ParameterError unless every entry is finite: an SVD of inf or NaN returns NaN or fails to converge."""
+    if not np.all(np.isfinite(matrix)):
+        raise ParameterError("a rank certificate or basis needs a finite matrix")
+
+
 def numerical_rank(matrix: np.ndarray) -> RankResult:
-    """Rank, sigma_min/sigma_max margin, and the cutoff max(shape)*eps*sigma_max."""
+    """Rank, sigma_min/sigma_max margin, and the cutoff max(shape)*eps*sigma_max.
+
+    A non-finite matrix raises ``ParameterError``.
+    """
+    _require_finite(matrix)
     s = np.linalg.svd(matrix, compute_uv=False)
     threshold = _rank_cutoff(matrix.shape, s)
     if threshold is None:
@@ -78,7 +99,11 @@ def numerical_rank(matrix: np.ndarray) -> RankResult:
 
 
 def orthonormal_basis(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the numerical column space (SVD with rank cutoff)."""
+    """Orthonormal basis of the numerical column space (SVD with rank cutoff).
+
+    A non-finite matrix raises ``ParameterError``.
+    """
+    _require_finite(matrix)
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
     threshold = _rank_cutoff(matrix.shape, s)
     return u[:, :0] if threshold is None else u[:, s > threshold]
@@ -103,6 +128,21 @@ def signal_space_rank(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) ->
     return numerical_rank(receiver_composite(eff, pre, receiver))
 
 
+def _block_norms(blocks: dict[int, np.ndarray], receiver: int) -> dict[int, float]:
+    """Frobenius norm of each block at ``receiver``; ParameterError unless every one is finite and nonzero.
+
+    The residuals divide by these norms, and an inf or NaN entry makes its
+    block's norm inf or NaN, so this one test also keeps non-finite blocks
+    from every SVD.
+    """
+    with np.errstate(over="ignore"):
+        norms = {user: np.linalg.norm(block) for user, block in blocks.items()}
+    for user, norm in norms.items():
+        if not 0.0 < norm < np.inf:
+            raise ParameterError(f"block H_{receiver}{user} V_{user} has norm {float(norm)}, not a finite nonzero one")
+    return norms
+
+
 def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
     """Verify every alignment condition and rank certificate in one pass over receivers.
 
@@ -113,32 +153,71 @@ def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
     receiver's ``PrecoderSet.composite`` gets its ``numerical_rank``. The
     verdict is ``pass`` only if every residual is at or below
     ``RESIDUAL_TOL`` and every composite has full rank D.
+
+    At each receiver j != 1 the basis SVD of H_j1 V_1 runs on one helper
+    thread while the calling thread runs that receiver's rank certificate.
+    numpy's SVD with vectors releases the GIL and its values-only SVD holds
+    it, so the pair overlaps only this way round, and two certificates never
+    overlap each other. Each SVD reads the same array as a serial pass, so
+    the report has the same bits on any number of CPUs. If both SVDs at one
+    receiver raise, the basis error propagates, as it would serially. One
+    helper serves every receiver and is joined before this returns or
+    raises.
+
+    Every block is checked on the calling thread before any SVD reads it: a
+    block with a non-finite entry or a norm of 0 or inf, or a column of
+    H_13 V_3 with no energy to scale-match against, raises ``ParameterError``.
     """
+    # imported here, not at module level, so runs that never verify do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_pair(eff, pre)
     residuals: dict[str, float] = {}
     rank_results: dict[int, RankResult] = {}
-    for j in range(1, eff.users + 1):
-        blocks = pre.received_blocks(eff.diagonals[j - 1])
-        if j == 1:
-            reference = blocks[3]
-            for i in (2, *range(4, eff.users + 1)):
-                target = blocks[i]
-                coef = np.sum(reference.conj() * target, axis=0) / np.sum(np.abs(reference) ** 2, axis=0)
-                residuals[f"equality_rx1_tx{i}"] = float(
-                    np.linalg.norm(target - reference * coef[None, :]) / np.linalg.norm(target)
-                )
-        else:
-            basis = orthonormal_basis(blocks[1])
-            for k in (k for k in range(2, eff.users + 1) if k != j):
-                rejected = blocks[k] - basis @ (basis.conj().T @ blocks[k])
-                residuals[f"contain_rx{j}_tx{k}"] = float(np.linalg.norm(rejected) / np.linalg.norm(blocks[k]))
-        rank_results[j] = numerical_rank(pre.composite(blocks, j))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for j in range(1, eff.users + 1):
+            receiver_residuals, rank_results[j] = _receiver_checks(eff, pre, j, helper)
+            residuals.update(receiver_residuals)
     ok = all(r <= RESIDUAL_TOL for r in residuals.values()) and all(
         res.rank == eff.dim for res in rank_results.values()
     )
     return AlignmentReport(
         residuals=residuals, rank_results=rank_results, verdict="pass" if ok else "fail"
     )
+
+
+def _receiver_checks(
+    eff: EffectiveChannel, pre: PrecoderSet, j: int, helper: Executor
+) -> tuple[dict[str, float], RankResult]:
+    """Receiver ``j``'s residuals, in key order, and its rank certificate, for ``check_alignment``.
+
+    A function of its own, so that the receiver's blocks, basis and products
+    are freed before the next receiver's blocks are formed.
+    """
+    blocks = pre.received_blocks(eff.diagonals[j - 1])
+    norms = _block_norms(blocks, j)
+    residuals: dict[str, float] = {}
+    if j == 1:
+        reference = blocks[3]
+        energy = np.sum(np.abs(reference) ** 2, axis=0)
+        if not np.all(energy > 0):
+            raise ParameterError("block H_13 V_3 has a column of zero energy to scale-match against")
+        for i in (2, *range(4, eff.users + 1)):
+            target = blocks[i]
+            coef = np.sum(reference.conj() * target, axis=0) / energy
+            residuals[f"equality_rx1_tx{i}"] = float(
+                np.linalg.norm(target - reference * coef[None, :]) / norms[i]
+            )
+        return residuals, numerical_rank(pre.composite(blocks, j))
+    pending = helper.submit(orthonormal_basis, blocks[1])
+    try:
+        rank = numerical_rank(pre.composite(blocks, j))
+    finally:
+        basis = pending.result()
+    for k in (k for k in range(2, eff.users + 1) if k != j):
+        rejected = blocks[k] - basis @ (basis.conj().T @ blocks[k])
+        residuals[f"contain_rx{j}_tx{k}"] = float(np.linalg.norm(rejected) / norms[k])
+    return residuals, rank
 
 
 def _pair_gaps(a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from oracles import (
     partner_residuals,
 )
 from symextia import (
+    ChannelSet,
     ParameterError,
     PrecoderSet,
     build_cascades,
@@ -103,6 +106,16 @@ class TestNumericalRank:
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 2)))[0] == 0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("fn", [numerical_rank, orthonormal_basis])
+    def test_non_finite_matrix_raises(self, fn, bad):
+        # an inf entry used to give rank 0 with NaN margin, or an empty basis;
+        # a NaN entry an untyped LinAlgError
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            fn(m)
 
     def test_basis_spans_column_space_only(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])  # rank 1
@@ -333,7 +346,7 @@ def _drawn(users, n, coding, model):
 
 def _assert_same_report(report, parent):
     assert list(report.residuals.items()) == list(parent.residuals.items())  # key order too
-    assert report.rank_results == parent.rank_results
+    assert list(report.rank_results.items()) == list(parent.rank_results.items())  # receiver order too
     assert report.verdict == parent.verdict
 
 
@@ -409,3 +422,156 @@ class TestValidation:
             signal_space_rank(eff, pre, 0)
         with pytest.raises(ParameterError):
             receiver_composite(eff, pre, 5)
+
+
+class _RankFailed(Exception):
+    pass
+
+
+class _BasisFailed(Exception):
+    pass
+
+
+def _fail_at_receiver3(monkeypatch, eff, pre, rank=False, basis=False):
+    """Make ``numerical_rank`` and/or ``orthonormal_basis`` raise on receiver 3's input only."""
+    composite3 = receiver_composite(eff, pre, 3)
+    block3 = pre.received_blocks(eff.diagonals[2])[1]
+    real_rank, real_basis = align_verify.numerical_rank, align_verify.orthonormal_basis
+
+    def rank_or_fail(matrix):
+        if rank and np.array_equal(matrix, composite3):
+            raise _RankFailed
+        return real_rank(matrix)
+
+    def basis_or_fail(matrix):
+        if basis and np.array_equal(matrix, block3):
+            raise _BasisFailed
+        return real_basis(matrix)
+
+    monkeypatch.setattr(align_verify, "numerical_rank", rank_or_fail)
+    monkeypatch.setattr(align_verify, "orthonormal_basis", basis_or_fail)
+
+
+def _record_svd_calls(monkeypatch):
+    """Wrap ``numerical_rank`` and ``orthonormal_basis``; each call appends (name, thread id, input finite)."""
+    calls = []
+    for name in ("numerical_rank", "orthonormal_basis"):
+        def wrapped(matrix, name=name, real=getattr(align_verify, name)):
+            calls.append((name, threading.get_ident(), bool(np.all(np.isfinite(matrix)))))
+            return real(matrix)
+        monkeypatch.setattr(align_verify, name, wrapped)
+    return calls
+
+
+class TestBasisHelper:
+    def test_bases_on_one_helper_certificates_on_caller(self, monkeypatch):
+        eff, pre = _double_setup(2, users=4, n=1)
+        calls = _record_svd_calls(monkeypatch)
+        assert check_alignment(eff, pre).verdict == "pass"
+        caller = threading.get_ident()
+        assert [t for name, t, _ in calls if name == "numerical_rank"] == [caller] * 4
+        # the K - 1 bases all ran on one thread other than the caller's
+        helpers = [t for name, t, _ in calls if name == "orthonormal_basis"]
+        assert len(helpers) == 3 and len(set(helpers)) == 1 and helpers[0] != caller
+
+    def test_same_report_under_frequent_thread_switches(self):
+        # the helper only reads H_j1 V_1 and returns a fresh basis; a 1 us switch
+        # interval interleaves the two threads as finely as the interpreter allows
+        eff, pre = _double_setup(3, users=4, n=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = [check_alignment(eff, pre) for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        parent = parent_check_alignment(eff, pre)
+        for report in reports:
+            _assert_same_report(report, parent)
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        eff, pre = _double_setup(2, users=4, n=1)
+        before = threading.active_count()
+        check_alignment(eff, pre)
+        assert threading.active_count() == before
+        for failing in ({"rank": True}, {"basis": True}, {"rank": True, "basis": True}):
+            with monkeypatch.context() as m:
+                _fail_at_receiver3(m, eff, pre, **failing)
+                with pytest.raises((_RankFailed, _BasisFailed)):
+                    check_alignment(eff, pre)
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("rank, basis, raised", [(True, False, _RankFailed), (False, True, _BasisFailed)])
+    def test_error_at_receiver3_propagates_with_its_type(self, monkeypatch, rank, basis, raised):
+        eff, pre = _double_setup(2, users=4, n=1)
+        _fail_at_receiver3(monkeypatch, eff, pre, rank=rank, basis=basis)
+        with pytest.raises(raised):
+            check_alignment(eff, pre)
+
+    def test_basis_error_wins_when_both_fail(self, monkeypatch):
+        # serially the basis SVD ran first, so its error is the one raised
+        eff, pre = _double_setup(2, users=4, n=1)
+        _fail_at_receiver3(monkeypatch, eff, pre, rank=True, basis=True)
+        with pytest.raises(_BasisFailed) as info:
+            check_alignment(eff, pre)
+        assert isinstance(info.value.__context__, _RankFailed)
+
+
+def _replaced(pre, user, fn):
+    return PrecoderSet(precoders={u: fn(m.copy()) if u == user else m for u, m in pre.precoders.items()})
+
+
+def _set_entry(value):
+    def set_entry(m):
+        m[0, 0] = value
+        return m
+    return set_entry
+
+
+def _zero_column(m):
+    m[:, 0] = 0
+    return m
+
+
+class TestUnusableBlocks:
+    @pytest.mark.parametrize("user", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "fn",
+        [_set_entry(np.inf), _set_entry(np.nan), _set_entry(complex(np.nan, 1.0)),
+         lambda m: m * 0, lambda m: m * 1e300, lambda m: m * 1e-300],
+        ids=["inf", "nan", "nan_real", "zero", "overflow", "underflow"],
+    )
+    def test_refused_before_any_svd(self, monkeypatch, user, fn):
+        eff, pre = _double_setup(2, users=4, n=1)
+        calls = _record_svd_calls(monkeypatch)
+        with pytest.raises(ParameterError, match="norm"):
+            check_alignment(eff, _replaced(pre, user, fn))
+        # every user's block is checked at receiver 1, before its first SVD
+        assert calls == []
+
+    def test_overflow_at_receiver3_refused_before_its_svds(self, monkeypatch):
+        # finite channels whose receiver-3 blocks overflow in norm: receivers 1 and
+        # 2 are certified, and no SVD sees a receiver-3 block
+        channels = generate_channels(3, 5, "iid", 4)
+        pre = build_precoders(build_effective(channels, None, "plain"))
+        entries = channels.entries.copy()
+        entries[2] *= 1e160
+        eff = build_effective(ChannelSet(entries, "iid"), None, "plain")
+        calls = _record_svd_calls(monkeypatch)
+        with pytest.raises(ParameterError, match="H_31 V_1 has norm inf"):
+            check_alignment(eff, pre)
+        assert sorted((name, finite) for name, _, finite in calls) == (
+            [("numerical_rank", True)] * 2 + [("orthonormal_basis", True)]
+        )
+
+    def test_zero_reference_column_refused(self):
+        # H_13 V_3 is receiver 1's scale-match reference; a zero column was a 0/0 NaN residual
+        eff, pre = _double_setup(2)
+        with pytest.raises(ParameterError, match="zero energy"):
+            check_alignment(eff, _replaced(pre, 3, _zero_column))
+
+    @pytest.mark.parametrize("user", [1, 2])
+    def test_zero_column_elsewhere_still_checks(self, user):
+        # a zero column outside the reference divides by nothing: a finite report
+        eff, pre = _double_setup(2)
+        report = check_alignment(eff, _replaced(pre, user, _zero_column))
+        assert all(np.isfinite(r) for r in report.residuals.values())
