@@ -14,13 +14,25 @@ unit-variance receiver noise, as in ``link_sim``) does not enter them.
 thin SVD with vectors for the containment basis of H_j1 V_1
 (``orthonormal_basis``) and a values-only SVD for the rank certificate
 (``numerical_rank``). numpy's SVD with vectors releases the GIL while its
-values-only SVD holds it, so the basis runs on one helper thread while the
-certificate runs on the calling thread. Both read the arrays a serial pass
-would, so every residual and certificate keeps its bits.
+values-only SVD holds it, so a basis and a certificate overlap on two
+threads, and two certificates never do. From effective dimension
+``_OVERLAP_MIN_DIM`` on, each certificate runs on one helper thread while
+the calling thread runs the basis SVD. That way round the helper's malloc
+arena grows to about one D x D copy, not to the basis SVD's vectors and
+workspace (at D = 275, 1.9 MiB against 7.4 MiB). An arena keeps what it grew to, and a
+helper that starts while the last call's helper is still exiting gets an
+arena of its own, so this bounds what such a second arena adds to the peak
+memory.
+Below that dimension both run on the calling thread: there the two SVDs
+take less time than starting the helper and handing each certificate back.
+Both read the arrays a serial pass would, so every residual and certificate
+keeps its bits either way.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -32,11 +44,21 @@ from .extension_core import EffectiveChannel, _check_users
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
+    from contextlib import AbstractContextManager
 
 RESIDUAL_TOL = 1e-8
 DISTINCTNESS_TOL = 1e-9
 
 _EPS = float(np.finfo(np.float64).eps)
+_INF = float("inf")
+
+# The smallest effective dimension at which check_alignment overlaps each
+# basis SVD with its rank certificate. On a 2-vCPU x86 host (numpy 2.4.6,
+# OpenBLAS on one thread) starting the helper and handing the certificates
+# back cost about 1 ms per call: the overlap lost below D = 91, was within
+# noise of the serial loop up to D = 141, and took 14-20% off each call
+# from D = 151 on (30% at D = 275).
+_OVERLAP_MIN_DIM = 150
 
 
 class RankResult(NamedTuple):
@@ -81,7 +103,7 @@ def _rank_cutoff(shape: tuple[int, ...], s: np.ndarray) -> float | None:
 
 def _require_finite(matrix: np.ndarray) -> None:
     """ParameterError unless every entry is finite: an SVD of inf or NaN returns NaN or fails to converge."""
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise ParameterError("a rank certificate or basis needs a finite matrix")
 
 
@@ -128,19 +150,37 @@ def signal_space_rank(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) ->
     return numerical_rank(receiver_composite(eff, pre, receiver))
 
 
-def _block_norms(blocks: dict[int, np.ndarray], receiver: int) -> dict[int, float]:
-    """Frobenius norm of each block at ``receiver``; ParameterError unless every one is finite and nonzero.
+def _block_norms(blocks: dict[int, np.ndarray], receiver: int, denominators: tuple[int, ...]) -> dict[int, float]:
+    """The Frobenius norm of every block at ``receiver``; the residuals divide by the ``denominators``' norms.
 
-    The residuals divide by these norms, and an inf or NaN entry makes its
-    block's norm inf or NaN, so this one test also keeps non-finite blocks
-    from every SVD.
+    ParameterError for a block with a non-finite entry or a norm of 0, and
+    for a denominator whose norm overflows. A block that is no denominator
+    only feeds an SVD, which scales its input, so an overflowing norm of
+    finite entries is kept there. An inf or NaN entry makes the norm inf or
+    NaN, so the entries are only scanned when the norm is inf.
     """
     with np.errstate(over="ignore"):
-        norms = {user: np.linalg.norm(block) for user, block in blocks.items()}
+        norms = {user: float(np.linalg.norm(block)) for user, block in blocks.items()}
     for user, norm in norms.items():
-        if not 0.0 < norm < np.inf:
-            raise ParameterError(f"block H_{receiver}{user} V_{user} has norm {float(norm)}, not a finite nonzero one")
+        if not 0.0 < norm < _INF:
+            name = f"block H_{receiver}{user} V_{user}"
+            if norm == 0.0:
+                raise ParameterError(f"{name} has norm 0")
+            if math.isnan(norm) or not np.isfinite(blocks[user]).all():
+                raise ParameterError(f"{name} has a non-finite entry")
+            if user in denominators:
+                raise ParameterError(f"{name} has norm inf, too large to divide a residual by")
     return norms
+
+
+def _certificate_helper(dim: int) -> AbstractContextManager[Executor | None]:
+    """One helper thread for the rank certificates from ``_OVERLAP_MIN_DIM`` on, none below it."""
+    if dim < _OVERLAP_MIN_DIM:
+        return nullcontext()
+    # imported here, not at module level, so runs that never overlap do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
@@ -154,27 +194,25 @@ def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
     verdict is ``pass`` only if every residual is at or below
     ``RESIDUAL_TOL`` and every composite has full rank D.
 
-    At each receiver j != 1 the basis SVD of H_j1 V_1 runs on one helper
-    thread while the calling thread runs that receiver's rank certificate.
-    numpy's SVD with vectors releases the GIL and its values-only SVD holds
-    it, so the pair overlaps only this way round, and two certificates never
-    overlap each other. Each SVD reads the same array as a serial pass, so
-    the report has the same bits on any number of CPUs. If both SVDs at one
-    receiver raise, the basis error propagates, as it would serially. One
-    helper serves every receiver and is joined before this returns or
-    raises.
+    From effective dimension ``_OVERLAP_MIN_DIM`` on, the rank certificate
+    at each receiver j != 1 runs on one helper thread while the calling
+    thread runs the basis SVD of H_j1 V_1; the module docstring says why
+    this way round. One helper serves every receiver and is joined before
+    this returns or raises. Below that dimension both SVDs run on the
+    calling thread, the basis first. Each SVD reads the same array either
+    way, so the report has the same bits on any number of CPUs, and if both
+    SVDs at one receiver raise, the basis error propagates.
 
-    Every block is checked on the calling thread before any SVD reads it: a
-    block with a non-finite entry or a norm of 0 or inf, or a column of
-    H_13 V_3 with no energy to scale-match against, raises ``ParameterError``.
+    Every block is checked on the calling thread before any SVD of its
+    receiver reads it: a block with a non-finite entry or a norm of 0, a
+    residual's denominator block whose norm overflows, and a column of
+    H_13 V_3 whose energy, the scale match's denominator, is 0 or overflows
+    raise ``ParameterError``.
     """
-    # imported here, not at module level, so runs that never verify do not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
     _check_pair(eff, pre)
     residuals: dict[str, float] = {}
     rank_results: dict[int, RankResult] = {}
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with _certificate_helper(eff.dim) as helper:
         for j in range(1, eff.users + 1):
             receiver_residuals, rank_results[j] = _receiver_checks(eff, pre, j, helper)
             residuals.update(receiver_residuals)
@@ -187,34 +225,44 @@ def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
 
 
 def _receiver_checks(
-    eff: EffectiveChannel, pre: PrecoderSet, j: int, helper: Executor
+    eff: EffectiveChannel, pre: PrecoderSet, j: int, helper: Executor | None
 ) -> tuple[dict[str, float], RankResult]:
     """Receiver ``j``'s residuals, in key order, and its rank certificate, for ``check_alignment``.
 
+    ``helper`` runs the rank certificate, or None to run it on the calling thread.
     A function of its own, so that the receiver's blocks, basis and products
     are freed before the next receiver's blocks are formed.
     """
     blocks = pre.received_blocks(eff.diagonals[j - 1])
-    norms = _block_norms(blocks, j)
     residuals: dict[str, float] = {}
     if j == 1:
+        targets = (2, *range(4, eff.users + 1))
+        norms = _block_norms(blocks, j, targets)
         reference = blocks[3]
-        energy = np.sum(np.abs(reference) ** 2, axis=0)
-        if not np.all(energy > 0):
-            raise ParameterError("block H_13 V_3 has a column of zero energy to scale-match against")
-        for i in (2, *range(4, eff.users + 1)):
+        with np.errstate(over="ignore"):
+            energy = np.sum(np.abs(reference) ** 2, axis=0)
+        if not (energy.min() > 0.0 and energy.max() < _INF):
+            raise ParameterError("block H_13 V_3 has a column whose energy, to scale-match against, is 0 or inf")
+        for i in targets:
             target = blocks[i]
             coef = np.sum(reference.conj() * target, axis=0) / energy
             residuals[f"equality_rx1_tx{i}"] = float(
                 np.linalg.norm(target - reference * coef[None, :]) / norms[i]
             )
         return residuals, numerical_rank(pre.composite(blocks, j))
-    pending = helper.submit(orthonormal_basis, blocks[1])
-    try:
+    contained = tuple(k for k in range(2, eff.users + 1) if k != j)
+    norms = _block_norms(blocks, j, contained)
+    if helper is None:
+        basis = orthonormal_basis(blocks[1])
         rank = numerical_rank(pre.composite(blocks, j))
-    finally:
-        basis = pending.result()
-    for k in (k for k in range(2, eff.users + 1) if k != j):
+    else:
+        pending = helper.submit(numerical_rank, pre.composite(blocks, j))
+        try:
+            basis = orthonormal_basis(blocks[1])
+        finally:
+            pending.exception()  # waits without raising, so a basis error wins
+        rank = pending.result()
+    for k in contained:
         rejected = blocks[k] - basis @ (basis.conj().T @ blocks[k])
         residuals[f"contain_rx{j}_tx{k}"] = float(np.linalg.norm(rejected) / norms[k])
     return residuals, rank

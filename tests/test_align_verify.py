@@ -463,21 +463,50 @@ def _record_svd_calls(monkeypatch):
     return calls
 
 
+# K=3 n=75 (D = 151) is the smallest drawn size at or above _OVERLAP_MIN_DIM;
+# K=3 n=74 (D = 149) and K=4 n=1 (D = 33) run both SVDs on the calling thread
+OVERLAPPED = {"users": 3, "n": 75}
+SERIAL = ({"users": 3, "n": 74}, {"users": 4, "n": 1})
+
+
 class TestBasisHelper:
-    def test_bases_on_one_helper_certificates_on_caller(self, monkeypatch):
-        eff, pre = _double_setup(2, users=4, n=1)
+    def test_threshold_between_the_drawn_sizes(self):
+        assert effective_dim(**SERIAL[0]) < align_verify._OVERLAP_MIN_DIM <= effective_dim(**OVERLAPPED)
+
+    def test_certificates_on_one_helper_bases_on_caller(self, monkeypatch):
+        eff, pre = _double_setup(2, **OVERLAPPED)
         calls = _record_svd_calls(monkeypatch)
-        assert check_alignment(eff, pre).verdict == "pass"
+        check_alignment(eff, pre)
         caller = threading.get_ident()
-        assert [t for name, t, _ in calls if name == "numerical_rank"] == [caller] * 4
-        # the K - 1 bases all ran on one thread other than the caller's
-        helpers = [t for name, t, _ in calls if name == "orthonormal_basis"]
-        assert len(helpers) == 3 and len(set(helpers)) == 1 and helpers[0] != caller
+        assert [t for name, t, _ in calls if name == "orthonormal_basis"] == [caller] * 2
+        # receiver 1's certificate runs on the caller, the other K - 1 on one other thread
+        certificates = [t for name, t, _ in calls if name == "numerical_rank"]
+        assert len(certificates) == 3 and certificates[0] == caller
+        assert len(set(certificates[1:])) == 1 and certificates[1] != caller
+
+    @pytest.mark.parametrize("size", SERIAL)
+    def test_serial_below_the_threshold(self, monkeypatch, size):
+        # no helper is started: every SVD runs on the caller, with no other thread alive
+        eff, pre = _double_setup(2, **size)
+        before = threading.active_count()
+        threads = []
+        for name in ("numerical_rank", "orthonormal_basis"):
+            def wrapped(matrix, real=getattr(align_verify, name)):
+                threads.append((threading.get_ident(), threading.active_count()))
+                return real(matrix)
+            monkeypatch.setattr(align_verify, name, wrapped)
+        check_alignment(eff, pre)
+        assert threads == [(threading.get_ident(), before)] * (2 * size["users"] - 1)
+
+    @pytest.mark.parametrize("size", [OVERLAPPED, *SERIAL])
+    def test_same_report_as_parent_on_each_side(self, size):
+        eff, pre = _double_setup(2, **size)
+        _assert_same_report(check_alignment(eff, pre), parent_check_alignment(eff, pre))
 
     def test_same_report_under_frequent_thread_switches(self):
-        # the helper only reads H_j1 V_1 and returns a fresh basis; a 1 us switch
+        # the helper only reads the composite and returns a RankResult; a 1 us switch
         # interval interleaves the two threads as finely as the interpreter allows
-        eff, pre = _double_setup(3, users=4, n=1)
+        eff, pre = _double_setup(3, **OVERLAPPED)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -489,7 +518,7 @@ class TestBasisHelper:
             _assert_same_report(report, parent)
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
-        eff, pre = _double_setup(2, users=4, n=1)
+        eff, pre = _double_setup(2, **OVERLAPPED)
         before = threading.active_count()
         check_alignment(eff, pre)
         assert threading.active_count() == before
@@ -500,20 +529,22 @@ class TestBasisHelper:
                     check_alignment(eff, pre)
             assert threading.active_count() == before
 
+    @pytest.mark.parametrize("size", [OVERLAPPED, SERIAL[1]])
     @pytest.mark.parametrize("rank, basis, raised", [(True, False, _RankFailed), (False, True, _BasisFailed)])
-    def test_error_at_receiver3_propagates_with_its_type(self, monkeypatch, rank, basis, raised):
-        eff, pre = _double_setup(2, users=4, n=1)
+    def test_error_at_receiver3_propagates_with_its_type(self, monkeypatch, size, rank, basis, raised):
+        eff, pre = _double_setup(2, **size)
         _fail_at_receiver3(monkeypatch, eff, pre, rank=rank, basis=basis)
         with pytest.raises(raised):
             check_alignment(eff, pre)
 
-    def test_basis_error_wins_when_both_fail(self, monkeypatch):
-        # serially the basis SVD ran first, so its error is the one raised
-        eff, pre = _double_setup(2, users=4, n=1)
+    @pytest.mark.parametrize("size", [OVERLAPPED, SERIAL[1]])
+    def test_basis_error_wins_when_both_fail(self, monkeypatch, size):
+        # serially the basis SVD runs first, so its error is the one raised;
+        # overlapped, the certificate's error is waited for and dropped
+        eff, pre = _double_setup(2, **size)
         _fail_at_receiver3(monkeypatch, eff, pre, rank=True, basis=True)
-        with pytest.raises(_BasisFailed) as info:
+        with pytest.raises(_BasisFailed):
             check_alignment(eff, pre)
-        assert isinstance(info.value.__context__, _RankFailed)
 
 
 def _replaced(pre, user, fn):
@@ -535,29 +566,51 @@ def _zero_column(m):
 class TestUnusableBlocks:
     @pytest.mark.parametrize("user", [1, 2, 3, 4])
     @pytest.mark.parametrize(
-        "fn",
-        [_set_entry(np.inf), _set_entry(np.nan), _set_entry(complex(np.nan, 1.0)),
-         lambda m: m * 0, lambda m: m * 1e300, lambda m: m * 1e-300],
-        ids=["inf", "nan", "nan_real", "zero", "overflow", "underflow"],
+        "fn, message",
+        [(_set_entry(np.inf), "non-finite entry"), (_set_entry(np.nan), "non-finite entry"),
+         (_set_entry(complex(np.nan, 1.0)), "non-finite entry"), (lambda m: m * 0, "norm 0"),
+         (lambda m: m * 1e-300, "norm 0")],
+        ids=["inf", "nan", "nan_real", "zero", "underflow"],
     )
-    def test_refused_before_any_svd(self, monkeypatch, user, fn):
+    def test_refused_before_any_svd(self, monkeypatch, user, fn, message):
         eff, pre = _double_setup(2, users=4, n=1)
         calls = _record_svd_calls(monkeypatch)
-        with pytest.raises(ParameterError, match="norm"):
+        with pytest.raises(ParameterError, match=message):
             check_alignment(eff, _replaced(pre, user, fn))
         # every user's block is checked at receiver 1, before its first SVD
         assert calls == []
 
+    @pytest.mark.parametrize("user, message", [(2, "H_12 V_2 has norm inf"), (3, "energy"), (4, "H_14 V_4 has norm inf")])
+    def test_overflowing_denominator_refused_before_any_svd(self, monkeypatch, user, message):
+        # receiver 1 divides by the norms of H_12 V_2 and H_14 V_4 and by the column energies of H_13 V_3
+        eff, pre = _double_setup(2, users=4, n=1)
+        calls = _record_svd_calls(monkeypatch)
+        with pytest.raises(ParameterError, match=message):
+            check_alignment(eff, _replaced(pre, user, lambda m: m * 1e300))
+        assert calls == []
+
+    def test_overflow_that_only_feeds_svds_keeps_the_parent_report(self):
+        # V_1 is no residual's denominator: its blocks only feed SVDs, which scale
+        # their input, so the report is the parent's finite, rank-deficient one
+        eff, pre = _double_setup(2, users=4, n=1)
+        scaled = _replaced(pre, 1, lambda m: m * 1e300)
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(scaled.precoders[1]) == np.inf
+        report = check_alignment(eff, scaled)
+        _assert_same_report(report, parent_check_alignment(eff, scaled))
+        assert report.verdict == "fail" and all(np.isfinite(r) for r in report.residuals.values())
+
     def test_overflow_at_receiver3_refused_before_its_svds(self, monkeypatch):
         # finite channels whose receiver-3 blocks overflow in norm: receivers 1 and
-        # 2 are certified, and no SVD sees a receiver-3 block
+        # 2 are certified, and no SVD sees a receiver-3 block, refused at its
+        # first denominator, H_32 V_2
         channels = generate_channels(3, 5, "iid", 4)
         pre = build_precoders(build_effective(channels, None, "plain"))
         entries = channels.entries.copy()
         entries[2] *= 1e160
         eff = build_effective(ChannelSet(entries, "iid"), None, "plain")
         calls = _record_svd_calls(monkeypatch)
-        with pytest.raises(ParameterError, match="H_31 V_1 has norm inf"):
+        with pytest.raises(ParameterError, match="H_32 V_2 has norm inf"):
             check_alignment(eff, pre)
         assert sorted((name, finite) for name, _, finite in calls) == (
             [("numerical_rank", True)] * 2 + [("orthonormal_basis", True)]
@@ -566,7 +619,7 @@ class TestUnusableBlocks:
     def test_zero_reference_column_refused(self):
         # H_13 V_3 is receiver 1's scale-match reference; a zero column was a 0/0 NaN residual
         eff, pre = _double_setup(2)
-        with pytest.raises(ParameterError, match="zero energy"):
+        with pytest.raises(ParameterError, match="energy"):
             check_alignment(eff, _replaced(pre, 3, _zero_column))
 
     @pytest.mark.parametrize("user", [1, 2])
