@@ -44,8 +44,8 @@ LAYERS = (SINGLE_LAYER, DOUBLE_LAYER)
 _PRIME = 1048573
 
 
-def _mod_mul(a: np.ndarray, b: np.ndarray, order: str = "K") -> np.ndarray:
-    product = np.multiply(a, b, order=order, dtype=np.int64)
+def _mod_mul(a: np.ndarray, b: np.ndarray, order: str = "K", out: np.ndarray | None = None) -> np.ndarray:
+    product = np.multiply(a, b, out=out, order=order, dtype=np.int64)
     return np.remainder(product, _PRIME, out=product)
 
 
@@ -265,12 +265,22 @@ class PrecoderSet:
 
     def received_blocks(self, row: np.ndarray) -> dict[int, np.ndarray]:
         """Blocks H_kj V_j keyed by j, from receiver k's effective diagonals ``row``, (..., users, D)."""
+        return {j: self._received_block(row, j) for j in self.precoders}
+
+    def _received_block(self, row: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Block H_kj V_j of ``received_blocks``, written into ``out`` when given."""
         _, mul, _ = _arithmetic(row)
-        return {j: mul(row[..., j - 1, :, None], mat) for j, mat in self.precoders.items()}
+        return mul(row[..., j - 1, :, None], self.precoders[j], out=out)
+
+    def _composite_columns(self, receiver: int) -> dict[int, slice]:
+        """The composite's layout at ``receiver``: each user's column slice, desired block then the basis user's."""
+        first, second = receiver, self.basis_user(receiver)
+        width = self.precoders[first].shape[-1]
+        return {first: slice(0, width), second: slice(width, width + self.precoders[second].shape[-1])}
 
     def composite(self, blocks: dict[int, np.ndarray], receiver: int) -> np.ndarray:
         """The square composite of ``received_blocks``: desired block, then the basis user's block."""
-        return np.concatenate([blocks[receiver], blocks[self.basis_user(receiver)]], axis=-1)
+        return np.concatenate([blocks[j] for j in self._composite_columns(receiver)], axis=-1)
 
 
 def _check_pair(eff: EffectiveChannel, pre: PrecoderSet) -> None:

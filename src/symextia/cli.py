@@ -20,13 +20,14 @@ parser, built once at import.
 
 All output is deterministic for the recorded seed: CSV files are UTF-8 with
 LF line endings, floats printed to 6 significant digits (exact-dof floats to
-6 decimal places), so reruns are byte-identical. Exit status is 0 on
-success, 2 on a flag parsing problem (including any flag the experiment does
-not read, ``--n`` together with ``--n-range``, a negative ``--seed``, an
-``--snr`` bound that is not finite or has no usable transmit power, an
-``--snr`` sweep with more float64 points than ``BYTE_BUDGET`` holds, a
-step too small to move it or points that repeat once rounded, and flags
-that could never run), and 1 when a module rejects the run (an exact dof
+6 decimal places), so reruns are byte-identical; ``main`` holds a loaded
+OpenBLAS at one thread for the run, so they are at any BLAS thread count.
+Exit status is 0 on success, 2 on a flag parsing problem (including any
+flag the experiment does not read, ``--n`` together with ``--n-range``, a
+negative ``--seed``, an ``--snr`` bound that is not finite or has no
+usable transmit power, an ``--snr`` sweep with more float64 points than
+``BYTE_BUDGET`` holds, a step too small to move it or points that repeat
+once rounded, and flags that could never run), and 1 when a module rejects the run (an exact dof
 with more digits than the interpreter prints included) or the output path
 cannot be written. An output path that is a directory, lies in no existing
 directory or is not writable is refused before any row is computed, and
@@ -44,7 +45,7 @@ import csv
 import math
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .align_verify import check_alignment, distinctness_audit
@@ -324,6 +325,11 @@ def run_experiment(spec: ExperimentSpec) -> str:
     before any row is computed, and an ``OSError`` at open or write raises
     the same. The file is opened only once every row is computed, so a run
     that raises before then leaves any earlier file at the path untouched.
+
+    The BLAS thread count is left as it is, and OpenBLAS's threaded kernels
+    sum in another order, so from about D = 101 on the last digits, and the
+    CSV bytes, are the same only at a fixed count; ``main`` holds OpenBLAS
+    at one thread.
     """
     _check_output(spec.output_path)
     rows = list(_RUNNERS[spec.experiment](spec))  # every row before the file is opened
@@ -335,7 +341,46 @@ def run_experiment(spec: ExperimentSpec) -> str:
     return spec.output_path
 
 
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the loaded OpenBLAS, or None when none is found.
+
+    The library is found by its path in ``/proc/self/maps`` and its
+    ``get_num_threads``/``set_num_threads`` pair, as OpenBLAS
+    (``openblas_``) or numpy's wheel build (``scipy_openblas_``, with or
+    without the ``64_`` suffix of its 64-bit integer interface) names it.
+    """
+    import ctypes  # only a CLI run pays for it
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as handle:
+            fields = [line.split(maxsplit=5) for line in handle]
+    except OSError:
+        return None
+    paths = {f[5].rstrip("\n") for f in fields if len(f) == 6}
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the experiment the flags name and return the exit status.
+
+    The run holds the loaded OpenBLAS at one thread and restores its count
+    afterwards: a threaded kernel sums in another order, so the last digits,
+    and the CSV bytes, would depend on the thread count. With no OpenBLAS
+    found the run goes unpinned.
+    """
     try:
         spec = parse_args(argv)
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
@@ -343,11 +388,18 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    threads = _openblas_threads()
+    if threads:
+        before = threads[0]()
+        threads[1](1)
     try:
         path = run_experiment(spec)
     except SymextiaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if threads:
+            threads[1](before)
     print(f"wrote {path}")
     return 0
 

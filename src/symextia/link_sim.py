@@ -13,14 +13,18 @@ The channels and the coding fix the construction: ``build_precoders`` reads
 the user count and the exponent cap off each effective channel, so a slot
 count that no construction has is a ``ParameterError`` from the first draw.
 
-One receiver front end serves both receivers: the analytic rates of
-``simulate_link`` and the sampled ``run_symbol_chain`` read the same noise
-standard deviations off the ``EffectiveChannel``, whiten the same
-``PrecoderSet.received_blocks`` and invert the same
-``PrecoderSet.composite``, the receiver ``align_verify`` reads too. That
-front end, like the precoder build and the scale factors, takes an
-``EffectiveChannel`` and a ``PrecoderSet`` that hold one trial or a stack of
-trials. ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
+One receiver front end, ``_zero_forcer``, serves both receivers: the
+analytic rates of ``simulate_link`` and the sampled ``run_symbol_chain``
+read the same noise standard deviations off the ``EffectiveChannel`` and
+zero-force on the same composite, the receiver's two
+``PrecoderSet.received_blocks`` in the column layout of
+``PrecoderSet.composite``, which ``align_verify`` reads too. It whitens
+those two blocks straight into a fresh composite and factors it first; only
+then are the blocks the rate terms read formed, the two from the factored
+composite and the other users' afresh, so no whitened block is held through
+the SVD. That front end, like the precoder build and the scale factors,
+takes an ``EffectiveChannel`` and a ``PrecoderSet`` that hold one trial or a
+stack of trials. ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
 composites). One redraw loop, ``_draw``, draws every realization, a chunk's
 or the single trial of ``draw_realization``, as one ``EffectiveChannel``
 stack, and a chunk's precoders are one stacked build. A chunk then makes one
@@ -73,12 +77,11 @@ MAX_RESAMPLES = 20
 # Byte cap on one stack of (D, D) complex composites, 16·D² bytes per trial.
 # ``simulate_link`` runs its trials in chunks this cap allows (at least one
 # trial), so memory does not grow with the trial count. A chunk's numpy
-# arrays peak at about nine times its composite stack at D = 21 and 33, and
-# 7.5 times at D = 275 (realizations, whitened blocks, SVD factors, as
-# tracemalloc counts them; LAPACK's own workspace comes on top). 128 KiB
-# stacks 18 trials at D = 21, which is most of the gain of stacking all 50
-# of a run at a quarter of the memory, and runs one trial at a time from
-# D = 65 on.
+# arrays peak at about 7.5 times its composite stack at D = 21 and 33, and
+# 6.2 times at D = 275 (realizations, precoders, SVD factors, as tracemalloc
+# counts them; LAPACK's own workspace comes on top). 128 KiB stacks 18
+# trials at D = 21, which is most of the gain of stacking all 50 of a run at
+# a quarter of the memory, and runs one trial at a time from D = 65 on.
 ZF_STACK_BYTES = 1 << 17
 
 # numpy's default ``pinv`` cutoff: the zero-forcer zeroes every singular value
@@ -386,11 +389,11 @@ def _pinv_rows(composite: np.ndarray, rows: int) -> np.ndarray:
     """The first ``rows`` rows of ``np.linalg.pinv(composite)``, bit for bit, without the others.
 
     ``composite`` is a (..., D, D) stack the caller owns; it is conjugated in
-    place. The steps are ``pinv``'s own: one SVD of the conjugate (stacked,
-    each slice factored on its own), singular values at or below
-    ``_PINV_RCOND`` times the largest zeroed, the rest inverted, and
-    V·diag(1/σ)·Uᴴ multiplied out, but only for the rows asked for. At least
-    two rows are multiplied: numpy sends a one-row product to ``gemv``,
+    place and left conjugated. The steps are ``pinv``'s own: one SVD of the
+    conjugate (stacked, each slice factored on its own), singular values at
+    or below ``_PINV_RCOND`` times the largest zeroed, the rest inverted,
+    and V·diag(1/σ)·Uᴴ multiplied out, but only for the rows asked for. At
+    least two rows are multiplied: numpy sends a one-row product to ``gemv``,
     which sums in another order than the ``gemm`` of ``pinv``.
     """
     u, s, vh = np.linalg.svd(np.conjugate(composite, out=composite), full_matrices=False)
@@ -416,14 +419,35 @@ def _zero_forcer(
     then so does every result. One stacked SVD covers every trial
     (``_pinv_rows``): it factors each (D, D) slice on its own, and only the
     d_k rows are multiplied out, so the rows are the same bits as one
-    ``pinv`` call per trial. The fresh blocks are whitened in place.
+    ``pinv`` call per trial.
+
+    The desired and basis blocks are whitened straight into a fresh
+    composite, in the column layout ``PrecoderSet`` owns, and it is factored
+    before any other block exists. The two blocks are then copied out of the
+    factored composite, conjugated back, and the other users' blocks are
+    formed and whitened only after the SVD, so through it the receiver holds
+    the composite and no block; every entry has the bits of a block whitened
+    on its own. The returned blocks are contiguous, since a product on a
+    column view of the composite can round differently.
     """
     noise_std = effective_noise_std(eff, k)
-    blocks = pre.received_blocks(eff.diagonals[..., k - 1, :, :])
-    for j, block in blocks.items():
+    row = eff.diagonals[..., k - 1, :, :]
+
+    def whitened(j: int, out: np.ndarray | None = None) -> np.ndarray:
+        block = pre._received_block(row, j, out)
         block *= scales[..., j - 1, None, None]
         block /= noise_std[..., :, None]
-    return noise_std, blocks, _pinv_rows(pre.composite(blocks, k), pre.stream_counts[k])
+        return block
+
+    columns = pre._composite_columns(k)
+    composite = np.empty(noise_std.shape + (pre.dim,), dtype=complex)
+    for j, cols in columns.items():
+        whitened(j, composite[..., cols])
+    rows = _pinv_rows(composite, pre.stream_counts[k])
+    # _pinv_rows left the conjugate; the products need contiguous blocks, not column views
+    copied = {j: np.conjugate(composite[..., cols], order="C") for j, cols in columns.items()}
+    del composite
+    return noise_std, {j: copied[j] if j in copied else whitened(j) for j in pre.precoders}, rows
 
 
 def _receiver_terms(
@@ -460,6 +484,17 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     stacked chunks through the one redraw loop, as the module docstring
     describes, with the bits of a trial-at-a-time loop; ``failures`` sums
     the accepted attempt numbers.
+
+    Receivers are factored one at a time on the calling thread. Both ways
+    to put a second CPU on this path were measured on a 2-vCPU host, in
+    prototypes not kept, and both failed the benchmark. Two D = 275
+    receivers in flight cut ``link_k4`` wall time by about a quarter but
+    raised peak RSS from 52.5 to 65.5-70.9 MiB, since each SVD with vectors
+    holds about 10.6 MiB. A helper thread that factored each ``sweep_k3``
+    chunk read ``ops_per_s`` 9-21% higher in 4 of 4 benchmark pairs while
+    the op's own wall time rose 12-27% and the calibration kernel's 26-42%,
+    so the calibrated metric credited a slowdown. A thread on this path
+    needs a wall-time check, not only the calibrated metrics.
 
     Returns
     -------

@@ -665,5 +665,47 @@ class TestMain:
         rows = read_csv(out)
         assert all(row[11] == "pass" for row in rows[1:])
 
+    @staticmethod
+    def _openblas_or_skip():
+        threads = cli._openblas_threads()
+        if threads is None:
+            pytest.skip("no OpenBLAS loaded")
+        return threads
+
+    def test_same_bytes_at_any_openblas_thread_count(self, tmp_path, capsys):
+        # at D = 275 two OpenBLAS threads write other last digits than one
+        get, put = self._openblas_or_skip()
+        flags = ["--experiment", "verify", "--users", "4", "--n", "2", "--trials", "1",
+                 "--coding", DOUBLE, "--channel", CONSTANT]
+        before = get()
+        try:
+            put(1)
+            assert main([*flags, "--out", str(tmp_path / "one.csv")]) == 0
+            put(2)
+            two = get()
+            assert main([*flags, "--out", str(tmp_path / "two.csv")]) == 0
+            assert get() == two
+        finally:
+            put(before)
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+    def test_failed_run_restores_the_openblas_thread_count(self, tmp_path, capsys, monkeypatch):
+        get, put = self._openblas_or_skip()
+        seen = []
+
+        def fail(spec):
+            seen.append(get())
+            raise ParameterError("refused")
+
+        monkeypatch.setitem(cli._RUNNERS, "dof_table", fail)
+        before = get()
+        try:
+            put(2)
+            two = get()
+            assert main(["--experiment", "dof_table", "--out", str(tmp_path / "dof.csv")]) == 1
+            assert (seen, get()) == ([1], two)
+        finally:
+            put(before)
+
     def test_constant_is_default_channel(self):
         assert parse_args(["--experiment", "verify"]).channel_model == CONSTANT

@@ -492,6 +492,35 @@ class TestStackedMatchesPerTrial:
 
         assert peak(simulate_link) <= peak(oracles.per_trial_simulate_link) + composite
 
+    @pytest.mark.parametrize("coding", ["plain", "naive", "double"])
+    def test_no_whitened_block_is_held_through_the_svd(self, monkeypatch, coding):
+        # numpy's own tracemalloc domain counts array data alone, not Python objects
+        def array_bytes():
+            traces = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            ).traces
+            return sum(trace.size for trace in traces)
+
+        case = _link_case(4, 1, coding, "constant", 0, trials=1)
+        _, eff, pre, _ = draw_realization(case[0], coding, 0)
+        gains = 0 if eff.gains is None else eff.gains.alpha.nbytes + eff.gains.beta.nbytes
+        composite = 16 * pre.dim**2
+        precoders = sum(mat.nbytes for mat in pre.precoders.values())
+        # the chunk's realization, and 4 KiB for its noise deviations, scales and rates;
+        # the receiver's whitened blocks, 16 * D * sum(d_j) bytes, are left out
+        slack = eff.diagonals.nbytes + gains + 4096
+        seen = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(array_bytes()) or real_svd(a, **kw))
+        tracemalloc.start()
+        try:
+            baseline = array_bytes()
+            simulate_link(*case)
+        finally:
+            tracemalloc.stop()
+        assert len(seen) == 4
+        assert max(seen) - baseline <= precoders + composite + slack
+
 
 def _assert_rows_of_pinv(monkeypatch, composite):
     """``_pinv_rows`` equals the first d rows of ``np.linalg.pinv`` bit for bit, for every d.
