@@ -11,18 +11,35 @@ value, so the SNR (each user's transmit power per raw slot over the
 unit-variance receiver noise, as in ``link_sim``) does not enter them.
 
 ``check_alignment`` runs two kinds of dense SVD at each receiver j != 1: a
-thin SVD with vectors for the containment basis of H_j1 V_1
-(``orthonormal_basis``) and a values-only SVD for the rank certificate
-(``numerical_rank``). numpy's SVD with vectors releases the GIL while its
-values-only SVD holds it, so a basis and a certificate overlap on two
-threads, and two certificates never do. From effective dimension
-``_OVERLAP_MIN_DIM`` on, each certificate runs on one helper thread while
-the calling thread runs the basis SVD. That way round the helper's malloc
+thin SVD with vectors for the containment basis of H_j1 V_1 and a
+values-only SVD for the rank certificate (``numerical_rank``). Each
+receiver's two composite blocks are written straight into its
+``PrecoderSet.composite`` and read as its column blocks, and only the other
+users' blocks are formed on their own; so through a receiver's SVDs it
+holds the composite and those blocks, each block once, and a serial pass
+frees the basis before the certificate. A K=4, n=3 ``verify --trials 1``
+(D = 1267) peaks at about 259 MiB RSS under double coding on constant
+channels and 255 MiB under plain coding on i.i.d. channels, against 284 and
+280 MiB when each composite block was also held on its own.
+
+numpy's SVD with vectors releases the GIL. Its values-only SVD, looped on
+one thread, held the GIL through each call at every D measured from 101 to
+401 (the other thread's Python code ran at 0.10-0.52 of its own speed) and
+as a (2, 151, 151) stack, but not at D = 501 or 1267 nor as a (2, 275, 275)
+stack (2-vCPU x86 host, numpy 2.4.6, OpenBLAS on one thread). From
+effective dimension ``_OVERLAP_MIN_DIM`` on, each certificate runs on one
+helper thread while the calling thread runs the basis SVD. The caller
+enters the basis SVD straight after handing the certificate over, with no
+finiteness scan of its own (its input was checked with the receiver's
+blocks): a scan in between releases the GIL for the certificate to take.
+At D = 275, with such a scan 39-42 of 120 basis SVDs waited 1-25 ms to
+start; without one, none waited 1 ms.
+The helper runs the certificate, not the basis SVD, so that its malloc
 arena grows to about one D x D copy, not to the basis SVD's vectors and
-workspace (at D = 275, 1.9 MiB against 7.4 MiB). An arena keeps what it grew to, and a
-helper that starts while the last call's helper is still exiting gets an
-arena of its own, so this bounds what such a second arena adds to the peak
-memory.
+workspace (at D = 275, 1.9 MiB against 7.4 MiB). An arena keeps what it
+grew to, and a helper that starts while the last call's helper is still
+exiting gets an arena of its own, so this bounds what such a second arena
+adds to the peak memory.
 Below that dimension both run on the calling thread: there the two SVDs
 take less time than starting the helper and handing each certificate back.
 Both read the arrays a serial pass would, so every residual and certificate
@@ -57,7 +74,9 @@ _INF = float("inf")
 # OpenBLAS on one thread) starting the helper and handing the certificates
 # back cost about 1 ms per call: the overlap lost below D = 91, was within
 # noise of the serial loop up to D = 141, and took 14-20% off each call
-# from D = 151 on (30% at D = 275).
+# from D = 151 on (30% at D = 275). At every D measured from 101 to 401 the
+# certificate's values-only SVD held the GIL through the call, so there the
+# basis SVD has to start first (module docstring).
 _OVERLAP_MIN_DIM = 150
 
 
@@ -126,6 +145,11 @@ def orthonormal_basis(matrix: np.ndarray) -> np.ndarray:
     A non-finite matrix raises ``ParameterError``.
     """
     _require_finite(matrix)
+    return _finite_basis(matrix)
+
+
+def _finite_basis(matrix: np.ndarray) -> np.ndarray:
+    """``orthonormal_basis`` of a matrix whose entries are known to be finite."""
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
     threshold = _rank_cutoff(matrix.shape, s)
     return u[:, :0] if threshold is None else u[:, s > threshold]
@@ -134,15 +158,15 @@ def orthonormal_basis(matrix: np.ndarray) -> np.ndarray:
 def receiver_composite(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) -> np.ndarray:
     """Desired block next to the aligned-interference basis seen at ``receiver``.
 
-    This is ``PrecoderSet.composite`` of the receiver's ``received_blocks``,
-    the layout the alignment check and the link receivers read:
+    This is ``PrecoderSet.composite`` of the receiver's row of effective
+    diagonals, the layout the alignment check and the link receivers read:
     [H_11 V_1 | H_12 V_2] at receiver 1 and [H_kk V_k | H_k1 V_1] at
     receiver k != 1, square D x D either way. A mismatched pair or receiver
     label raises ``ParameterError``.
     """
     _check_pair(eff, pre)
     _check_users(eff.users, receiver)
-    return pre.composite(pre.received_blocks(eff.diagonals[receiver - 1]), receiver)
+    return pre.composite(eff.diagonals[receiver - 1], receiver)
 
 
 def signal_space_rank(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) -> RankResult:
@@ -199,9 +223,15 @@ def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
     thread runs the basis SVD of H_j1 V_1; the module docstring says why
     this way round. One helper serves every receiver and is joined before
     this returns or raises. Below that dimension both SVDs run on the
-    calling thread, the basis first. Each SVD reads the same array either
-    way, so the report has the same bits on any number of CPUs, and if both
-    SVDs at one receiver raise, the basis error propagates.
+    calling thread, the basis and its residuals first. Each SVD reads the
+    same array either way, so the report has the same bits on any number of
+    CPUs, and if both SVDs at one receiver raise, the basis error
+    propagates.
+
+    A receiver holds each of its blocks once: the desired block and the
+    basis user's block only as column blocks of its composite, which the
+    basis SVD and the certificate both read, and the other users' blocks on
+    their own. The module docstring gives what that saves.
 
     Every block is checked on the calling thread before any SVD of its
     receiver reads it: a block with a non-finite entry or a norm of 0, a
@@ -230,12 +260,16 @@ def _receiver_checks(
     """Receiver ``j``'s residuals, in key order, and its rank certificate, for ``check_alignment``.
 
     ``helper`` runs the rank certificate, or None to run it on the calling thread.
-    A function of its own, so that the receiver's blocks, basis and products
-    are freed before the next receiver's blocks are formed.
+    A function of its own, so that the receiver's composite, blocks and
+    products are freed before the next receiver's are formed.
     """
-    blocks = pre.received_blocks(eff.diagonals[j - 1])
-    residuals: dict[str, float] = {}
+    row = eff.diagonals[j - 1]
+    # the composite's two blocks are read as its column blocks, so neither is held twice
+    composite = pre.composite(row, j)
+    held = {user: composite[:, cols] for user, cols in pre._composite_columns(j).items()}
+    blocks = {user: held[user] if user in held else pre._received_block(row, user) for user in pre.precoders}
     if j == 1:
+        residuals: dict[str, float] = {}
         targets = (2, *range(4, eff.users + 1))
         norms = _block_norms(blocks, j, targets)
         reference = blocks[3]
@@ -249,23 +283,34 @@ def _receiver_checks(
             residuals[f"equality_rx1_tx{i}"] = float(
                 np.linalg.norm(target - reference * coef[None, :]) / norms[i]
             )
-        return residuals, numerical_rank(pre.composite(blocks, j))
+        return residuals, numerical_rank(composite)
     contained = tuple(k for k in range(2, eff.users + 1) if k != j)
     norms = _block_norms(blocks, j, contained)
-    if helper is None:
-        basis = orthonormal_basis(blocks[1])
-        rank = numerical_rank(pre.composite(blocks, j))
-    else:
-        pending = helper.submit(numerical_rank, pre.composite(blocks, j))
-        try:
-            basis = orthonormal_basis(blocks[1])
-        finally:
+    pending = None if helper is None else helper.submit(numerical_rank, composite)
+    try:
+        residuals = _containment_residuals(blocks, norms, j, contained)
+    finally:
+        if pending is not None:
             pending.exception()  # waits without raising, so a basis error wins
-        rank = pending.result()
+    return residuals, numerical_rank(composite) if pending is None else pending.result()
+
+
+def _containment_residuals(
+    blocks: dict[int, np.ndarray], norms: dict[int, float], j: int, contained: tuple[int, ...]
+) -> dict[str, float]:
+    """Receiver ``j``'s containment residuals, from the basis SVD of H_j1 V_1.
+
+    A function of its own, so that the basis is freed before a serial pass
+    runs the receiver's rank certificate. ``_block_norms`` has already
+    refused any block with a non-finite entry, so the basis SVD starts with
+    no scan of its own (the module docstring says why that matters).
+    """
+    basis = _finite_basis(blocks[1])
+    residuals = {}
     for k in contained:
         rejected = blocks[k] - basis @ (basis.conj().T @ blocks[k])
         residuals[f"contain_rx{j}_tx{k}"] = float(np.linalg.norm(rejected) / norms[k])
-    return residuals, rank
+    return residuals
 
 
 def _pair_gaps(a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray) -> np.ndarray:

@@ -278,9 +278,18 @@ class PrecoderSet:
         width = self.precoders[first].shape[-1]
         return {first: slice(0, width), second: slice(width, width + self.precoders[second].shape[-1])}
 
-    def composite(self, blocks: dict[int, np.ndarray], receiver: int) -> np.ndarray:
-        """The square composite of ``received_blocks``: desired block, then the basis user's block."""
-        return np.concatenate([blocks[j] for j in self._composite_columns(receiver)], axis=-1)
+    def composite(self, row: np.ndarray, receiver: int) -> np.ndarray:
+        """The square composite [H_kk V_k | H_kb V_b] of receiver k's ``row``, b the ``basis_user``.
+
+        Its two blocks are written straight into one fresh array, C order,
+        and no other block is formed; each entry has the bits of its block
+        in ``received_blocks``. A stack of rows gives a stack of composites.
+        """
+        dtype, _, _ = _arithmetic(row)
+        composite = np.empty(row.shape[:-2] + (self.dim, self.dim), dtype=dtype)
+        for j, cols in self._composite_columns(receiver).items():
+            self._received_block(row, j, composite[..., cols])
+        return composite
 
 
 def _check_pair(eff: EffectiveChannel, pre: PrecoderSet) -> None:

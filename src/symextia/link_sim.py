@@ -413,17 +413,17 @@ def _zero_forcer(
     ``effective_noise_std``, (D,); its whitened blocks, block j being
     ``scales[j - 1]`` times ``pre.received_blocks`` of its row of effective
     diagonals, (D, d_j), each row divided by the noise standard deviation
-    of its effective slot; and the rows of the pseudoinverse of
-    ``pre.composite`` of those blocks that recover user ``k``'s streams.
+    of its effective slot; and the rows of the pseudoinverse of the
+    composite of those blocks that recover user ``k``'s streams.
     ``eff``, ``pre`` and ``scales`` may hold the same stack of trials, and
     then so does every result. One stacked SVD covers every trial
     (``_pinv_rows``): it factors each (D, D) slice on its own, and only the
     d_k rows are multiplied out, so the rows are the same bits as one
     ``pinv`` call per trial.
 
-    The desired and basis blocks are whitened straight into a fresh
-    composite, in the column layout ``PrecoderSet`` owns, and it is factored
-    before any other block exists. The two blocks are then copied out of the
+    The desired and basis blocks are formed straight into a fresh
+    ``pre.composite`` and whitened there, and it is factored before any
+    other block exists. The two blocks are then copied out of the
     factored composite, conjugated back, and the other users' blocks are
     formed and whitened only after the SVD, so through it the receiver holds
     the composite and no block; every entry has the bits of a block whitened
@@ -433,21 +433,21 @@ def _zero_forcer(
     noise_std = effective_noise_std(eff, k)
     row = eff.diagonals[..., k - 1, :, :]
 
-    def whitened(j: int, out: np.ndarray | None = None) -> np.ndarray:
-        block = pre._received_block(row, j, out)
+    def whitened(j: int, block: np.ndarray) -> np.ndarray:
         block *= scales[..., j - 1, None, None]
         block /= noise_std[..., :, None]
         return block
 
     columns = pre._composite_columns(k)
-    composite = np.empty(noise_std.shape + (pre.dim,), dtype=complex)
+    composite = pre.composite(row, k)
     for j, cols in columns.items():
         whitened(j, composite[..., cols])
     rows = _pinv_rows(composite, pre.stream_counts[k])
     # _pinv_rows left the conjugate; the products need contiguous blocks, not column views
     copied = {j: np.conjugate(composite[..., cols], order="C") for j, cols in columns.items()}
     del composite
-    return noise_std, {j: copied[j] if j in copied else whitened(j) for j in pre.precoders}, rows
+    blocks = {j: copied[j] if j in copied else whitened(j, pre._received_block(row, j)) for j in pre.precoders}
+    return noise_std, blocks, rows
 
 
 def _receiver_terms(

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -433,10 +434,10 @@ class _BasisFailed(Exception):
 
 
 def _fail_at_receiver3(monkeypatch, eff, pre, rank=False, basis=False):
-    """Make ``numerical_rank`` and/or ``orthonormal_basis`` raise on receiver 3's input only."""
+    """Make ``numerical_rank`` and/or ``_finite_basis`` raise on receiver 3's input only."""
     composite3 = receiver_composite(eff, pre, 3)
     block3 = pre.received_blocks(eff.diagonals[2])[1]
-    real_rank, real_basis = align_verify.numerical_rank, align_verify.orthonormal_basis
+    real_rank, real_basis = align_verify.numerical_rank, align_verify._finite_basis
 
     def rank_or_fail(matrix):
         if rank and np.array_equal(matrix, composite3):
@@ -449,13 +450,13 @@ def _fail_at_receiver3(monkeypatch, eff, pre, rank=False, basis=False):
         return real_basis(matrix)
 
     monkeypatch.setattr(align_verify, "numerical_rank", rank_or_fail)
-    monkeypatch.setattr(align_verify, "orthonormal_basis", basis_or_fail)
+    monkeypatch.setattr(align_verify, "_finite_basis", basis_or_fail)
 
 
 def _record_svd_calls(monkeypatch):
-    """Wrap ``numerical_rank`` and ``orthonormal_basis``; each call appends (name, thread id, input finite)."""
+    """Wrap ``numerical_rank`` and ``_finite_basis``; each call appends (name, thread id, input finite)."""
     calls = []
-    for name in ("numerical_rank", "orthonormal_basis"):
+    for name in ("numerical_rank", "_finite_basis"):
         def wrapped(matrix, name=name, real=getattr(align_verify, name)):
             calls.append((name, threading.get_ident(), bool(np.all(np.isfinite(matrix)))))
             return real(matrix)
@@ -478,7 +479,7 @@ class TestBasisHelper:
         calls = _record_svd_calls(monkeypatch)
         check_alignment(eff, pre)
         caller = threading.get_ident()
-        assert [t for name, t, _ in calls if name == "orthonormal_basis"] == [caller] * 2
+        assert [t for name, t, _ in calls if name == "_finite_basis"] == [caller] * 2
         # receiver 1's certificate runs on the caller, the other K - 1 on one other thread
         certificates = [t for name, t, _ in calls if name == "numerical_rank"]
         assert len(certificates) == 3 and certificates[0] == caller
@@ -490,7 +491,7 @@ class TestBasisHelper:
         eff, pre = _double_setup(2, **size)
         before = threading.active_count()
         threads = []
-        for name in ("numerical_rank", "orthonormal_basis"):
+        for name in ("numerical_rank", "_finite_basis"):
             def wrapped(matrix, real=getattr(align_verify, name)):
                 threads.append((threading.get_ident(), threading.active_count()))
                 return real(matrix)
@@ -545,6 +546,54 @@ class TestBasisHelper:
         _fail_at_receiver3(monkeypatch, eff, pre, rank=True, basis=True)
         with pytest.raises(_BasisFailed):
             check_alignment(eff, pre)
+
+
+class TestHeldBlocks:
+    @pytest.mark.parametrize("size", [OVERLAPPED, SERIAL[1]])
+    def test_no_block_is_held_twice_through_the_svds(self, monkeypatch, size):
+        # numpy's own tracemalloc domain counts array data alone, not Python objects
+        def array_bytes():
+            traces = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            ).traces
+            return sum(trace.size for trace in traces)
+
+        users = size["users"]
+        dim = effective_dim(users, size["n"])
+        channels = generate_channels(users, 2 * dim, "constant", subseed(2, 2))
+        caller, overlapped = threading.get_ident(), dim >= align_verify._OVERLAP_MIN_DIM
+        # an overlapped basis SVD waits until its receiver's certificate has taken its
+        # reading, so that reading never counts the basis formed after the SVD
+        certified = threading.Semaphore(0)
+        seen = []
+        real_svd = np.linalg.svd
+
+        def svd(a, full_matrices=True, compute_uv=True, **kw):
+            if compute_uv and overlapped:
+                assert certified.acquire(timeout=60)
+            seen.append((compute_uv, array_bytes()))
+            if not compute_uv and threading.get_ident() != caller:
+                certified.release()
+            return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kw)
+
+        tracemalloc.start()
+        try:
+            baseline = array_bytes()
+            _, eff, pre, _ = draw_realization(channels, "double", subseed(2, 3))
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            check_alignment(eff, pre)
+        finally:
+            monkeypatch.undo()
+            tracemalloc.stop()
+        # receiver 1's certificate, then a basis and a certificate at each receiver j >= 2
+        assert len(seen) == 2 * users - 1 and sum(basis for basis, _ in seen) == users - 1 and not seen[0][0]
+        precoders = sum(mat.nbytes for mat in pre.precoders.values())
+        # each receiver's users - 2 other blocks; every user but user 1 has d_2 columns
+        others = 16 * dim * (users - 2) * pre.stream_counts[2]
+        # the realization, and 4 KiB for a certificate's singular values; a receiver's two
+        # composite blocks, 16 * D * D bytes, are held once, in the composite
+        slack = eff.diagonals.nbytes + eff.gains.alpha.nbytes + eff.gains.beta.nbytes + 4096
+        assert max(held for _, held in seen) - baseline <= precoders + 16 * dim**2 + others + slack
 
 
 def _replaced(pre, user, fn):
@@ -613,7 +662,7 @@ class TestUnusableBlocks:
         with pytest.raises(ParameterError, match="H_32 V_2 has norm inf"):
             check_alignment(eff, pre)
         assert sorted((name, finite) for name, _, finite in calls) == (
-            [("numerical_rank", True)] * 2 + [("orthonormal_basis", True)]
+            [("_finite_basis", True)] + [("numerical_rank", True)] * 2
         )
 
     def test_zero_reference_column_refused(self):

@@ -366,6 +366,11 @@ class TestModPrimeBuild:
             assert list(blocks) == list(want_blocks)
             for j, block in want_blocks.items():
                 assert np.array_equal(blocks[j], block), (users, n, k, j)
+            # the stacked composite holds the desired block, then the basis user's
+            composite = pre.composite(diagonals[:, k - 1], k)
+            assert composite.dtype == np.int64
+            want_composite = np.concatenate([want_blocks[k], want_blocks[pre.basis_user(k)]], axis=-1)
+            assert np.array_equal(composite, want_composite), (users, n, k)
 
     def test_a_zero_denominator_flags_its_trial_with_the_float_message(self):
         # the inverse of 0 mod p is 0, so a zero denominator makes a zero
