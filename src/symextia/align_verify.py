@@ -313,19 +313,19 @@ def _containment_residuals(
     return residuals
 
 
-def _pair_gaps(a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray) -> np.ndarray:
-    """|a - b| / max(|a|, |b|) entrywise, 0 where both magnitudes are 0.
+def _pair_gaps(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """|a - b| / scale entrywise, where ``scale`` is max(|a|, |b|); 0 where it is 0.
 
     A pair whose difference overflows is recomputed as
     |a/2 - b/2| / (scale/2): halving is exact at that magnitude, so the gap
     is the one an unbounded exponent range would give. Every other pair
     keeps the bits of the plain expression.
     """
-    scale = np.maximum(mag_a, mag_b)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gaps = np.where(scale > 0, np.abs(a - b) / scale, 0.0)
-    wide = np.flatnonzero(np.isinf(gaps))
-    if wide.size:
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.abs(a - b) / scale
+    gaps[scale == 0] = 0.0  # both values are 0, and 0 / 0 is nan
+    wide = np.isinf(gaps)
+    if wide.any():
         gaps[wide] = np.abs(a[wide] / 2 - b[wide] / 2) / (scale[wide] / 2)
     return gaps
 
@@ -333,52 +333,76 @@ def _pair_gaps(a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarra
 def min_relative_gap(values: np.ndarray) -> float:
     """Smallest pairwise relative difference |a - b| / max(|a|, |b|).
 
-    A pair of zeros has gap 0. The values are sorted by magnitude and swept
-    one offset of that order at a time (the sort-and-sweep pruning of
-    closest-pair search, Shamos & Hoey, FOCS 1975): from offset 2 on, a pair
-    is skipped when its magnitude difference alone, a lower bound on
-    |a - b|, already puts its gap above the running minimum, and the sweep
-    stops at the first offset that keeps no pair (magnitude differences only
-    grow with the offset) or once the minimum is 0. Typical inputs cost
-    O(D log D) time; equal magnitudes, such as roots of unity, cost O(D^2).
-    Memory stays O(D). Every pair that is computed uses the same
-    floating-point expression as the full pair matrix, and the minimum is
-    exact, so the result is the same bits as comparing all pairs; only a
-    pair whose difference overflows gets its exact gap where the matrix
-    reads inf.
+    A pair of zeros has gap 0; fewer than two values have gap inf. This is
+    the batch of one of the stacked sweep ``_min_relative_gaps``, which
+    says which pairs it computes and what that costs. Every pair that is
+    computed uses the same floating-point expression as the full pair
+    matrix, and the minimum is exact, so the result is the same bits as
+    comparing all pairs; only a pair whose difference overflows gets its
+    exact gap where the matrix reads inf.
 
     Raises
     ------
     ParameterError
         If any value or its magnitude is not finite.
     """
-    v = np.asarray(values).ravel()
+    return float(_min_relative_gaps(np.asarray(values).ravel()[None])[0])
+
+
+def _min_relative_gaps(values: np.ndarray) -> np.ndarray:
+    """``min_relative_gap`` of each row of ``values``, (rows, size), in one sweep over every row.
+
+    Each row is sorted by magnitude and swept one offset of that order at a
+    time, every row at once (the sort-and-sweep pruning of closest-pair
+    search, Shamos & Hoey, FOCS 1975): from offset 2 on, a pair is skipped
+    when its magnitude difference alone, a lower bound on |a - b|, already
+    puts its gap above its row's running minimum, each row's kept pairs are
+    reduced by ``np.minimum.reduceat``, and a row whose minimum is 0 keeps
+    none. The sweep stops at the first offset where no row keeps a pair
+    (magnitude differences only grow with the offset), so rows that stop
+    sooner cost nothing after. An offset computes at most one pair per
+    value. Typical inputs cost O(D log D) time per row of D values; equal
+    magnitudes, such as roots of unity, cost O(D^2). Memory stays O(D) per
+    row.
+    """
+    rows, size = values.shape
     with np.errstate(over="ignore"):
-        mags = np.abs(v)
+        mags = np.abs(values)
     # a complex value can have finite parts and an overflowing magnitude
-    if not np.all(np.isfinite(mags)):
+    if not np.isfinite(mags).all():
         raise ParameterError("relative gaps need finite values and magnitudes")
-    if v.size < 2:
-        return float("inf")
-    order = np.argsort(mags)
-    v, mags = v[order], mags[order]
+    if size < 2:
+        return np.full(rows, _INF)
+    # every row in magnitude order; flat index r * size + i is row r's i-th value
+    order = mags.argsort(axis=-1)
+    order += np.arange(0, rows * size, size)[:, None]
+    v, mags = values.ravel()[order], mags.ravel()[order]
+    del order
+    # in magnitude order the later value of a pair has the larger magnitude
+    best = _pair_gaps(v[:, 1:], v[:, :-1], mags[:, 1:]).min(axis=-1)
+    v, flat = v.ravel(), mags.ravel()
     finfo = np.finfo(np.result_type(mags, 1.0))
-    best = _pair_gaps(v[1:], v[:-1], mags[1:], mags[:-1]).min()
-    for offset in range(2, v.size):
-        if best == 0:
-            break
-        hi, lo = mags[offset:], mags[:-offset]
+    for offset in range(2, size):
         # Skipping needs (hi - lo) / hi > best with room for the rounding of
-        # the magnitudes, the difference and the quotient: the relative
-        # 1e-6 and 8 eps cover it at every scale, the subnormal term below
-        # the normal range. A slack of 1 already keeps every pair, since
-        # hi - lo <= hi, and capping it there keeps slack * hi finite.
-        slack = min(float(best) * (1 + 1e-6) + 8 * float(finfo.eps), 1.0)
-        live = np.flatnonzero(hi - lo <= slack * hi + 8 * finfo.smallest_subnormal)
+        # the magnitudes, the difference and the quotient: the relative 1e-6
+        # and 8 eps cover it at every scale, the subnormal term below the
+        # normal range. A slack of 1 already keeps every pair, since
+        # hi - lo <= hi, and capping it there keeps slack * hi finite; a
+        # slack of nan keeps none.
+        slack = np.minimum(best * (1 + 1e-6) + 8 * float(finfo.eps), 1.0)
+        slack[best == 0] = np.nan
+        hi, lo = mags[:, offset:], mags[:, :-offset]
+        keep = hi - lo <= slack[:, None] * hi + 8 * finfo.smallest_subnormal
+        live = np.flatnonzero(keep)
         if live.size == 0:
             break
-        best = min(best, _pair_gaps(v[live + offset], v[live], hi[live], lo[live]).min())
-    return float(best)
+        low = live + live // (size - offset) * offset  # flat index of each kept pair's smaller value
+        gaps = _pair_gaps(v[low + offset], v[low], flat[low + offset])
+        kept = np.count_nonzero(keep, axis=1)
+        rows_kept = np.flatnonzero(kept)
+        starts = (kept.cumsum() - kept)[rows_kept]  # each of those rows' first kept pair
+        best[rows_kept] = np.minimum(best[rows_kept], np.minimum.reduceat(gaps, starts))
+    return best
 
 
 def distinctness_audit(cascades: CascadeSet) -> DistinctnessAudit:
@@ -386,10 +410,18 @@ def distinctness_audit(cascades: CascadeSet) -> DistinctnessAudit:
 
     Repeated entries on a cascade diagonal (or on kappa) collapse the span
     the exponent products can generate, so any gap below
-    ``DISTINCTNESS_TOL`` is flagged by name.
+    ``DISTINCTNESS_TOL`` is flagged by name. Every generator's gap and
+    kappa's come from one stacked ``_min_relative_gaps`` sweep, each the
+    bits of ``min_relative_gap`` of that diagonal.
+
+    Raises ``ParameterError`` for a non-finite entry and unless every
+    generator diagonal has kappa's shape.
     """
-    lambda_gaps = {pair: min_relative_gap(diag) for pair, diag in cascades.matrices.items()}
-    kappa_gap = min_relative_gap(cascades.kappa)
+    quantities = [*cascades.matrices.values(), cascades.kappa]
+    if any(np.shape(q) != np.shape(cascades.kappa) for q in quantities):
+        raise ParameterError("every cascade diagonal must have kappa's shape")
+    *gaps, kappa_gap = _min_relative_gaps(np.stack(quantities).reshape(len(quantities), -1)).tolist()
+    lambda_gaps = dict(zip(cascades.matrices, gaps))
     flagged = tuple(
         sorted(f"T_{k}_{l}" for (k, l), gap in lambda_gaps.items() if gap < DISTINCTNESS_TOL)
     )

@@ -1,7 +1,9 @@
 """Channel generation, gain planning, and effective-channel construction.
 
 Raw per-slot channels for a K-user single-antenna interference channel are
-held as a dense complex tensor indexed ``[receiver, transmitter, slot]``.
+held as a complex tensor indexed ``[receiver, transmitter, slot]``: dense
+for the ``slow_changing`` and ``iid`` models, and for a generated
+``constant`` channel a read-only broadcast view of its one K x K draw.
 Artificial transmit/receive gain sequences turn those raw slots into the
 diagonal effective channels consumed by the precoder and verification
 layers. The three coding modes differ only in how raw slots fold into
@@ -102,8 +104,16 @@ def subseed(seed: int, *key: int) -> int:
 
 
 def _complex_normal(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
-    """Circularly symmetric unit-variance complex normals ``(re + 1j im) / sqrt(2)``, ``re`` drawn first."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Circularly symmetric unit-variance complex normals ``(re + 1j im) / sqrt(2)``, ``re`` drawn first.
+
+    Built in place in its one complex array, with the ufuncs of that
+    expression, so the bits are the same.
+    """
+    re = rng.standard_normal(shape)
+    out = np.multiply(1j, rng.standard_normal(shape))
+    out += re
+    out /= np.sqrt(2.0)
+    return out
 
 
 def _sample_unit_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -176,8 +186,11 @@ class ChannelSet:
     entries : numpy.ndarray
         Complex tensor of shape ``(users, users, slots)``;
         ``entries[k-1, j-1, t]`` is the tap from transmitter j to receiver k
-        in slot t. Treated as immutable once constructed. ``users`` (K, at
-        least 3) and ``slots`` (T, at least 2) are read off its shape.
+        in slot t. Treated as immutable once constructed; ``generate_channels``
+        gives a ``constant`` channel a read-only ``np.broadcast_to`` view of
+        its one draw, which every check below reads as it reads a dense
+        tensor. ``users`` (K, at least 3) and ``slots`` (T, at least 2) are
+        read off its shape.
     model_tag : str
         One of ``CHANNEL_MODELS``. A model is the number of constant slot
         blocks it holds, from ``_MODEL_BLOCKS``: ``constant`` 1,
@@ -239,6 +252,13 @@ def slot_fold(coding: str) -> int:
     return SLOT_FOLD[coding]
 
 
+def _slot_layer(entries: np.ndarray, alpha: np.ndarray, beta: np.ndarray, slots: slice) -> np.ndarray:
+    """``beta * h * alpha`` over the raw ``slots``, (..., users, users, len(slots)), in one array."""
+    layer = beta[..., :, None, slots] * entries[..., slots]
+    layer *= alpha[..., None, :, slots]
+    return layer
+
+
 def _fold_diagonals(
     entries: np.ndarray, alpha: np.ndarray | None, beta: np.ndarray | None, coding: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +273,10 @@ def _fold_diagonals(
     most ``DEGENERATE_REL_TOL`` of the link's mean magnitude; a pair that
     sums to exactly 0, and so an all-zero link, counts. Every step is
     entrywise or a reduction over one link's slots, so each trial's slice
-    has the bits of that trial folded alone.
+    has the bits of that trial folded alone. Each fold layer's gain-scaled
+    slots are formed on their own and added in layer order, the additions
+    a sum over the fold axis makes, so no product over all the slots is
+    held.
 
     Raises ``ParameterError`` for an unknown coding, gains under ``plain``
     or none under the other codings, gains shaped unlike the channels, a
@@ -272,12 +295,15 @@ def _fold_diagonals(
         raise ParameterError(f"{coding} coding requires a slot count divisible by {fold}")
     # products of caller-supplied arrays can overflow; that is reported as a
     # non-finite diagonal below rather than as a warning
+    dim = slots // fold
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = entries
-        if alpha is not None:
-            scaled = beta[..., :, None, :] * entries
-            scaled *= alpha[..., None, :, :]  # in place: one temporary, same bits
-        diagonals = scaled.reshape(*scaled.shape[:-1], fold, -1).sum(axis=-2)
+        if alpha is None:
+            diagonals = np.array(entries)  # owned and writable: the channel's entries may be a read-only view
+        else:
+            # the layers added in order, as the sum over a fold axis adds them
+            diagonals = _slot_layer(entries, alpha, beta, slice(0, dim))
+            for p in range(1, fold):
+                diagonals += _slot_layer(entries, alpha, beta, slice(p * dim, (p + 1) * dim))
     if not np.all(np.isfinite(diagonals)):
         raise ParameterError("effective diagonals must be finite")
     if fold == 1:
@@ -423,8 +449,10 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
         One of ``CHANNEL_MODELS``, drawn as its number of constant slot
         blocks in ``_MODEL_BLOCKS``: ``constant`` 1, ``slow_changing`` 2,
         ``iid`` None. Each block's (users, users) matrix is drawn in turn
-        and repeated over its T / blocks slots; ``iid`` draws the whole
-        (users, users, T) tensor at once.
+        and held over its T / blocks slots: ``constant``'s one matrix as a
+        read-only broadcast view over every slot (a write raises
+        ``ValueError``), ``slow_changing``'s two repeated into a dense
+        tensor. ``iid`` draws the whole (users, users, T) tensor at once.
     seed : int
         Seed for the local random stream; equal seeds reproduce the
         realization exactly.
@@ -442,7 +470,9 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
         sizes, seed and budget and before anything is drawn.
     CapacityError
         If the complex128 tensor, 16 * users^2 * slots bytes, would exceed
-        ``BYTE_BUDGET``; checked before anything is allocated.
+        ``BYTE_BUDGET``; checked before anything is allocated, for every
+        model: a ``constant`` view holds only its draw, but the gains and
+        the fold of every coding still scale with the slots.
     """
     users, slots = _check_sizes(users, slots, 3, 2)
     _check_int("seed", seed, 0)
@@ -453,7 +483,10 @@ def generate_channels(users: int, slots: int, model: str, seed: int) -> ChannelS
         entries = _sample_unit_complex(rng, (users, users, slots))
     else:
         draws = [_sample_unit_complex(rng, (users, users)) for _ in range(blocks)]
-        entries = np.repeat(np.stack(draws, axis=2), slots // blocks, axis=2)
+        if blocks == 1:  # one block is one matrix, viewed over every slot
+            entries = np.broadcast_to(draws[0][:, :, None], (users, users, slots))
+        else:
+            entries = np.repeat(np.stack(draws, axis=2), slots // blocks, axis=2)
     return ChannelSet(entries=entries, model_tag=model)
 
 

@@ -14,8 +14,13 @@ draws must match it bit for bit. ``parent_build_effective`` is the slot
 fold as ``build_effective`` spelled it before ``EffectiveChannel`` computed
 its own diagonals; the class must match it bit for bit.
 ``parent_generate_channels`` is the channel draw as it read before one
-table of slot blocks named every channel model, one branch per model;
-``generate_channels`` must match it bit for bit.
+table of slot blocks named every channel model, one branch per model and
+the constant channel repeated over its slots, drawn through
+``parent_complex_normal``, the complex normal as one expression;
+``generate_channels`` and ``_complex_normal`` must match them bit for bit.
+``parent_fold_diagonals`` is the slot fold as one gain-scaled product over
+every raw slot, summed over the fold axis; the layer-at-a-time fold must
+match it bit for bit.
 ``parent_check_alignment``, with its ``parent_signal_space_rank`` and
 ``parent_receiver_composite``, is the alignment check as it read before
 ``PrecoderSet`` owned the receiver blocks and the composite layout, one
@@ -47,11 +52,11 @@ from symextia.errors import DegenerateRealizationError, SimulationError
 from symextia.extension_core import (
     CONSTANT,
     DEGENERATE_REL_TOL,
+    MIN_DRAW_MAGNITUDE,
     PLAIN,
     SLOT_FOLD,
     SLOW_CHANGING,
     _STREAMS,
-    _sample_unit_complex,
     build_effective,
     generate_gains,
     subseed,
@@ -397,23 +402,53 @@ def parent_build_effective(channels, gains, coding: str) -> np.ndarray:
     return diagonals
 
 
+def parent_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-variance complex normals as one expression, ``re`` drawn first."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _parent_sample_unit_complex(rng: np.random.Generator, shape) -> np.ndarray:
+    """``extension_core._sample_unit_complex`` drawing through ``parent_complex_normal``."""
+    out = parent_complex_normal(rng, shape)
+    while True:
+        small = np.abs(out) < MIN_DRAW_MAGNITUDE
+        if not small.any():
+            return out
+        out[small] = parent_complex_normal(rng, int(small.sum()))
+
+
 def parent_generate_channels(users: int, slots: int, model: str, seed: int) -> np.ndarray:
     """The channel tensor as ``generate_channels`` drew it with one branch per model.
 
-    A verbatim copy of that function's drawing ladder; its argument checks
-    are left to the package, and it returns the entries it used to hand to
-    ``ChannelSet``.
+    A verbatim copy of that function's drawing ladder, each draw through
+    ``parent_complex_normal``; its argument checks are left to the package,
+    and it returns the entries it used to hand to ``ChannelSet``, a
+    constant channel repeated over every slot.
     """
     rng = np.random.default_rng(seed)
     if model == CONSTANT:
-        base = _sample_unit_complex(rng, (users, users))
+        base = _parent_sample_unit_complex(rng, (users, users))
         entries = np.repeat(base[:, :, None], slots, axis=2)
     elif model == SLOW_CHANGING:
-        halves = [_sample_unit_complex(rng, (users, users)) for _ in range(2)]
+        halves = [_parent_sample_unit_complex(rng, (users, users)) for _ in range(2)]
         entries = np.repeat(np.stack(halves, axis=2), [slots // 2, slots - slots // 2], axis=2)
     else:
-        entries = _sample_unit_complex(rng, (users, users, slots))
+        entries = _parent_sample_unit_complex(rng, (users, users, slots))
     return entries
+
+
+def parent_fold_diagonals(entries: np.ndarray, alpha, beta, coding: str) -> np.ndarray:
+    """The diagonals of ``extension_core._fold_diagonals`` as one product over every raw slot.
+
+    A verbatim copy of that fold's arithmetic before it formed one slot
+    layer at a time: the gain-scaled (..., users, users, slots) product,
+    summed over the fold axis. Its checks are left to the package.
+    """
+    scaled = entries
+    if alpha is not None:
+        scaled = beta[..., :, None, :] * entries
+        scaled *= alpha[..., None, :, :]
+    return scaled.reshape(*scaled.shape[:-1], SLOT_FOLD[coding], -1).sum(axis=-2)
 
 
 def parent_receiver_composite(eff, pre, receiver: int) -> np.ndarray:

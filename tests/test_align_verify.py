@@ -18,6 +18,7 @@ from oracles import (
     partner_residuals,
 )
 from symextia import (
+    CascadeSet,
     ChannelSet,
     ParameterError,
     PrecoderSet,
@@ -38,6 +39,7 @@ from symextia import (
     slot_fold,
     subseed,
 )
+from symextia.link_sim import draw_until_built
 
 
 _FINITE_COMPLEX = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
@@ -176,6 +178,138 @@ class TestMinRelativeGap:
     def test_non_finite_input_raises(self, values):
         with pytest.raises(ParameterError, match="finite"):
             min_relative_gap(np.array(values))
+
+
+def _sweep_pairs(monkeypatch) -> list[int]:
+    """The pair count of every ``_pair_gaps`` call the sweep makes, one per offset it runs."""
+    calls = []
+    real = align_verify._pair_gaps
+    monkeypatch.setattr(align_verify, "_pair_gaps", lambda a, b, scale: calls.append(a.size) or real(a, b, scale))
+    return calls
+
+
+class TestStackedSweep:
+    """``_min_relative_gaps`` sweeps every row at once; each row gets its own ``min_relative_gap``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(_GAP_FAMILIES, st.integers(-320, 150)), min_size=1, max_size=4))
+    def test_every_row_matches_the_dense_reference(self, rows):
+        size = min(values.size for values, _ in rows)
+        stack = np.stack([values[:size] * 10.0**exponent for values, exponent in rows]).astype(complex)
+        got = align_verify._min_relative_gaps(stack)
+        assert got.tolist() == [dense_min_relative_gap(row) for row in stack]
+
+    def test_rows_stop_at_different_offsets(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        phases = np.exp(2j * np.pi * rng.random(40))
+        rows = np.stack([
+            2.0 ** np.arange(40) * phases,  # magnitudes that double: stops at offset 2
+            (1 + 1e-3 * np.arange(40)) * np.where(np.arange(40) % 2, 1, -1),  # same sign two apart: offset 3
+            (1 + 1e-9 * rng.random(40)) * phases,  # one magnitude: every offset
+        ])
+        calls = _sweep_pairs(monkeypatch)
+        alone = []
+        for row in rows:
+            calls.clear()
+            assert min_relative_gap(row) == dense_min_relative_gap(row)
+            alone.append(list(calls))
+        assert [len(c) for c in alone] == [1, 2, 39]
+        calls.clear()
+        got = align_verify._min_relative_gaps(rows)
+        assert got.tolist() == [dense_min_relative_gap(row) for row in rows]
+        # one pass per offset for every row, each row keeping the pairs it keeps alone
+        assert len(calls) == 39
+        assert sum(calls) == sum(map(sum, alone))
+
+    def test_a_zero_gap_row_computes_no_more_pairs(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
+        values[0, 17] = values[0, 250]
+        calls = _sweep_pairs(monkeypatch)
+        min_relative_gap(values[1])
+        other = sum(calls)
+        calls.clear()
+        assert align_verify._min_relative_gaps(values).tolist() == [0.0, dense_min_relative_gap(values[1])]
+        assert sum(calls) == other + values.shape[1] - 1  # the zero row's neighbours only
+
+    def test_pairs_whose_difference_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = align_verify._min_relative_gaps(np.array([
+                [1e308, -1e308, 5.0],
+                [1.7e308, -1.7e308, 1.7e308],
+                [1.0, 2.0, 3.0],
+                [3.0, -3.0, 1.5e308],
+            ]))
+        assert got.tolist() == [1.0, 0.0, dense_min_relative_gap(np.array([1.0, 2.0, 3.0])), 1.0]
+
+    def test_equal_magnitudes_cost_linear_memory(self):
+        # roots of unity keep every pair at every offset: O(D^2) time, O(D) memory
+        size = 2000
+        roots = np.exp(2j * np.pi * np.arange(size) / size)
+        stack = np.stack([roots, np.random.default_rng(1).standard_normal(size) + 0j, roots * 1e-200])
+        want = [min_relative_gap(row) for row in stack]
+        tracemalloc.start()
+        try:
+            got = align_verify._min_relative_gaps(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == want
+        small = np.exp(2j * np.pi * np.arange(300) / 300)
+        assert min_relative_gap(small) == dense_min_relative_gap(small)
+        # a few arrays of one entry per value; one row's pair matrix would be 16 * size bytes per value
+        assert peak <= 160 * stack.size
+
+    def test_the_audit_is_the_stacked_sweep_of_its_quantities(self):
+        ch = generate_channels(4, 2 * effective_dim(4, 2), "constant", 4)
+        _, eff, _, _ = draw_realization(ch, "double", 5)
+        cascades = build_cascades(eff)
+        audit = distinctness_audit(cascades)
+        assert list(audit.lambda_gaps) == list(cascades.matrices)
+        for pair, diag in cascades.matrices.items():
+            assert audit.lambda_gaps[pair] == min_relative_gap(diag) == dense_min_relative_gap(diag)
+        assert audit.kappa_gap == min_relative_gap(cascades.kappa) == dense_min_relative_gap(cascades.kappa)
+
+    def test_the_audit_refuses_diagonals_of_other_lengths(self):
+        ch = generate_channels(3, 2 * effective_dim(3, 2), "constant", 4)
+        _, eff, _, _ = draw_realization(ch, "double", 5)
+        cascades = build_cascades(eff)
+        short = CascadeSet(matrices={**cascades.matrices, (3, 2): cascades.kappa[:-1]}, kappa=cascades.kappa)
+        with pytest.raises(ParameterError, match="kappa's shape"):
+            distinctness_audit(short)
+
+
+class TestAuditDrawMemory:
+    def test_one_audit_draw_holds_one_slot_layer(self):
+        # K=4 n=3 double on constant channels, the audit_k4 benchmark op
+        users, dim = 4, effective_dim(4, 3)
+        slots = 2 * dim
+
+        def traced_peak(run):
+            run()  # warm up lazy imports before tracing
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def audit_draw():
+            channels = generate_channels(users, slots, "constant", 3)
+            _, _, cascades, _ = draw_until_built(channels, "double", 5, build_cascades)
+            return distinctness_audit(cascades)
+
+        # a (K, K, D) slot layer as numpy forms it, the broadcasting
+        # multiply's iterator buffers included (159 KiB here on numpy 2.4)
+        beta = np.ones((1, users, slots), dtype=complex)
+        channel = np.ones((users, users, slots), dtype=complex)
+        layer = traced_peak(lambda: beta[..., :, None, :dim] * channel[..., :dim])
+        assert layer >= 16 * users**2 * dim
+        gains, diagonals = 2 * 16 * users * slots, 16 * users**2 * dim
+        # the gains, the diagonals and one slot layer; a repeated channel or
+        # a product over all the slots is two more (K, K, D) arrays each
+        assert traced_peak(audit_draw) <= gains + diagonals + layer + 64 * 1024
 
 
 class TestDoubleLayerAlignment:

@@ -459,8 +459,9 @@ class TestAuditPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the channel tensor, the gains, one scaled copy and the effective
-        # diagonals; a D x D pair matrix or the precoders would each be 40x or more
+        # the gains, the effective diagonals and one slot layer, each at most
+        # the size of a dense channel tensor (a constant channel is a view of
+        # one draw); a D x D pair matrix or the precoders would each be 40x or more
         assert peak <= 5 * channel_bytes
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import symextia.extension_core as extension_core
 import symextia.link_sim as link_sim
-from oracles import parent_build_effective, parent_generate_channels
+from oracles import parent_build_effective, parent_complex_normal, parent_fold_diagonals, parent_generate_channels
 from symextia import (
     CapacityError,
     ChannelSet,
@@ -150,6 +150,52 @@ class TestModelTable:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestAllocationLeanDraw:
+    """The draw and fold hold fewer arrays than the single expressions in ``oracles``, with their bits."""
+
+    @pytest.mark.parametrize("users,slots", [(3, 2), (3, 42), (4, 550), (4, 2534)])
+    def test_constant_channel_is_a_read_only_view_of_one_draw(self, users, slots):
+        ch = generate_channels(users, slots, "constant", 7)
+        assert ch.entries.tobytes() == parent_generate_channels(users, slots, "constant", 7).tobytes()
+        assert ch.entries.strides[2] == 0 and not ch.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ch.entries[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [1, 5, (3,), (4, 7), (2, 3, 5), (0,), (4, 4, 2534)])
+    def test_complex_normal_matches_the_one_expression(self, shape):
+        for seed in (0, 3, 2**40 + 1):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = extension_core._complex_normal(got_rng, shape)
+            want = parent_complex_normal(want_rng, shape)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            # both consumed the same draws
+            assert got_rng.standard_normal() == want_rng.standard_normal()
+
+    # one trial and a stack of three; slow_changing needs the even slot count of double
+    @pytest.mark.parametrize("model,coding,trials", [
+        (model, coding, trials)
+        for model in CHANNEL_MODELS
+        for coding, trials in (("plain", None), ("naive", None), ("naive", 3), ("double", None), ("double", 3))
+        if model != "slow_changing" or coding == "double"
+    ])
+    def test_fold_matches_the_single_product(self, model, coding, trials):
+        users, dim = 4, effective_dim(4, 2)
+        slots = slot_fold(coding) * dim
+        ch = generate_channels(users, slots, model, 11)
+        repeated = parent_generate_channels(users, slots, model, 11)
+        alpha = beta = None
+        if coding != "plain":
+            plans = [generate_gains(users, slots, seed) for seed in range(trials or 1)]
+            alpha, beta = (np.stack([getattr(g, name) for g in plans]) for name in ("alpha", "beta"))
+            if trials is None:
+                alpha, beta = alpha[0], beta[0]
+        diagonals, _ = extension_core._fold_diagonals(ch.entries, alpha, beta, coding)
+        want = parent_fold_diagonals(repeated, alpha, beta, coding)
+        assert diagonals.shape == want.shape and diagonals.flags.c_contiguous and diagonals.flags.writeable
+        assert np.array_equal(diagonals.view(np.uint64), want.view(np.uint64))
 
 
 class TestChannelSetModels:
