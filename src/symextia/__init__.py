@@ -15,9 +15,6 @@ from .align_verify import (
     distinctness_audit,
     min_relative_gap,
     numerical_rank,
-    orthonormal_basis,
-    receiver_composite,
-    signal_space_rank,
 )
 from .cj_precoder import (
     CascadeSet,
@@ -99,10 +96,7 @@ __all__ = [
     "generate_gains",
     "min_relative_gap",
     "numerical_rank",
-    "orthonormal_basis",
-    "receiver_composite",
     "run_symbol_chain",
-    "signal_space_rank",
     "simulate_link",
     "slot_fold",
     "subseed",

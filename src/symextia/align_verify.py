@@ -1,5 +1,11 @@
 """Alignment residuals, signal-space rank certification, and distinctness audits.
 
+Each alignment question has one entry point. ``check_alignment`` gives a
+pair's residuals and one rank certificate per receiver
+(``report.rank_results[k]``); ``numerical_rank`` gives the rank of one
+matrix; ``PrecoderSet.composite(eff.diagonals[k - 1], k)`` gives receiver
+k's composite, the matrix that certificate is taken of.
+
 All checks are subspace-level: precoder columns carry arbitrary nonzero
 per-column scales (they are normalized on construction), so equality is
 measured after per-column least-squares scale matching and containment via
@@ -11,16 +17,17 @@ value, so the SNR (each user's transmit power per raw slot over the
 unit-variance receiver noise, as in ``link_sim``) does not enter them.
 
 ``check_alignment`` runs two kinds of dense SVD at each receiver j != 1: a
-thin SVD with vectors for the containment basis of H_j1 V_1 and a
-values-only SVD for the rank certificate (``numerical_rank``). Each
-receiver's two composite blocks are written straight into its
-``PrecoderSet.composite`` and read as its column blocks, and only the other
-users' blocks are formed on their own; so through a receiver's SVDs it
-holds the composite and those blocks, each block once, and a serial pass
-frees the basis before the certificate. A K=4, n=3 ``verify --trials 1``
-(D = 1267) peaks at about 259 MiB RSS under double coding on constant
-channels and 255 MiB under plain coding on i.i.d. channels, against 284 and
-280 MiB when each composite block was also held on its own.
+thin SVD with vectors for the containment basis of H_j1 V_1
+(``_finite_basis``) and a values-only SVD for the rank certificate
+(``numerical_rank``). Each receiver's two composite blocks are written
+straight into its ``PrecoderSet.composite`` and read as its column blocks,
+and only the other users' blocks are formed on their own; so through a
+receiver's SVDs it holds the composite and those blocks, each block once,
+and a serial pass frees the basis before the certificate. A K=4, n=3
+``verify --trials 1`` (D = 1267) peaks at about 259 MiB RSS under double
+coding on constant channels and 255 MiB under plain coding on i.i.d.
+channels, against 284 and 280 MiB when each composite block was also held
+on its own.
 
 numpy's SVD with vectors releases the GIL. Its values-only SVD, looped on
 one thread, held the GIL through each call at every D measured from 101 to
@@ -57,7 +64,7 @@ import numpy as np
 
 from .cj_precoder import CascadeSet, PrecoderSet, _check_pair
 from .errors import ParameterError
-from .extension_core import EffectiveChannel, _check_users
+from .extension_core import EffectiveChannel
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -120,18 +127,18 @@ def _rank_cutoff(shape: tuple[int, ...], s: np.ndarray) -> float | None:
     return max(shape) * _EPS * float(s[0])
 
 
-def _require_finite(matrix: np.ndarray) -> None:
-    """ParameterError unless every entry is finite: an SVD of inf or NaN returns NaN or fails to converge."""
-    if not np.isfinite(matrix).all():
-        raise ParameterError("a rank certificate or basis needs a finite matrix")
-
-
 def numerical_rank(matrix: np.ndarray) -> RankResult:
-    """Rank, sigma_min/sigma_max margin, and the cutoff max(shape)*eps*sigma_max.
+    """Rank, sigma_min/sigma_max margin, and the cutoff max(shape)*eps*sigma_max of one matrix.
 
-    A non-finite matrix raises ``ParameterError``.
+    ``ParameterError`` unless ``matrix`` is 2-D with finite entries: a
+    stack has no one rank, and an SVD of inf or NaN returns NaN or fails to
+    converge.
     """
-    _require_finite(matrix)
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ParameterError(f"a rank certificate needs one 2-D matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ParameterError("a rank certificate needs a finite matrix")
     s = np.linalg.svd(matrix, compute_uv=False)
     threshold = _rank_cutoff(matrix.shape, s)
     if threshold is None:
@@ -139,39 +146,15 @@ def numerical_rank(matrix: np.ndarray) -> RankResult:
     return RankResult(int(np.count_nonzero(s > threshold)), float(s[-1] / s[0]), threshold)
 
 
-def orthonormal_basis(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the numerical column space (SVD with rank cutoff).
-
-    A non-finite matrix raises ``ParameterError``.
-    """
-    _require_finite(matrix)
-    return _finite_basis(matrix)
-
-
 def _finite_basis(matrix: np.ndarray) -> np.ndarray:
-    """``orthonormal_basis`` of a matrix whose entries are known to be finite."""
+    """Orthonormal basis of the numerical column space, by thin SVD and ``numerical_rank``'s cutoff.
+
+    The entries must be known to be finite; ``check_alignment``'s
+    containment residuals are the one caller.
+    """
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
     threshold = _rank_cutoff(matrix.shape, s)
     return u[:, :0] if threshold is None else u[:, s > threshold]
-
-
-def receiver_composite(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) -> np.ndarray:
-    """Desired block next to the aligned-interference basis seen at ``receiver``.
-
-    This is ``PrecoderSet.composite`` of the receiver's row of effective
-    diagonals, the layout the alignment check and the link receivers read:
-    [H_11 V_1 | H_12 V_2] at receiver 1 and [H_kk V_k | H_k1 V_1] at
-    receiver k != 1, square D x D either way. A mismatched pair or receiver
-    label raises ``ParameterError``.
-    """
-    _check_pair(eff, pre)
-    _check_users(eff.users, receiver)
-    return pre.composite(eff.diagonals[receiver - 1], receiver)
-
-
-def signal_space_rank(eff: EffectiveChannel, pre: PrecoderSet, receiver: int) -> RankResult:
-    """Certify that desired plus interference span the full D dimensions."""
-    return numerical_rank(receiver_composite(eff, pre, receiver))
 
 
 def _block_norms(blocks: dict[int, np.ndarray], receiver: int, denominators: tuple[int, ...]) -> dict[int, float]:
@@ -341,12 +324,21 @@ def min_relative_gap(values: np.ndarray) -> float:
     comparing all pairs; only a pair whose difference overflows gets its
     exact gap where the matrix reads inf.
 
+    Bool and integer values are compared as float64, whose differences
+    and magnitudes cannot wrap around; float and complex values are swept
+    as they are.
+
     Raises
     ------
     ParameterError
-        If any value or its magnitude is not finite.
+        If the values are not numbers, or any value or its magnitude is not finite.
     """
-    return float(_min_relative_gaps(np.asarray(values).ravel()[None])[0])
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        values = values.astype(np.float64)
+    elif values.dtype.kind not in "fc":
+        raise ParameterError(f"relative gaps need numeric values, got dtype {values.dtype}")
+    return float(_min_relative_gaps(values.ravel()[None])[0])
 
 
 def _min_relative_gaps(values: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateRealizationError, ParameterError
-from .extension_core import EffectiveChannel, _check_int, check_byte_budget, count_text
+from .extension_core import EffectiveChannel, _check_int, _check_users, check_byte_budget, count_text
 
 SINGLE_LAYER = "single"
 DOUBLE_LAYER = "double"
@@ -284,7 +284,14 @@ class PrecoderSet:
         Its two blocks are written straight into one fresh array, C order,
         and no other block is formed; each entry has the bits of its block
         in ``received_blocks``. A stack of rows gives a stack of composites.
+        ParameterError unless ``receiver`` is a user label and the last two
+        axes of ``row`` are (users, dim).
         """
+        if row.shape[-2:] != (self.users, self.dim):
+            raise ParameterError(
+                f"receiver row {row.shape[-2:]} does not match precoder set ({self.users} users, dim {self.dim})"
+            )
+        _check_users(self.users, receiver)
         dtype, _, _ = _arithmetic(row)
         composite = np.empty(row.shape[:-2] + (self.dim, self.dim), dtype=dtype)
         for j, cols in self._composite_columns(receiver).items():

@@ -24,8 +24,9 @@ match it bit for bit.
 ``parent_check_alignment``, with its ``parent_signal_space_rank`` and
 ``parent_receiver_composite``, is the alignment check as it read before
 ``PrecoderSet`` owned the receiver blocks and the composite layout, one
-product per block and condition; the one-pass check and the one-receiver
-functions must match them bit for bit. ``partner_columns`` proves
+product per block and condition, with its own SVDs and rank cutoff; the
+one-pass check, its per-receiver certificates and ``PrecoderSet.composite``
+must match them bit for bit. ``partner_columns`` proves
 alignment without a basis: each interfering column at receiver j != 1 is a
 known column of user 1's block there, up to scale. ``modp_columns`` and
 ``modp_received_blocks`` are the construction over the residues mod a prime
@@ -40,13 +41,7 @@ import math
 
 import numpy as np
 
-from symextia.align_verify import (
-    RESIDUAL_TOL,
-    AlignmentReport,
-    RankResult,
-    numerical_rank,
-    orthonormal_basis,
-)
+from symextia.align_verify import RESIDUAL_TOL, AlignmentReport, RankResult
 from symextia.cj_precoder import _check_pair, build_precoders, cascade_pairs, enumerate_tuples
 from symextia.errors import DegenerateRealizationError, SimulationError
 from symextia.extension_core import (
@@ -456,19 +451,37 @@ def parent_receiver_composite(eff, pre, receiver: int) -> np.ndarray:
     return np.hstack([eff.diagonal(k, j)[:, None] * pre.precoders[j] for j in (k, pre.basis_user(k))])
 
 
+def _parent_cutoff(shape: tuple[int, ...], s: np.ndarray) -> float | None:
+    """The rank cutoff max(shape) * eps * sigma_max of descending ``s``; None for rank 0."""
+    if s.size == 0 or s[0] == 0.0:
+        return None
+    return max(shape) * float(np.finfo(np.float64).eps) * float(s[0])
+
+
+def _parent_basis(matrix: np.ndarray) -> np.ndarray:
+    """The left singular vectors of a thin SVD above ``_parent_cutoff``."""
+    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    threshold = _parent_cutoff(matrix.shape, s)
+    return u[:, :0] if threshold is None else u[:, s > threshold]
+
+
 def parent_signal_space_rank(eff, pre, receiver: int) -> RankResult:
     _check_pair(eff, pre)
     composite = parent_receiver_composite(eff, pre, receiver)
-    rank, margin, threshold = numerical_rank(composite)
-    return RankResult(rank=rank, margin=margin, threshold=threshold)
+    s = np.linalg.svd(composite, compute_uv=False)
+    threshold = _parent_cutoff(composite.shape, s)
+    if threshold is None:
+        return RankResult(0, 0.0, 0.0)
+    return RankResult(int(np.count_nonzero(s > threshold)), float(s[-1] / s[0]), threshold)
 
 
 def parent_check_alignment(eff, pre) -> AlignmentReport:
     """``check_alignment`` as it read before the one pass over receivers.
 
     A verbatim copy, with its ``signal_space_rank``/``receiver_composite``
-    path: every block product is formed where a condition reads it, and the
-    rank certificates come after all residuals.
+    path and its own copy of the basis SVD and rank cutoff: every block
+    product is formed where a condition reads it, and the rank certificates
+    come after all residuals.
     """
     _check_pair(eff, pre)
     residuals: dict[str, float] = {}
@@ -484,7 +497,7 @@ def parent_check_alignment(eff, pre) -> AlignmentReport:
         )
 
     for j in range(2, eff.users + 1):
-        basis = orthonormal_basis(eff.diagonal(j, 1)[:, None] * pre.precoders[1])
+        basis = _parent_basis(eff.diagonal(j, 1)[:, None] * pre.precoders[1])
         for k in range(2, eff.users + 1):
             if k == j:
                 continue

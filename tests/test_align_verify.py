@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symextia.align_verify as align_verify
+import symextia.cj_precoder as cj_precoder
 from oracles import (
     dense_min_relative_gap,
     parent_check_alignment,
@@ -33,9 +34,6 @@ from symextia import (
     generate_channels,
     min_relative_gap,
     numerical_rank,
-    orthonormal_basis,
-    receiver_composite,
-    signal_space_rank,
     slot_fold,
     subseed,
 )
@@ -101,6 +99,10 @@ class TestNumericalRank:
         rank, margin, threshold = numerical_rank(np.eye(4))
         assert rank == 4 and margin == 1.0 and threshold > 0
 
+    def test_nested_lists_are_a_matrix(self):
+        # the cutoff once read .shape off the list after the SVD: an untyped AttributeError
+        assert numerical_rank([[1.0, 2.0], [2.0, 4.0]]) == numerical_rank(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
     def test_detects_numerical_deficiency(self):
         m = np.diag([1.0, 1e-20])
         rank, margin, _ = numerical_rank(m)
@@ -111,18 +113,22 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((3, 2)))[0] == 0
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
-    @pytest.mark.parametrize("fn", [numerical_rank, orthonormal_basis])
-    def test_non_finite_matrix_raises(self, fn, bad):
-        # an inf entry used to give rank 0 with NaN margin, or an empty basis;
-        # a NaN entry an untyped LinAlgError
+    def test_non_finite_matrix_raises(self, bad):
+        # an inf entry used to give rank 0 with NaN margin; a NaN entry an untyped LinAlgError
         m = np.eye(4, dtype=complex)
         m[1, 2] = bad
         with pytest.raises(ParameterError, match="finite"):
-            fn(m)
+            numerical_rank(m)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (3,), ()])
+    def test_refuses_what_is_not_one_matrix(self, shape):
+        # a stack once raised an ambiguous truth value, a vector an untyped LinAlgError
+        with pytest.raises(ParameterError, match=r"one 2-D matrix, got shape \("):
+            numerical_rank(np.ones(shape))
 
     def test_basis_spans_column_space_only(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])  # rank 1
-        q = orthonormal_basis(m)
+        q = align_verify._finite_basis(m)
         assert q.shape == (3, 1)
         proj = q @ q.conj().T
         assert np.allclose(proj @ m, m)
@@ -178,6 +184,33 @@ class TestMinRelativeGap:
     def test_non_finite_input_raises(self, values):
         with pytest.raises(ParameterError, match="finite"):
             min_relative_gap(np.array(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [9 * 10**18, -9 * 10**18],  # a - b wraps around in int64; the float64 gap is 2
+            [-(2**63), 1],  # abs of the int64 minimum is negative
+            [2**64 - 1, 2**63, 5],
+            [3, 3, 7],
+            [True, False, True],
+        ],
+    )
+    def test_integers_and_bools_are_compared_as_float64(self, values):
+        as_float = [float(v) for v in values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = min_relative_gap(np.array(values))
+        assert got == min_relative_gap(np.array(as_float))
+        want = min(abs(a - b) / max(abs(a), abs(b)) if a or b else 0.0
+                   for i, a in enumerate(as_float) for b in as_float[i + 1:])
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "values", [np.array(["a", "b"]), np.array([1, 2], dtype=object), np.array([1, 2], dtype="datetime64[s]")]
+    )
+    def test_values_that_are_not_numbers_raise(self, values):
+        with pytest.raises(ParameterError, match="^relative gaps need numeric values, got dtype "):
+            min_relative_gap(values)
 
 
 def _sweep_pairs(monkeypatch) -> list[int]:
@@ -348,7 +381,7 @@ class TestDoubleLayerAlignment:
     def test_receiver1_composite_is_square_full_rank(self):
         for seed in range(100):
             eff, pre = _double_setup(seed)
-            composite = receiver_composite(eff, pre, 1)
+            composite = pre.composite(eff.diagonals[0], 1)
             assert composite.shape == (5, 5)
             assert numerical_rank(composite)[0] == 5
 
@@ -424,7 +457,7 @@ class TestPlainCoding:
             pre = build_precoders(eff)
             sigma = np.linalg.svd(pre.precoders[1], compute_uv=False)
             smallest = min(smallest, sigma[-1])
-            assert signal_space_rank(eff, pre, 1).rank == 3
+            assert check_alignment(eff, pre).rank_results[1].rank == 3
         assert smallest > 0.01
 
     def test_direct_precoder_columns_are_cascade_powers(self):
@@ -500,9 +533,10 @@ class TestMatchesParentCheck:
 
     def test_one_receiver_matches_parent(self):
         eff, pre = _double_setup(4, users=4, n=1)
+        report = check_alignment(eff, pre)
         for k in range(1, 5):
-            assert np.array_equal(receiver_composite(eff, pre, k), parent_receiver_composite(eff, pre, k))
-            assert signal_space_rank(eff, pre, k) == parent_signal_space_rank(eff, pre, k)
+            assert np.array_equal(pre.composite(eff.diagonals[k - 1], k), parent_receiver_composite(eff, pre, k))
+            assert report.rank_results[k] == parent_signal_space_rank(eff, pre, k)
 
 
 class TestPartnerColumns:
@@ -547,16 +581,50 @@ class TestValidation:
         for eff, pre, receivers in ((other, pre, (1, 2, 3)), (four_users, three_users, (1, 4))):
             for receiver in receivers:
                 with pytest.raises(ParameterError, match="does not match"):
-                    receiver_composite(eff, pre, receiver)
-                with pytest.raises(ParameterError, match="does not match"):
-                    signal_space_rank(eff, pre, receiver)
+                    pre.composite(eff.diagonals[receiver - 1], receiver)
 
-    def test_receiver_label_bounds(self):
+
+class TestCompositeRefusals:
+    """``PrecoderSet.composite`` checks its receiver label and the shape of its row."""
+
+    @pytest.mark.parametrize(
+        "receiver, message",
+        [
+            (0, "must be an integer >= 1, got 0"),
+            (4, r"4 outside 1\.\.3"),
+            (5, r"5 outside 1\.\.3"),
+            (True, "must be an integer >= 1, got True"),
+            (1.5, "must be an integer >= 1, got 1.5"),
+        ],
+        ids=["0", "users + 1", "users + 2", "True", "1.5"],
+    )
+    def test_refuses_a_receiver_that_is_no_user_label(self, receiver, message):
+        eff, pre = _double_setup(0)  # 3 users
+        with pytest.raises(ParameterError, match=f"^user label {message}$"):
+            pre.composite(eff.diagonals[0], receiver)
+
+    def test_refuses_a_row_of_another_size(self):
+        eff, pre = _double_setup(0)  # 3 users, D = 5
+        # another user count, another D, one diagonal rather than a row
+        refusal = r"^receiver row \(.*\) does not match precoder set \(3 users, dim 5\)$"
+        for row in (eff.diagonals[0, :2], eff.diagonals[0, :, :4], eff.diagonals[0, 0]):
+            with pytest.raises(ParameterError, match=refusal):
+                pre.composite(row, 1)
+
+    def test_a_stack_of_rows_and_a_residue_row_still_build(self):
         eff, pre = _double_setup(0)
-        with pytest.raises(ParameterError):
-            signal_space_rank(eff, pre, 0)
-        with pytest.raises(ParameterError):
-            receiver_composite(eff, pre, 5)
+        rows = np.stack([eff.diagonals[1]] * 2)  # (trials, users, D)
+        stacked = pre.composite(rows, 2)
+        assert stacked.shape == (2, eff.dim, eff.dim)
+        assert np.array_equal(stacked[1], pre.composite(eff.diagonals[1], 2))
+        # residues mod p: a stack of two trials' int64 columns and rows
+        diagonals = np.random.default_rng(0).integers(1, cj_precoder._PRIME, size=(2, 3, 3, 5))
+        columns, _ = cj_precoder._stacked_columns(diagonals)
+        residue_pre = PrecoderSet(precoders=columns)
+        composite = residue_pre.composite(diagonals[:, 1], 2)
+        blocks = residue_pre.received_blocks(diagonals[:, 1])
+        assert composite.dtype == np.int64
+        assert np.array_equal(composite, np.concatenate([blocks[2], blocks[1]], axis=-1))
 
 
 class _RankFailed(Exception):
@@ -569,7 +637,7 @@ class _BasisFailed(Exception):
 
 def _fail_at_receiver3(monkeypatch, eff, pre, rank=False, basis=False):
     """Make ``numerical_rank`` and/or ``_finite_basis`` raise on receiver 3's input only."""
-    composite3 = receiver_composite(eff, pre, 3)
+    composite3 = pre.composite(eff.diagonals[2], 3)
     block3 = pre.received_blocks(eff.diagonals[2])[1]
     real_rank, real_basis = align_verify.numerical_rank, align_verify._finite_basis
 

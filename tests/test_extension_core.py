@@ -30,9 +30,7 @@ from symextia import (
     exponent_cap,
     generate_channels,
     generate_gains,
-    receiver_composite,
     run_symbol_chain,
-    signal_space_rank,
     subseed,
 )
 from symextia.extension_core import CHANNEL_MODELS, CODING_MODES, MIN_DRAW_MAGNITUDE, slot_fold
@@ -329,8 +327,8 @@ INTEGER_ENTRIES = {
     "EffectiveChannel.rx_gains user": ("user label", 1, lambda v: _double_effective().rx_gains(v)),
     "EffectiveChannel.diagonal receiver": ("user label", 1, lambda v: _double_effective().diagonal(v, 1)),
     "EffectiveChannel.diagonal transmitter": ("user label", 1, lambda v: _double_effective().diagonal(1, v)),
-    "receiver_composite receiver": (
-        "user label", 1, lambda v: receiver_composite(*draw_realization(_double_channels(), "double", 1)[1:3], v)
+    "PrecoderSet.composite receiver": (
+        "user label", 1, lambda v: build_precoders(_double_effective()).composite(_double_effective().diagonals[0], v)
     ),
 }
 
@@ -624,7 +622,6 @@ class TestStackedTypes:
             lambda: build_cascades(stack),
             lambda: build_precoders(stack),
             lambda: check_alignment(stack, pre),
-            lambda: receiver_composite(stack, pre, 1),
             lambda: link_sim.transmit_blocks(pre, stack, 1.0, symbols),
             lambda: link_sim.combine_received(np.ones((10, 1)), stack, 1),
         )
@@ -636,8 +633,6 @@ class TestStackedTypes:
         pre_stack = PrecoderSet({u: np.stack([m] * trials) for u, m in pre.precoders.items()})
         calls = (
             lambda: check_alignment(one, pre_stack),
-            lambda: signal_space_rank(one, pre_stack, 1),
-            lambda: receiver_composite(one, pre_stack, 1),
             lambda: link_sim.transmit_blocks(pre_stack, one, 1.0, symbols),
         )
         refusal = rf"^expected one trial's precoder set, got a stack of \({trials},\)$"
