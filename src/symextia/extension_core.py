@@ -152,9 +152,10 @@ def check_byte_budget(needed: int, what: str, *counts: int) -> None:
 
 
 def _check_finite_nonzero(what: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    # a complex entry is zero when both parts are, signed zeros included
+    if not np.isfinite(arr).all():
         raise ParameterError(f"{what} must be finite")
-    if np.any(arr == 0):
+    if not arr.all():
         raise ParameterError(f"{what} must be nonzero")
 
 
@@ -188,9 +189,10 @@ class ChannelSet:
         ``entries[k-1, j-1, t]`` is the tap from transmitter j to receiver k
         in slot t. Treated as immutable once constructed; ``generate_channels``
         gives a ``constant`` channel a read-only ``np.broadcast_to`` view of
-        its one draw, which every check below reads as it reads a dense
-        tensor. ``users`` (K, at least 3) and ``slots`` (T, at least 2) are
-        read off its shape.
+        its one draw. A view whose slot axis has stride 0 is checked through
+        its one stored slot, ``entries[..., :1]``, with the messages a dense
+        copy gets; its blocks are constant by construction. ``users`` (K, at
+        least 3) and ``slots`` (T, at least 2) are read off its shape.
     model_tag : str
         One of ``CHANNEL_MODELS``. A model is the number of constant slot
         blocks it holds, from ``_MODEL_BLOCKS``: ``constant`` 1,
@@ -208,6 +210,10 @@ class ChannelSet:
             raise ParameterError(f"entries shape {shape} is not (users, users, slots)")
         _check_sizes(self.users, self.slots, 3, 2)
         blocks = _check_model(self.model_tag, self.slots)
+        if self.entries.strides[2] == 0:
+            # every slot reads the one stored slot, so every block is constant
+            _check_finite_nonzero("channel entries", self.entries[..., :1])
+            return
         _check_finite_nonzero("channel entries", self.entries)
         if blocks is not None:
             held = self.entries.reshape(self.users, self.users, blocks, -1)

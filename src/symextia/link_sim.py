@@ -485,16 +485,21 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     describes, with the bits of a trial-at-a-time loop; ``failures`` sums
     the accepted attempt numbers.
 
-    Receivers are factored one at a time on the calling thread. Both ways
+    Receivers are factored one at a time on the calling thread. Three ways
     to put a second CPU on this path were measured on a 2-vCPU host, in
-    prototypes not kept, and both failed the benchmark. Two D = 275
+    prototypes not kept, and all three failed the benchmark. Two D = 275
     receivers in flight cut ``link_k4`` wall time by about a quarter but
     raised peak RSS from 52.5 to 65.5-70.9 MiB, since each SVD with vectors
     holds about 10.6 MiB. A helper thread that factored each ``sweep_k3``
     chunk read ``ops_per_s`` 9-21% higher in 4 of 4 benchmark pairs while
     the op's own wall time rose 12-27% and the calibration kernel's 26-42%,
-    so the calibrated metric credited a slowdown. A thread on this path
-    needs a wall-time check, not only the calibrated metrics.
+    so the calibrated metric credited a slowdown. A helper that ran each
+    ``link_k4`` receiver's SVD while the caller formed the previous
+    receiver's products raised the op's wall-time median from 409, 402 and
+    425 ms to 514, 469 and 447 ms over three process pairs, and peak RSS
+    from 51.3 to 66.7 MiB, while its ``ref_ms`` metrics read 12-14% faster.
+    A thread on this path needs a wall-time check, not only the calibrated
+    metrics.
 
     Returns
     -------

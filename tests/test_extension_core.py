@@ -232,6 +232,138 @@ class TestChannelSetModels:
             ChannelSet(self._blocks(1, 1), "rayleigh")
 
 
+def _refusal(entries, model):
+    """The ``ParameterError`` message ``ChannelSet(entries, model)`` raises, or None if it accepts."""
+    try:
+        ChannelSet(entries, model)
+    except ParameterError as err:
+        return str(err)
+    return None
+
+
+class TestSlotBroadcastCheck:
+    """A channel whose slot axis has stride 0 is checked through its one stored slot."""
+
+    @staticmethod
+    def _view(slots, spoiled=()):
+        """A read-only 3-user view of one draw over ``slots`` slots, with ``((k, j), value)`` links replaced."""
+        base = generate_channels(3, 2, "constant", 4).entries[:, :, 0].copy()
+        for (k, j), value in spoiled:
+            base[k - 1, j - 1] = value
+        return np.broadcast_to(base[:, :, None], (3, 3, slots))
+
+    @pytest.mark.parametrize("model", CHANNEL_MODELS)
+    @pytest.mark.parametrize(
+        "spoiled,message",
+        [
+            ((), None),
+            ((((1, 2), np.nan),), "channel entries must be finite"),
+            ((((3, 3), complex(1, np.inf)),), "channel entries must be finite"),
+            ((((2, 1), -np.inf),), "channel entries must be finite"),
+            ((((1, 1), 0),), "channel entries must be nonzero"),
+            ((((3, 2), complex(-0.0, -0.0)),), "channel entries must be nonzero"),
+            ((((1, 1), 0), ((2, 3), np.nan)), "channel entries must be finite"),
+        ],
+        ids=["clean", "nan", "inf_imag", "neg_inf", "zero", "signed_zero", "zero_and_nan"],
+    )
+    def test_refuses_what_the_dense_copy_refuses(self, model, spoiled, message):
+        view = self._view(6, spoiled)
+        assert view.strides[2] == 0
+        assert _refusal(view, model) == _refusal(np.array(view), model) == message
+
+    def test_the_model_and_sizes_are_still_checked_first(self):
+        with pytest.raises(ParameterError, match="divisible by 2, got 5"):
+            ChannelSet(self._view(5, [((1, 1), np.nan)]), "slow_changing")
+        with pytest.raises(ParameterError, match="unknown channel model"):
+            ChannelSet(self._view(4, [((1, 1), 0)]), "rayleigh")
+        with pytest.raises(ParameterError, match="slots"):
+            ChannelSet(self._view(1, [((1, 1), np.nan)]), "iid")
+
+    def test_the_other_models_are_dense(self):
+        # a constant draw's stride-0 view is pinned in TestAllocationLeanDraw
+        for model in ("slow_changing", "iid"):
+            entries = generate_channels(3, 8, model, 0).entries
+            assert entries.flags.c_contiguous and entries.strides[2] == entries.itemsize
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(CHANNEL_MODELS),
+        users=st.integers(3, 5),
+        half=st.integers(1, 60),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_every_drawn_channel_passes_the_dense_check(self, model, users, half, seed):
+        ch = generate_channels(users, 2 * half, model, seed)
+        dense = np.array(ch.entries)
+        assert dense.strides[2] != 0
+        assert ChannelSet(dense, ch.model_tag).slots == ch.slots
+
+    def test_the_check_of_a_long_view_holds_no_mask_over_its_slots(self):
+        # K=3, T=10^6: masks over every slot would be 9 * 10^6 bytes each
+        view = generate_channels(3, 10**6, "constant", 0).entries
+        ChannelSet(view, "constant")  # warm up before tracing
+        tracemalloc.start()
+        try:
+            ChannelSet(view, "constant")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+
+class TestFiniteNonzeroRule:
+    """``_check_finite_nonzero``: finiteness first, then no entry whose both parts are zero."""
+
+    @pytest.mark.parametrize(
+        "zero", [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -0.0], ids=["-0+0j", "0-0j", "-0-0j", "-0"]
+    )
+    def test_signed_zeros_are_zero(self, zero):
+        arr = np.array([1 + 1j, zero, 2j])
+        with pytest.raises(ParameterError, match="^x must be nonzero$"):
+            extension_core._check_finite_nonzero("x", arr)
+
+    def test_a_nan_is_reported_before_a_zero(self):
+        for arr in (np.array([0, np.nan]), np.array([complex(np.nan, 0), 0j]), np.array([[0j], [complex(0, np.inf)]])):
+            with pytest.raises(ParameterError, match="^x must be finite$"):
+                extension_core._check_finite_nonzero("x", arr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(
+            st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-320, np.nan, np.inf, -np.inf])] * 2),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_matches_the_rule_through_masks(self, parts):
+        arr = np.array([complex(re, im) for re, im in parts])
+        want = (
+            "x must be finite" if not np.all(np.isfinite(arr))
+            else "x must be nonzero" if np.any(arr == 0)
+            else None
+        )
+        try:
+            extension_core._check_finite_nonzero("x", arr)
+            got = None
+        except ParameterError as err:
+            got = str(err)
+        assert got == want
+
+    def test_dense_channels_and_gain_plans_keep_their_messages(self):
+        entries = generate_channels(3, 4, "iid", 0).entries.copy()
+        entries[2, 1, 3] = complex(0.0, -0.0)
+        assert _refusal(entries, "iid") == "channel entries must be nonzero"
+        entries[0, 0, 1] = np.nan
+        assert _refusal(entries, "iid") == "channel entries must be finite"
+        g = generate_gains(3, 4, 0)
+        for name in ("alpha", "beta"):
+            for value, message in ((complex(-0.0, 0.0), "nonzero"), (np.inf, "finite")):
+                spoiled = getattr(g, name).copy()
+                spoiled[1, 2] = value
+                with pytest.raises(ParameterError, match=f"^{name} must be {message}$"):
+                    GainPlan(**{"alpha": g.alpha, "beta": g.beta, name: spoiled})
+
+
 class TestGenerateGains:
     def test_shapes_and_determinism(self):
         g = generate_gains(3, 10, 7)
