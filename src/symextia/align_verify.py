@@ -107,14 +107,16 @@ class AlignmentReport:
 
 @dataclass(frozen=True)
 class DistinctnessAudit:
-    """Minimal pairwise relative gaps of cascade eigenvalues and kappa.
-
-    ``flagged`` names every quantity whose gap is below ``DISTINCTNESS_TOL``.
-    """
+    """Minimal pairwise relative gaps of cascade eigenvalues and kappa."""
 
     lambda_gaps: dict[tuple[int, int], float]
     kappa_gap: float
-    flagged: tuple[str, ...]
+
+    @property
+    def flagged(self) -> tuple[str, ...]:
+        """Every quantity whose gap is below ``DISTINCTNESS_TOL``: the sorted ``T_k_l`` names, then ``kappa``."""
+        low = sorted(f"T_{k}_{l}" for (k, l), gap in self.lambda_gaps.items() if gap < DISTINCTNESS_TOL)
+        return (*low, "kappa") if self.kappa_gap < DISTINCTNESS_TOL else tuple(low)
 
 
 def _rank_cutoff(shape: tuple[int, ...], s: np.ndarray) -> float | None:
@@ -413,10 +415,4 @@ def distinctness_audit(cascades: CascadeSet) -> DistinctnessAudit:
     if any(np.shape(q) != np.shape(cascades.kappa) for q in quantities):
         raise ParameterError("every cascade diagonal must have kappa's shape")
     *gaps, kappa_gap = _min_relative_gaps(np.stack(quantities).reshape(len(quantities), -1)).tolist()
-    lambda_gaps = dict(zip(cascades.matrices, gaps))
-    flagged = tuple(
-        sorted(f"T_{k}_{l}" for (k, l), gap in lambda_gaps.items() if gap < DISTINCTNESS_TOL)
-    )
-    if kappa_gap < DISTINCTNESS_TOL:
-        flagged = flagged + ("kappa",)
-    return DistinctnessAudit(lambda_gaps=lambda_gaps, kappa_gap=kappa_gap, flagged=flagged)
+    return DistinctnessAudit(lambda_gaps=dict(zip(cascades.matrices, gaps)), kappa_gap=kappa_gap)

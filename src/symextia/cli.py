@@ -203,10 +203,10 @@ def _run_audit(spec: ExperimentSpec) -> Iterator[list]:
             build_cascades,
         )
         audit = distinctness_audit(cascades)
-        for (k, l), gap in sorted(audit.lambda_gaps.items()):
-            name = f"T_{k}_{l}"
-            yield [row, spec.seed, name, _fmt(gap), str(name in audit.flagged).lower()]
-        yield [row, spec.seed, "kappa", _fmt(audit.kappa_gap), str("kappa" in audit.flagged).lower()]
+        flagged = audit.flagged
+        gaps = [(f"T_{k}_{l}", gap) for (k, l), gap in sorted(audit.lambda_gaps.items())]
+        for name, gap in [*gaps, ("kappa", audit.kappa_gap)]:
+            yield [row, spec.seed, name, _fmt(gap), str(name in flagged).lower()]
 
 
 def _run_figure1(spec: ExperimentSpec) -> Iterator[list]:
@@ -217,9 +217,9 @@ def _run_figure1(spec: ExperimentSpec) -> Iterator[list]:
         channels = _channels(spec, coding)
         link = LinkConfig(spec.snr_db, spec.trials, seed=subseed(spec.seed, _STREAMS["link"], idx))
         result = simulate_link(channels, coding, link)
+        dof = _fmt(result.dof_estimate)
         for snr in spec.snr_db:
-            yield [_fmt(snr), coding, _fmt(result.sum_rate[snr]), _fmt(result.dof_estimate),
-                   spec.trials, spec.seed]
+            yield [_fmt(snr), coding, _fmt(result.sum_rate[snr]), dof, spec.trials, spec.seed]
 
 
 # Each experiment and the runner that yields its CSV rows, header first.

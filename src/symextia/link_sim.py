@@ -163,15 +163,18 @@ class LinkConfig:
 class LinkResult:
     """Averaged rates per SNR point plus the high-SNR slope estimate.
 
-    Rates are bits per raw channel use; ``dof_estimate`` is the sum-rate
-    slope between the two largest SNR points against log2 of linear SNR, and
-    ``failures`` counts degenerate gain redraws across all trials.
+    Rates are bits per raw channel use, and ``failures`` counts degenerate
+    gain redraws across all trials.
     """
 
     sum_rate: dict[float, float]
     per_user_rate: dict[float, tuple[float, ...]]
-    dof_estimate: float
     failures: int
+
+    @property
+    def dof_estimate(self) -> float:
+        """``estimate_dof`` of the sum rates, the slope between the two largest SNR points; NaN for one point."""
+        return estimate_dof(self.sum_rate) if len(self.sum_rate) >= 2 else math.nan
 
 
 @dataclass(frozen=True)
@@ -485,9 +488,9 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     describes, with the bits of a trial-at-a-time loop; ``failures`` sums
     the accepted attempt numbers.
 
-    Receivers are factored one at a time on the calling thread. Three ways
+    Receivers are factored one at a time on the calling thread. Four ways
     to put a second CPU on this path were measured on a 2-vCPU host, in
-    prototypes not kept, and all three failed the benchmark. Two D = 275
+    prototypes not kept, and all four failed the benchmark. Two D = 275
     receivers in flight cut ``link_k4`` wall time by about a quarter but
     raised peak RSS from 52.5 to 65.5-70.9 MiB, since each SVD with vectors
     holds about 10.6 MiB. A helper thread that factored each ``sweep_k3``
@@ -498,8 +501,11 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     receiver's products raised the op's wall-time median from 409, 402 and
     425 ms to 514, 469 and 447 ms over three process pairs, and peak RSS
     from 51.3 to 66.7 MiB, while its ``ref_ms`` metrics read 12-14% faster.
-    A thread on this path needs a wall-time check, not only the calibrated
-    metrics.
+    Running figure1's two codings on two threads read ``sweep_k3``
+    ``ops_per_s`` 16.1-17.2 -> 18.9-20.2 in 4 of 4 pairs (0.91-0.95 of the
+    serial op time, alternating both in one process), and ``link_k4``'s
+    wall p50 267-377 -> 176-188 ms but peak RSS 51.8 -> 67.4 MiB. A thread
+    on this path needs a wall-time check, not only the calibrated metrics.
 
     Returns
     -------
@@ -550,8 +556,7 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
 
     sum_rate = dict(zip(points, (sum_acc / link.trials).tolist()))
     per_user = dict(zip(points, map(tuple, (user_acc / link.trials).tolist())))
-    dof = estimate_dof(sum_rate) if len(points) >= 2 else float("nan")
-    return LinkResult(sum_rate=sum_rate, per_user_rate=per_user, dof_estimate=dof, failures=failures)
+    return LinkResult(sum_rate=sum_rate, per_user_rate=per_user, failures=failures)
 
 
 def estimate_dof(sum_rate: dict[float, float]) -> float:

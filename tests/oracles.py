@@ -6,6 +6,10 @@ avoiding the package's numpy pipelines, so agreement is meaningful. The
 branch; the link layer's folded code must match them bit for bit.
 ``dense_min_relative_gap`` is the all-pairs matrix form of the gap the
 distinctness audit reports; the pruned sweep must match it bit for bit.
+``parent_flagged`` and ``parent_dof_estimate`` are the flags and the DoF
+slope as ``distinctness_audit`` and ``simulate_link`` computed and stored
+them before the results derived them; ``DistinctnessAudit.flagged`` and
+``LinkResult.dof_estimate`` must equal them.
 ``per_trial_simulate_link`` is the link simulation one trial and one
 pseudoinverse at a time, drawing each trial through
 ``parent_draw_realization``, the per-trial redraw loop as it read before
@@ -41,7 +45,7 @@ import math
 
 import numpy as np
 
-from symextia.align_verify import RESIDUAL_TOL, AlignmentReport, RankResult
+from symextia.align_verify import DISTINCTNESS_TOL, RESIDUAL_TOL, AlignmentReport, RankResult
 from symextia.cj_precoder import _check_pair, build_precoders, cascade_pairs, enumerate_tuples
 from symextia.errors import DegenerateRealizationError, SimulationError
 from symextia.extension_core import (
@@ -211,6 +215,21 @@ def dense_min_relative_gap(values: np.ndarray) -> float:
     return float(rel.min())
 
 
+def parent_flagged(lambda_gaps: dict[tuple[int, int], float], kappa_gap: float) -> tuple[str, ...]:
+    """The names ``distinctness_audit`` stored as ``flagged`` for these gaps."""
+    flagged = tuple(
+        sorted(f"T_{k}_{l}" for (k, l), gap in lambda_gaps.items() if gap < DISTINCTNESS_TOL)
+    )
+    if kappa_gap < DISTINCTNESS_TOL:
+        flagged = flagged + ("kappa",)
+    return flagged
+
+
+def parent_dof_estimate(sum_rate: dict[float, float], points: tuple[float, ...]) -> float:
+    """The slope ``simulate_link`` stored as ``dof_estimate`` for the sum rates of ``points``."""
+    return estimate_dof(sum_rate) if len(points) >= 2 else float("nan")
+
+
 def slope_between(rates: dict[float, float], lo: float, hi: float) -> float:
     """Sum-rate slope against log2 of linear SNR between two dB points."""
     return (rates[hi] - rates[lo]) / ((hi - lo) / 10.0 * np.log2(10.0))
@@ -362,8 +381,7 @@ def per_trial_simulate_link(channels, coding: str, link) -> LinkResult:
     per_user = {
         snr: tuple((user_acc[snr] / link.trials).tolist()) for snr in link.snr_points_db
     }
-    dof = estimate_dof(sum_rate) if len(link.snr_points_db) >= 2 else float("nan")
-    return LinkResult(sum_rate=sum_rate, per_user_rate=per_user, dof_estimate=dof, failures=failures)
+    return LinkResult(sum_rate=sum_rate, per_user_rate=per_user, failures=failures)
 
 
 def parent_build_effective(channels, gains, coding: str) -> np.ndarray:

@@ -13,6 +13,7 @@ import symextia.cj_precoder as cj_precoder
 from oracles import (
     dense_min_relative_gap,
     parent_check_alignment,
+    parent_flagged,
     parent_receiver_composite,
     parent_signal_space_rank,
     partner_columns,
@@ -21,6 +22,7 @@ from oracles import (
 from symextia import (
     CascadeSet,
     ChannelSet,
+    DistinctnessAudit,
     ParameterError,
     PrecoderSet,
     build_cascades,
@@ -37,6 +39,7 @@ from symextia import (
     slot_fold,
     subseed,
 )
+from symextia.cli import parse_args, run_experiment
 from symextia.link_sim import draw_until_built
 
 
@@ -311,6 +314,47 @@ class TestStackedSweep:
         short = CascadeSet(matrices={**cascades.matrices, (3, 2): cascades.kappa[:-1]}, kappa=cascades.kappa)
         with pytest.raises(ParameterError, match="kappa's shape"):
             distinctness_audit(short)
+
+
+_TOL = align_verify.DISTINCTNESS_TOL
+# gaps at and around the tolerance, at 0 and at inf, and anything in between
+_GAP = st.one_of(
+    st.sampled_from([0.0, _TOL, np.nextafter(_TOL, 0.0), np.nextafter(_TOL, 1.0), np.inf]),
+    st.floats(0.0, 1e-8),
+    st.floats(0.0, allow_nan=False),
+)
+
+
+class TestFlaggedIsDerived:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lambda_gaps=st.dictionaries(st.tuples(st.integers(1, 12), st.integers(1, 12)), _GAP, max_size=8),
+        kappa_gap=_GAP,
+    )
+    def test_flagged_is_the_stored_expression(self, lambda_gaps, kappa_gap):
+        # two-digit users sort as strings: T_10_1 comes before T_2_1
+        audit = DistinctnessAudit(lambda_gaps=lambda_gaps, kappa_gap=kappa_gap)
+        assert audit.flagged == parent_flagged(lambda_gaps, kappa_gap)
+
+    def test_flagged_is_no_constructor_field(self):
+        with pytest.raises(TypeError):
+            DistinctnessAudit(lambda_gaps={}, kappa_gap=1.0, flagged=())
+        audit = DistinctnessAudit(lambda_gaps={(3, 2): 0.0}, kappa_gap=1.0)
+        with pytest.raises(AttributeError):
+            audit.flagged = ()
+        assert audit.flagged == ("T_3_2",)
+
+    def test_every_csv_flag_is_its_gap_below_the_tolerance(self, tmp_path):
+        out = tmp_path / "audit.csv"
+        run_experiment(parse_args(
+            ["--experiment", "audit", "--coding", "double", "--trials", "100", "--seed", "3", "--out", str(out)]
+        ))
+        rows = out.read_text().splitlines()
+        assert rows[0] == "row,seed,quantity,min_relative_gap,flagged"
+        assert len(rows) == 1 + 2 * 100
+        for line in rows[1:]:
+            *_, gap, flagged = line.split(",")
+            assert flagged == str(float(gap) < _TOL).lower()
 
 
 class TestAuditDrawMemory:

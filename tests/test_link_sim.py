@@ -1,14 +1,19 @@
 import tracemalloc
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from oracles import slope_between
+from oracles import parent_dof_estimate, slope_between
 from symextia import (
     DegenerateRealizationError,
     GainPlan,
     LinkConfig,
+    LinkResult,
     ParameterError,
     SimulationError,
     build_effective,
@@ -198,6 +203,30 @@ class TestEstimateDof:
 
     def test_flat_rates_give_zero(self):
         assert estimate_dof({40.0: 3.25, 50.0: 3.25, 60.0: 3.25}) == 0.0
+
+
+class TestDofEstimateIsDerived:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=st.lists(st.integers(-6000, 6000), min_size=1, max_size=6, unique=True).map(
+            lambda halves: tuple(sorted(h / 2 for h in halves))
+        ),
+        data=st.data(),
+    )
+    def test_dof_estimate_is_the_stored_expression(self, points, data):
+        rates = data.draw(st.lists(st.floats(0.0, 1e3), min_size=len(points), max_size=len(points)))
+        sum_rate = dict(zip(points, rates))
+        got = LinkResult(sum_rate=sum_rate, per_user_rate={}, failures=0).dof_estimate
+        want = parent_dof_estimate(sum_rate, points)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_dof_estimate_is_no_constructor_field(self):
+        with pytest.raises(TypeError):
+            LinkResult(sum_rate={}, per_user_rate={}, dof_estimate=0.0, failures=0)
+        result = LinkResult(sum_rate={50.0: 1.0, 60.0: 1.0}, per_user_rate={}, failures=0)
+        with pytest.raises(AttributeError):
+            result.dof_estimate = 0.7
+        assert result.dof_estimate == 0.0
 
 
 class TestResampling:
@@ -452,7 +481,7 @@ class TestStackedMatchesPerTrial:
     @pytest.mark.parametrize("users,n,coding,model,seed", STACK_CASES)
     def test_same_bits_as_per_trial_loop(self, users, n, coding, model, seed):
         case = _link_case(users, n, coding, model, seed, trials=2 if users == 4 else 3)
-        # LinkResult equality: sum_rate, per_user_rate, dof_estimate and failures
+        # LinkResult equality: sum_rate, per_user_rate and failures; dof_estimate is read off sum_rate
         assert simulate_link(*case) == oracles.per_trial_simulate_link(*case)
 
     @pytest.mark.parametrize("composites", [1, 2])
