@@ -22,6 +22,11 @@ which the link simulation uses for a chunk of trials at once;
 the unnormalised columns, it and ``PrecoderSet.received_blocks`` compute in
 the diagonals' arithmetic, complex128 or exact int64 residues mod
 ``_PRIME``; normalisation and its overflow and vanish checks are float-only.
+Every public path is complex128, since ``ChannelSet`` and ``GainPlan``
+store complex128 whatever the input's dtype. Residues enter only as int64
+stacks handed straight to the private ``_stacked_cascades`` and
+``_stacked_columns``, or as the int64 columns and rows of a
+``PrecoderSet``, as the tests' exact oracle hands them.
 """
 
 from __future__ import annotations
@@ -233,6 +238,9 @@ class PrecoderSet:
     trailing two axes of the matrices, so a set may also hold a stack of
     trials, (trials, D, d_k) per user, as the link simulation does. The set
     owns what a receiver sees: its blocks and its composite layout.
+    ``received_blocks`` and ``composite`` share one row rule: a receiver's
+    row of effective diagonals is (..., users, dim), checked before
+    anything is allocated.
     """
 
     precoders: dict[int, np.ndarray]
@@ -263,8 +271,19 @@ class PrecoderSet:
         """
         return 2 if receiver == 1 else 1
 
+    def _check_row(self, row: np.ndarray) -> None:
+        """The one receiver-row rule: ParameterError unless the last two axes of ``row`` are (users, dim)."""
+        if row.shape[-2:] != (self.users, self.dim):
+            raise ParameterError(
+                f"receiver row {row.shape[-2:]} does not match precoder set ({self.users} users, dim {self.dim})"
+            )
+
     def received_blocks(self, row: np.ndarray) -> dict[int, np.ndarray]:
-        """Blocks H_kj V_j keyed by j, from receiver k's effective diagonals ``row``, (..., users, D)."""
+        """Blocks H_kj V_j keyed by j, from receiver k's effective diagonals ``row``, (..., users, D).
+
+        ParameterError unless ``row`` passes ``composite``'s row rule.
+        """
+        self._check_row(row)
         return {j: self._received_block(row, j) for j in self.precoders}
 
     def _received_block(self, row: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -287,10 +306,7 @@ class PrecoderSet:
         ParameterError unless ``receiver`` is a user label and the last two
         axes of ``row`` are (users, dim).
         """
-        if row.shape[-2:] != (self.users, self.dim):
-            raise ParameterError(
-                f"receiver row {row.shape[-2:]} does not match precoder set ({self.users} users, dim {self.dim})"
-            )
+        self._check_row(row)
         _check_users(self.users, receiver)
         dtype, _, _ = _arithmetic(row)
         composite = np.empty(row.shape[:-2] + (self.dim, self.dim), dtype=dtype)

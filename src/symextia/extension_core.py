@@ -185,14 +185,18 @@ class ChannelSet:
     Attributes
     ----------
     entries : numpy.ndarray
-        Complex tensor of shape ``(users, users, slots)``;
+        Complex128 tensor of shape ``(users, users, slots)``;
         ``entries[k-1, j-1, t]`` is the tap from transmitter j to receiver k
-        in slot t. Treated as immutable once constructed; ``generate_channels``
-        gives a ``constant`` channel a read-only ``np.broadcast_to`` view of
-        its one draw. A view whose slot axis has stride 0 is checked through
-        its one stored slot, ``entries[..., :1]``, with the messages a dense
-        copy gets; its blocks are constant by construction. ``users`` (K, at
-        least 3) and ``slots`` (T, at least 2) are read off its shape.
+        in slot t. Stored through ``np.asarray(entries, dtype=np.complex128)``:
+        a complex128 array is kept as the same object, and integer, float
+        or complex64 taps are converted once, so every channel takes the
+        one complex computation. Treated as immutable once constructed;
+        ``generate_channels`` gives a ``constant`` channel a read-only
+        ``np.broadcast_to`` view of its one draw. A view whose slot axis has
+        stride 0 is checked through its one stored slot, ``entries[..., :1]``,
+        with the messages a dense copy gets; its blocks are constant by
+        construction. ``users`` (K, at least 3) and ``slots`` (T, at least 2)
+        are read off its shape.
     model_tag : str
         One of ``CHANNEL_MODELS``. A model is the number of constant slot
         blocks it holds, from ``_MODEL_BLOCKS``: ``constant`` 1,
@@ -205,6 +209,7 @@ class ChannelSet:
     model_tag: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=np.complex128))
         shape = self.entries.shape
         if self.entries.ndim != 3 or shape[0] != shape[1]:
             raise ParameterError(f"entries shape {shape} is not (users, users, slots)")
@@ -235,13 +240,16 @@ class GainPlan:
 
     Both arrays have shape ``(..., users, slots)``, any leading axes a stack
     of trials; ``alpha[j-1, t]`` scales transmitter j in slot t and
-    ``beta[k-1, t]`` scales receiver k. Every entry is finite and nonzero.
+    ``beta[k-1, t]`` scales receiver k. Both are stored as complex128, as
+    ``ChannelSet`` stores its taps, and every entry is finite and nonzero.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.complex128))
         if self.alpha.ndim < 2:
             raise ParameterError(f"alpha shape {self.alpha.shape} is not (..., users, slots)")
         _check_sizes(*self.alpha.shape[-2:], 1, 1)
@@ -335,9 +343,10 @@ class EffectiveChannel:
     construction. Each effective entry q sums ``fold`` gain-weighted raw
     slots ``p*dim + q`` (p = 0..fold-1): ``fold`` is 2 for ``double`` coding
     and 1 otherwise, and ``dim = channels.slots // fold``. ``tx_gains`` and
-    ``rx_gains`` (or every user's at once, ``tx_gain_table`` and
-    ``rx_gain_table``) hand those per-slot gains to the transmit and receive
-    chains. The diagonals come from the module's one fold. A stack of gains
+    ``rx_gains``, one 1-based user at a time, are the one public way to read
+    those per-slot gains; they hand them to the transmit and receive chains.
+    The diagonals come from the module's one fold, complex128 as the
+    channels and gains are. A stack of gains
     gives a stack, every array above with the same leading axes and each
     trial's slice that trial's own bits; code that takes one trial refuses it.
 
@@ -394,24 +403,15 @@ class EffectiveChannel:
         entry q. Plain coding has unit gains.
         """
         _check_users(self.users, user)
-        return self.tx_gain_table[..., user - 1, :, :]
+        return self._gain_table("alpha")[..., user - 1, :, :]
 
     def rx_gains(self, user: int) -> np.ndarray:
         """Receive gains of 1-based ``user``, laid out like ``tx_gains``."""
         _check_users(self.users, user)
-        return self.rx_gain_table[..., user - 1, :, :]
-
-    @property
-    def tx_gain_table(self) -> np.ndarray:
-        """Every user's ``tx_gains`` as one ``(users, fold, dim)`` array."""
-        return self._gain_table("alpha")
-
-    @property
-    def rx_gain_table(self) -> np.ndarray:
-        """Every user's ``rx_gains`` as one ``(users, fold, dim)`` array."""
-        return self._gain_table("beta")
+        return self._gain_table("beta")[..., user - 1, :, :]
 
     def _gain_table(self, name: str) -> np.ndarray:
+        """Every user's ``tx_gains`` (``name`` "alpha") or ``rx_gains`` ("beta"), (..., users, fold, dim)."""
         if self.gains is None:  # unit gains for each (..., users) row of the diagonals
             return np.ones((*self.diagonals.shape[:-2], self.fold, self.dim))
         gains = getattr(self.gains, name)

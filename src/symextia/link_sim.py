@@ -335,7 +335,7 @@ def _scale_hats(pre: PrecoderSet, eff: EffectiveChannel) -> np.ndarray:
     ``eff`` a stack of as many trials, gives one (trials, users) array in
     one pass; one trial gives (users,).
     """
-    tx_power = _folded_power(eff.tx_gain_table)
+    tx_power = _folded_power(eff._gain_table("alpha"))
     energy = np.stack(
         [
             np.sum(tx_power[..., user - 1, :] * np.sum(np.abs(mat) ** 2, axis=-1), axis=-1)
@@ -488,24 +488,10 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     describes, with the bits of a trial-at-a-time loop; ``failures`` sums
     the accepted attempt numbers.
 
-    Receivers are factored one at a time on the calling thread. Four ways
-    to put a second CPU on this path were measured on a 2-vCPU host, in
-    prototypes not kept, and all four failed the benchmark. Two D = 275
-    receivers in flight cut ``link_k4`` wall time by about a quarter but
-    raised peak RSS from 52.5 to 65.5-70.9 MiB, since each SVD with vectors
-    holds about 10.6 MiB. A helper thread that factored each ``sweep_k3``
-    chunk read ``ops_per_s`` 9-21% higher in 4 of 4 benchmark pairs while
-    the op's own wall time rose 12-27% and the calibration kernel's 26-42%,
-    so the calibrated metric credited a slowdown. A helper that ran each
-    ``link_k4`` receiver's SVD while the caller formed the previous
-    receiver's products raised the op's wall-time median from 409, 402 and
-    425 ms to 514, 469 and 447 ms over three process pairs, and peak RSS
-    from 51.3 to 66.7 MiB, while its ``ref_ms`` metrics read 12-14% faster.
-    Running figure1's two codings on two threads read ``sweep_k3``
-    ``ops_per_s`` 16.1-17.2 -> 18.9-20.2 in 4 of 4 pairs (0.91-0.95 of the
-    serial op time, alternating both in one process), and ``link_k4``'s
-    wall p50 267-377 -> 176-188 ms but peak RSS 51.8 -> 67.4 MiB. A thread
-    on this path needs a wall-time check, not only the calibrated metrics.
+    Receivers are factored one at a time on the calling thread, since each
+    D = 275 SVD with vectors holds about 10.6 MiB: two receivers in flight
+    raised ``link_k4``'s peak RSS from 52.5 to 65.5-70.9 MiB. CHANGES.md
+    records the four second-CPU layouts measured and why none was kept.
 
     Returns
     -------

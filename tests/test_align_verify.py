@@ -400,7 +400,9 @@ class TestDoubleLayerAlignment:
             worst_residual = max(worst_residual, max(report.residuals.values()))
             for result in report.rank_results.values():
                 assert result.rank == eff.dim == effective_dim(3, 2)
-                assert result.margin > result.threshold
+                # margin is unitless, sigma_min / sigma_max; sigma_min clears the
+                # cutoff dim * eps * sigma_max exactly when it exceeds dim * eps
+                assert result.margin > eff.dim * np.finfo(np.float64).eps
                 worst_margin = min(worst_margin, result.margin)
         assert worst_residual <= 1e-10
         # empirical floor for the rank certificate, far above the threshold
@@ -669,6 +671,38 @@ class TestCompositeRefusals:
         blocks = residue_pre.received_blocks(diagonals[:, 1])
         assert composite.dtype == np.int64
         assert np.array_equal(composite, np.concatenate([blocks[2], blocks[1]], axis=-1))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (4, 5), (3, 4)])
+    def test_received_blocks_refuses_what_composite_refuses(self, shape):
+        # neither view may broadcast a (3, 1) row over D or read the first
+        # three users of a (4, 5) one
+        _, pre = _double_setup(0)  # 3 users, D = 5
+        row = np.ones(shape, dtype=complex)
+        refusal = rf"^receiver row \({shape[0]}, {shape[1]}\) does not match precoder set \(3 users, dim 5\)$"
+        for call in (lambda: pre.received_blocks(row), lambda: pre.composite(row, 1)):
+            with pytest.raises(ParameterError, match=refusal):
+                call()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 2), max_size=2),
+        tail=st.one_of(st.just([3, 5]), st.lists(st.integers(1, 7), min_size=1, max_size=2)),
+        receiver=st.integers(1, 3),
+    )
+    def test_both_views_share_one_row_rule(self, lead, tail, receiver):
+        _, pre = _double_setup(0)  # 3 users, D = 5
+        row = np.full((*lead, *tail), 0.5 + 0.25j)
+        if tail == [3, 5]:
+            blocks = pre.received_blocks(row)
+            want = np.concatenate([blocks[receiver], blocks[pre.basis_user(receiver)]], axis=-1)
+            assert np.array_equal(pre.composite(row, receiver), want)
+            return
+        refusals = []
+        for call in (lambda: pre.received_blocks(row), lambda: pre.composite(row, receiver)):
+            with pytest.raises(ParameterError, match="^receiver row .* does not match precoder set") as err:
+                call()
+            refusals.append(str(err.value))
+        assert refusals[0] == refusals[1]
 
 
 class _RankFailed(Exception):

@@ -24,6 +24,7 @@ from symextia import (
     cascade_order,
     check_alignment,
     closed_form_dof,
+    distinctness_audit,
     draw_realization,
     effective_dim,
     enumerate_tuples,
@@ -707,11 +708,7 @@ class TestStackedTypes:
         for t in range(len(stack.diagonals)):
             plan = None if stack.gains is None else GainPlan(stack.gains.alpha[t], stack.gains.beta[t])
             own = build_effective(ch, plan, coding)
-            pairs = [
-                (stack.diagonals[t], own.diagonals),
-                (stack.tx_gain_table[t], own.tx_gain_table),
-                (stack.rx_gain_table[t], own.rx_gain_table),
-            ]
+            pairs = [(stack.diagonals[t], own.diagonals)]
             for u in (1, 2, 3):
                 pairs += [(stack.tx_gains(u)[t], own.tx_gains(u)), (stack.rx_gains(u)[t], own.rx_gains(u))]
                 pairs += [(stack.diagonal(u, j)[t], own.diagonal(u, j)) for j in (1, 2, 3)]
@@ -733,7 +730,8 @@ class TestStackedTypes:
         ch = generate_channels(3, slot_fold(coding) * effective_dim(3, 2), "iid", 4)
         plan = self._stacked_plan([generate_gains(3, ch.slots, seed) for seed in (1, 2, 3)])
         stack = EffectiveChannel(ch, plan, coding)
-        assert stack.tx_gain_table.shape == (3, 3, slot_fold(coding), effective_dim(3, 2))
+        for u in (1, 2, 3):
+            assert stack.tx_gains(u).shape == stack.rx_gains(u).shape == (3, slot_fold(coding), effective_dim(3, 2))
         self._assert_each_trial_is_its_own(stack, ch, coding)
 
     def test_a_zero_in_one_trial_of_a_stacked_plan_is_rejected(self):
@@ -790,26 +788,95 @@ class TestSlotGains:
         eff = build_effective(ch, g, coding)
         dim = 8 // fold
         assert eff.fold == fold and eff.dim == dim
-        assert eff.tx_gain_table.shape == eff.rx_gain_table.shape == (3, fold, dim)
         for user in (1, 2, 3):
-            for tx, rx in (
-                (eff.tx_gains(user), eff.rx_gains(user)),
-                (eff.tx_gain_table[user - 1], eff.rx_gain_table[user - 1]),
-            ):
-                assert tx.shape == rx.shape == (fold, dim)
-                for p in range(fold):
-                    for q in range(dim):
-                        assert tx[p, q] == g.alpha[user - 1, p * dim + q]
-                        assert rx[p, q] == g.beta[user - 1, p * dim + q]
+            tx, rx = eff.tx_gains(user), eff.rx_gains(user)
+            assert tx.shape == rx.shape == (fold, dim)
+            for p in range(fold):
+                for q in range(dim):
+                    assert tx[p, q] == g.alpha[user - 1, p * dim + q]
+                    assert rx[p, q] == g.beta[user - 1, p * dim + q]
 
     def test_plain_gains_are_float_ones(self):
         eff = build_effective(generate_channels(3, 5, "iid", 0), None, "plain")
-        for gains in (eff.tx_gains(2), eff.rx_gains(3)):
-            assert gains.dtype == np.float64
-            assert np.array_equal(gains, np.ones((1, 5)))
-        for table in (eff.tx_gain_table, eff.rx_gain_table):
-            assert table.dtype == np.float64
-            assert np.array_equal(table, np.ones((3, 1, 5)))
+        for user in (1, 2, 3):
+            for gains in (eff.tx_gains(user), eff.rx_gains(user)):
+                assert gains.dtype == np.float64
+                assert np.array_equal(gains, np.ones((1, 5)))
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestOneComplexEntry:
+    """``ChannelSet`` and ``GainPlan`` store complex128, so every tap dtype takes the one complex path."""
+
+    @staticmethod
+    def _built(taps, gains, coding):
+        ch = ChannelSet(taps, "iid")
+        plan = None if coding == "plain" else GainPlan(gains, gains[::-1].copy())
+        eff = build_effective(ch, plan, coding)
+        cascades = build_cascades(eff)
+        return eff, cascades, build_precoders(eff), distinctness_audit(cascades)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        coding=st.sampled_from(CODING_MODES),
+        taps_dtype=st.sampled_from([np.int64, np.float64, np.complex64]),
+        gains_dtype=st.sampled_from([np.int64, np.float64, np.complex64]),
+    )
+    def test_every_dtype_builds_the_bits_of_its_complex128_copy(self, seed, coding, taps_dtype, gains_dtype):
+        # K=3, n=2: small integer taps and gains, which every dtype holds exactly
+        rng = np.random.default_rng(seed)
+        slots = slot_fold(coding) * effective_dim(3, 2)
+        taps, gains = rng.integers(1, 9, size=(3, 3, slots)), rng.integers(1, 9, size=(3, slots))
+        got = self._built(taps.astype(taps_dtype), gains.astype(gains_dtype), coding)
+        want = self._built(taps.astype(np.complex128), gains.astype(np.complex128), coding)
+        (eff, cascades, pre, audit), (want_eff, want_cascades, want_pre, want_audit) = got, want
+        assert eff.channels.entries.dtype == np.complex128
+        assert _same_bits(eff.diagonals, want_eff.diagonals)
+        assert list(cascades.matrices) == list(want_cascades.matrices)
+        for pair, mat in want_cascades.matrices.items():
+            assert _same_bits(cascades.matrices[pair], mat)
+        assert _same_bits(cascades.kappa, want_cascades.kappa)
+        assert list(pre.precoders) == list(want_pre.precoders)
+        for user, mat in want_pre.precoders.items():
+            assert _same_bits(pre.precoders[user], mat)
+        assert audit == want_audit
+
+    def test_integer_taps_give_the_complex_cascades(self):
+        # integer taps take the complex path, not the exact arithmetic mod
+        # cj_precoder._PRIME, where T_3_2's first entry would read 349543
+        taps = np.random.default_rng(1).integers(1, 9, size=(3, 3, effective_dim(3, 2)))
+        eff = build_effective(ChannelSet(taps, "iid"), None, "plain")
+        cascades = build_cascades(eff)
+        assert cascades.matrices[(3, 2)].dtype == np.complex128
+        assert cascades.matrices[(3, 2)][0] == pytest.approx(56 / 3)
+        assert distinctness_audit(cascades).kappa_gap == pytest.approx(9 / 49)
+        assert build_precoders(eff).precoders[1].dtype == np.complex128
+
+    def test_naive_coding_of_integer_channels_and_gains_is_complex(self):
+        ch = ChannelSet(np.arange(1, 9 * 5 + 1).reshape(3, 3, 5), "iid")
+        plan = GainPlan(np.full((3, 5), 2), np.full((3, 5), 3))
+        eff = build_effective(ch, plan, "naive")
+        assert eff.diagonals.dtype == np.complex128
+        assert np.array_equal(eff.diagonals, 6 * np.arange(1, 9 * 5 + 1).reshape(3, 3, 5))
+        for user in (1, 2, 3):
+            assert eff.tx_gains(user).dtype == eff.rx_gains(user).dtype == np.complex128
+
+    def test_a_complex128_array_is_stored_as_itself(self):
+        entries = generate_channels(3, 4, "iid", 0).entries
+        assert ChannelSet(entries, "iid").entries is entries
+        g = generate_gains(3, 4, 0)
+        plan = GainPlan(g.alpha, g.beta)
+        assert plan.alpha is g.alpha and plan.beta is g.beta
+
+    def test_a_constant_channel_stays_a_read_only_slot_view(self):
+        ch = generate_channels(3, 10, "constant", 0)
+        assert ch.entries.dtype == np.complex128
+        assert ch.entries.strides[2] == 0 and not ch.entries.flags.writeable
+        assert ChannelSet(ch.entries, "constant").entries is ch.entries
 
 
 def _fold_cases():

@@ -65,3 +65,9 @@ def test_retired_names_are_gone(name):
     assert name not in symextia.__all__
     assert not hasattr(symextia, name)
     assert not hasattr(symextia.align_verify, name)
+
+
+@pytest.mark.parametrize("name", ("tx_gain_table", "rx_gain_table"))
+def test_retired_gain_tables_are_gone(name):
+    # gains are read one user at a time, through tx_gains and rx_gains
+    assert not hasattr(symextia.EffectiveChannel, name)
