@@ -49,6 +49,8 @@ exiting gets an arena of its own, so this bounds what such a second arena
 adds to the peak memory.
 Below that dimension both run on the calling thread: there the two SVDs
 take less time than starting the helper and handing each certificate back.
+The helper comes from ``extension_core._helper_thread``, the factory that
+``link_sim``'s split zero-forcing SVDs share, each with its own gate.
 Both read the arrays a serial pass would, so every residual and certificate
 keeps its bits either way.
 """
@@ -56,7 +58,6 @@ keeps its bits either way.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -64,11 +65,10 @@ import numpy as np
 
 from .cj_precoder import CascadeSet, PrecoderSet, _check_pair
 from .errors import ParameterError
-from .extension_core import EffectiveChannel
+from .extension_core import EffectiveChannel, _helper_thread
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
-    from contextlib import AbstractContextManager
 
 RESIDUAL_TOL = 1e-8
 DISTINCTNESS_TOL = 1e-9
@@ -182,16 +182,6 @@ def _block_norms(blocks: dict[int, np.ndarray], receiver: int, denominators: tup
     return norms
 
 
-def _certificate_helper(dim: int) -> AbstractContextManager[Executor | None]:
-    """One helper thread for the rank certificates from ``_OVERLAP_MIN_DIM`` on, none below it."""
-    if dim < _OVERLAP_MIN_DIM:
-        return nullcontext()
-    # imported here, not at module level, so runs that never overlap do not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=1)
-
-
 def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
     """Verify every alignment condition and rank certificate in one pass over receivers.
 
@@ -227,7 +217,7 @@ def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:
     _check_pair(eff, pre)
     residuals: dict[str, float] = {}
     rank_results: dict[int, RankResult] = {}
-    with _certificate_helper(eff.dim) as helper:
+    with _helper_thread(eff.dim >= _OVERLAP_MIN_DIM) as helper:
         for j in range(1, eff.users + 1):
             receiver_residuals, rank_results[j] = _receiver_checks(eff, pre, j, helper)
             residuals.update(receiver_residuals)
