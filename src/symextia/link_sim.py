@@ -19,12 +19,13 @@ read the same noise standard deviations off the ``EffectiveChannel`` and
 zero-force on the same composite, the receiver's two
 ``PrecoderSet.received_blocks`` in the column layout of
 ``PrecoderSet.composite``, which ``align_verify`` reads too. It whitens
-those two blocks straight into a fresh composite and factors it first; only
-then are the blocks the rate terms read formed, the two from the factored
-composite and the other users' afresh, so no whitened block is held through
-the SVD. That front end, like the precoder build and the scale factors,
-takes an ``EffectiveChannel`` and a ``PrecoderSet`` that hold one trial or a
-stack of trials. ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
+those two blocks straight into a fresh composite, factors it and returns
+only the noise deviations and the zero-forcing rows. The one block former,
+``_whitened``, forms the blocks the rate terms read after that SVD, one at a
+time, just before each one's product with the rows, so no whitened block is
+held through the SVD. That front end, like the precoder build and the scale
+factors, takes an ``EffectiveChannel`` and a ``PrecoderSet`` that hold one
+trial or a stack of trials. ``simulate_link`` runs its trials in chunks (``ZF_STACK_BYTES`` of
 composites). One redraw loop, ``_draw``, draws every realization, a chunk's
 or the single trial of ``draw_realization``, as one ``EffectiveChannel``
 stack, and a chunk's precoders are one stacked build. A chunk then makes one
@@ -71,6 +72,7 @@ from .extension_core import (
     _draw_gains,
     _fold_diagonals,
     _helper_thread,
+    _unchecked,
     slot_fold,
     subseed,
 )
@@ -215,18 +217,18 @@ def _draw(
 
     Attempt n of trial t draws its gains on ``subseed(base_seed,
     _STREAMS["gains"], t, n)``. Each pass draws every trial at its own
-    attempt, checked as one ``GainPlan`` stack, folded in one call and
-    built in one call. ``build`` takes the ``EffectiveChannel`` stack of
+    attempt into one ``GainPlan`` stack, folded in one call and built in
+    one call. ``build`` takes the ``EffectiveChannel`` stack of
     the drawn trials (with no gains under ``plain``, which has nothing to
     draw) and returns what it built and, per trial, None or the message of
     a degenerate build. A trial moves on to its next attempt if its pairs
     cancelled or its build degenerated. Returns the last pass's stack, its
     build and the redraw count, the sum of the accepted attempt numbers.
 
-    Raises what the ``GainPlan``, the fold or ``build`` raises at the first
-    attempt that raises, ``DegenerateRealizationError`` with the message of
-    a degenerate ``plain`` build, and ``SimulationError`` naming the first
-    trial still degenerate after ``MAX_RESAMPLES`` redraws.
+    Raises what the fold or ``build`` raises at the first attempt that
+    raises, ``DegenerateRealizationError`` with the message of a degenerate
+    ``plain`` build, and ``SimulationError`` naming the first trial still
+    degenerate after ``MAX_RESAMPLES`` redraws.
     """
     users, slots, count = channels.users, channels.slots, len(trials)
     if coding == PLAIN:
@@ -240,8 +242,10 @@ def _draw(
     while True:
         draws = [_draw_gains(users, slots, subseed(base_seed, _STREAMS["gains"], t, n))
                  for t, n in zip(trials, attempts)]
-        # one trial's gains are used as drawn: copying a long plan costs more than folding it
-        gains = GainPlan(*(np.array(g) if len(g) > 1 else g[0][None] for g in zip(*draws)))
+        # one trial's gains are used as drawn: copying a long plan costs more than folding it;
+        # drawn gains are finite and at least MIN_DRAW_MAGNITUDE, so GainPlan's checks are skipped
+        alpha, beta = (np.array(g) if len(g) > 1 else g[0][None] for g in zip(*draws))
+        gains = _unchecked(GainPlan, alpha=alpha, beta=beta)
         diagonals, cancelled = _fold_diagonals(channels.entries, gains.alpha, gains.beta, coding)
         eff = EffectiveChannel._folded(channels, gains, coding, diagonals)
         built, degenerate = build(eff)
@@ -438,52 +442,45 @@ def _halved_pinv_rows(composite: np.ndarray, rows: int, helper: Executor | None)
     return np.concatenate((first, pending.result()))
 
 
+def _whitened(block: np.ndarray, scale: np.ndarray, noise_std: np.ndarray) -> np.ndarray:
+    """The block former: ``block`` times ``scale``, each row divided by its slot's ``noise_std``, in place.
+
+    ``block`` is a user's (..., D, d_j) received block, or its columns of a
+    composite; ``scale`` is that user's amplitude, (...,), and ``noise_std``
+    the receiver's ``effective_noise_std``, (..., D). Every entry has the
+    bits of the same block whitened on its own.
+    """
+    block *= scale[..., None, None]
+    block /= noise_std[..., :, None]
+    return block
+
+
 def _zero_forcer(
     pre: PrecoderSet, eff: EffectiveChannel, k: int, scales: np.ndarray, helper: Executor | None = None
-) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Receiver ``k``'s front end, shared by the analytic rates and the sampled chain.
 
     ``scales[..., j - 1]`` is user j's amplitude. Returns the receiver's
-    ``effective_noise_std``, (D,); its whitened blocks, block j being
-    ``scales[j - 1]`` times ``pre.received_blocks`` of its row of effective
-    diagonals, (D, d_j), each row divided by the noise standard deviation
-    of its effective slot; and the rows of the pseudoinverse of the
-    composite of those blocks that recover user ``k``'s streams.
-    ``eff``, ``pre`` and ``scales`` may hold the same stack of trials, and
-    then so does every result. Two stacked SVDs, one per half of the
-    trials, cover a stack when ``helper`` is a thread to run the second
-    half on, and one covers it otherwise (``_halved_pinv_rows``): each
-    factors every (D, D) slice on its own, and only the d_k rows are
-    multiplied out, so the rows are the same bits as one ``pinv`` call per
-    trial.
+    ``effective_noise_std``, (D,), and the rows of the pseudoinverse that
+    recover user ``k``'s streams from the composite of its ``_whitened``
+    desired and basis blocks, block j being ``scales[j - 1]`` times
+    ``pre.received_blocks`` of its row of effective diagonals. ``eff``,
+    ``pre`` and ``scales`` may hold the same stack of trials, and then so
+    does every result. Two stacked SVDs, one per half of the trials, cover
+    a stack when ``helper`` is a thread to run the second half on, and one
+    covers it otherwise (``_halved_pinv_rows``): each factors every (D, D)
+    slice on its own, and only the d_k rows are multiplied out, so the rows
+    are the same bits as one ``pinv`` call per trial.
 
-    The desired and basis blocks are formed straight into a fresh
-    ``pre.composite`` and whitened there, and it is factored before any
-    other block exists. The two blocks are then copied out of the
-    factored composite, conjugated back, and the other users' blocks are
-    formed and whitened only after the SVD, so through it the receiver holds
-    the composite and no block; every entry has the bits of a block whitened
-    on its own. The returned blocks are contiguous, since a product on a
-    column view of the composite can round differently.
+    The two blocks are formed and whitened straight into a fresh
+    ``pre.composite``, which is factored before any other block exists, so
+    through the SVD the receiver holds the composite and no block.
     """
     noise_std = effective_noise_std(eff, k)
-    row = eff.diagonals[..., k - 1, :, :]
-
-    def whitened(j: int, block: np.ndarray) -> np.ndarray:
-        block *= scales[..., j - 1, None, None]
-        block /= noise_std[..., :, None]
-        return block
-
-    columns = pre._composite_columns(k)
-    composite = pre.composite(row, k)
-    for j, cols in columns.items():
-        whitened(j, composite[..., cols])
-    rows = _halved_pinv_rows(composite, pre.stream_counts[k], helper)
-    # _pinv_rows left the conjugate; the products need contiguous blocks, not column views
-    copied = {j: np.conjugate(composite[..., cols], order="C") for j, cols in columns.items()}
-    del composite
-    blocks = {j: copied[j] if j in copied else whitened(j, pre._received_block(row, j)) for j in pre.precoders}
-    return noise_std, blocks, rows
+    composite = pre.composite(eff.diagonals[..., k - 1, :, :], k)
+    for j, cols in pre._composite_columns(k).items():
+        _whitened(composite[..., cols], scales[..., j - 1], noise_std)
+    return noise_std, _halved_pinv_rows(composite, pre.stream_counts[k], helper)
 
 
 def _receiver_terms(
@@ -495,16 +492,22 @@ def _receiver_terms(
     the same trials and ``hats`` their scales, (trials, users). Returns
     (trials, d_k) arrays of signal power, total cross-stream leakage power
     and whitened-noise amplification per desired stream; with transmit
-    power P the stream SINR is signal / (cross + noise / P).
+    power P the stream SINR is signal / (cross + noise / P). Each user's
+    block is formed by ``_whitened`` after the receiver's SVD, just before
+    its product with the zero-forcing rows, so one block is live at a time.
     """
-    _, blocks, gains_zf = _zero_forcer(pre, eff, k, hats, helper)
+    noise_std, gains_zf = _zero_forcer(pre, eff, k, hats, helper)
+    row = eff.diagonals[..., k - 1, :, :]
 
-    own = gains_zf @ blocks[k]
+    def product(j: int) -> np.ndarray:
+        return gains_zf @ _whitened(pre._received_block(row, j), hats[..., j - 1], noise_std)
+
+    own = product(k)
     signal = np.abs(np.diagonal(own, axis1=-2, axis2=-1)) ** 2
     cross = np.sum(np.abs(own) ** 2, axis=-1) - signal
     for j in pre.precoders:
         if j != k:
-            cross = cross + np.sum(np.abs(gains_zf @ blocks[j]) ** 2, axis=-1)
+            cross = cross + np.sum(np.abs(product(j)) ** 2, axis=-1)
     noise = np.sum(np.abs(gains_zf) ** 2, axis=-1)
     return signal, cross, noise
 
@@ -643,7 +646,7 @@ def run_symbol_chain(
         if inject_noise:
             y = y + _complex_normal(rng, (channels.slots, blocks))
         received[k] = y
-        noise_std, _, gains_zf = _zero_forcer(pre, eff, k, scales)
+        noise_std, gains_zf = _zero_forcer(pre, eff, k, scales)
         decoded[k] = gains_zf @ (combine_received(y, eff, k) / noise_std[:, None])
     return ChainSample(effective=eff, precoders=pre, symbols=symbols, tx_blocks=tx,
                        received=received, decoded=decoded, redraws=redraws)

@@ -1,6 +1,16 @@
 import sys
+import threading
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves a thread running, such as a helper thread its call did not join."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture

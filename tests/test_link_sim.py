@@ -404,6 +404,21 @@ class TestSymbolChain:
             noiseless = sum(ch.entries[k - 1, j - 1][:, None] * tx[j] for j in tx)
             assert np.array_equal(sample.received[k], noiseless + normals((ch.slots, blocks)))
 
+    def test_symbol_chain_forms_blocks_only_into_the_composite(self, monkeypatch):
+        # the decoder needs the rows alone: each receiver forms its desired and
+        # basis blocks, written into its composite, and no other
+        ch = generate_channels(4, 2 * effective_dim(4, 1), "constant", 1)
+        outs = []
+        real = cj_precoder.PrecoderSet._received_block
+
+        def received_block(self, row, j, out=None):
+            outs.append(out is not None)
+            return real(self, row, j, out)
+
+        monkeypatch.setattr(cj_precoder.PrecoderSet, "_received_block", received_block)
+        run_symbol_chain(ch, "double", power=10.0, seed=0)
+        assert outs == [True] * (2 * ch.users)
+
 
 FOLD_CASES = [
     (users, n, coding)
@@ -449,10 +464,13 @@ class TestFoldMatchesPerModeReference:
         eff, pre = sample.effective, sample.precoders
         scales = np.sqrt(power) * link_sim._scale_hats(pre, eff)
         for k in range(1, 4):
-            noise_std, blocks, gains_zf = link_sim._zero_forcer(pre, eff, k, scales)
+            noise_std, gains_zf = link_sim._zero_forcer(pre, eff, k, scales)
             want = oracles._per_trial_whitened_blocks(eff, pre, k, dict(enumerate(scales, 1)))
+            row = eff.diagonals[k - 1]
             assert np.array_equal(noise_std, effective_noise_std(eff, k))
-            assert all(np.array_equal(blocks[j], want[j]) for j in want)
+            for j in want:
+                got = link_sim._whitened(pre._received_block(row, j), scales[j - 1], noise_std)
+                assert np.array_equal(got, want[j])
             assert np.array_equal(gains_zf, oracles._per_trial_zero_forcer(pre, want, k))
             z = combine_received(sample.received[k], eff, k) / noise_std[:, None]
             assert np.array_equal(sample.decoded[k], gains_zf @ z)
@@ -479,6 +497,14 @@ STACK_CASES = [
     for coding, model in CODING_CHANNELS
     for seed in ((0,) if (users, n) == (4, 2) else (0, 1, 2))
 ]
+
+
+def _array_bytes():
+    """Bytes held in numpy's own tracemalloc domain, which counts array data alone, not Python objects."""
+    traces = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    ).traces
+    return sum(trace.size for trace in traces)
 
 
 def _traced_peak(run, *args):
@@ -562,13 +588,6 @@ class TestStackedMatchesPerTrial:
 
     @pytest.mark.parametrize("coding", ["plain", "naive", "double"])
     def test_no_whitened_block_is_held_through_the_svd(self, monkeypatch, coding):
-        # numpy's own tracemalloc domain counts array data alone, not Python objects
-        def array_bytes():
-            traces = tracemalloc.take_snapshot().filter_traces(
-                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
-            ).traces
-            return sum(trace.size for trace in traces)
-
         case = _link_case(4, 1, coding, "constant", 0, trials=1)
         _, eff, pre, _ = draw_realization(case[0], coding, 0)
         gains = 0 if eff.gains is None else eff.gains.alpha.nbytes + eff.gains.beta.nbytes
@@ -579,15 +598,49 @@ class TestStackedMatchesPerTrial:
         slack = eff.diagonals.nbytes + gains + 4096
         seen = []
         real_svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(array_bytes()) or real_svd(a, **kw))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(_array_bytes()) or real_svd(a, **kw))
         tracemalloc.start()
         try:
-            baseline = array_bytes()
+            baseline = _array_bytes()
             simulate_link(*case)
         finally:
             tracemalloc.stop()
         assert len(seen) == 4
         assert max(seen) - baseline <= precoders + composite + slack
+
+    @pytest.mark.parametrize("coding", ["plain", "naive", "double"])
+    def test_one_whitened_block_is_held_after_the_svd(self, monkeypatch, coding):
+        # a receiver forms its two composite blocks, then, after its SVD, each
+        # user's block on its own; when it forms one, what it holds beyond the
+        # chunk is its rows, its own streams' product and at most that block
+        case = _link_case(4, 1, coding, "constant", 0, trials=1)
+        _, eff, pre, _ = draw_realization(case[0], coding, 0)
+        gains = 0 if eff.gains is None else eff.gains.alpha.nbytes + eff.gains.beta.nbytes
+        precoders = sum(mat.nbytes for mat in pre.precoders.values())
+        # the chunk's realization, and 4 KiB for its noise deviations, scales and rates
+        slack = eff.diagonals.nbytes + gains + 4096
+        d, dim = pre.stream_counts, pre.dim
+        seen, composite_blocks = [], []
+        real = cj_precoder.PrecoderSet._received_block
+
+        def received_block(self, row, j, out=None):
+            if out is not None:
+                composite_blocks.append(j)
+            else:
+                k = len(composite_blocks) // 2  # receivers run in order, two composite blocks each
+                rows, block, product = 16 * d[k] * dim, 16 * dim * d[j], 16 * d[k] ** 2
+                seen.append(_array_bytes() - rows - block - product)
+            return real(self, row, j, out)
+
+        monkeypatch.setattr(cj_precoder.PrecoderSet, "_received_block", received_block)
+        tracemalloc.start()
+        try:
+            baseline = _array_bytes()
+            simulate_link(*case)
+        finally:
+            tracemalloc.stop()
+        assert max(seen) - baseline <= precoders + slack
+        assert len(seen) == 16
 
 
 class _FirstHalfFailed(Exception):
@@ -966,30 +1019,37 @@ class TestDegenerateTrialInAStack:
             simulate_link(ch, "plain", LinkConfig(snr_points_db=(10.0,), trials=2))
 
     def test_raises_the_parameter_error_of_the_earliest_attempt(self, monkeypatch):
-        # trial 0 cancels at attempt 0 and its attempt 1 has a zero alpha;
-        # trial 2's attempt 0 has a zero beta. A trial-at-a-time loop raises
-        # trial 0's error, the chunk the error of its first attempt.
+        # trial 0 cancels at attempt 0 and its attempt 1 does not fold; trial
+        # 2's attempt 0 does not fold. A trial-at-a-time loop raises trial 0's
+        # error, the chunk the error of its first attempt.
         ch, coding, link = case = _link_case(3, 10, "double", "constant", 1, trials=3)
         seeds = {subseed(link.seed, extension_core._STREAMS["gains"], t, a): (t, a) for t in (0, 2) for a in (0, 1)}
         plan = TestResampling._cancelling_plan(ch.users, ch.slots)
-        real = extension_core._draw_gains
+        real_draw, real_fold = extension_core._draw_gains, extension_core._fold_diagonals
+        unfoldable = {}
 
         def draw(users, slots, seed):
-            alpha, beta = real(users, slots, seed)
+            alpha, beta = real_draw(users, slots, seed)
             spoil = seeds.get(seed)
             if spoil == (0, 0):
                 return plan.alpha.copy(), plan.beta.copy()
-            if spoil == (0, 1):
-                alpha[0, 0] = 0
-            if spoil == (2, 0):
-                beta[0, 0] = 0
+            if spoil in ((0, 1), (2, 0)):
+                unfoldable[alpha.tobytes()] = spoil
             return alpha, beta
+
+        def fold(entries, alpha, beta, coding):
+            for trial_alpha in alpha.reshape(-1, *alpha.shape[-2:]):
+                spoil = unfoldable.get(trial_alpha.tobytes())
+                if spoil:
+                    raise ParameterError("trial {} attempt {} does not fold".format(*spoil))
+            return real_fold(entries, alpha, beta, coding)
 
         for module in (extension_core, link_sim):
             monkeypatch.setattr(module, "_draw_gains", draw)
-        with pytest.raises(ParameterError, match="alpha must be nonzero"):
+            monkeypatch.setattr(module, "_fold_diagonals", fold)
+        with pytest.raises(ParameterError, match="trial 0 attempt 1 does not fold"):
             oracles.per_trial_simulate_link(*case)
-        with pytest.raises(ParameterError, match="beta must be nonzero"):
+        with pytest.raises(ParameterError, match="trial 2 attempt 0 does not fold"):
             simulate_link(*case)
 
 
@@ -1015,3 +1075,14 @@ class TestChunkDraw:
             assert simulate_link(ch, coding, link).failures == 0
         assert built == []
         assert folds == [18, 18, 14] * 2
+
+    def test_drawn_gains_skip_the_gain_plan_checks(self, monkeypatch):
+        # _draw_gains draws every gain finite and nonzero, so no pass checks them again
+        ch, coding, link = _link_case(3, 10, "double", "iid", 1, trials=20)
+        checked = []
+        real = extension_core._check_finite_nonzero
+        monkeypatch.setattr(
+            extension_core, "_check_finite_nonzero", lambda what, arr: checked.append(what) or real(what, arr)
+        )
+        simulate_link(ch, coding, link)
+        assert "alpha" not in checked and "beta" not in checked
