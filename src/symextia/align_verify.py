@@ -325,12 +325,7 @@ def min_relative_gap(values: np.ndarray) -> float:
     ParameterError
         If the values are not numbers, or any value or its magnitude is not finite.
     """
-    values = np.asarray(values)
-    if values.dtype.kind in "biu":
-        values = values.astype(np.float64)
-    elif values.dtype.kind not in "fc":
-        raise ParameterError(f"relative gaps need numeric values, got dtype {values.dtype}")
-    return float(_min_relative_gaps(values.ravel()[None])[0])
+    return float(_min_relative_gaps(np.asarray(values).ravel()[None])[0])
 
 
 def _min_relative_gaps(values: np.ndarray) -> np.ndarray:
@@ -347,8 +342,12 @@ def _min_relative_gaps(values: np.ndarray) -> np.ndarray:
     sooner cost nothing after. An offset computes at most one pair per
     value. Typical inputs cost O(D log D) time per row of D values; equal
     magnitudes, such as roots of unity, cost O(D^2). Memory stays O(D) per
-    row.
+    row. The dtype rule and the errors are ``min_relative_gap``'s.
     """
+    if values.dtype.kind in "biu":
+        values = values.astype(np.float64)
+    elif values.dtype.kind not in "fc":
+        raise ParameterError(f"relative gaps need numeric values, got dtype {values.dtype}")
     rows, size = values.shape
     with np.errstate(over="ignore"):
         mags = np.abs(values)

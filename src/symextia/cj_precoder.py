@@ -20,19 +20,20 @@ effective channels on a leading trial axis and flags its degenerate trials,
 which the link simulation uses for a chunk of trials at once;
 ``build_cascades`` and ``build_precoders`` are its batches of one. Up to
 the unnormalised columns, it and ``PrecoderSet.received_blocks`` compute in
-the diagonals' arithmetic, complex128 or exact int64 residues mod
-``_PRIME``; normalisation and its overflow and vanish checks are float-only.
-Every public path is complex128, since ``ChannelSet`` and ``GainPlan``
-store complex128 whatever the input's dtype. Residues enter only as int64
-stacks handed straight to the private ``_stacked_cascades`` and
-``_stacked_columns``, or as the int64 columns and rows of a
-``PrecoderSet``, as the tests' exact oracle hands them.
+the ``_Arithmetic`` their caller names, never one read off a dtype:
+``_COMPLEX``, the float build; ``_RESIDUES``, exact int64 residues mod
+``_PRIME``; or ``_EXPONENTS``, which fed unit diagonals over the K^2 links
+gives each column's exponent vector. Normalisation and its overflow and
+vanish checks are complex-only. Every public path is complex128:
+``ChannelSet``, ``GainPlan`` and ``PrecoderSet`` store complex128 whatever
+the input's dtype, and only private code builds a set in another
+arithmetic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -65,11 +66,20 @@ def _mod_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mod_mul(a, inverse)
 
 
-def _arithmetic(values: np.ndarray) -> tuple[np.dtype, Callable[..., np.ndarray], Callable[..., np.ndarray]]:
-    """The ``(dtype, mul, div)`` of ``values``: residues mod ``_PRIME`` if integer, else complex128."""
-    if np.issubdtype(values.dtype, np.integer):
-        return np.dtype(np.int64), _mod_mul, _mod_div
-    return np.dtype(complex), np.multiply, np.divide
+@dataclass(frozen=True)
+class _Arithmetic:
+    """What the one construction computes in: its dtype, the identity ``one`` of ``mul``, and ``mul`` and ``div``."""
+
+    dtype: np.dtype
+    one: int
+    mul: Callable[..., np.ndarray]
+    div: Callable[..., np.ndarray]
+
+
+_COMPLEX = _Arithmetic(np.dtype(np.complex128), 1, np.multiply, np.divide)
+_RESIDUES = _Arithmetic(np.dtype(np.int64), 1, _mod_mul, _mod_div)
+# a monomial in the K^2 link variables is its exponent vector: a product adds, a quotient subtracts
+_EXPONENTS = _Arithmetic(np.dtype(np.int64), 0, np.add, np.subtract)
 
 
 def cascade_order(users: int) -> int:
@@ -183,19 +193,19 @@ def _flag(degenerate: list[str | None], bad: np.ndarray, message: str) -> None:
 # a degenerate trial's quotients are flagged, not warned about
 @np.errstate(all="ignore")
 def _stacked_cascades(
-    diagonals: np.ndarray,
+    diagonals: np.ndarray, arithmetic: _Arithmetic
 ) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray, list[str | None]]:
     """Cascade generators and kappa of a stack of effective channels, and the degenerate trials.
 
-    ``diagonals`` is (trials, K, K, D), one ``EffectiveChannel.diagonals``
-    per trial or residues mod ``_PRIME``, and so are the (trials, D)
-    generators and kappa. Every quotient is entrywise, so each trial's slice
-    has the bits of that trial computed alone. The third value holds one
-    entry per trial: None, or the message ``build_cascades`` raises on that
-    trial alone, naming its first quotient that is not finite or is 0.
+    ``diagonals`` is (trials, K, K, D) in ``arithmetic``: one
+    ``EffectiveChannel.diagonals`` per trial under ``_COMPLEX``. So are the
+    (trials, D) generators and kappa. Every quotient is entrywise, so each
+    trial's slice has the bits of that trial computed alone. The third
+    value holds one entry per trial: None, or the message
+    ``build_cascades`` raises on that trial alone, naming its first quotient
+    that is not finite or is 0.
     """
-    _, mul, div = _arithmetic(diagonals)
-    d = partial(_link, diagonals)
+    mul, div, d = arithmetic.mul, arithmetic.div, partial(_link, diagonals)
     degenerate: list[str | None] = [None] * len(diagonals)
     common = mul(div(d(2, 1), d(2, 3)), d(1, 3))  # mod p, 1/0 is 0: a zero denominator flags as a zero quotient
     matrices: dict[tuple[int, int], np.ndarray] = {}
@@ -220,7 +230,7 @@ def build_cascades(eff: EffectiveChannel) -> CascadeSet:
         value; the effective diagonals themselves are nonzero by construction,
         so this only fires on extreme magnitude spread.
     """
-    matrices, kappa, degenerate = _stacked_cascades(eff._single()[None])
+    matrices, kappa, degenerate = _stacked_cascades(eff._single()[None], _COMPLEX)
     if degenerate[0]:
         raise DegenerateRealizationError(degenerate[0])
     return CascadeSet(matrices={pair: mat[0] for pair, mat in matrices.items()}, kappa=kappa[0])
@@ -231,11 +241,17 @@ class PrecoderSet:
     """Per-user precoder matrices over one effective signal space.
 
     ``precoders[k]`` is the D x d_k complex matrix for 1-based user k with
-    unit-norm columns (or its unnormalised columns mod ``_PRIME``), keyed in
-    ascending user order. User 1's columns follow the rows of
-    ``enumerate_tuples(users, n)`` and every other user's the rows of
-    ``enumerate_tuples(users, n - 1)``. Sizes are read off the
-    trailing two axes of the matrices, so a set may also hold a stack of
+    unit-norm columns, keyed in ascending user order. Each is stored as
+    complex128, through ``np.asarray(mat, dtype=complex)``, as
+    ``ChannelSet`` stores its entries: a complex128 matrix is kept as the
+    same object, and any other dtype is converted once, so an integer
+    matrix gives complex products, never residues. ``arithmetic`` is not a
+    constructor argument: it is ``_COMPLEX``, and only private code
+    (``_unchecked``) builds a set of ``_RESIDUES`` or ``_EXPONENTS``
+    columns, whose blocks are then in that arithmetic. User 1's columns
+    follow the rows of ``enumerate_tuples(users, n)`` and every other
+    user's the rows of ``enumerate_tuples(users, n - 1)``. Sizes are read
+    off the trailing two axes of the matrices, so a set may also hold a stack of
     trials, (trials, D, d_k) per user, as the link simulation does. The set
     owns what a receiver sees: its blocks and its composite layout.
     ``received_blocks`` and ``composite`` share one row rule: a receiver's
@@ -244,6 +260,10 @@ class PrecoderSet:
     """
 
     precoders: dict[int, np.ndarray]
+    arithmetic: _Arithmetic = field(default=_COMPLEX, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "precoders", {u: np.asarray(m, dtype=complex) for u, m in self.precoders.items()})
 
     @property
     def users(self) -> int:
@@ -288,8 +308,7 @@ class PrecoderSet:
 
     def _received_block(self, row: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
         """Block H_kj V_j of ``received_blocks``, written into ``out`` when given."""
-        _, mul, _ = _arithmetic(row)
-        return mul(row[..., j - 1, :, None], self.precoders[j], out=out)
+        return self.arithmetic.mul(row[..., j - 1, :, None], self.precoders[j], out=out)
 
     def _composite_columns(self, receiver: int) -> dict[int, slice]:
         """The composite's layout at ``receiver``: each user's column slice, desired block then the basis user's."""
@@ -304,12 +323,14 @@ class PrecoderSet:
         and no other block is formed; each entry has the bits of its block
         in ``received_blocks``. A stack of rows gives a stack of composites.
         ParameterError unless ``receiver`` is a user label and the last two
-        axes of ``row`` are (users, dim).
+        axes of ``row`` are (users, dim). The layout is D x D, so it holds
+        for ``_COMPLEX`` and ``_RESIDUES`` sets only: an ``_EXPONENTS`` set's
+        rows are the K^2 links, and its exponents are read from
+        ``received_blocks``.
         """
         self._check_row(row)
         _check_users(self.users, receiver)
-        dtype, _, _ = _arithmetic(row)
-        composite = np.empty(row.shape[:-2] + (self.dim, self.dim), dtype=dtype)
+        composite = np.empty(row.shape[:-2] + (self.dim, self.dim), dtype=self.arithmetic.dtype)
         for j, cols in self._composite_columns(receiver).items():
             self._received_block(row, j, composite[..., cols])
         return composite
@@ -328,27 +349,31 @@ def _check_pair(eff: EffectiveChannel, pre: PrecoderSet) -> None:
 
 # a degenerate trial's powers and quotients are flagged, not warned about
 @np.errstate(all="ignore")
-def _stacked_columns(diagonals: np.ndarray) -> tuple[dict[int, np.ndarray], list[str | None]]:
-    """Every user's unnormalised columns, (trials, D, d_k) in user order, and the degenerate trials.
+def _stacked_columns(
+    diagonals: np.ndarray, cap: int, arithmetic: _Arithmetic
+) -> tuple[dict[int, np.ndarray], list[str | None]]:
+    """Every user's unnormalised columns at exponent cap ``cap``, (trials, D, d_k) in user order.
 
-    ``diagonals`` is a stack ``_stacked_cascades`` takes, in either
-    arithmetic, and the columns are in the same one. A size with no
-    construction, or a stack over the byte budget, raises.
+    ``diagonals`` is a stack ``_stacked_cascades`` takes, in ``arithmetic``,
+    and the columns are in the same one; the second value is its degenerate
+    trials. D is read off the last axis and need not match ``cap``: under
+    ``_EXPONENTS``, unit diagonals of shape (1, K, K, K^2) give each column's
+    exponent vector over the K^2 links, and the degenerate flags mean
+    nothing there, so that caller ignores them. A stack over the byte
+    budget raises.
     """
-    dtype, mul, div = _arithmetic(diagonals)
+    dtype, mul, div = arithmetic.dtype, arithmetic.mul, arithmetic.div
     trials, users, _, dim = diagonals.shape
-    cap = exponent_cap(users, dim)
     nbytes = dtype.itemsize * trials * dim * _stream_count(users, cap)
     check_byte_budget(nbytes, "precoders for {} users at n={}", users, cap)
-    matrices, _, degenerate = _stacked_cascades(diagonals)  # kappa is checked, not used
+    matrices, _, degenerate = _stacked_cascades(diagonals, arithmetic)  # kappa is checked, not used
     # One column per row of enumerate_tuples(users, cap): each cascade's
     # powers T_kl^e, e = 0..cap, multiplied up one at a time (a cumulative
     # product rounds differently), times every column so far, in C order
     # (float column norms round differently when columns are contiguous).
-    products = np.ones((trials, dim, 1), dtype=dtype)
+    products = np.full((trials, dim, 1), arithmetic.one, dtype=dtype)
     for mat in matrices.values():
-        table = np.empty((trials, cap + 1, dim), dtype=dtype)
-        table[:, 0] = 1
+        table = np.full((trials, cap + 1, dim), arithmetic.one, dtype=dtype)
         for e in range(1, cap + 1):
             table[:, e] = mul(table[:, e - 1], mat)
         products = mul(products[:, :, :, None], table.transpose(0, 2, 1)[:, :, None, :], order="C")
@@ -368,14 +393,15 @@ def _stacked_columns(diagonals: np.ndarray) -> tuple[dict[int, np.ndarray], list
 def _stacked_precoders(diagonals: np.ndarray) -> tuple[PrecoderSet, list[str | None]]:
     """The precoders of a stack of effective channels, built in one pass, and the degenerate trials.
 
-    The float ``_stacked_columns`` of ``diagonals``, one
-    ``EffectiveChannel.diagonals`` per trial, each column normalised over
-    one trial's rows, so each slice has the bits of that trial built alone.
-    ``build_precoders`` documents the construction and its errors; the
-    second value holds, per trial, None or the message it raises on that
-    trial alone, and such a trial's slice is not usable.
+    The ``_COMPLEX`` ``_stacked_columns`` of ``diagonals``, one
+    ``EffectiveChannel.diagonals`` per trial, at the cap ``exponent_cap``
+    reads off its shape, each column normalised over one trial's rows, so
+    each slice has the bits of that trial built alone. ``build_precoders``
+    documents the construction and its errors; the second value holds, per
+    trial, None or the message it raises on that trial alone, and such a
+    trial's slice is not usable.
     """
-    precoders, degenerate = _stacked_columns(diagonals)
+    precoders, degenerate = _stacked_columns(diagonals, exponent_cap(diagonals.shape[1], diagonals.shape[3]), _COMPLEX)
     for user, mat in precoders.items():
         norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=1, keepdims=True))
         _flag(degenerate, ~np.isfinite(norms), f"precoder column norms for user {user} overflowed")

@@ -185,7 +185,7 @@ def _check_model(model: str, slots: int) -> int | None:
 
     ParameterError for an unknown model or a slot count its blocks do not divide.
     """
-    if model not in _MODEL_BLOCKS:
+    if not isinstance(model, str) or model not in _MODEL_BLOCKS:
         raise ParameterError(f"unknown channel model {model!r}")
     blocks = _MODEL_BLOCKS[model]
     if blocks is not None and slots % blocks:
@@ -282,7 +282,7 @@ class GainPlan:
 
 def slot_fold(coding: str) -> int:
     """Raw slots summed into each effective entry; ParameterError for an unknown ``coding``."""
-    if coding not in SLOT_FOLD:
+    if not isinstance(coding, str) or coding not in SLOT_FOLD:
         raise ParameterError(f"unknown coding mode {coding!r}")
     return SLOT_FOLD[coding]
 

@@ -365,7 +365,8 @@ def transmit_blocks(
 ) -> dict[int, np.ndarray]:
     """Beamform, gain-expand, and power-scale symbol blocks for every user.
 
-    ``symbols[k]`` has shape (streams_k, blocks); the returned raw blocks have
+    ``symbols[k]`` has shape (streams_k, blocks), read through
+    ``np.asarray``, so nested lists are blocks too; the returned raw blocks have
     shape (T, blocks) and expected per-slot power ``power``. Each beamformed
     entry q rides every raw slot folded onto it, times that slot's gain.
 
@@ -383,7 +384,8 @@ def transmit_blocks(
         raise ParameterError(
             f"symbols must hold exactly users {sorted(pre.precoders)}, got keys {list(symbols)}"
         )
-    if any(np.ndim(s) != 2 for s in symbols.values()):
+    symbols = {user: np.asarray(s) for user, s in symbols.items()}
+    if any(s.ndim != 2 for s in symbols.values()):
         raise ParameterError("each symbol block must be 2-D, (streams, blocks)")
     block_counts = {user: s.shape[1] for user, s in symbols.items()}
     if len(set(block_counts.values())) != 1:

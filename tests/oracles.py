@@ -35,7 +35,10 @@ alignment without a basis: each interfering column at receiver j != 1 is a
 known column of user 1's block there, up to scale. ``modp_columns`` and
 ``modp_received_blocks`` are the construction over the residues mod a prime
 in Python ints, every power by ``pow`` and every inverse by ``pow(x, -1,
-p)``; the exact build must equal them entry by entry.
+p)``; the exact build must equal them entry by entry. ``exponent_columns``
+is every column as its exponent vector over the K^2 links, each a sum of
+signed unit vectors weighted by its row of ``enumerate_tuples``; the build
+over exponent vectors must equal it entry by entry.
 """
 
 from __future__ import annotations
@@ -567,6 +570,41 @@ def modp_columns(diagonals: np.ndarray, n: int, p: int) -> dict[int, np.ndarray]
         user: np.array([[r[user] for r in trial] for trial in rows], dtype=np.int64)
         for user in range(1, users + 1)
     }
+
+
+def exponent_columns(users: int, n: int) -> dict[int, np.ndarray]:
+    """Every user's columns as exponent vectors over the K^2 links, one column at a time.
+
+    Link (a, b) is variable (a - 1) K + (b - 1). The cascade T_kl =
+    H_21 H_23^-1 H_13 H_k1^-1 H_kl H_1l^-1 is the signed sum of its six unit
+    vectors, and a column is the sum of the cascades weighted by its row of
+    ``enumerate_tuples``, behind the user-3 prefix H_21 H_23^-1 and the
+    user-i rescaling H_1i^-1 H_13. Returns one (K^2, d_k) int64 array per
+    user, in ascending user order.
+    """
+
+    def link(a: int, b: int) -> np.ndarray:
+        unit = np.zeros(users * users, dtype=np.int64)
+        unit[(a - 1) * users + b - 1] = 1
+        return unit
+
+    cascades = [
+        link(2, 1) - link(2, 3) + link(1, 3) - link(k, 1) + link(k, l) - link(1, l) for k, l in cascade_pairs(users)
+    ]
+
+    def products(cap: int) -> np.ndarray:
+        columns = []
+        for exponents in enumerate_tuples(users, cap):
+            column = np.zeros(users * users, dtype=np.int64)
+            for e, cascade in zip(exponents, cascades):
+                column += e * cascade
+            columns.append(column)
+        return np.array(columns).T
+
+    out = {1: products(n), 3: (link(2, 1) - link(2, 3))[:, None] + products(n - 1)}
+    for i in (2, *range(4, users + 1)):
+        out[i] = (link(1, 3) - link(1, i))[:, None] + out[3]
+    return dict(sorted(out.items()))
 
 
 def modp_received_blocks(row: np.ndarray, columns: dict[int, np.ndarray], p: int) -> dict[int, np.ndarray]:

@@ -40,6 +40,7 @@ from symextia import (
     subseed,
 )
 from symextia.cli import parse_args, run_experiment
+from symextia.extension_core import _unchecked
 from symextia.link_sim import draw_until_built
 
 
@@ -207,6 +208,10 @@ class TestMinRelativeGap:
         want = min(abs(a - b) / max(abs(a), abs(b)) if a or b else 0.0
                    for i, a in enumerate(as_float) for b in as_float[i + 1:])
         assert got == want
+        # the audit's stacked sweep is a second entry point with the same rule
+        v = np.array(values)
+        audit = distinctness_audit(CascadeSet({(3, 2): v}, kappa=v))
+        assert audit.lambda_gaps == {(3, 2): want} and audit.kappa_gap == want
 
     @pytest.mark.parametrize(
         "values", [np.array(["a", "b"]), np.array([1, 2], dtype=object), np.array([1, 2], dtype="datetime64[s]")]
@@ -214,6 +219,8 @@ class TestMinRelativeGap:
     def test_values_that_are_not_numbers_raise(self, values):
         with pytest.raises(ParameterError, match="^relative gaps need numeric values, got dtype "):
             min_relative_gap(values)
+        with pytest.raises(ParameterError, match="^relative gaps need numeric values, got dtype "):
+            distinctness_audit(CascadeSet({(3, 2): values}, kappa=values))
 
 
 def _sweep_pairs(monkeypatch) -> list[int]:
@@ -663,10 +670,10 @@ class TestCompositeRefusals:
         stacked = pre.composite(rows, 2)
         assert stacked.shape == (2, eff.dim, eff.dim)
         assert np.array_equal(stacked[1], pre.composite(eff.diagonals[1], 2))
-        # residues mod p: a stack of two trials' int64 columns and rows
+        # residues mod p, in a set only private code builds: a stack of two trials' int64 columns and rows
         diagonals = np.random.default_rng(0).integers(1, cj_precoder._PRIME, size=(2, 3, 3, 5))
-        columns, _ = cj_precoder._stacked_columns(diagonals)
-        residue_pre = PrecoderSet(precoders=columns)
+        columns, _ = cj_precoder._stacked_columns(diagonals, 2, cj_precoder._RESIDUES)
+        residue_pre = _unchecked(PrecoderSet, precoders=columns, arithmetic=cj_precoder._RESIDUES)
         composite = residue_pre.composite(diagonals[:, 1], 2)
         blocks = residue_pre.received_blocks(diagonals[:, 1])
         assert composite.dtype == np.int64

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_exponent_tuples,
+    exponent_columns,
     loop_precoders,
     modp_columns,
     modp_received_blocks,
@@ -19,6 +20,7 @@ from symextia import (
     ChannelSet,
     DegenerateRealizationError,
     ParameterError,
+    PrecoderSet,
     build_cascades,
     build_effective,
     build_precoders,
@@ -292,7 +294,7 @@ class TestBuildPrecoders:
         effs = [build_effective(ChannelSet(e, "iid"), None, "plain") for e in stack]
         diagonals = np.stack([eff.diagonals for eff in effs])
         pre, degenerate = cj_precoder._stacked_precoders(diagonals)
-        *_, cascades_degenerate = cj_precoder._stacked_cascades(diagonals)
+        *_, cascades_degenerate = cj_precoder._stacked_cascades(diagonals, cj_precoder._COMPLEX)
         assert degenerate == [
             None,
             "cascade (3, 2) left the representable range",
@@ -351,7 +353,7 @@ class TestModPrimeBuild:
         p = cj_precoder._PRIME
         rng = np.random.default_rng(subseed(users, n))
         diagonals = rng.integers(1, p, size=(2, users, users, effective_dim(users, n)))
-        columns, degenerate = cj_precoder._stacked_columns(diagonals)
+        columns, degenerate = cj_precoder._stacked_columns(diagonals, n, cj_precoder._RESIDUES)
         want = modp_columns(diagonals, n, p)
         # nonzero residues have nonzero products mod a prime: nothing degenerates
         assert degenerate == [None, None]
@@ -359,7 +361,8 @@ class TestModPrimeBuild:
         for user, mat in want.items():
             assert columns[user].dtype == np.int64
             assert np.array_equal(columns[user], mat), (users, n, user)
-        pre = cj_precoder.PrecoderSet(precoders=columns)
+        # a residue set is private: the public constructor stores complex128
+        pre = extension_core._unchecked(cj_precoder.PrecoderSet, precoders=columns, arithmetic=cj_precoder._RESIDUES)
         for k in range(1, users + 1):
             blocks = pre.received_blocks(diagonals[:, k - 1])
             want_blocks = modp_received_blocks(diagonals[:, k - 1], want, p)
@@ -378,13 +381,56 @@ class TestModPrimeBuild:
         diagonals = np.random.default_rng(0).integers(1, cj_precoder._PRIME, size=(3, 3, 3, 5))
         diagonals[1, 1, 2, 3] = 0  # H_23, a denominator of every cascade
         diagonals[2, 0, 0, 0] = 0  # H_11, the denominator of kappa
-        _, exact = cj_precoder._stacked_columns(diagonals)
+        _, exact = cj_precoder._stacked_columns(diagonals, exponent_cap(3, 5), cj_precoder._RESIDUES)
         _, floats = cj_precoder._stacked_precoders(diagonals.astype(complex))
         assert exact == floats == [
             None,
             "cascade (3, 2) left the representable range",
             "kappa left the representable range",
         ]
+
+
+class TestExponentBuild:
+    """The construction over exponent vectors: unit diagonals over the K^2 links give each column's monomial."""
+
+    @pytest.mark.parametrize("users, n", [(3, 1), (3, 2), (3, 5), (4, 1), (4, 2)])
+    def test_columns_equal_a_brute_force_derivation(self, users, n):
+        unit = np.eye(users * users, dtype=np.int64).reshape(1, users, users, users * users)
+        # the degenerate flags mean nothing over exponents, so they are not read
+        columns, _ = cj_precoder._stacked_columns(unit, n, cj_precoder._EXPONENTS)
+        want = exponent_columns(users, n)
+        assert list(columns) == list(want)
+        for user, mat in want.items():
+            assert columns[user].dtype == np.int64
+            assert np.array_equal(columns[user][0], mat), (users, n, user)
+        # on i.i.d. channels every link is a free variable, so distinct exponent
+        # vectors are independent monomials: each receiver's D columns are distinct
+        pre = extension_core._unchecked(PrecoderSet, precoders=columns, arithmetic=cj_precoder._EXPONENTS)
+        for k in range(1, users + 1):
+            blocks = pre.received_blocks(unit[:, k - 1])
+            composite = np.concatenate([blocks[k][0], blocks[pre.basis_user(k)][0]], axis=-1)
+            assert composite.shape[1] == np.unique(composite, axis=1).shape[1] == effective_dim(users, n)
+
+
+class TestNamedArithmetic:
+    """A public ``PrecoderSet`` computes in complex128 whatever its inputs' dtype."""
+
+    def test_integer_columns_and_rows_give_the_complex_products(self):
+        # 2**21 * 2**21 is exact in complex128; residues mod p would read 36
+        precoders = {1: np.full((5, 3), 2**21), 2: np.full((5, 2), 2**21), 3: np.full((5, 2), 2**21)}
+        pre = PrecoderSet(precoders)
+        row = np.full((3, 5), 2**21)
+        assert all(mat.dtype == np.complex128 for mat in pre.precoders.values())
+        for receiver in (1, 2, 3):
+            composite = pre.composite(row, receiver)
+            assert composite.dtype == np.complex128
+            assert np.all(composite == 2**42)
+        assert all(np.all(block == 2**42) for block in pre.received_blocks(row).values())
+
+    def test_a_complex128_column_stack_is_stored_as_itself(self):
+        built = build_precoders(build_effective(generate_channels(3, 5, "iid", 0), None, "plain"))
+        pre = PrecoderSet(built.precoders)
+        assert all(pre.precoders[user] is mat for user, mat in built.precoders.items())
 
 
 class TestClosedFormDof:

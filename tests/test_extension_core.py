@@ -108,6 +108,8 @@ class TestGenerateChannels:
         monkeypatch.setattr(extension_core, "_sample_unit_complex", refuse)
         with pytest.raises(ParameterError, match="unknown channel model 'bogus'"):
             generate_channels(3, 2 * 10**6, "bogus", 0)
+        with pytest.raises(ParameterError, match=r"unknown channel model \['iid'\]"):
+            generate_channels(3, 4, ["iid"], 0)
         # the size, seed and budget checks still come first
         with pytest.raises(ParameterError, match="seed"):
             generate_channels(3, 10, "bogus", -1)
@@ -231,6 +233,8 @@ class TestChannelSetModels:
     def test_unknown_model_refused(self):
         with pytest.raises(ParameterError, match="unknown channel model 'rayleigh'"):
             ChannelSet(self._blocks(1, 1), "rayleigh")
+        with pytest.raises(ParameterError, match=r"unknown channel model \['iid'\]"):
+            ChannelSet(self._blocks(1, 1), ["iid"])
 
 
 def _refusal(entries, model):
@@ -567,6 +571,10 @@ class TestBuildEffective:
             build_effective(ch5, generate_gains(3, 5, 0), "double")
         with pytest.raises(ParameterError):
             build_effective(ch, generate_gains(3, 6, 0), "hamming")
+        # a tag that is not a string is unknown, not unhashable
+        for call in (lambda: slot_fold(["double"]), lambda: build_effective(ch, generate_gains(3, 6, 0), ["double"])):
+            with pytest.raises(ParameterError, match=r"^unknown coding mode \['double'\]$"):
+                call()
 
     def test_plain_with_a_gain_plan_is_rejected(self):
         ch = generate_channels(3, 6, "iid", 0)
@@ -846,8 +854,9 @@ class TestOneComplexEntry:
         assert audit == want_audit
 
     def test_integer_taps_give_the_complex_cascades(self):
-        # integer taps take the complex path, not the exact arithmetic mod
-        # cj_precoder._PRIME, where T_3_2's first entry would read 349543
+        # integer taps are stored as complex128, and the build names its
+        # arithmetic, so they give the complex cascades; the residues mod
+        # cj_precoder._PRIME, which only private code names, would read 349543
         taps = np.random.default_rng(1).integers(1, 9, size=(3, 3, effective_dim(3, 2)))
         eff = build_effective(ChannelSet(taps, "iid"), None, "plain")
         cascades = build_cascades(eff)

@@ -342,15 +342,22 @@ class TestSymbolChain:
             lambda s: {u: b for u, b in s.items() if u != 2},  # a user is missing
             lambda s: {**s, 4: s[1]},  # a user the precoders do not have
             lambda s: {**s, 2: s[2][:, 0]},  # a 1-D block
+            lambda s: {**s, 2: s[2][:, 0].tolist()},  # a 1-D nested list
             lambda s: {**s, 3: s[3][:, :1]},  # fewer blocks than the other users
+            lambda s: {**s, 3: s[3][:, :1].tolist()},  # a nested list of fewer blocks
+            lambda s: {**s, 1: s[1][:-1].tolist()},  # a nested list of too few streams
         ],
-        ids=["missing_user", "extra_user", "one_dimensional", "unequal_blocks"],
+        ids=["missing_user", "extra_user", "one_dimensional", "one_dimensional_list", "unequal_blocks",
+             "unequal_blocks_list", "short_streams_list"],
     )
     def test_transmit_blocks_validates_the_symbol_dict(self, spoil):
         ch = _double_channels()
         _, eff, pre, _ = draw_realization(ch, "double", 0)
         good = {u: np.ones((d, 2), dtype=complex) for u, d in pre.stream_counts.items()}
-        transmit_blocks(pre, eff, 1.0, good)
+        sent = transmit_blocks(pre, eff, 1.0, good)
+        # nested lists are read as arrays: the same blocks, the same bytes
+        as_lists = transmit_blocks(pre, eff, 1.0, {u: s.tolist() for u, s in good.items()})
+        assert all(np.array_equal(as_lists[u], block) for u, block in sent.items())
         with pytest.raises(ParameterError):
             transmit_blocks(pre, eff, 1.0, spoil(good))
 
@@ -882,9 +889,9 @@ def _poison_precoders(monkeypatch, case, trial, attempts):
     real = cj_precoder._stacked_cascades
     stacks = []
 
-    def cascades(diagonals):
+    def cascades(diagonals, arithmetic):
         stacks.append(len(diagonals))
-        matrices, kappa, degenerate = real(diagonals)
+        matrices, kappa, degenerate = real(diagonals, arithmetic)
         forced = ["forced" if d.tobytes() in poisoned else m for d, m in zip(diagonals, degenerate)]
         return matrices, kappa, forced
 
