@@ -49,8 +49,8 @@ exiting gets an arena of its own, so this bounds what such a second arena
 adds to the peak memory.
 Below that dimension both run on the calling thread: there the two SVDs
 take less time than starting the helper and handing each certificate back.
-The helper comes from ``extension_core._helper_thread``, the factory that
-``link_sim``'s split zero-forcing SVDs share, each with its own gate.
+``_helper_thread`` is the package's one thread factory: ``link_sim`` starts
+no thread.
 Both read the arrays a serial pass would, so every residual and certificate
 keeps its bits either way.
 """
@@ -58,6 +58,7 @@ keeps its bits either way.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -65,10 +66,11 @@ import numpy as np
 
 from .cj_precoder import CascadeSet, PrecoderSet, _check_pair
 from .errors import ParameterError
-from .extension_core import EffectiveChannel, _helper_thread
+from .extension_core import EffectiveChannel
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
+    from contextlib import AbstractContextManager
 
 RESIDUAL_TOL = 1e-8
 DISTINCTNESS_TOL = 1e-9
@@ -180,6 +182,16 @@ def _block_norms(blocks: dict[int, np.ndarray], receiver: int, denominators: tup
             if user in denominators:
                 raise ParameterError(f"{name} has norm inf, too large to divide a residual by")
     return norms
+
+
+def _helper_thread(wanted: bool) -> AbstractContextManager[Executor | None]:
+    """One helper thread if ``wanted``, else None; the ``with`` block joins it on exit, also on a raise."""
+    if not wanted:
+        return nullcontext()
+    # imported here, not at module level, so runs that never overlap do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def check_alignment(eff: EffectiveChannel, pre: PrecoderSet) -> AlignmentReport:

@@ -317,21 +317,22 @@ class PrecoderSet:
         return {first: slice(0, width), second: slice(width, width + self.precoders[second].shape[-1])}
 
     def composite(self, row: np.ndarray, receiver: int) -> np.ndarray:
-        """The square composite [H_kk V_k | H_kb V_b] of receiver k's ``row``, b the ``basis_user``.
+        """The composite [H_kk V_k | H_kb V_b] of receiver k's ``row``, b the ``basis_user``.
 
         Its two blocks are written straight into one fresh array, C order,
         and no other block is formed; each entry has the bits of its block
         in ``received_blocks``. A stack of rows gives a stack of composites.
         ParameterError unless ``receiver`` is a user label and the last two
-        axes of ``row`` are (users, dim). The layout is D x D, so it holds
-        for ``_COMPLEX`` and ``_RESIDUES`` sets only: an ``_EXPONENTS`` set's
-        rows are the K^2 links, and its exponents are read from
-        ``received_blocks``.
+        axes of ``row`` are (users, dim). It has ``dim`` rows and d_k + d_b
+        = D columns: D x D for ``_COMPLEX`` and ``_RESIDUES`` sets, K^2 x D
+        for an ``_EXPONENTS`` set, whose rows are the links.
         """
         self._check_row(row)
         _check_users(self.users, receiver)
-        composite = np.empty(row.shape[:-2] + (self.dim, self.dim), dtype=self.arithmetic.dtype)
-        for j, cols in self._composite_columns(receiver).items():
+        columns = self._composite_columns(receiver)
+        width = columns[self.basis_user(receiver)].stop
+        composite = np.empty(row.shape[:-2] + (self.dim, width), dtype=self.arithmetic.dtype)
+        for j, cols in columns.items():
             self._received_block(row, j, composite[..., cols])
         return composite
 

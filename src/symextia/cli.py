@@ -44,7 +44,9 @@ import argparse
 import csv
 import math
 import os
+import shutil
 import sys
+import tempfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -323,8 +325,12 @@ def run_experiment(spec: ExperimentSpec) -> str:
 
     An output path that cannot be written is refused with ``ParameterError``
     before any row is computed, and an ``OSError`` at open or write raises
-    the same. The file is opened only once every row is computed, so a run
-    that raises before then leaves any earlier file at the path untouched.
+    the same. Each row is written as it is computed to an anonymous
+    temporary file, which is copied into the output once the last row is
+    in, so memory does not grow with the row count, and a run that raises
+    before then leaves any earlier file at the path untouched. The run
+    needs temporary space for one copy of the CSV; an ``OSError`` there
+    raises the same ``ParameterError``.
 
     The BLAS thread count is left as it is, and OpenBLAS's threaded kernels
     sum in another order, so from about D = 101 on the last digits, and the
@@ -332,10 +338,12 @@ def run_experiment(spec: ExperimentSpec) -> str:
     at one thread.
     """
     _check_output(spec.output_path)
-    rows = list(_RUNNERS[spec.experiment](spec))  # every row before the file is opened
     try:
-        with open(spec.output_path, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle, lineterminator="\n").writerows(rows)
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            csv.writer(spool, lineterminator="\n").writerows(_RUNNERS[spec.experiment](spec))
+            spool.seek(0)
+            with open(spec.output_path, "w", encoding="utf-8", newline="") as handle:
+                shutil.copyfileobj(spool, handle)
     except OSError as exc:
         raise ParameterError(f"cannot write output path {spec.output_path!r}: {exc.strerror or exc}") from exc
     return spec.output_path

@@ -31,17 +31,11 @@ corresponding 0-based indices.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapacityError, DegenerateRealizationError, ParameterError
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
-    from contextlib import AbstractContextManager
 
 CONSTANT = "constant"
 SLOW_CHANGING = "slow_changing"
@@ -120,21 +114,6 @@ def _complex_normal(rng: np.random.Generator, shape: int | tuple[int, ...]) -> n
     out += re
     out /= np.sqrt(2.0)
     return out
-
-
-def _helper_thread(wanted: bool) -> AbstractContextManager[Executor | None]:
-    """One helper thread if ``wanted``, else None; the ``with`` block joins it on exit, also on a raise.
-
-    The one way the package starts a thread: ``align_verify``'s rank
-    certificates and ``link_sim``'s split zero-forcing SVDs each gate it on
-    their own rule.
-    """
-    if not wanted:
-        return nullcontext()
-    # imported here, not at module level, so runs that never overlap do not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=1)
 
 
 def _sample_unit_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -29,17 +29,15 @@ trial or a stack of trials. ``simulate_link`` runs its trials in chunks (``ZF_ST
 composites). One redraw loop, ``_draw``, draws every realization, a chunk's
 or the single trial of ``draw_realization``, as one ``EffectiveChannel``
 stack, and a chunk's precoders are one stacked build. A chunk then makes one
-call for its scale factors and, per receiver, a stacked SVD of each half of
-its trials, from which only the receiver's rows of ``pinv`` are multiplied
-out (``_pinv_rows``); a chunk of two or more trials factors its two halves
-at once, the first on the calling thread and the second on one helper
-thread, and joins their rows in trial order (``_halved_pinv_rows``). No
+call for its scale factors and one stacked SVD per receiver, from which only
+the receiver's rows of ``pinv`` are multiplied out (``_pinv_rows``); no
 ``GainPlan`` or ``EffectiveChannel`` is made per trial. ``run_symbol_chain``
-calls the same functions on one trial, on the calling thread. Every stacked
-step is entrywise along the trial axis, or a reduction or factorisation of
-one trial's slice, and each trial's (SNR, user) rates are added to array
-accumulators in trial order, a receiver column at a time into the sum rate,
-so rates, redraw counts and give-ups are those of a trial-at-a-time loop. Rates are analytic
+calls the same functions on one trial. Everything runs on the calling
+thread. Every stacked step is entrywise along the trial axis, or a
+reduction or factorisation of one trial's slice, and each trial's (SNR,
+user) rates are added to array accumulators in trial order, a receiver
+column at a time into the sum rate, so rates, redraw counts and give-ups
+are those of a trial-at-a-time loop. Rates are analytic
 from per-stream SINR, so the Monte Carlo averaging is over gain realizations
 only and a fixed seed gives bit-for-bit reproducible results.
 
@@ -55,7 +53,7 @@ import math
 import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, TypeVar
+from typing import TypeVar
 
 import numpy as np
 
@@ -71,14 +69,10 @@ from .extension_core import (
     _complex_normal,
     _draw_gains,
     _fold_diagonals,
-    _helper_thread,
     _unchecked,
     slot_fold,
     subseed,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 # Consecutive degenerate gain redraws tolerated per trial before giving up.
 MAX_RESAMPLES = 20
@@ -88,12 +82,9 @@ MAX_RESAMPLES = 20
 # trial), so memory does not grow with the trial count. A chunk's numpy
 # arrays peak at about 7.5 times its composite stack at D = 21 and 33, and
 # 6.2 times at D = 275 (realizations, precoders, SVD factors, as tracemalloc
-# counts them; LAPACK's own workspace comes on top). With each receiver's
-# stack factored as two halves on two threads, it read 5.8-7.7 times at D =
-# 21 and 33 over repeated runs, as the halves' SVDs overlap more or less.
-# 128 KiB stacks 18 trials at D = 21, which is most of the gain of stacking
-# all 50 of a run at a quarter of the memory, and runs one trial at a time
-# from D = 65 on.
+# counts them; LAPACK's own workspace comes on top). 128 KiB stacks 18
+# trials at D = 21, which is most of the gain of stacking all 50 of a run at
+# a quarter of the memory, and runs one trial at a time from D = 65 on.
 ZF_STACK_BYTES = 1 << 17
 
 # numpy's default ``pinv`` cutoff: the zero-forcer zeroes every singular value
@@ -423,27 +414,6 @@ def _pinv_rows(composite: np.ndarray, rows: int) -> np.ndarray:
     return np.matmul(v_rows, np.multiply(s[..., None], np.swapaxes(u, -1, -2)))[..., :rows, :]
 
 
-def _halved_pinv_rows(composite: np.ndarray, rows: int, helper: Executor | None) -> np.ndarray:
-    """``_pinv_rows`` of a (trials, D, D) stack, its first half on the calling thread and its second on ``helper``.
-
-    The halves are the first ``trials // 2`` slices and the rest; their rows
-    are joined in trial order. With no helper or one trial it is one
-    ``_pinv_rows`` call on the calling thread. Each slice is factored and
-    multiplied on its own either way, so the rows keep their bits. The
-    caller waits for the helper before it raises, and if both halves raise,
-    the first half's error propagates, as in trial order.
-    """
-    if helper is None or len(composite) < 2:
-        return _pinv_rows(composite, rows)
-    half = len(composite) // 2
-    pending = helper.submit(_pinv_rows, composite[half:], rows)
-    try:
-        first = _pinv_rows(composite[:half], rows)
-    finally:
-        pending.exception()  # waits without raising, so the first half's error wins
-    return np.concatenate((first, pending.result()))
-
-
 def _whitened(block: np.ndarray, scale: np.ndarray, noise_std: np.ndarray) -> np.ndarray:
     """The block former: ``block`` times ``scale``, each row divided by its slot's ``noise_std``, in place.
 
@@ -458,7 +428,7 @@ def _whitened(block: np.ndarray, scale: np.ndarray, noise_std: np.ndarray) -> np
 
 
 def _zero_forcer(
-    pre: PrecoderSet, eff: EffectiveChannel, k: int, scales: np.ndarray, helper: Executor | None = None
+    pre: PrecoderSet, eff: EffectiveChannel, k: int, scales: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receiver ``k``'s front end, shared by the analytic rates and the sampled chain.
 
@@ -468,11 +438,10 @@ def _zero_forcer(
     desired and basis blocks, block j being ``scales[j - 1]`` times
     ``pre.received_blocks`` of its row of effective diagonals. ``eff``,
     ``pre`` and ``scales`` may hold the same stack of trials, and then so
-    does every result. Two stacked SVDs, one per half of the trials, cover
-    a stack when ``helper`` is a thread to run the second half on, and one
-    covers it otherwise (``_halved_pinv_rows``): each factors every (D, D)
-    slice on its own, and only the d_k rows are multiplied out, so the rows
-    are the same bits as one ``pinv`` call per trial.
+    does every result. One stacked SVD covers every trial (``_pinv_rows``):
+    it factors each (D, D) slice on its own, and only the d_k rows are
+    multiplied out, so the rows are the same bits as one ``pinv`` call per
+    trial.
 
     The two blocks are formed and whitened straight into a fresh
     ``pre.composite``, which is factored before any other block exists, so
@@ -482,11 +451,11 @@ def _zero_forcer(
     composite = pre.composite(eff.diagonals[..., k - 1, :, :], k)
     for j, cols in pre._composite_columns(k).items():
         _whitened(composite[..., cols], scales[..., j - 1], noise_std)
-    return noise_std, _halved_pinv_rows(composite, pre.stream_counts[k], helper)
+    return noise_std, _pinv_rows(composite, pre.stream_counts[k])
 
 
 def _receiver_terms(
-    pre: PrecoderSet, eff: EffectiveChannel, k: int, hats: np.ndarray, helper: Executor | None
+    pre: PrecoderSet, eff: EffectiveChannel, k: int, hats: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Power-independent SINR pieces at receiver ``k``, stacked over trials.
 
@@ -498,7 +467,7 @@ def _receiver_terms(
     block is formed by ``_whitened`` after the receiver's SVD, just before
     its product with the zero-forcing rows, so one block is live at a time.
     """
-    noise_std, gains_zf = _zero_forcer(pre, eff, k, hats, helper)
+    noise_std, gains_zf = _zero_forcer(pre, eff, k, hats)
     row = eff.diagonals[..., k - 1, :, :]
 
     def product(j: int) -> np.ndarray:
@@ -526,16 +495,14 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     describes, with the bits of a trial-at-a-time loop; ``failures`` sums
     the accepted attempt numbers.
 
-    Receivers are factored one at a time. When a chunk holds two or more
-    trials, each receiver's stack is factored as two halves at once, the
-    first on the calling thread and the second on one helper thread, which
-    is started once per call and joined before this returns or raises; the
-    halves' rows are joined in trial order, with the bits of one stacked
-    SVD. One-trial chunks, every D >= 65 under ``ZF_STACK_BYTES``, stay on
-    the calling thread with no helper, since each D = 275 SVD with vectors
-    holds about 10.6 MiB and two in flight raised ``link_k4``'s peak RSS
-    from 51.8 to 67.4 MiB. CHANGES.md records the second-CPU layouts
-    measured and why this one was kept.
+    Receivers are factored one at a time, each chunk's whole stack in one
+    call on the calling thread, and no thread is started. Each D = 275 SVD
+    with vectors holds about 10.6 MiB: two receivers in flight raised
+    ``link_k4``'s peak RSS from 52.5 to 65.5-70.9 MiB. At D = 21 a stack of
+    18 trials factors in about 2 ms, too short a grain for a helper thread:
+    split in two halves on two threads, it gained ``sweep_k3`` no time and
+    cost it about 1 MiB of peak RSS. CHANGES.md records the second-CPU
+    layouts measured and why none was kept.
 
     Returns
     -------
@@ -564,26 +531,25 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     failures = 0
     chunk = max(1, ZF_STACK_BYTES // (16 * (slots // slot_fold(coding)) ** 2))
 
-    with _helper_thread(min(chunk, link.trials) >= 2) as helper:
-        for start in range(0, link.trials, chunk):
-            eff, pre, redraws = _draw(
-                channels, coding, link.seed, range(start, min(start + chunk, link.trials)),
-                lambda stack: _stacked_precoders(stack.diagonals),
-            )
-            failures += redraws
-            hats = _scale_hats(pre, eff)
-            rates = np.empty((len(eff.diagonals), powers.size, channels.users))
-            for k in range(1, channels.users + 1):
-                signal, cross, noise = _receiver_terms(pre, eff, k, hats, helper)
-                # noise / P overflows only where the SINR is far below 2^-53 (signal is
-                # at most about 1), so log2(1 + SINR) is 0 anyway; inf noise gives SINR 0
-                with np.errstate(over="ignore"):
-                    sinr = signal[:, None] / (cross[:, None] + noise[:, None] / powers[:, None])
-                rates[:, :, k - 1] = np.sum(np.log2(1.0 + sinr), axis=-1) / slots
-            for trial_rates in rates:
-                user_acc += trial_rates
-                for column in trial_rates.T:
-                    sum_acc += column
+    for start in range(0, link.trials, chunk):
+        eff, pre, redraws = _draw(
+            channels, coding, link.seed, range(start, min(start + chunk, link.trials)),
+            lambda stack: _stacked_precoders(stack.diagonals),
+        )
+        failures += redraws
+        hats = _scale_hats(pre, eff)
+        rates = np.empty((len(eff.diagonals), powers.size, channels.users))
+        for k in range(1, channels.users + 1):
+            signal, cross, noise = _receiver_terms(pre, eff, k, hats)
+            # noise / P overflows only where the SINR is far below 2^-53 (signal is
+            # at most about 1), so log2(1 + SINR) is 0 anyway; inf noise gives SINR 0
+            with np.errstate(over="ignore"):
+                sinr = signal[:, None] / (cross[:, None] + noise[:, None] / powers[:, None])
+            rates[:, :, k - 1] = np.sum(np.log2(1.0 + sinr), axis=-1) / slots
+        for trial_rates in rates:
+            user_acc += trial_rates
+            for column in trial_rates.T:
+                sum_acc += column
 
     sum_rate = dict(zip(points, (sum_acc / link.trials).tolist()))
     per_user = dict(zip(points, map(tuple, (user_acc / link.trials).tolist())))

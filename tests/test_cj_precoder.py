@@ -411,6 +411,19 @@ class TestExponentBuild:
             composite = np.concatenate([blocks[k][0], blocks[pre.basis_user(k)][0]], axis=-1)
             assert composite.shape[1] == np.unique(composite, axis=1).shape[1] == effective_dim(users, n)
 
+    @pytest.mark.parametrize("users, n", [(3, 1), (3, 2), (3, 5), (4, 1), (4, 2)])
+    def test_composite_is_the_two_blocks_over_the_links(self, users, n):
+        # K^2 rows and D columns: at K=3, D = 3 at n = 1 and 11 at n = 5, fewer and more than the 9 rows
+        unit = np.eye(users * users, dtype=np.int64).reshape(1, users, users, users * users)
+        columns, _ = cj_precoder._stacked_columns(unit, n, cj_precoder._EXPONENTS)
+        pre = extension_core._unchecked(PrecoderSet, precoders=columns, arithmetic=cj_precoder._EXPONENTS)
+        for k in range(1, users + 1):
+            blocks = pre.received_blocks(unit[:, k - 1])
+            want = np.concatenate([blocks[k], blocks[pre.basis_user(k)]], axis=-1)
+            composite = pre.composite(unit[:, k - 1], k)
+            assert composite.shape == (1, users * users, effective_dim(users, n))
+            assert composite.dtype == np.int64 and np.array_equal(composite, want), (users, n, k)
+
 
 class TestNamedArithmetic:
     """A public ``PrecoderSet`` computes in complex128 whatever its inputs' dtype."""

@@ -620,6 +620,58 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: cannot write output path")
         assert out.read_bytes() == b"earlier,good\n"
 
+    def test_os_error_on_the_spool_is_a_typed_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        out = tmp_path / "dof.csv"
+        out.write_bytes(b"earlier,good\n")
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", fail)
+        assert main(["--experiment", "dof_table", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output path") and err.count("\n") == 1
+        assert "No space left on device" in err
+        assert out.read_bytes() == b"earlier,good\n"
+
+    def test_a_run_that_raises_after_its_first_rows_leaves_earlier_output_untouched(self, tmp_path, monkeypatch):
+        def header_then_fail(spec):
+            yield ["users", "n"]
+            yield [3, 1]
+            raise ParameterError("failed after two rows")
+
+        out = tmp_path / "dof.csv"
+        out.write_bytes(b"earlier,good\n")
+        monkeypatch.setitem(cli._RUNNERS, "dof_table", header_then_fail)
+        assert main(["--experiment", "dof_table", "--out", str(out)]) == 1
+        assert out.read_bytes() == b"earlier,good\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak RSS from /proc")
+    def test_rows_stream_in_bounded_memory(self, tmp_path):
+        # 200,000 rows, a 7.6 MB CSV: held as a list they peaked at about 98 MiB,
+        # streamed through the spool at about 30 MiB. The child reads its own
+        # VmHWM: its ru_maxrss would count the forking test process's pages too
+        out = tmp_path / "dof.csv"
+        script = (
+            "import sys\n"
+            "from symextia.cli import main\n"
+            "rc = main(['--experiment', 'dof_table', '--users', '3', '--n-range', '1:200000', '--out', sys.argv[1]])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(rc, *[line.split()[1] for line in status if line.startswith('VmHWM:')])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(out)],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=Path(symextia.__file__).parents[1],
+            timeout=120,
+        )
+        rc, peak_kib = proc.stdout.split()[-2:]
+        assert rc == "0"
+        assert int(peak_kib) < 60 * 1024
+        with out.open(newline="") as handle:
+            assert sum(1 for _ in handle) == 200_001
+
     def test_parse_error_exit_code(self, capsys):
         rc = main(["--experiment", "figure1", "--coding", "naive"])
         assert rc == 2

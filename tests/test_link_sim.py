@@ -1,10 +1,6 @@
 import math
-import sys
 import threading
-import time
 import tracemalloc
-from collections import Counter
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -536,8 +532,7 @@ class TestStackedMatchesPerTrial:
         "users,n,coding,model", sorted({case[:4] for case in STACK_CASES if case[0] == 3})
     )
     def test_same_bits_at_every_chunk_cap(self, monkeypatch, users, n, coding, model, composites):
-        # chunks of one trial; of two (factored as halves of 1 and 1) then one; and one
-        # chunk of three, factored as halves of 1 and 2
+        # chunks of one trial; of two then one; and one chunk of three
         case = _link_case(users, n, coding, model, 0, trials=3)
         monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * effective_dim(users, n) ** 2)
         assert simulate_link(*case) == oracles.per_trial_simulate_link(*case)
@@ -551,20 +546,14 @@ class TestStackedMatchesPerTrial:
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or real_svd(a, **kw))
         got = simulate_link(ch, coding, link)
         monkeypatch.undo()
-        # receivers run inside each chunk: chunks of 1 trial, or 3 + 3 + 1 trials; a
-        # receiver of a 3-trial chunk is factored as halves of 1 and 2, which the two
-        # threads factor in either order, and one of the last chunk as one trial
-        if composites == 1:
-            assert calls == [1] * 21
-        else:
-            halves = [Counter(calls[i:i + 2]) for i in range(0, 12, 2)] + [Counter([size]) for size in calls[12:]]
-            assert len(calls) == 15 and halves == [Counter({1: 1, 2: 1})] * 6 + [Counter({1: 1})] * 3
+        # receivers run inside each chunk: chunks of 1 trial, or 3 + 3 + 1 trials
+        assert calls == ([1] * 21 if composites == 1 else [3] * 6 + [1] * 3)
         assert got == oracles.per_trial_simulate_link(ch, coding, link)
 
     @pytest.mark.parametrize("coding", ["naive", "double"])
     def test_same_bits_in_the_sweep_k3_shape(self, monkeypatch, coding):
         # the sweep_k3 benchmark op's runs: D = 21, so 50 trials are chunks of 18, 18
-        # and 14, each receiver's stack factored as halves of 9 and 9, or 7 and 7
+        # and 14, each receiver's stack factored whole
         ch = generate_channels(3, slot_fold(coding) * effective_dim(3, 10), "constant", 1)
         link = LinkConfig(snr_points_db=(10.0, 20.0, 30.0, 40.0, 50.0, 60.0), trials=50, seed=0)
         calls = []
@@ -572,21 +561,8 @@ class TestStackedMatchesPerTrial:
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or real_svd(a, **kw))
         got = simulate_link(ch, coding, link)
         monkeypatch.undo()
-        assert Counter(calls) == {9: 12, 7: 6}
+        assert calls == [18] * 6 + [14] * 3
         assert got == oracles.per_trial_simulate_link(ch, coding, link)
-
-    def test_same_result_under_frequent_thread_switches(self):
-        # the halves share no array; a 1 us switch interval interleaves the two
-        # threads as finely as the interpreter allows
-        case = _link_case(3, 10, "double", "iid", 2, trials=20)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = [simulate_link(*case) for _ in range(20)]
-        finally:
-            sys.setswitchinterval(interval)
-        want = oracles.per_trial_simulate_link(*case)
-        assert all(result == want for result in results)
 
     def test_one_trial_peaks_within_one_composite_of_per_trial_loop(self):
         case = _link_case(4, 2, "double", "constant", 0, trials=1)
@@ -650,146 +626,44 @@ class TestStackedMatchesPerTrial:
         assert len(seen) == 16
 
 
-class _FirstHalfFailed(Exception):
-    pass
-
-
-class _SecondHalfFailed(Exception):
-    pass
-
-
-def _record_pinv_rows(monkeypatch, fail=()):
-    """Record the thread and live thread count of every ``_pinv_rows`` call.
-
-    ``fail`` names the halves that raise instead: ``"first"`` on the
-    calling thread, ``"second"`` on any other.
-    """
-    caller = threading.get_ident()
+def _record_pinv_rows(monkeypatch):
+    """Record the thread, the live thread count and the stack shape of every ``_pinv_rows`` call."""
     calls = []
     real = link_sim._pinv_rows
 
     def rows(composite, count):
-        on_caller = threading.get_ident() == caller
-        calls.append((threading.get_ident(), threading.active_count()))
-        if on_caller and "first" in fail:
-            raise _FirstHalfFailed
-        if not on_caller and "second" in fail:
-            raise _SecondHalfFailed
+        calls.append((threading.get_ident(), threading.active_count(), composite.shape[:-2]))
         return real(composite, count)
 
     monkeypatch.setattr(link_sim, "_pinv_rows", rows)
     return calls
 
 
-def _record_helper_requests(monkeypatch):
-    """Record whether each ``simulate_link`` call asks ``_helper_thread`` for a helper."""
-    wanted = []
-    real = link_sim._helper_thread
-    monkeypatch.setattr(link_sim, "_helper_thread", lambda want: wanted.append(want) or real(want))
-    return wanted
-
-
-class TestZeroForcerHelper:
-    @pytest.mark.parametrize("users,n", [(4, 2), (3, 60)])
-    def test_one_trial_chunks_start_no_thread(self, monkeypatch, users, n):
-        # D = 275 (the link_k4 shape) and D = 121 run one trial a chunk, so two
-        # trials still factor every receiver on the caller
-        case = _link_case(users, n, "double", "constant", 0, trials=2)
-        before = threading.active_count()
-        calls = _record_pinv_rows(monkeypatch)
-        wanted = _record_helper_requests(monkeypatch)
-        simulate_link(*case)
-        assert calls == [(threading.get_ident(), before)] * (2 * users)
-        assert wanted == [False]
-
-    def test_symbol_chain_starts_no_thread(self, monkeypatch):
-        # D = 21, where simulate_link's chunks split: the chain factors one trial
-        ch = generate_channels(3, 2 * effective_dim(3, 10), "constant", 1)
-        before = threading.active_count()
-        calls = _record_pinv_rows(monkeypatch)
-        run_symbol_chain(ch, "double", power=10.0, seed=0)
-        assert calls == [(threading.get_ident(), before)] * 3
-
-    def test_split_chunks_use_one_other_thread(self, monkeypatch):
-        # chunks of 18 and 2: every receiver's first half on the caller, its
-        # second on one other thread, the same one all call long
-        case = _link_case(3, 10, "double", "constant", 0, trials=20)
-        caller = threading.get_ident()
-        calls = _record_pinv_rows(monkeypatch)
-        wanted = _record_helper_requests(monkeypatch)
-        simulate_link(*case)
-        assert wanted == [True]
-        threads = [thread for thread, _ in calls]
-        assert threads.count(caller) == 6 and len(threads) == 12
-        assert len(set(threads) - {caller}) == 1
-
-    def test_no_thread_outlives_the_call(self, monkeypatch):
-        case = _link_case(3, 10, "double", "iid", 1, trials=20)
-        before = threading.active_count()
-        simulate_link(*case)
-        assert threading.active_count() == before
-        for fail in (("first",), ("second",), ("first", "second")):
-            with monkeypatch.context() as m:
-                _record_pinv_rows(m, fail)
-                with pytest.raises((_FirstHalfFailed, _SecondHalfFailed)):
-                    simulate_link(*case)
-            assert threading.active_count() == before
-
-    def test_no_thread_outlives_a_give_up(self, monkeypatch):
-        # trial 19, in the second chunk, degenerates on every draw; the first
-        # chunk has factored its halves on the helper by then
-        case = _link_case(3, 10, "double", "iid", 1, trials=20)
-        _poison_precoders(monkeypatch, case, 19, range(link_sim.MAX_RESAMPLES + 1))
-        before = threading.active_count()
-        calls = _record_pinv_rows(monkeypatch)
-        with pytest.raises(SimulationError, match="trial 19: gave up"):
-            simulate_link(*case)
-        assert len({thread for thread, _ in calls}) == 2
-        assert threading.active_count() == before
-
+class TestZeroForcerThread:
     @pytest.mark.parametrize(
-        "fail, raised",
-        [(("first",), _FirstHalfFailed), (("second",), _SecondHalfFailed), (("first", "second"), _FirstHalfFailed)],
+        "users,n,coding,trials,shapes",
+        [
+            # the sweep_k3 benchmark op's runs: D = 21, so 50 trials are chunks of 18, 18 and 14
+            (3, 10, "naive", 50, [(18,)] * 6 + [(14,)] * 3),
+            (3, 10, "double", 50, [(18,)] * 6 + [(14,)] * 3),
+            # D = 275 (the link_k4 shape) and D = 121 run one trial a chunk
+            (4, 2, "double", 2, [(1,)] * 8),
+            (3, 60, "double", 2, [(1,)] * 6),
+            # the symbol chain factors its one trial, with no trial axis, at D = 21
+            (3, 10, "double", None, [()] * 3),
+        ],
+        ids=["sweep_k3_naive", "sweep_k3_double", "link_k4", "one_trial_chunks", "symbol_chain"],
     )
-    def test_error_of_a_half_propagates_with_its_type(self, monkeypatch, fail, raised):
-        # when both halves raise, the first half's error wins, as in trial order
-        _record_pinv_rows(monkeypatch, fail)
-        with pytest.raises(raised):
-            simulate_link(*_link_case(3, 10, "double", "constant", 0, trials=4))
-
-    def test_caller_waits_for_the_helper_before_it_raises(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        stack = rng.standard_normal((4, 21, 21)) + 1j * rng.standard_normal((4, 21, 21))
-        caller, finished = threading.get_ident(), []
-        real = link_sim._pinv_rows
-
-        def rows(composite, count):
-            if threading.get_ident() == caller:
-                raise _FirstHalfFailed
-            time.sleep(0.05)
-            finished.append(len(composite))
-            return real(composite, count)
-
-        monkeypatch.setattr(link_sim, "_pinv_rows", rows)
-        with extension_core._helper_thread(True) as helper:
-            with pytest.raises(_FirstHalfFailed):
-                link_sim._halved_pinv_rows(stack, 2, helper)
-            assert finished == [2]
-
-    @pytest.mark.parametrize("users,n,trials", [(3, 10, 18), (4, 1, 7)])
-    def test_split_peaks_within_a_half_stack_of_factors_of_the_serial_path(self, monkeypatch, users, n, trials):
-        # one chunk at D = 21 (halves of 9 and 9) and at D = 33 (3 and 4); the traced
-        # peak counts numpy's domain and every other allocation, on both threads
-        case = _link_case(users, n, "double", "constant", 0, trials=trials)
-        dim = effective_dim(users, n)
-        assert link_sim.ZF_STACK_BYTES // (16 * dim**2) >= trials
-        simulate_link(*case)  # imports the thread pool before any peak is taken
-        split = _traced_peak(simulate_link, *case)
-        monkeypatch.setattr(link_sim, "_helper_thread", lambda wanted: nullcontext())
-        serial = _traced_peak(simulate_link, *case)
-        # u and vh, (D, D) complex, and s, (D,) float, per trial of the larger half
-        half_factors = (trials - trials // 2) * (32 * dim**2 + 8 * dim)
-        assert split <= serial + half_factors
+    def test_each_chunk_is_factored_whole_on_the_calling_thread(self, monkeypatch, users, n, coding, trials, shapes):
+        before = threading.active_count()
+        calls = _record_pinv_rows(monkeypatch)
+        if trials is None:
+            ch = generate_channels(users, slot_fold(coding) * effective_dim(users, n), "constant", 1)
+            run_symbol_chain(ch, coding, power=10.0, seed=0)
+        else:
+            simulate_link(*_link_case(users, n, coding, "constant", 0, trials=trials))
+        assert calls == [(threading.get_ident(), before, shape) for shape in shapes]
+        assert threading.active_count() == before
 
 
 def _assert_rows_of_pinv(monkeypatch, composite):
