@@ -28,9 +28,10 @@ negative ``--seed``, an ``--snr`` bound that is not finite or has no
 usable transmit power, an ``--snr`` sweep with more float64 points than
 ``BYTE_BUDGET`` holds, a step too small to move it or points that repeat
 once rounded, and flags that could never run), and 1 when a module rejects the run (an exact dof
-with more digits than the interpreter prints included) or the output path
-cannot be written. An output path that is a directory, lies in no existing
-directory or is not writable is refused before any row is computed, and
+with more digits than the interpreter prints included) or the output path,
+or the temporary file its rows are spooled to, cannot be written. An
+output path that is a directory, lies in no existing directory or is not
+writable is refused before any row is computed, and
 the CSV is opened only after every row is computed, so a run that fails
 before then leaves the output path as it was.
 
@@ -329,8 +330,10 @@ def run_experiment(spec: ExperimentSpec) -> str:
     temporary file, which is copied into the output once the last row is
     in, so memory does not grow with the row count, and a run that raises
     before then leaves any earlier file at the path untouched. The run
-    needs temporary space for one copy of the CSV; an ``OSError`` there
-    raises the same ``ParameterError``.
+    needs temporary space for one copy of the CSV, in the directory
+    ``tempfile.gettempdir`` picks (``TMPDIR`` sets it); an ``OSError`` there
+    raises a ``ParameterError`` that names that temporary file and its
+    directory, not the output path.
 
     The BLAS thread count is left as it is, and OpenBLAS's threaded kernels
     sum in another order, so from about D = 101 on the last digits, and the
@@ -339,13 +342,21 @@ def run_experiment(spec: ExperimentSpec) -> str:
     """
     _check_output(spec.output_path)
     try:
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        folder = tempfile.gettempdir()
+    except OSError as exc:  # no usable directory; the message lists the ones tried
+        raise ParameterError(f"cannot write the temporary file of rows: {exc.strerror or exc}") from exc
+    spooled = False
+    try:
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=folder) as spool:
             csv.writer(spool, lineterminator="\n").writerows(_RUNNERS[spec.experiment](spec))
-            spool.seek(0)
+            spool.seek(0)  # writes out the buffered rows
+            spooled = True
             with open(spec.output_path, "w", encoding="utf-8", newline="") as handle:
                 shutil.copyfileobj(spool, handle)
     except OSError as exc:
-        raise ParameterError(f"cannot write output path {spec.output_path!r}: {exc.strerror or exc}") from exc
+        where = (f"output path {spec.output_path!r}" if spooled
+                 else f"the temporary file of rows in {folder!r} (TMPDIR sets the directory)")
+        raise ParameterError(f"cannot write {where}: {exc.strerror or exc}") from exc
     return spec.output_path
 
 

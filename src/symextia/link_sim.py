@@ -34,10 +34,10 @@ the receiver's rows of ``pinv`` are multiplied out (``_pinv_rows``); no
 ``GainPlan`` or ``EffectiveChannel`` is made per trial. ``run_symbol_chain``
 calls the same functions on one trial. Everything runs on the calling
 thread. Every stacked step is entrywise along the trial axis, or a
-reduction or factorisation of one trial's slice, and each trial's (SNR,
-user) rates are added to array accumulators in trial order, a receiver
-column at a time into the sum rate, so rates, redraw counts and give-ups
-are those of a trial-at-a-time loop. Rates are analytic
+reduction or factorisation of one trial's slice, and a chunk's (user,
+SNR) rates are folded into running sums in trial order, a receiver's row
+at a time into the sum rate, so rates, redraw counts and give-ups are those
+of a trial-at-a-time loop. Rates are analytic
 from per-stream SINR, so the Monte Carlo averaging is over gain realizations
 only and a fixed seed gives bit-for-bit reproducible results.
 
@@ -82,10 +82,13 @@ MAX_RESAMPLES = 20
 # trial), so memory does not grow with the trial count. A chunk's numpy
 # arrays peak at about 7.5 times its composite stack at D = 21 and 33, and
 # 6.2 times at D = 275 (realizations, precoders, SVD factors, as tracemalloc
-# counts them; LAPACK's own workspace comes on top). 128 KiB stacks 18
-# trials at D = 21, which is most of the gain of stacking all 50 of a run at
-# a quarter of the memory, and runs one trial at a time from D = 65 on.
-ZF_STACK_BYTES = 1 << 17
+# counts them; LAPACK's own workspace comes on top), so under this cap at
+# most about 3.8 MiB. Each chunk also pays a fixed cost, about 0.85 ms at
+# D = 21 (its redraw pass, one stacked precoder build, the scale factors and
+# one pass per receiver). 512 KiB stacks 74 trials at D = 21 and 30 at
+# D = 33, so the CLI's default 50 trials at D = 21 are one chunk per coding,
+# and runs one trial at a time from D = 129 on.
+ZF_STACK_BYTES = 1 << 19
 
 # numpy's default ``pinv`` cutoff: the zero-forcer zeroes every singular value
 # at or below this times the largest. ``align_verify._rank_cutoff`` cuts at
@@ -502,7 +505,10 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     18 trials factors in about 2 ms, too short a grain for a helper thread:
     split in two halves on two threads, it gained ``sweep_k3`` no time and
     cost it about 1 MiB of peak RSS. CHANGES.md records the second-CPU
-    layouts measured and why none was kept.
+    layouts measured and why none was kept. ``ZF_STACK_BYTES`` holds 74
+    trials at D = 21, so 50 trials are one chunk: its receiver stacks factor
+    in about 6 ms each, its arrays peak near 2.6 MB, and it pays a chunk's
+    fixed cost of about 0.85 ms once instead of three times.
 
     Returns
     -------
@@ -526,7 +532,7 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
     slots = channels.slots
     points = link.snr_points_db
     powers = np.array(_sweep_powers(points))
-    user_acc = np.zeros((powers.size, channels.users))
+    user_acc = np.zeros((channels.users, powers.size))
     sum_acc = np.zeros(powers.size)
     failures = 0
     chunk = max(1, ZF_STACK_BYTES // (16 * (slots // slot_fold(coding)) ** 2))
@@ -538,21 +544,21 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
         )
         failures += redraws
         hats = _scale_hats(pre, eff)
-        rates = np.empty((len(eff.diagonals), powers.size, channels.users))
+        rates = np.empty((len(eff.diagonals), channels.users, powers.size))
         for k in range(1, channels.users + 1):
             signal, cross, noise = _receiver_terms(pre, eff, k, hats)
             # noise / P overflows only where the SINR is far below 2^-53 (signal is
             # at most about 1), so log2(1 + SINR) is 0 anyway; inf noise gives SINR 0
             with np.errstate(over="ignore"):
                 sinr = signal[:, None] / (cross[:, None] + noise[:, None] / powers[:, None])
-            rates[:, :, k - 1] = np.sum(np.log2(1.0 + sinr), axis=-1) / slots
-        for trial_rates in rates:
-            user_acc += trial_rates
-            for column in trial_rates.T:
-                sum_acc += column
+            rates[:, k - 1] = np.sum(np.log2(1.0 + sinr), axis=-1) / slots
+        # running sums add one row after another, trial by trial and, into the
+        # sum rate, receiver by receiver within a trial: a trial-at-a-time loop's order
+        user_acc = np.add.accumulate(np.concatenate([user_acc[None], rates]))[-1]
+        sum_acc = np.add.accumulate(np.concatenate([sum_acc[None], rates.reshape(-1, powers.size)]))[-1]
 
     sum_rate = dict(zip(points, (sum_acc / link.trials).tolist()))
-    per_user = dict(zip(points, map(tuple, (user_acc / link.trials).tolist())))
+    per_user = dict(zip(points, map(tuple, (user_acc / link.trials).T.tolist())))
     return LinkResult(sum_rate=sum_rate, per_user_rate=per_user, failures=failures)
 
 

@@ -38,7 +38,9 @@ in Python ints, every power by ``pow`` and every inverse by ``pow(x, -1,
 p)``; the exact build must equal them entry by entry. ``exponent_columns``
 is every column as its exponent vector over the K^2 links, each a sum of
 signed unit vectors weighted by its row of ``enumerate_tuples``; the build
-over exponent vectors must equal it entry by entry.
+over exponent vectors must equal it entry by entry. ``chunk_sizes`` is the
+trial count of each chunk ``simulate_link`` runs under the cap
+``link_sim.ZF_STACK_BYTES`` holds when it is called.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from symextia.extension_core import (
     generate_gains,
     subseed,
 )
+import symextia.link_sim as link_sim
 from symextia.link_sim import MAX_RESAMPLES, LinkResult, effective_noise_std, estimate_dof
 
 _NS_GAINS = _STREAMS["gains"]
@@ -353,6 +356,12 @@ def parent_draw_realization(channels, coding: str, base_seed: int, trial: int = 
     raise SimulationError(
         f"trial {trial}: gave up after {MAX_RESAMPLES} consecutive degenerate gain redraws"
     )
+
+
+def chunk_sizes(trials: int, dim: int) -> list[int]:
+    """Trials per chunk of a ``trials``-trial run at effective dimension ``dim``, in order."""
+    per_chunk = max(1, link_sim.ZF_STACK_BYTES // (16 * dim * dim))
+    return [min(per_chunk, trials - start) for start in range(0, trials, per_chunk)]
 
 
 def per_trial_simulate_link(channels, coding: str, link) -> LinkResult:

@@ -1,4 +1,5 @@
 import csv
+import io
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from symextia import ParameterError, effective_dim
 from symextia.cli import ExperimentSpec, main, parse_args, run_experiment
 from symextia.extension_core import CONSTANT, DOUBLE, IID, NAIVE, PLAIN
 
-from oracles import slope_between
+from oracles import chunk_sizes, slope_between
 
 
 # The ExperimentSpec field each flag sets.
@@ -508,14 +509,17 @@ class TestFigure1:
         )
 
     def test_builds_precoders_once_per_chunk(self, tmp_path, monkeypatch):
-        # the sweep_k3 benchmark op: D = 21, so a 128 KiB chunk holds 18 trials
-        # and 50 trials are 3 chunks per coding
+        # the sweep_k3 benchmark op: D = 21 and 50 trials, in the chunks the module's
+        # cap allows, then under a cap of 18 composites (3 chunks per coding)
+        dim = effective_dim(3, 10)
         calls = _count_calls(monkeypatch, ("build_precoders", "_stacked_precoders"))
-        rc = main(["--experiment", "figure1", "--users", "3", "--n", "10", "--channel", "constant",
-                   "--snr", "10:60:10", "--trials", "50", "--out", str(tmp_path / "f.csv")])
-        assert rc == 0
-        assert link_sim.ZF_STACK_BYTES // (16 * effective_dim(3, 10) ** 2) == 18
-        assert calls == Counter({"_stacked_precoders": 2 * 3})
+        for cap in (link_sim.ZF_STACK_BYTES, 18 * 16 * dim**2):
+            monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", cap)
+            calls.clear()
+            rc = main(["--experiment", "figure1", "--users", "3", "--n", "10", "--channel", "constant",
+                       "--snr", "10:60:10", "--trials", "50", "--out", str(tmp_path / "f.csv")])
+            assert rc == 0
+            assert calls == Counter({"_stacked_precoders": 2 * len(chunk_sizes(50, dim))})
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["--experiment", "figure1", "--trials", "5", "--snr", "10:30:10"]
@@ -621,17 +625,37 @@ class TestMain:
         assert out.read_bytes() == b"earlier,good\n"
 
     def test_os_error_on_the_spool_is_a_typed_error(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
+        # a spool that cannot be made, or fills up as the rows are written, is blamed
+        # on the temporary file and its directory, not on --out
+        class FullSpool(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        def no_spool(*args, **kwargs):
             raise OSError(28, "No space left on device")
 
         out = tmp_path / "dof.csv"
         out.write_bytes(b"earlier,good\n")
-        monkeypatch.setattr(cli.tempfile, "TemporaryFile", fail)
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(cli.tempfile, "tempdir", None)  # read TMPDIR again
+        for make in (no_spool, lambda *args, **kwargs: FullSpool()):
+            monkeypatch.setattr(cli.tempfile, "TemporaryFile", make)
+            assert main(["--experiment", "dof_table", "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write the temporary file of rows in {str(tmp_path)!r}")
+            assert err.count("\n") == 1 and "No space left on device" in err and "dof.csv" not in err
+            assert out.read_bytes() == b"earlier,good\n"
+
+    def test_no_usable_temporary_directory_is_a_typed_error(self, tmp_path, capsys, monkeypatch):
+        def no_directory():
+            raise FileNotFoundError(2, "No usable temporary directory found in ['/missing']")
+
+        out = tmp_path / "dof.csv"
+        monkeypatch.setattr(cli.tempfile, "gettempdir", no_directory)
         assert main(["--experiment", "dof_table", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot write output path") and err.count("\n") == 1
-        assert "No space left on device" in err
-        assert out.read_bytes() == b"earlier,good\n"
+        assert err.startswith("error: cannot write the temporary file of rows: No usable temporary directory")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_a_run_that_raises_after_its_first_rows_leaves_earlier_output_untouched(self, tmp_path, monkeypatch):
         def header_then_fail(spec):

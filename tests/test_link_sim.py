@@ -552,16 +552,17 @@ class TestStackedMatchesPerTrial:
 
     @pytest.mark.parametrize("coding", ["naive", "double"])
     def test_same_bits_in_the_sweep_k3_shape(self, monkeypatch, coding):
-        # the sweep_k3 benchmark op's runs: D = 21, so 50 trials are chunks of 18, 18
-        # and 14, each receiver's stack factored whole
+        # the sweep_k3 benchmark op's runs: D = 21 and 50 trials, in the chunks the
+        # cap allows, each receiver's stack factored whole
         ch = generate_channels(3, slot_fold(coding) * effective_dim(3, 10), "constant", 1)
         link = LinkConfig(snr_points_db=(10.0, 20.0, 30.0, 40.0, 50.0, 60.0), trials=50, seed=0)
+        want = [size for size in oracles.chunk_sizes(50, effective_dim(3, 10)) for _ in range(3)]
         calls = []
         real_svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or real_svd(a, **kw))
         got = simulate_link(ch, coding, link)
         monkeypatch.undo()
-        assert calls == [18] * 6 + [14] * 3
+        assert calls == want
         assert got == oracles.per_trial_simulate_link(ch, coding, link)
 
     def test_one_trial_peaks_within_one_composite_of_per_trial_loop(self):
@@ -641,27 +642,38 @@ def _record_pinv_rows(monkeypatch):
 
 class TestZeroForcerThread:
     @pytest.mark.parametrize(
-        "users,n,coding,trials,shapes",
+        "users,n,coding,trials,composites",
         [
-            # the sweep_k3 benchmark op's runs: D = 21, so 50 trials are chunks of 18, 18 and 14
-            (3, 10, "naive", 50, [(18,)] * 6 + [(14,)] * 3),
-            (3, 10, "double", 50, [(18,)] * 6 + [(14,)] * 3),
-            # D = 275 (the link_k4 shape) and D = 121 run one trial a chunk
-            (4, 2, "double", 2, [(1,)] * 8),
-            (3, 60, "double", 2, [(1,)] * 6),
+            # the sweep_k3 benchmark op's runs: D = 21 and 50 trials, under the module's
+            # cap and under one of 18 composites (chunks of 18, 18 and 14)
+            (3, 10, "naive", 50, None),
+            (3, 10, "double", 50, None),
+            (3, 10, "double", 50, 18),
+            # D = 275 (the link_k4 shape) and D = 129 run one trial a chunk, D = 121 two
+            (4, 2, "double", 2, None),
+            (3, 64, "double", 2, None),
+            (3, 60, "double", 3, None),
             # the symbol chain factors its one trial, with no trial axis, at D = 21
-            (3, 10, "double", None, [()] * 3),
+            (3, 10, "double", None, None),
         ],
-        ids=["sweep_k3_naive", "sweep_k3_double", "link_k4", "one_trial_chunks", "symbol_chain"],
+        ids=["sweep_k3_naive", "sweep_k3_double", "sweep_k3_several_chunks", "link_k4", "one_trial_chunks",
+             "two_trial_chunks", "symbol_chain"],
     )
-    def test_each_chunk_is_factored_whole_on_the_calling_thread(self, monkeypatch, users, n, coding, trials, shapes):
+    def test_each_chunk_is_factored_whole_on_the_calling_thread(
+        self, monkeypatch, users, n, coding, trials, composites
+    ):
+        dim = effective_dim(users, n)
+        if composites is not None:
+            monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", composites * 16 * dim**2)
         before = threading.active_count()
         calls = _record_pinv_rows(monkeypatch)
         if trials is None:
-            ch = generate_channels(users, slot_fold(coding) * effective_dim(users, n), "constant", 1)
+            ch = generate_channels(users, slot_fold(coding) * dim, "constant", 1)
             run_symbol_chain(ch, coding, power=10.0, seed=0)
+            shapes = [()] * users
         else:
             simulate_link(*_link_case(users, n, coding, "constant", 0, trials=trials))
+            shapes = [(size,) for size in oracles.chunk_sizes(trials, dim) for _ in range(users)]
         assert calls == [(threading.get_ident(), before, shape) for shape in shapes]
         assert threading.active_count() == before
 
@@ -936,7 +948,8 @@ class TestDegenerateTrialInAStack:
 
 class TestChunkDraw:
     def test_folds_once_per_chunk_without_an_effective_channel(self, monkeypatch):
-        # the sweep_k3 benchmark op: D = 21, so 50 trials are 3 chunks per coding
+        # the sweep_k3 benchmark op: D = 21 and 50 trials, in the chunks the module's
+        # cap allows, then under a cap of 18 composites (3 chunks per coding)
         folds, built = [], []
         real_fold = extension_core._fold_diagonals
         real_init = extension_core.EffectiveChannel.__post_init__
@@ -951,11 +964,15 @@ class TestChunkDraw:
             extension_core.EffectiveChannel, "__post_init__", lambda eff: built.append(eff) or real_init(eff)
         )
         link = LinkConfig(snr_points_db=(10.0, 20.0, 30.0, 40.0, 50.0, 60.0), trials=50, seed=7)
-        for coding in ("naive", "double"):
-            ch = generate_channels(3, slot_fold(coding) * effective_dim(3, 10), "constant", 1)
-            assert simulate_link(ch, coding, link).failures == 0
-        assert built == []
-        assert folds == [18, 18, 14] * 2
+        dim = effective_dim(3, 10)
+        for cap in (link_sim.ZF_STACK_BYTES, 18 * 16 * dim**2):
+            monkeypatch.setattr(link_sim, "ZF_STACK_BYTES", cap)
+            folds.clear()
+            for coding in ("naive", "double"):
+                ch = generate_channels(3, slot_fold(coding) * dim, "constant", 1)
+                assert simulate_link(ch, coding, link).failures == 0
+            assert built == []
+            assert folds == oracles.chunk_sizes(50, dim) * 2
 
     def test_drawn_gains_skip_the_gain_plan_checks(self, monkeypatch):
         # _draw_gains draws every gain finite and nonzero, so no pass checks them again
