@@ -49,13 +49,11 @@ from .link_sim import (
     ChainSample,
     LinkConfig,
     LinkResult,
-    combine_received,
     draw_realization,
     effective_noise_std,
     estimate_dof,
     run_symbol_chain,
     simulate_link,
-    transmit_blocks,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +82,6 @@ __all__ = [
     "cascade_pairs",
     "check_alignment",
     "closed_form_dof",
-    "combine_received",
     "distinctness_audit",
     "draw_realization",
     "effective_dim",
@@ -100,5 +97,4 @@ __all__ = [
     "simulate_link",
     "slot_fold",
     "subseed",
-    "transmit_blocks",
 ]

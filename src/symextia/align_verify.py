@@ -107,6 +107,11 @@ class AlignmentReport:
     verdict: str
 
 
+def _gap_name(pair: tuple[int, int]) -> str:
+    """The one spelling of cascade (k, l)'s audit quantity, ``T_k_l``, as ``flagged`` and the audit CSV name it."""
+    return "T_{}_{}".format(*pair)
+
+
 @dataclass(frozen=True)
 class DistinctnessAudit:
     """Minimal pairwise relative gaps of cascade eigenvalues and kappa."""
@@ -117,7 +122,7 @@ class DistinctnessAudit:
     @property
     def flagged(self) -> tuple[str, ...]:
         """Every quantity whose gap is below ``DISTINCTNESS_TOL``: the sorted ``T_k_l`` names, then ``kappa``."""
-        low = sorted(f"T_{k}_{l}" for (k, l), gap in self.lambda_gaps.items() if gap < DISTINCTNESS_TOL)
+        low = sorted(_gap_name(pair) for pair, gap in self.lambda_gaps.items() if gap < DISTINCTNESS_TOL)
         return (*low, "kappa") if self.kappa_gap < DISTINCTNESS_TOL else tuple(low)
 
 

@@ -30,8 +30,9 @@ usable transmit power, an ``--snr`` sweep with more float64 points than
 once rounded, and flags that could never run), and 1 when a module rejects the run (an exact dof
 with more digits than the interpreter prints included) or the output path,
 or the temporary file its rows are spooled to, cannot be written. An
-output path that is a directory, lies in no existing directory or is not
-writable is refused before any row is computed, and
+output path that is empty or a directory, lies in no existing directory
+(also where a symlink points), has a file name longer than its directory
+allows or is not writable is refused before any row is computed, and
 the CSV is opened only after every row is computed, so a run that fails
 before then leaves the output path as it was.
 
@@ -51,7 +52,7 @@ import tempfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .align_verify import check_alignment, distinctness_audit
+from .align_verify import _gap_name, check_alignment, distinctness_audit
 from .cj_precoder import LAYERS, SINGLE_LAYER, build_cascades, closed_form_dof, effective_dim
 from .errors import CapacityError, ParameterError, SymextiaError
 from .extension_core import (
@@ -207,7 +208,7 @@ def _run_audit(spec: ExperimentSpec) -> Iterator[list]:
         )
         audit = distinctness_audit(cascades)
         flagged = audit.flagged
-        gaps = [(f"T_{k}_{l}", gap) for (k, l), gap in sorted(audit.lambda_gaps.items())]
+        gaps = [(_gap_name(pair), gap) for pair, gap in sorted(audit.lambda_gaps.items())]
         for name, gap in [*gaps, ("kappa", audit.kappa_gap)]:
             yield [row, spec.seed, name, _fmt(gap), str(name in flagged).lower()]
 
@@ -311,13 +312,27 @@ def parse_args(argv: list[str] | None = None) -> ExperimentSpec:
 
 
 def _check_output(path: str) -> None:
-    """ParameterError unless ``path`` can name a writable file in an existing directory."""
-    folder = os.path.dirname(path) or "."
+    """ParameterError unless ``path`` can name a writable file in an existing directory.
+
+    A symlink is checked where it points, since ``open`` writes there, and
+    the file's name against the longest name its directory allows.
+    """
+    if not path:
+        raise ParameterError("output path is empty")
     if os.path.isdir(path):
         raise ParameterError(f"output path {path!r} is a directory")
-    if not os.path.isdir(folder):
-        raise ParameterError(f"output directory {folder!r} does not exist")
-    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
+    for where in (os.path.dirname(path) or ".", folder):
+        if not os.path.isdir(where):
+            raise ParameterError(f"output directory {where!r} does not exist")
+    try:  # -1 where the system sets no limit
+        limit = os.pathconf(folder, "PC_NAME_MAX")
+    except (AttributeError, OSError):  # no pathconf (Windows), or no answer for this folder
+        limit = -1
+    if 0 < limit < len(os.fsencode(name)):
+        raise ParameterError(f"output file name {name[:40]!r}... is longer than the {limit} bytes {folder!r} allows")
+    if not os.access(target if os.path.exists(target) else folder, os.W_OK):
         raise ParameterError(f"output path {path!r} is not writable")
 
 

@@ -57,7 +57,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .cj_precoder import PrecoderSet, _check_pair, _stacked_precoders, build_precoders
+from .cj_precoder import PrecoderSet, _stacked_precoders, build_precoders
 from .errors import DegenerateRealizationError, ParameterError, SimulationError
 from .extension_core import (
     PLAIN,
@@ -105,11 +105,6 @@ def _usable_power(power: object) -> bool:
         return real and 0.0 < float(power) < math.inf and 1.0 / float(power) < math.inf
     except OverflowError:  # an int too large for a float
         return False
-
-
-def _check_power(power: object) -> None:
-    if not _usable_power(power):
-        raise ParameterError(f"power {power!r} must be a real number, positive and finite with a finite reciprocal")
 
 
 def snr_power(snr_db: float) -> float:
@@ -321,15 +316,9 @@ def effective_noise_std(eff: EffectiveChannel, receiver: int) -> np.ndarray:
     return np.sqrt(_folded_power(eff.rx_gains(receiver)))
 
 
-def combine_received(y: np.ndarray, eff: EffectiveChannel, receiver: int) -> np.ndarray:
-    """Apply receive gains and fold a raw T-slot block down to D effective slots.
-
-    ParameterError unless ``y`` has T slots along its first axis.
-    """
-    eff._single()
+def _combine_received(y: np.ndarray, eff: EffectiveChannel, receiver: int) -> np.ndarray:
+    """The chain's receive step: one trial's raw block, T slots on its first axis, gain-combined down to D."""
     gains = eff.rx_gains(receiver)
-    if y.shape[:1] != (eff.channels.slots,):
-        raise ParameterError(f"block of shape {y.shape} does not have {eff.channels.slots} slots on its first axis")
     folded = y.reshape(gains.shape + y.shape[1:])
     return (gains.reshape(gains.shape + (1,) * (y.ndim - 1)) * folded).sum(axis=0)
 
@@ -354,47 +343,20 @@ def _scale_hats(pre: PrecoderSet, eff: EffectiveChannel) -> np.ndarray:
     return np.sqrt(eff.channels.slots / energy)
 
 
-def transmit_blocks(
-    pre: PrecoderSet, eff: EffectiveChannel, power: float, symbols: dict[int, np.ndarray]
+def _transmit_blocks(
+    pre: PrecoderSet, eff: EffectiveChannel, amplitudes: np.ndarray, symbols: dict[int, np.ndarray]
 ) -> dict[int, np.ndarray]:
-    """Beamform, gain-expand, and power-scale symbol blocks for every user.
+    """The chain's transmit step: each user's (streams, blocks) symbols beamformed, gain-expanded and scaled.
 
-    ``symbols[k]`` has shape (streams_k, blocks), read through
-    ``np.asarray``, so nested lists are blocks too; the returned raw blocks have
-    shape (T, blocks) and expected per-slot power ``power``. Each beamformed
-    entry q rides every raw slot folded onto it, times that slot's gain.
-
-    Raises
-    ------
-    ParameterError
-        If ``power`` fails the power rule of ``_usable_power``, or ``symbols`` does not
-        hold one 2-D block per user, all with the same block count and each
-        with that user's stream count, or if ``eff`` and ``pre`` are not
-        one trial of the same size (``_check_pair``).
+    Each beamformed entry q rides every raw slot folded onto it, times that
+    slot's gain, and user j's (T, blocks) block is scaled by
+    ``amplitudes[j - 1]``, sqrt(power) times its ``_scale_hats``, so its
+    expected power per raw slot is the power.
     """
-    _check_pair(eff, pre)
-    _check_power(power)
-    if set(symbols) != set(pre.precoders):
-        raise ParameterError(
-            f"symbols must hold exactly users {sorted(pre.precoders)}, got keys {list(symbols)}"
-        )
-    symbols = {user: np.asarray(s) for user, s in symbols.items()}
-    if any(s.ndim != 2 for s in symbols.values()):
-        raise ParameterError("each symbol block must be 2-D, (streams, blocks)")
-    block_counts = {user: s.shape[1] for user, s in symbols.items()}
-    if len(set(block_counts.values())) != 1:
-        raise ParameterError(f"every user must send the same number of blocks, got {block_counts}")
-    hats = _scale_hats(pre, eff)
     out: dict[int, np.ndarray] = {}
     for user, mat in pre.precoders.items():
-        s = symbols[user]
-        if s.shape[0] != mat.shape[1]:
-            raise ParameterError(
-                f"user {user} symbols carry {s.shape[0]} streams, expected {mat.shape[1]}"
-            )
-        beamformed = mat @ s
-        block = (eff.tx_gains(user)[:, :, None] * beamformed).reshape(-1, s.shape[1])
-        out[user] = np.sqrt(power) * hats[user - 1] * block
+        block = eff.tx_gains(user)[:, :, None] * (mat @ symbols[user])
+        out[user] = amplitudes[user - 1] * block.reshape(-1, block.shape[-1])
     return out
 
 
@@ -500,15 +462,11 @@ def simulate_link(channels: ChannelSet, coding: str, link: LinkConfig) -> LinkRe
 
     Receivers are factored one at a time, each chunk's whole stack in one
     call on the calling thread, and no thread is started. Each D = 275 SVD
-    with vectors holds about 10.6 MiB: two receivers in flight raised
-    ``link_k4``'s peak RSS from 52.5 to 65.5-70.9 MiB. At D = 21 a stack of
-    18 trials factors in about 2 ms, too short a grain for a helper thread:
-    split in two halves on two threads, it gained ``sweep_k3`` no time and
-    cost it about 1 MiB of peak RSS. CHANGES.md records the second-CPU
-    layouts measured and why none was kept. ``ZF_STACK_BYTES`` holds 74
-    trials at D = 21, so 50 trials are one chunk: its receiver stacks factor
-    in about 6 ms each, its arrays peak near 2.6 MB, and it pays a chunk's
-    fixed cost of about 0.85 ms once instead of three times.
+    with vectors holds about 10.6 MiB, so two receivers in flight would
+    raise ``link_k4``'s peak memory. ``ZF_STACK_BYTES`` holds 74 trials at
+    D = 21, so the 50 trials of a default ``figure1`` run are one chunk per
+    coding: its receiver stacks factor in about 6 ms each, its arrays peak
+    near 2.6 MB, and it pays a chunk's fixed cost of about 0.85 ms once.
 
     Returns
     -------
@@ -595,6 +553,12 @@ def run_symbol_chain(
     composite's conditioning). Useful for testing power accounting,
     combining statistics, and noise-free decodability.
 
+    It is the one way into its two steps, ``_transmit_blocks`` and
+    ``_combine_received``, which take what it built and check nothing: the
+    one drawn trial, its precoders, one symbol block per user and the
+    users' amplitudes, computed once and shared with the zero-forcer. Every
+    sampled quantity is a field of the returned ``ChainSample``.
+
     Raises
     ------
     ParameterError
@@ -606,13 +570,13 @@ def run_symbol_chain(
     """
     _check_int("blocks", blocks, 1)
     rng = np.random.default_rng(subseed(seed, _STREAMS["chain"]))  # first: it names a bad seed "seed"
-    _check_power(power)
+    if not _usable_power(power):
+        raise ParameterError(f"power {power!r} must be a real number, positive and finite with a finite reciprocal")
     _, eff, pre, redraws = draw_realization(channels, coding, seed)
 
     symbols = {user: _complex_normal(rng, (d, blocks)) for user, d in pre.stream_counts.items()}
-    tx = transmit_blocks(pre, eff, power, symbols)
-
     scales = np.sqrt(power) * _scale_hats(pre, eff)
+    tx = _transmit_blocks(pre, eff, scales, symbols)
     received: dict[int, np.ndarray] = {}
     decoded: dict[int, np.ndarray] = {}
     for k in range(1, channels.users + 1):
@@ -621,6 +585,6 @@ def run_symbol_chain(
             y = y + _complex_normal(rng, (channels.slots, blocks))
         received[k] = y
         noise_std, gains_zf = _zero_forcer(pre, eff, k, scales)
-        decoded[k] = gains_zf @ (combine_received(y, eff, k) / noise_std[:, None])
+        decoded[k] = gains_zf @ (_combine_received(y, eff, k) / noise_std[:, None])
     return ChainSample(effective=eff, precoders=pre, symbols=symbols, tx_blocks=tx,
                        received=received, decoded=decoded, redraws=redraws)

@@ -49,6 +49,16 @@ def test_matrix_reads_the_readme_the_ci_smoke_step_and_the_bench_ops(ab):
     assert all(args.count("--seed") == 1 for args in bench)
 
 
+def test_a_workflow_without_the_smoke_step_names_the_missing_step(ab, tmp_path, monkeypatch):
+    workflow = tmp_path / ".github" / "workflows" / "tests.yml"
+    workflow.parent.mkdir(parents=True)
+    workflow.write_text("jobs:\n  tests:\n    steps:\n      - name: Tier-1 tests\n        run: pytest\n",
+                        encoding="utf-8")
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    with pytest.raises(SystemExit, match="has no '- name: CLI smoke test' step"):
+        ab.ci_commands()
+
+
 def test_compare_csv_names_each_moved_column(ab):
     base = b"snr_db,coding,rate\n10,naive,2\n20,naive,4\n"
     head = b"snr_db,coding,rate\n10,double,2\n20,naive,5\n"

@@ -611,6 +611,32 @@ class TestMain:
         assert err.startswith("error: output ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["empty", "long_name", "symlink_into_missing_directory"])
+    def test_out_that_open_would_refuse_exits_one_before_the_runner(self, where, tmp_path, capsys, monkeypatch):
+        entered = []
+
+        def record(spec):
+            entered.append(spec.experiment)
+            return iter([["header"]])
+
+        monkeypatch.setitem(cli._RUNNERS, "figure1", record)
+        monkeypatch.chdir(tmp_path)
+        if where == "symlink_into_missing_directory":
+            (tmp_path / "link.csv").symlink_to(tmp_path / "missing" / "x.csv")
+        out = {"empty": "", "long_name": "x" * 300 + ".csv", "symlink_into_missing_directory": "link.csv"}[where]
+        before = sorted(tmp_path.iterdir())
+        assert main(["--experiment", "figure1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output ") and err.count("\n") == 1
+        assert entered == []
+        assert sorted(tmp_path.iterdir()) == before
+        assert not (tmp_path / "missing").exists()
+
+    def test_symlink_into_an_existing_directory_writes_where_it_points(self, tmp_path):
+        (tmp_path / "link.csv").symlink_to(tmp_path / "x.csv")
+        assert main(["--experiment", "dof_table", "--out", str(tmp_path / "link.csv")]) == 0
+        assert (tmp_path / "x.csv").read_text(encoding="utf-8").startswith("users,n,layer")
+
     def test_os_error_at_open_is_a_typed_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise PermissionError(13, "Permission denied")

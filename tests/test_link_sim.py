@@ -17,7 +17,6 @@ from symextia import (
     ParameterError,
     SimulationError,
     build_effective,
-    combine_received,
     draw_realization,
     effective_dim,
     effective_noise_std,
@@ -28,7 +27,6 @@ from symextia import (
     simulate_link,
     slot_fold,
     subseed,
-    transmit_blocks,
 )
 import symextia.cj_precoder as cj_precoder
 import symextia.cli as cli
@@ -298,7 +296,7 @@ class TestSymbolChain:
             rng.standard_normal((ch.slots, draws)) + 1j * rng.standard_normal((ch.slots, draws))
         ) / np.sqrt(2.0)
         for receiver in (1, 2, 3):
-            combined = combine_received(noise, eff, receiver)
+            combined = link_sim._combine_received(noise, eff, receiver)
             empirical = np.var(combined, axis=1)
             want = effective_noise_std(eff, receiver) ** 2
             assert np.max(np.abs(empirical - want) / want) <= 0.05
@@ -307,55 +305,8 @@ class TestSymbolChain:
         ch = generate_channels(3, 5, "iid", 1)
         eff = build_effective(ch, None, "plain")
         y = np.arange(10).reshape(5, 2).astype(complex)
-        assert np.array_equal(combine_received(y, eff, 1), y)
+        assert np.array_equal(link_sim._combine_received(y, eff, 1), y)
         assert np.all(effective_noise_std(eff, 2) == 1.0)
-        for bad in (y[:4], np.zeros(())):
-            with pytest.raises(ParameterError, match="slots on its first axis"):
-                combine_received(bad, eff, 1)
-
-    def test_transmit_blocks_validates_streams(self):
-        ch = _double_channels()
-        _, eff, pre, _ = draw_realization(ch, "double", 0)
-        bad = {u: np.ones((d + 1, 2), dtype=complex) for u, d in pre.stream_counts.items()}
-        with pytest.raises(ParameterError):
-            transmit_blocks(pre, eff, 1.0, bad)
-        good = {u: np.ones((d, 2), dtype=complex) for u, d in pre.stream_counts.items()}
-        for power in (0.0, float("inf"), float("nan")):
-            with pytest.raises(ParameterError):
-                transmit_blocks(pre, eff, power, good)
-
-    def test_transmit_blocks_rejects_a_mismatched_pair(self):
-        # precoders for K=3 n=2 (D=5), an effective channel for K=3 n=1 (D=3)
-        _, _, pre, _ = draw_realization(generate_channels(3, 5, "iid", 0), "plain", 0)
-        _, eff, _, _ = draw_realization(generate_channels(3, 3, "iid", 0), "plain", 0)
-        symbols = {u: np.ones((d, 1), dtype=complex) for u, d in pre.stream_counts.items()}
-        with pytest.raises(ParameterError, match="does not match"):
-            transmit_blocks(pre, eff, 1.0, symbols)
-
-    @pytest.mark.parametrize(
-        "spoil",
-        [
-            lambda s: {u: b for u, b in s.items() if u != 2},  # a user is missing
-            lambda s: {**s, 4: s[1]},  # a user the precoders do not have
-            lambda s: {**s, 2: s[2][:, 0]},  # a 1-D block
-            lambda s: {**s, 2: s[2][:, 0].tolist()},  # a 1-D nested list
-            lambda s: {**s, 3: s[3][:, :1]},  # fewer blocks than the other users
-            lambda s: {**s, 3: s[3][:, :1].tolist()},  # a nested list of fewer blocks
-            lambda s: {**s, 1: s[1][:-1].tolist()},  # a nested list of too few streams
-        ],
-        ids=["missing_user", "extra_user", "one_dimensional", "one_dimensional_list", "unequal_blocks",
-             "unequal_blocks_list", "short_streams_list"],
-    )
-    def test_transmit_blocks_validates_the_symbol_dict(self, spoil):
-        ch = _double_channels()
-        _, eff, pre, _ = draw_realization(ch, "double", 0)
-        good = {u: np.ones((d, 2), dtype=complex) for u, d in pre.stream_counts.items()}
-        sent = transmit_blocks(pre, eff, 1.0, good)
-        # nested lists are read as arrays: the same blocks, the same bytes
-        as_lists = transmit_blocks(pre, eff, 1.0, {u: s.tolist() for u, s in good.items()})
-        assert all(np.array_equal(as_lists[u], block) for u, block in sent.items())
-        with pytest.raises(ParameterError):
-            transmit_blocks(pre, eff, 1.0, spoil(good))
 
     def test_chain_rejects_bad_blocks(self):
         ch = _double_channels()
@@ -443,9 +394,9 @@ class TestFoldMatchesPerModeReference:
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for k in range(1, users + 1):
             assert np.array_equal(effective_noise_std(eff, k), oracles.per_mode_noise_std(eff, k))
-            assert np.array_equal(combine_received(y, eff, k), oracles.per_mode_combine(y, eff, k))
+            assert np.array_equal(link_sim._combine_received(y, eff, k), oracles.per_mode_combine(y, eff, k))
             assert np.array_equal(
-                combine_received(y[:, 0], eff, k), oracles.per_mode_combine(y[:, 0], eff, k)
+                link_sim._combine_received(y[:, 0], eff, k), oracles.per_mode_combine(y[:, 0], eff, k)
             )
         hats = link_sim._scale_hats(pre, eff)
         for user in pre.precoders:
@@ -455,7 +406,7 @@ class TestFoldMatchesPerModeReference:
             u: rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
             for u, d in pre.stream_counts.items()
         }
-        got = transmit_blocks(pre, eff, 3.5, symbols)
+        got = link_sim._transmit_blocks(pre, eff, np.sqrt(3.5) * hats, symbols)
         want = oracles.per_mode_transmit(pre, eff, 3.5, symbols)
         assert all(np.array_equal(got[u], want[u]) for u in want)
 
@@ -475,7 +426,7 @@ class TestFoldMatchesPerModeReference:
                 got = link_sim._whitened(pre._received_block(row, j), scales[j - 1], noise_std)
                 assert np.array_equal(got, want[j])
             assert np.array_equal(gains_zf, oracles._per_trial_zero_forcer(pre, want, k))
-            z = combine_received(sample.received[k], eff, k) / noise_std[:, None]
+            z = link_sim._combine_received(sample.received[k], eff, k) / noise_std[:, None]
             assert np.array_equal(sample.decoded[k], gains_zf @ z)
 
 

@@ -135,8 +135,11 @@ def ci_commands() -> list[list[str]]:
     behind ``taskset``, ``env`` or ``expect_exit 0``); the runs expected to
     fail write no CSV and are left out.
     """
-    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
-    step = workflow.split(SMOKE_STEP, 1)[1].split("- name:", 1)[0]
+    path = ROOT / ".github" / "workflows" / "tests.yml"
+    parts = path.read_text(encoding="utf-8").split(SMOKE_STEP, 1)
+    if len(parts) == 1:
+        raise SystemExit(f"{path} has no {SMOKE_STEP!r} step to read the CI commands from")
+    step = parts[1].split("- name:", 1)[0]
     commands: list[list[str]] = []
     for line in step.splitlines():
         words = shlex.split(line, comments=True)
