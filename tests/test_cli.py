@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import subprocess
 import sys
 import time
@@ -631,6 +632,17 @@ class TestMain:
         assert entered == []
         assert sorted(tmp_path.iterdir()) == before
         assert not (tmp_path / "missing").exists()
+
+    def test_a_name_as_long_as_its_directory_allows_is_written(self, tmp_path):
+        # the name check refuses only names longer than PC_NAME_MAX, not one at it
+        try:
+            limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        except (AttributeError, OSError):
+            pytest.skip("the system reports no longest file name for this directory")
+        out = tmp_path / ("x" * (limit - len(".csv")) + ".csv")
+        assert len(os.fsencode(out.name)) == limit
+        assert main(["--experiment", "dof_table", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith("users,n,layer")
 
     def test_symlink_into_an_existing_directory_writes_where_it_points(self, tmp_path):
         (tmp_path / "link.csv").symlink_to(tmp_path / "x.csv")

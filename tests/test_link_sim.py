@@ -373,6 +373,24 @@ class TestSymbolChain:
         run_symbol_chain(ch, "double", power=10.0, seed=0)
         assert outs == [True] * (2 * ch.users)
 
+    @pytest.mark.parametrize("coding", ["plain", "double"])
+    def test_chain_forms_the_users_amplitudes_once(self, monkeypatch, coding):
+        # one product sqrt(power) * hats feeds the transmit step and every
+        # receiver's zero-forcer, so the scale factors are computed once a call
+        ch = _double_channels(seed=11) if coding == "double" else generate_channels(3, 5, "iid", 17)
+        calls = []
+        real = link_sim._scale_hats
+
+        def scale_hats(pre, eff):
+            calls.append(coding)
+            return real(pre, eff)
+
+        monkeypatch.setattr(link_sim, "_scale_hats", scale_hats)
+        sample = run_symbol_chain(ch, coding, power=2.5, seed=3, blocks=4, inject_noise=False)
+        assert calls == [coding]
+        for user, sym in sample.symbols.items():
+            assert np.linalg.norm(sample.decoded[user] - sym) / np.linalg.norm(sym) <= 1e-8
+
 
 FOLD_CASES = [
     (users, n, coding)
